@@ -7,15 +7,14 @@ needs more coordination messages per admission and is more conservative
 only when admission tests approach task execution times (they do not —
 see the AUB micro-benchmark).
 
-Also records the ``distributed_round`` section of ``BENCH_hotpath.json``:
+Also records the ``distributed_round`` section of the hot-path record
+(written only where ``REPRO_BENCH_HOTPATH_OUT`` points, see conftest.py):
 coordination rounds and reserve messages for a simultaneous burst, with
 and without piggybacking (arrival batching) — the O(burst) -> O(1)
 claim, in counters.
 """
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -29,10 +28,7 @@ from repro.sched.task import SubtaskSpec, TaskKind, TaskSpec
 from repro.workloads.generator import generate_random_workload
 from repro.workloads.model import Workload
 
-from conftest import bench_duration
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULT_FILE = REPO_ROOT / "BENCH_hotpath.json"
+from conftest import bench_duration, merge_hotpath_record
 
 
 def test_bench_centralized_vs_distributed(benchmark):
@@ -137,16 +133,7 @@ def test_bench_piggybacked_rounds():
         f"{piggybacked['reserve_messages']} piggybacked "
         f"({section['round_reduction']:.0f}x fewer rounds)"
     )
-    # Merge into the shared artifact; the hotpath benchmark preserves
-    # unknown sections the same way, so write order does not matter.
-    record = {}
-    if RESULT_FILE.exists():
-        try:
-            record = json.loads(RESULT_FILE.read_text())
-        except json.JSONDecodeError:
-            record = {}
-    record["distributed_round"] = section
-    RESULT_FILE.write_text(json.dumps(record, indent=2) + "\n")
+    merge_hotpath_record({"distributed_round": section})
 
     # O(burst) -> O(1): the whole burst coordinates in one round.
     assert piggybacked["rounds"] == 1

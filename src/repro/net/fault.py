@@ -92,6 +92,10 @@ class FaultInjector:
         #: (loss stream name, source, destination).
         self._loss_rngs: Dict[Tuple[str, str, str], random.Random] = {}
         self.metrics = FaultMetrics()
+        #: True once any fault window is configured.  A plain attribute
+        #: set by the ``add_*`` methods, not computed on read, because
+        #: ``Network.send`` reads it on every remote send.
+        self.armed = False
 
     # ------------------------------------------------------------------
     # Configuration
@@ -101,6 +105,7 @@ class FaultInjector:
     ) -> None:
         end = math.inf if recovery is None else recovery
         self._crashes.setdefault(node, []).append((time, end))
+        self.armed = True
 
     def add_partition(
         self,
@@ -117,9 +122,11 @@ class FaultInjector:
                 group_b=frozenset(group_b),
             )
         )
+        self.armed = True
 
     def add_delay_spike(self, time: float, until: float, factor: float) -> None:
         self._spikes.append(_SpikeWindow(start=time, end=until, factor=factor))
+        self.armed = True
 
     def add_message_loss(
         self,
@@ -132,18 +139,7 @@ class FaultInjector:
         self._losses.append(
             _LossConfig(probability=probability, start=time, end=end, stream=stream)
         )
-
-    @property
-    def armed(self) -> bool:
-        """True when at least one fault window is configured.
-
-        ``Network.send`` skips the injector entirely when this is
-        ``False``, keeping the fault-free hot path at two attribute
-        loads of overhead.
-        """
-        return bool(
-            self._crashes or self._partitions or self._spikes or self._losses
-        )
+        self.armed = True
 
     # ------------------------------------------------------------------
     # Queries

@@ -128,7 +128,9 @@ class Network:
         crash/partition/loss window is *suppressed*: it still counts in
         ``messages_sent`` (the sender paid for it) but samples no delay,
         records no delay statistic, and never delivers — the returned
-        message carries an infinite delay as the dropped marker.
+        message carries an infinite delay as the dropped marker.  An
+        idle injector (``armed`` is a plain ``False`` attribute) costs a
+        remote send two attribute loads and a truth test.
         """
         self._check(source)
         self._check(destination)

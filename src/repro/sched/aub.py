@@ -36,7 +36,7 @@ Two analyzer implementations share the same API:
   evaluates the candidate plus the tasks that visit a node whose
   utilization would actually change.  :meth:`AubAnalyzer.admissible_batch`
   admits a whole burst of simultaneous arrivals in one call: one prune,
-  one dirty refresh, shared hypothetical per-node totals, and
+  one screen, one dirty refresh, shared hypothetical per-node totals, and
   O(changed-nodes) bookkeeping per accepted candidate.
   :meth:`AubAnalyzer.batch_session` opens the same overlay machinery
   incrementally (:class:`BatchAdmissionSession`) for bursts whose
@@ -49,8 +49,8 @@ Two analyzer implementations share the same API:
   hot-path benchmark measures the speedup against it.
 
 When numpy is available the per-node ``f(U_j)`` term math (the batch
-screen's worst-case terms and the dirty-refresh term fill) runs as one
-vectorized pass over the ledger's per-node totals (:func:`aub_terms_bulk`);
+screen's worst-case terms and the refill of the terms of nodes the ledger
+changed) runs as one vectorized pass (:func:`aub_terms_bulk`);
 the pure-python loop is retained when numpy is absent or
 ``REPRO_PURE_PYTHON`` is set, and both produce bit-identical floats.
 """
@@ -60,6 +60,7 @@ from __future__ import annotations
 import heapq
 import math
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     Iterable,
@@ -503,10 +504,10 @@ class AubAnalyzer:
     condition value cannot have changed since it was last computed).
 
     :meth:`admissible_batch` extends the same machinery to a burst of
-    simultaneous arrivals: prune and dirty-refresh run once, hypothetical
-    per-node totals are shared across the burst, and each accepted
-    candidate costs only O(changed nodes) overlay updates — no ledger
-    mutation, no cache invalidation, no per-candidate refresh storm.
+    simultaneous arrivals: prune, screen and dirty refresh run once,
+    hypothetical per-node totals are shared across the burst, and each
+    accepted candidate costs only O(changed nodes) overlay updates — no
+    ledger mutation, no cache invalidation, no per-candidate refresh storm.
     """
 
     #: Compact the expiry heap only beyond this size (below it, lazy
@@ -521,6 +522,9 @@ class AubAnalyzer:
         self._by_node: Dict[str, Set[Tuple[str, int]]] = {}
         #: node -> cached f(U_j) under the current ledger state
         self._node_terms: Dict[str, float] = {}
+        #: nodes whose cached term the ledger invalidated since the last
+        #: fill (an insertion-ordered set)
+        self._stale_nodes: Dict[str, None] = dict.fromkeys(ledger.nodes)
         #: key -> cached visit-order sum of f over the task's visits
         self._task_totals: Dict[Tuple[str, int], float] = {}
         #: keys whose cached total is stale (a visited node changed)
@@ -548,67 +552,107 @@ class AubAnalyzer:
     # ------------------------------------------------------------------
     def _on_ledger_change(self, node: str) -> None:
         self._node_terms.pop(node, None)
+        self._stale_nodes[node] = None
         affected = self._by_node.get(node)
         if affected:
             self._dirty.update(affected)
 
-    def _term(self, node: str) -> float:
-        """Cached f(U_j) for ``node`` under the current ledger state."""
-        term = self._node_terms.get(node)
-        if term is None:
-            term = aub_term(self.ledger.utilization_or_zero(node))
-            self._node_terms[node] = term
-        return term
+    def _fill_stale_terms(self) -> Dict[str, float]:
+        """Recompute the cached ``f(U_j)`` of every node the ledger changed
+        since the last fill, and return the cache.
 
-    def _prime_node_terms(self, nodes: Iterable[str]) -> None:
-        """Batch-fill the ``f(U_j)`` cache for the given nodes.
-
-        One :func:`aub_terms_bulk` pass (vectorized under numpy) computes
-        every term missing from the cache; subsequent :meth:`_term` calls
-        are pure cache hits.  The cached values are bit-identical to the
-        ones the scalar path would have produced one at a time.
+        Afterwards the cache holds the current term of every ledger node
+        (all of them are stale at construction), so a node missing from
+        it is unknown to the ledger and its term is ``f(0) = 0.0``: loops
+        read ``terms.get(node, 0.0)``.  Batches and sessions never mutate
+        the ledger, so the cache stays complete until they end.
         """
-        node_terms = self._node_terms
-        missing: List[str] = []
-        seen: Set[str] = set()
-        for node in nodes:
-            if node not in node_terms and node not in seen:
-                seen.add(node)
-                missing.append(node)
-        if not missing:
-            return
-        ledger = self.ledger
-        utils = [ledger.utilization_or_zero(node) for node in missing]
-        for node, term in zip(missing, aub_terms_bulk(utils)):
-            node_terms[node] = term
+        stale = self._stale_nodes
+        terms = self._node_terms
+        if stale:
+            utilization = self.ledger.utilization_or_zero
+            if len(stale) >= _BULK_MIN:
+                nodes = list(stale)
+                utils = [utilization(node) for node in nodes]
+                for node, term in zip(nodes, aub_terms_bulk(utils)):
+                    terms[node] = term
+            else:
+                for node in stale:
+                    terms[node] = aub_term(utilization(node))
+            stale.clear()
+        return terms
 
-    def _refresh_dirty(self) -> None:
-        """Recompute cached condition totals for stale registrations."""
-        if len(self._dirty) >= _BULK_MIN:
-            # Vectorized term refresh: fill the f(U_j) cache for every
-            # node the stale registrations visit in one bulk pass, so the
-            # per-task loop below never computes a term scalar-by-scalar.
-            visits = self._visits
-            self._prime_node_terms(
-                node
-                for key in self._dirty
-                for entry in (visits.get(key),)
-                if entry is not None
-                for node in entry[0]
-            )
-        while self._dirty:
-            key = self._dirty.pop()
-            entry = self._visits.get(key)
+    def _refresh_dirty(
+        self, cleared: AbstractSet[Tuple[str, int]] = frozenset()
+    ) -> None:
+        """Recompute cached condition totals for stale registrations.
+
+        Keys in ``cleared`` passed the worst-case burst screen (see
+        :meth:`_screen_burst`), so they cannot be violating now: they
+        leave ``_violating`` without a recompute and stay dirty until a
+        refresh that does not clear them recomputes them.
+        """
+        terms = self._fill_stale_terms()
+        dirty = self._dirty
+        violating = self._violating
+        deferred = dirty & cleared if cleared else None
+        if deferred:
+            violating.difference_update(deferred)
+            dirty.difference_update(deferred)
+        registry = self._visits
+        task_totals = self._task_totals
+        bound = 1.0 + EPSILON
+        while dirty:
+            key = dirty.pop()
+            entry = registry.get(key)
             if entry is None:
                 continue
             total = 0.0
             for node in entry[0]:
-                total += self._term(node)
-            self._task_totals[key] = total
-            if total > 1.0 + EPSILON:
-                self._violating.add(key)
+                total += terms.get(node, 0.0)
+            task_totals[key] = total
+            if total > bound:
+                violating.add(key)
             else:
-                self._violating.discard(key)
+                violating.discard(key)
+        if deferred:
+            dirty.update(deferred)
+
+    def _screen_burst(
+        self, umax: Mapping[str, float]
+    ) -> Tuple[Set[Tuple[str, int]], Dict[str, float]]:
+        """The worst-case burst screen, then the dirty refresh it leaves.
+
+        ``umax`` maps each node a burst can touch to the highest total the
+        burst can reach there.  Burst deltas are non-negative and ``f`` is
+        monotone, so every state inside the burst lies at or below
+        ``umax`` node-wise: a registered task on a burst node whose
+        condition holds under ``umax`` by at least :data:`SCREEN_GUARD`
+        (which absorbs ulp-scale float wobble) can never fail inside the
+        burst, and cannot be violating now either.  Returns the keys the
+        screen could not clear (the watch set) and ``f`` at ``umax``.
+        """
+        terms = self._fill_stale_terms()
+        umax_terms = dict(zip(umax, aub_terms_bulk(list(umax.values()))))
+        screen_terms = {**terms, **umax_terms}
+        screen_bound = 1.0 + EPSILON - SCREEN_GUARD
+        by_node = self._by_node
+        registry = self._visits
+        to_screen: Set[Tuple[str, int]] = set()
+        for node in umax:
+            keys = by_node.get(node)
+            if keys:
+                to_screen.update(keys)
+        watch: Set[Tuple[str, int]] = set()
+        for key in to_screen:
+            total = 0.0
+            for node in registry[key][0]:
+                total += screen_terms.get(node, 0.0)
+                if total > screen_bound:
+                    watch.add(key)
+                    break
+        self._refresh_dirty(to_screen - watch)
+        return watch, umax_terms
 
     def _sanitize_audit_caches(self) -> None:
         """Cached ``f(U_j)`` terms and clean task totals vs a fresh
@@ -773,6 +817,7 @@ class AubAnalyzer:
         if self._sanitize:
             self._sanitize_audit_caches()
         self.prune(now)
+        terms = self._fill_stale_terms()
         ledger = self.ledger
         # Hypothetical post-admission utilization on each touched node.
         hyp: Dict[str, float] = {}
@@ -789,7 +834,7 @@ class AubAnalyzer:
         total = 0.0
         for node in candidate_visits:
             u = hyp.get(node)
-            total += self._term(node) if u is None else aub_term(u)
+            total += terms.get(node, 0.0) if u is None else aub_term(u)
             if total > 1.0 + EPSILON:
                 return False
         # Registered tasks: only those visiting a node whose utilization
@@ -809,14 +854,14 @@ class AubAnalyzer:
             for key in self._violating:
                 if key != exclude and key not in affected:
                     return False
+        registry = self._visits
         for key in affected:
             if key == exclude:
                 continue
-            visits = self._visits[key][0]
             total = 0.0
-            for node in visits:
+            for node in registry[key][0]:
                 u = hyp.get(node)
-                total += self._term(node) if u is None else aub_term(u)
+                total += terms.get(node, 0.0) if u is None else aub_term(u)
                 if total > 1.0 + EPSILON:
                     return False
         return True
@@ -838,32 +883,26 @@ class AubAnalyzer:
         stage contributions in candidate order, then ``register()`` each).
 
         The batch amortizes everything the per-arrival path pays per
-        arrival.  Prune and dirty-refresh run once.  Then the **shared
-        hypothetical totals screen** runs once: the worst-case per-node
-        totals ``U_max`` (current totals plus *every* candidate's stage
-        deltas) are built in one pass, and every registered task on a
-        burst-touched node is evaluated once against them.  Burst deltas
-        are non-negative and ``f`` is monotone, so any hypothetical state
-        a candidate can produce lies at or below ``U_max`` node-wise — a
-        task whose condition holds under ``U_max`` (by at least
-        :data:`SCREEN_GUARD`, which absorbs ulp-scale float wobble) can
-        never fail inside this batch and is exempted from every
-        per-candidate rescan.  Only the tasks the screen puts on watch
-        are re-evaluated exactly, per candidate, with the same floats the
-        sequential path would compute.  An accepted candidate costs
-        O(changed nodes) overlay updates plus its own one-off screen —
-        no ledger mutation, so no cache invalidation and no re-refresh
-        storm between candidates.
+        arrival.  Prune runs once, then the **shared hypothetical totals
+        screen** (:meth:`_screen_burst`): every registered task on a
+        burst-touched node is evaluated once against the worst-case
+        per-node totals ``U_max`` (current totals plus *every*
+        candidate's stage deltas).  A task it clears can never fail
+        inside this batch and is exempted from every per-candidate
+        rescan and from the dirty refresh, which runs once after the
+        screen.  Only the tasks the screen puts on watch are re-evaluated
+        exactly, per candidate, with the same floats the sequential path
+        would compute.  An accepted candidate costs O(changed nodes)
+        overlay updates plus its own one-off screen — no ledger
+        mutation, so no cache invalidation and no re-refresh storm
+        between candidates.
         """
         if self._sanitize:
             self._sanitize_audit_caches()
         self.prune(now)
-        self._refresh_dirty()
         ledger = self.ledger
-        by_node = self._by_node
-        registry = self._visits
-        violating = self._violating
-        # ---- one-pass screen: shared worst-case hypothetical totals ----
+        # Shared worst-case totals: current totals plus every candidate's
+        # stage deltas.
         umax: Dict[str, float] = {}
         for cand in candidates:
             for node, value in cand.stage_contribs:
@@ -871,33 +910,12 @@ class AubAnalyzer:
                 if base is None:
                     base = ledger.utilization_or_zero(node)
                 umax[node] = base + value
-        # Vectorized f over the shared worst-case totals (values are
-        # bit-identical to the scalar loop; see aub_terms_bulk).
-        umax_terms = dict(zip(umax, aub_terms_bulk(list(umax.values()))))
+        watch, umax_terms = self._screen_burst(umax)
         screen_bound = 1.0 + EPSILON - SCREEN_GUARD
-        watch: Set[Tuple[str, int]] = set()
-        to_screen: Set[Tuple[str, int]] = set()
-        for node in umax:
-            keys = by_node.get(node)
-            if keys:
-                to_screen.update(keys)
-        if len(to_screen) >= _BULK_MIN:
-            # The screen falls back to current-state terms for visited
-            # nodes outside the burst; bulk-fill those in one pass too.
-            self._prime_node_terms(
-                node
-                for key in to_screen
-                for node in registry[key][0]
-                if node not in umax_terms
-            )
-        for key in to_screen:
-            total = 0.0
-            for node in registry[key][0]:
-                term = umax_terms.get(node)
-                total += self._term(node) if term is None else term
-                if total > screen_bound:
-                    watch.add(key)
-                    break
+        terms = self._node_terms
+        by_node = self._by_node
+        registry = self._visits
+        violating = self._violating
         # Batch-local overlay over the ledger: running totals for nodes an
         # accepted candidate touched, cached f() terms for those nodes,
         # and a node -> watched-accepted-candidate reverse index (accepted
@@ -1018,7 +1036,7 @@ class AubAnalyzer:
                 watched = False
                 for node in visits:
                     term = umax_terms.get(node)
-                    total += self._term(node) if term is None else term
+                    total += terms.get(node, 0.0) if term is None else term
                     if total > screen_bound:
                         watched = True
                         break
@@ -1044,7 +1062,7 @@ class AubAnalyzer:
         if term is None:
             u = over_totals.get(node)
             if u is None:
-                return self._term(node)
+                return self._node_terms.get(node, 0.0)
             term = aub_term(u)
             over_terms[node] = term
         return term
@@ -1059,8 +1077,8 @@ class AubAnalyzer:
         plan scores nodes against the utilization left by the plans
         accepted before it.  A session exposes the same batch-local
         overlay one candidate at a time (see
-        :class:`BatchAdmissionSession`); prune and dirty-refresh run once
-        here, at session start.
+        :class:`BatchAdmissionSession`); prune, screen and dirty refresh
+        run once here, at session start.
 
         ``demand`` optionally maps node -> the worst-case synthetic
         utilization the whole burst could add there (every stage of every
@@ -1134,7 +1152,6 @@ class BatchAdmissionSession:
         demand: Optional[Mapping[str, float]] = None,
     ) -> None:
         analyzer.prune(now)
-        analyzer._refresh_dirty()
         self._analyzer = analyzer
         #: Running post-commit totals for nodes accepted candidates touched.
         self._over_totals: Dict[str, float] = {}
@@ -1149,42 +1166,17 @@ class BatchAdmissionSession:
         #: f() terms at the envelope's worst-case per-node totals.
         self._umax_terms: Optional[Dict[str, float]] = None
         if demand is None:
+            analyzer._refresh_dirty()
             return
-        # One-pass screen, exactly as admissible_batch builds it from its
-        # candidate list — the envelope plays the role of the burst's
-        # summed stage deltas.
+        # The screen admissible_batch builds from its candidate list, with
+        # the envelope in the role of the burst's summed stage deltas.
         ledger = analyzer.ledger
-        umax = {
-            node: ledger.utilization_or_zero(node) + extra
-            for node, extra in demand.items()
-        }
-        umax_terms = dict(zip(umax, aub_terms_bulk(list(umax.values()))))
-        screen_bound = 1.0 + EPSILON - SCREEN_GUARD
-        by_node = analyzer._by_node
-        registry = analyzer._visits
-        to_screen: Set[Tuple[str, int]] = set()
-        for node in umax:
-            keys = by_node.get(node)
-            if keys:
-                to_screen.update(keys)
-        if len(to_screen) >= _BULK_MIN:
-            analyzer._prime_node_terms(
-                node
-                for key in to_screen
-                for node in registry[key][0]
-                if node not in umax_terms
-            )
-        watch: Set[Tuple[str, int]] = set()
-        for key in to_screen:
-            total = 0.0
-            for node in registry[key][0]:
-                term = umax_terms.get(node)
-                total += analyzer._term(node) if term is None else term
-                if total > screen_bound:
-                    watch.add(key)
-                    break
-        self._watch = watch
-        self._umax_terms = umax_terms
+        self._watch, self._umax_terms = analyzer._screen_burst(
+            {
+                node: ledger.utilization_or_zero(node) + extra
+                for node, extra in demand.items()
+            }
+        )
 
     @property
     def accepted(self) -> int:
@@ -1309,9 +1301,10 @@ class BatchAdmissionSession:
             screen_bound = 1.0 + EPSILON - SCREEN_GUARD
             total = 0.0
             watched = False
+            terms = analyzer._node_terms
             for node in cand.visits:
                 term = umax_terms.get(node)
-                total += analyzer._term(node) if term is None else term
+                total += terms.get(node, 0.0) if term is None else term
                 if total > screen_bound:
                     watched = True
                     break

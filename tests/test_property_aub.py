@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sched.aub import (
     AubAnalyzer,
+    BatchCandidate,
     NaiveAubAnalyzer,
     SyntheticUtilizationLedger,
     aub_term,
@@ -152,7 +153,13 @@ class TestAubTermInverseProperties:
 
 class _MirroredSystem:
     """Drives the incremental and naive analyzers through the identical
-    add/remove/relocate/expiry sequence, asserting decision parity."""
+    sequence of scalar tests, bursts, placement sessions, untested adds,
+    relocations, idle resets and expiries, asserting decision parity.
+
+    Bursts and sessions defer the dirty refresh of registrations their
+    worst-case screen clears; ``deferred`` collects those keys and
+    ``deferred_refreshed`` counts the ones a later scalar test refreshed.
+    """
 
     NODES = ("a", "b", "c", "d")
 
@@ -166,6 +173,10 @@ class _MirroredSystem:
         self.now = 0.0
         self.counter = 0
         self.decisions = []
+        self.deferred = set()
+        self.deferred_refreshed = 0
+        #: Scalar tests that ran with a registered task over the bound.
+        self.violating_tests = 0
 
     # -- helpers -------------------------------------------------------
     def _commit(self, key, visits, stage_utils, expiry):
@@ -175,6 +186,43 @@ class _MirroredSystem:
         self.inc.register(key, list(visits), expiry)
         self.nai.register(key, list(visits), expiry)
         self.live[key] = (list(visits), list(stage_utils), expiry)
+
+    def _commit_batch(self, accepted):
+        """Commit accepted burst candidates as the batched AC does: one
+        ``add_batch`` in acceptance order on the incremental side,
+        per-stage adds on the naive side."""
+        entries = []
+        for key, visits, stage_utils, _expiry in accepted:
+            for j, (node, u) in enumerate(zip(visits, stage_utils)):
+                entries.append((node, (key[0], key[1], j), u))
+                self.ledger_nai.add(node, (key[0], key[1], j), u, self.now)
+        self.ledger_inc.add_batch(entries, self.now)
+        for key, visits, stage_utils, expiry in accepted:
+            self.inc.register(key, list(visits), expiry)
+            self.nai.register(key, list(visits), expiry)
+            self.live[key] = (list(visits), list(stage_utils), expiry)
+
+    def _new_key(self):
+        key = (f"T{self.counter}", 0)
+        self.counter += 1
+        return key
+
+    def _scalar_test(self, visits, contribs, exclude=None):
+        """One scalar ``admissible`` on both sides; also records which
+        screen-deferred keys this test's dirty refresh recomputed."""
+        pending = self.deferred & self.inc._dirty
+        got = self.inc.admissible(visits, contribs, self.now, exclude=exclude)
+        want = self.nai.admissible(visits, contribs, self.now, exclude=exclude)
+        refreshed = (pending - self.inc._dirty) & self.inc._task_totals.keys()
+        for key in sorted(refreshed):
+            fresh = 0.0
+            for node in self.inc._visits[key][0]:
+                fresh += aub_term(self.ledger_nai.utilization(node))
+            assert self.inc._task_totals[key] == fresh
+        self.deferred_refreshed += len(refreshed)
+        self.deferred = pending & self.inc._dirty
+        self.violating_tests += bool(self.inc._violating)
+        return got, want
 
     def _evict(self, key):
         visits, stage_utils, _expiry = self.live.pop(key)
@@ -197,18 +245,79 @@ class _MirroredSystem:
         contribs = {}
         for node, u in zip(visits, stage_utils):
             contribs[node] = contribs.get(node, 0.0) + u
-        got = self.inc.admissible(visits, contribs, self.now)
-        want = self.nai.admissible(visits, contribs, self.now)
+        got, want = self._scalar_test(visits, contribs)
         assert got == want, (
             f"arrival decision diverged at t={self.now}: "
             f"incremental={got} naive={want} visits={visits} utils={stage_utils}"
         )
         self.decisions.append(got)
         if got:
-            key = (f"T{self.counter}", 0)
-            self.counter += 1
             expiry = None if lifetime is None else self.now + lifetime
-            self._commit(key, visits, stage_utils, expiry)
+            self._commit(self._new_key(), visits, stage_utils, expiry)
+
+    def force_add(self, visits, stage_utils, lifetime):
+        """Commit and register a task without any admission test (the
+        ledger mutated behind the analyzer's back), which can leave a
+        registered task over the bound."""
+        expiry = None if lifetime is None else self.now + lifetime
+        self._commit(self._new_key(), visits, stage_utils, expiry)
+
+    def _burst_decisions(self, candidates, got):
+        want = self.nai.admissible_batch(candidates, self.now)
+        assert got == want, (
+            f"burst decisions diverged at t={self.now}: "
+            f"incremental={got} naive={want}"
+        )
+        self.decisions.extend(got)
+
+    def burst(self, arrivals):
+        """Simultaneous arrivals through ``admissible_batch``, checked
+        against the sequential naive oracle, then committed in one
+        ``add_batch``."""
+        candidates = [
+            BatchCandidate(visits, list(zip(visits, stage_utils)))
+            for visits, stage_utils, _lifetime in arrivals
+        ]
+        got = self.inc.admissible_batch(candidates, self.now)
+        # The batch's refresh leaves dirty exactly the keys it deferred.
+        self.deferred = set(self.inc._dirty)
+        self._burst_decisions(candidates, got)
+        self._accept(arrivals, got)
+
+    def session(self, jobs, rng, screened):
+        """An LB-style placement burst through ``batch_session``: each
+        stage lists its eligible nodes, the demand envelope counts every
+        stage on each of them, and each placement picks one eligible
+        node per stage, so every candidate stays inside the envelope."""
+        demand = {}
+        for stages, _lifetime in jobs:
+            for eligible, u in stages:
+                for node in eligible:
+                    demand[node] = demand.get(node, 0.0) + u
+        session = self.inc.batch_session(
+            self.now, demand if screened else None
+        )
+        self.deferred = set(self.inc._dirty)
+        arrivals = []
+        candidates = []
+        for stages, lifetime in jobs:
+            visits = [rng.choice(eligible) for eligible, _u in stages]
+            stage_utils = [u for _eligible, u in stages]
+            arrivals.append((visits, stage_utils, lifetime))
+            candidates.append(
+                BatchCandidate(visits, list(zip(visits, stage_utils)))
+            )
+        got = [session.try_admit(cand) for cand in candidates]
+        self._burst_decisions(candidates, got)
+        self._accept(arrivals, got)
+
+    def _accept(self, arrivals, decisions):
+        accepted = []
+        for (visits, stage_utils, lifetime), ok in zip(arrivals, decisions):
+            if ok:
+                expiry = None if lifetime is None else self.now + lifetime
+                accepted.append((self._new_key(), visits, stage_utils, expiry))
+        self._commit_batch(accepted)
 
     def relocate(self, key, new_visits):
         """Move an admitted task, evaluated as a delta with exclude."""
@@ -220,8 +329,7 @@ class _MirroredSystem:
             delta[node] = delta.get(node, 0.0) + u
         for node, u in zip(visits, stage_utils):
             delta[node] = delta.get(node, 0.0) - u
-        got = self.inc.admissible(new_visits, delta, self.now, exclude=key)
-        want = self.nai.admissible(new_visits, delta, self.now, exclude=key)
+        got, want = self._scalar_test(new_visits, delta, exclude=key)
         assert got == want, (
             f"relocation decision diverged at t={self.now}: "
             f"incremental={got} naive={want}"
@@ -242,22 +350,51 @@ class _MirroredSystem:
 
     def check_final_state(self):
         assert self.inc.registered == self.nai.registered
+        assert self.ledger_inc.snapshot() == self.ledger_nai.snapshot()
         for node in self.NODES:
             assert self.ledger_inc.utilization(node) == self.ledger_nai.utilization(node)
+            assert self.ledger_inc.contribution_count(
+                node
+            ) == self.ledger_nai.contribution_count(node)
+
+
+def _random_arrival(rng, nodes):
+    n_stages = rng.randint(1, 4)
+    visits = [rng.choice(nodes) for _ in range(n_stages)]
+    stage_utils = [rng.uniform(0.01, 0.35) for _ in range(n_stages)]
+    lifetime = None if rng.random() < 0.15 else rng.uniform(0.2, 4.0)
+    return visits, stage_utils, lifetime
+
+
+def _random_job(rng, nodes):
+    stages = [
+        (rng.sample(nodes, rng.randint(1, 3)), rng.uniform(0.005, 0.2))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return stages, rng.uniform(0.2, 4.0)
 
 
 def _drive(rng, n_ops):
     system = _MirroredSystem()
+    nodes = system.NODES
     for _ in range(n_ops):
         system.advance(rng.random() * 0.8)
         roll = rng.random()
-        if roll < 0.6 or not system.live:
-            n_stages = rng.randint(1, 4)
-            visits = [rng.choice(system.NODES) for _ in range(n_stages)]
-            stage_utils = [rng.uniform(0.01, 0.35) for _ in range(n_stages)]
-            lifetime = None if rng.random() < 0.15 else rng.uniform(0.2, 4.0)
-            system.arrival(visits, stage_utils, lifetime)
-        elif roll < 0.8:
+        if roll < 0.4 or not system.live:
+            system.arrival(*_random_arrival(rng, nodes))
+        elif roll < 0.52:
+            system.burst(
+                [_random_arrival(rng, nodes) for _ in range(rng.randint(1, 4))]
+            )
+        elif roll < 0.64:
+            system.session(
+                [_random_job(rng, nodes) for _ in range(rng.randint(1, 4))],
+                rng,
+                screened=rng.random() < 0.8,
+            )
+        elif roll < 0.68:
+            system.force_add(*_random_arrival(rng, nodes))
+        elif roll < 0.84:
             key = rng.choice(sorted(system.live))
             n_stages = len(system.live[key][0])
             new_visits = [rng.choice(system.NODES) for _ in range(n_stages)]
@@ -284,6 +421,15 @@ class TestIncrementalMatchesNaive:
             rejected_something |= not all(system.decisions)
         # The workload must exercise both outcomes to be meaningful.
         assert admitted_something and rejected_something
+
+    def test_screen_deferred_refresh_and_violating_tasks_are_exercised(self):
+        """Seed 0 reaches the interleavings the deferred refresh creates:
+        a dirty registration a burst's screen cleared (refresh skipped)
+        that a later scalar test then recomputes exactly, and scalar
+        tests run while an untested add leaves a task over the bound."""
+        system = _drive(random.Random(0), 200)
+        assert system.deferred_refreshed > 0
+        assert system.violating_tests > 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))
