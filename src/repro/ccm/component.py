@@ -94,11 +94,14 @@ class Component:
         self._attributes[name] = value
 
     def get_attribute(self, name: str) -> Any:
-        if name not in self.ATTRIBUTES:
-            raise AttributeConfigError(
-                f"{type(self).__name__} {self.name!r} has no attribute {name!r}"
-            )
-        return self._attributes.get(name)
+        try:
+            return self._attributes[name]
+        except KeyError:
+            if name not in self.ATTRIBUTES:
+                raise AttributeConfigError(
+                    f"{type(self).__name__} {self.name!r} has no attribute {name!r}"
+                ) from None
+            return None  # a required attribute not yet set
 
     def set_configuration(self, properties: Mapping[str, Any]) -> None:
         """Standard Configurator interface used by the deployment engine."""
@@ -124,7 +127,7 @@ class Component:
 
     def activate(self) -> None:
         if self.container is None:
-            raise ComponentError(f"component {self.name!r} is not installed")
+            raise self._not_installed()
         self.check_required_attributes()
         self.on_activate()
         self._activated = True
@@ -152,32 +155,40 @@ class Component:
         )
 
     # ------------------------------------------------------------------
-    # Convenience accessors (valid once installed)
+    # Convenience accessors (valid once installed): one hop through the
+    # container, whose attributes are bound when it is built.
     # ------------------------------------------------------------------
     @property
     def node(self) -> str:
         """Name of the processor this component is deployed on."""
-        self._require_container()
-        return self.container.node
+        try:
+            return self.container.node
+        except AttributeError:
+            raise self._not_installed() from None
 
     @property
     def sim(self):
-        self._require_container()
-        return self.container.sim
+        try:
+            return self.container.sim
+        except AttributeError:
+            raise self._not_installed() from None
 
     @property
     def processor(self):
-        self._require_container()
-        return self.container.processor
+        try:
+            return self.container.processor
+        except AttributeError:
+            raise self._not_installed() from None
 
     @property
     def tracer(self):
-        self._require_container()
-        return self.container.tracer
+        try:
+            return self.container.tracer
+        except AttributeError:
+            raise self._not_installed() from None
 
-    def _require_container(self) -> None:
-        if self.container is None:
-            raise ComponentError(f"component {self.name!r} is not installed")
+    def _not_installed(self) -> ComponentError:
+        return ComponentError(f"component {self.name!r} is not installed")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.container.node if self.container else "uninstalled"

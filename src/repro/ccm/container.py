@@ -28,19 +28,14 @@ class Container:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.processor = processor
+        #: Bound once: components reach them in one hop (Component.node/sim).
+        self.node: str = processor.name
+        self.sim: Simulator = processor.sim
         self.federation = federation
         # Note: explicit None check — an empty Tracer is falsy (__len__).
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.components: List[Component] = []
         self._by_name: Dict[str, Component] = {}
-
-    @property
-    def node(self) -> str:
-        return self.processor.name
-
-    @property
-    def sim(self) -> Simulator:
-        return self.processor.sim
 
     def install(self, component: Component) -> Component:
         """Install ``component`` into this container and run its hook."""

@@ -56,10 +56,11 @@ class RuntimeEnv:
         default_factory=dict
     )
 
-    @property
-    def cost_rng(self) -> random.Random:
-        """RNG stream for service-operation cost jitter."""
-        return self.rngs.stream("cost")
+    #: RNG stream for service-operation cost jitter, resolved once.
+    cost_rng: random.Random = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.cost_rng = self.rngs.stream("cost")
 
     def audit_rngs(self) -> None:
         """Fail on unattributed RNG draws (``REPRO_SANITIZE=1`` only).

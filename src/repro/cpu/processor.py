@@ -14,7 +14,7 @@ metrics use them to observe idle periods.
 
 from __future__ import annotations
 
-import math
+from operator import attrgetter
 from typing import Callable, List, Optional
 
 from repro.cpu.thread import DispatchThread, WorkItem
@@ -25,6 +25,9 @@ from repro.sim.monitor import TimeWeightedStat
 #: Event priority for work-completion events: fire before same-time
 #: arrivals so completions release resources promptly and deterministically.
 _COMPLETION_EVENT_PRIORITY = 50
+
+#: Ready-set order: most urgent priority first, then first made ready.
+_READY_ORDER = attrgetter("priority", "_ready_seq")
 
 
 class Processor:
@@ -122,8 +125,9 @@ class Processor:
                 f"thread {thread.name} does not belong to processor {self.name}"
             )
         item.enqueued_at = self.sim.now
-        was_busy = thread.busy
-        thread.queue.append(item)
+        queue = thread.queue
+        was_busy = bool(queue)
+        queue.append(item)
         if not was_busy and thread is not self._running:
             self._make_ready(thread)
         self._reschedule()
@@ -136,38 +140,31 @@ class Processor:
         thread._ready_seq = self._ready_counter
         self._ready.append(thread)
 
-    def _pick_ready(self) -> Optional[DispatchThread]:
-        if not self._ready:
-            return None
-        best = min(self._ready, key=lambda t: (t.priority, t._ready_seq))
-        return best
-
     def _reschedule(self) -> None:
         """Ensure the highest-priority ready/running thread holds the CPU."""
-        challenger = self._pick_ready()
-        if self._running is None:
-            if challenger is None:
-                return
-            self._ready.remove(challenger)
+        ready = self._ready
+        if not ready:
+            return
+        challenger = min(ready, key=_READY_ORDER)
+        running = self._running
+        if running is None:
+            ready.remove(challenger)
             self._start(challenger)
-            return
-        if challenger is None:
-            return
-        if challenger.priority < self._running.priority:
+        elif challenger.priority < running.priority:
             self._preempt()
-            self._ready.remove(challenger)
+            ready.remove(challenger)
             self._start(challenger)
 
     def _start(self, thread: DispatchThread) -> None:
-        item = thread.head()
+        item = thread.queue[0]
+        now = self.sim.now
         if item.started_at is None:
-            item.started_at = self.sim.now
+            item.started_at = now
         self._running = thread
-        self._segment_start = self.sim.now
-        self._busy_stat.update(self.sim.now, 1.0)
-        duration = item.remaining / self.speed
-        self._completion = self.sim.schedule(
-            duration,
+        self._segment_start = now
+        self._busy_stat.update(now, 1.0)
+        self._completion = self.sim.schedule_at(
+            now + item.remaining / self.speed,
             self._complete,
             thread,
             priority=_COMPLETION_EVENT_PRIORITY,
@@ -194,7 +191,7 @@ class Processor:
         self._running = None
         self._completion = None
         self.items_completed += 1
-        if thread.busy:
+        if thread.queue:
             self._make_ready(thread)
         # Dispatch the next thread *before* running the completion callback
         # so callbacks observe a consistent CPU state; but record idleness
@@ -205,9 +202,10 @@ class Processor:
             # The callback may have submitted new work; pick it up.
             self._reschedule()
         if self._running is None and not self._ready:
-            self._busy_stat.update(self.sim.now, 0.0)
+            now = self.sim.now
+            self._busy_stat.update(now, 0.0)
             for listener in self._idle_listeners:
-                listener(self.sim.now)
+                listener(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "idle" if self.idle else f"running={self._running}"

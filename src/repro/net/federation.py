@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict
 
 from repro.errors import SimulationError
 from repro.net.channel import LocalEventChannel
-from repro.net.network import Message, Network
+from repro.net.network import Network
 
 
 class FederatedEventChannel:
@@ -71,11 +71,7 @@ class FederatedEventChannel:
             channel.push(topic, payload)
             return
         self.remote_forwards += 1
-
-        def _deliver(message: Message) -> None:
-            channel.push(topic, message.payload)
-
-        self.network.send(source, destination, topic, payload, _deliver)
+        self.network.send(source, destination, topic, payload, channel.deliver)
 
     def publish(self, source: str, topic: str, payload: Any) -> None:
         """Broadcast push: deliver to ``topic`` subscribers on every node."""
@@ -86,10 +82,4 @@ class FederatedEventChannel:
                 channel.push(topic, payload)
             else:
                 self.remote_forwards += 1
-                self.network.send(
-                    source,
-                    node,
-                    topic,
-                    payload,
-                    lambda message, _ch=channel: _ch.push(topic, message.payload),
-                )
+                self.network.send(source, node, topic, payload, channel.deliver)

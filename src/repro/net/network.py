@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.net.fault import FaultInjector
@@ -26,8 +25,7 @@ from repro.sim.monitor import StatSeries
 _DELIVERY_EVENT_PRIORITY = 75
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """An in-flight network message (exposed to delivery callbacks)."""
 
     source: str
@@ -132,30 +130,29 @@ class Network:
         idle injector (``armed`` is a plain ``False`` attribute) costs a
         remote send two attribute loads and a truth test.
         """
-        self._check(source)
-        self._check(destination)
+        nodes = self._nodes
+        if source not in nodes or destination not in nodes:
+            self._check(source)
+            self._check(destination)
+        sim = self.sim
+        now = sim.now
         if source == destination:
             delay = 0.0
         else:
             injector = self.fault_injector
             if injector is not None and injector.armed:
-                cause, factor = injector.on_send(
-                    source, destination, self.sim.now
-                )
+                cause, factor = injector.on_send(source, destination, now)
                 if cause is not None:
                     self.messages_sent += 1
-                    return Message(
-                        source, destination, topic, payload,
-                        self.sim.now, math.inf,
-                    )
+                    return Message(source, destination, topic, payload, now, math.inf)
                 delay = self._model_for(source, destination).sample(self.rng)
                 delay *= factor
             else:
                 delay = self._model_for(source, destination).sample(self.rng)
             self.delay_stats.add(delay)
-        message = Message(source, destination, topic, payload, self.sim.now, delay)
+        message = Message(source, destination, topic, payload, now, delay)
         self.messages_sent += 1
-        self.sim.schedule(
-            delay, on_deliver, message, priority=_DELIVERY_EVENT_PRIORITY
+        sim.schedule_at(
+            now + delay, on_deliver, message, priority=_DELIVERY_EVENT_PRIORITY
         )
         return message

@@ -25,9 +25,9 @@ overheads are microsecond-scale, so helper constants :data:`USEC` and
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -158,12 +158,14 @@ class Simulator:
         priority: int = DEFAULT_PRIORITY,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire at absolute virtual ``time``."""
-        if math.isnan(time) or time < self._now:
+        # One comparison rejects both the past and NaN (NaN compares false).
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time!r} (now={self._now!r})"
             )
-        handle = EventHandle(time, priority, next(self._seq), callback, args)
-        heapq.heappush(self._heap, (time, priority, handle.seq, handle))
+        seq = next(self._seq)
+        handle = EventHandle(time, priority, seq, callback, args)
+        _heappush(self._heap, (time, priority, seq, handle))
         return handle
 
     def schedule_batch(
@@ -204,38 +206,15 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _live_head(self) -> Optional[_HeapEntry]:
-        """The next non-cancelled entry, discarding dead ones on the way.
-
-        This is the single cancellation-check path shared by :meth:`step`
-        and :meth:`run`; the returned entry is still on the heap.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._cancelled:
-                heapq.heappop(heap)
-                continue
-            return entry
-        return None
-
-    def _dispatch(self, entry: _HeapEntry) -> None:
-        heapq.heappop(self._heap)
-        self._now = entry[0]
-        self._event_count += 1
-        handle = entry[3]
-        handle.callback(*handle.args)
-
     def step(self) -> bool:
         """Dispatch the single next event.
 
         Returns ``True`` if an event fired, ``False`` if the queue is empty.
+        Like :meth:`run`, it may not be called from inside a callback.
         """
-        entry = self._live_head()
-        if entry is None:
-            return False
-        self._dispatch(entry)
-        return True
+        before = self._event_count
+        self.run(max_events=1)
+        return self._event_count != before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
@@ -247,17 +226,28 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be >= 0, got {max_events}")
         self._running = True
-        dispatched = 0
+        heap = self._heap
+        limit = math.inf if until is None else until
+        # Counts down to 0; from -1 (no limit) it never gets there.
+        budget = -1 if max_events is None else max_events
         try:
-            while max_events is None or dispatched < max_events:
-                entry = self._live_head()
-                if entry is None:
+            while budget and heap:
+                entry = heap[0]
+                handle = entry[3]
+                if handle._cancelled:
+                    _heappop(heap)
+                    continue
+                time = entry[0]
+                if time > limit:
                     break
-                if until is not None and entry[0] > until:
-                    break
-                self._dispatch(entry)
-                dispatched += 1
+                _heappop(heap)
+                self._now = time
+                self._event_count += 1
+                budget -= 1
+                handle.callback(*handle.args)
             if until is not None and until > self._now:
                 self._now = until
         finally:

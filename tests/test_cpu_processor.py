@@ -60,6 +60,41 @@ def test_equal_priority_does_not_preempt():
     assert done == [("a", 3.0), ("b", 4.0)]
 
 
+def test_equal_priority_ready_threads_run_in_ready_order():
+    sim, cpu = make_cpu()
+    done = []
+    high = cpu.new_thread("high", 1.0)
+    cpu.submit(high, WorkItem(2.0, lambda _: done.append(("high", sim.now))))
+    # Made ready in the order c, a, b while the urgent thread runs.
+    for name in ("c", "a", "b"):
+        thread = cpu.new_thread(name, 5.0)
+        cpu.submit(thread, WorkItem(1.0, lambda _, n=name: done.append((n, sim.now))))
+    sim.run()
+    assert done == [("high", 2.0), ("c", 3.0), ("a", 4.0), ("b", 5.0)]
+
+
+@pytest.mark.parametrize(
+    "arrival, expected",
+    [
+        # b arrives after the preempted a re-entered the ready set.
+        (1.5, [("high", 2.0), ("a", 4.0), ("b", 5.0)]),
+        # b was ready before a was preempted.
+        (0.5, [("high", 2.0), ("b", 3.0), ("a", 5.0)]),
+    ],
+)
+def test_preempted_thread_keeps_its_ready_order(arrival, expected):
+    sim, cpu = make_cpu()
+    done = []
+    a = cpu.new_thread("a", 5.0)
+    b = cpu.new_thread("b", 5.0)
+    high = cpu.new_thread("high", 1.0)
+    cpu.submit(a, WorkItem(3.0, lambda _: done.append(("a", sim.now))))
+    sim.schedule(1.0, lambda: cpu.submit(high, WorkItem(1.0, lambda _: done.append(("high", sim.now)))))
+    sim.schedule(arrival, lambda: cpu.submit(b, WorkItem(1.0, lambda _: done.append(("b", sim.now)))))
+    sim.run()
+    assert done == expected
+
+
 def test_preempted_work_resumes_with_remaining_cost():
     sim, cpu = make_cpu()
     done = []

@@ -177,6 +177,40 @@ class TestLocalEventChannel:
         ch.push("t2", 1)
         assert got == []
 
+    def test_subscribe_during_push_starts_with_the_next_push(self):
+        ch = LocalEventChannel("n")
+        got = []
+
+        def late(payload):
+            got.append(("late", payload))
+
+        def first(payload):
+            got.append(("first", payload))
+            if payload == 1:
+                ch.subscribe("t", late)
+
+        ch.subscribe("t", first)
+        assert ch.push("t", 1) == 1
+        assert ch.push("t", 2) == 2
+        assert got == [("first", 1), ("first", 2), ("late", 2)]
+
+    def test_unsubscribe_during_push_keeps_that_push(self):
+        ch = LocalEventChannel("n")
+        got = []
+
+        def once(payload):
+            got.append(("once", payload))
+            ch.unsubscribe("t", once)
+
+        def always(payload):
+            got.append(("always", payload))
+
+        ch.subscribe("t", once)
+        ch.subscribe("t", always)
+        assert ch.push("t", 1) == 2
+        assert ch.push("t", 2) == 1
+        assert got == [("once", 1), ("always", 1), ("always", 2)]
+
     def test_events_delivered_counter(self):
         ch = LocalEventChannel("n")
         ch.subscribe("t", lambda p: None)
@@ -236,6 +270,26 @@ class TestFederation:
         fed.subscribe("b", "t", lambda p: None)
         fed.publish("a", "t", 1)
         assert fed.remote_forwards == 1
+
+    def test_send_and_publish_deliver_through_the_channel(self, monkeypatch):
+        sim, fed = self.make()
+        handed = []
+        send = fed.network.send
+
+        def spy(source, destination, topic, payload, on_deliver):
+            handed.append(on_deliver)
+            return send(source, destination, topic, payload, on_deliver)
+
+        monkeypatch.setattr(fed.network, "send", spy)
+        got = []
+        fed.subscribe("b", "t", got.append)
+        fed.send("a", "b", "t", "p2p")
+        fed.publish("a", "t", "all")
+        sim.run()
+        assert got == ["p2p", "all"]
+        # Both hand the network the destination channel's deliver method.
+        assert handed == [fed.channel("b").deliver] * 2
+        assert all(cb.__func__ is LocalEventChannel.deliver for cb in handed)
 
     def test_unknown_node_rejected(self):
         _sim, fed = self.make()

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -154,6 +156,64 @@ def test_simulator_not_reentrant():
     sim.schedule(1.0, nested)
     sim.run()
     assert len(errors) == 1
+
+
+def test_step_inside_callback_raises_and_keeps_the_clock():
+    sim = Simulator()
+    errors = []
+    seen = []
+
+    def nested():
+        try:
+            sim.step()
+        except SimulationError as exc:
+            errors.append(exc)
+        seen.append(("nested", sim.now))
+
+    sim.schedule(1.0, nested)
+    sim.schedule(2.0, seen.append, "later")
+    sim.run()
+    # The nested step dispatched nothing: the clock stayed at 1.0 for the
+    # rest of the callback, and the later event fired from run()'s loop.
+    assert len(errors) == 1
+    assert seen == [("nested", 1.0), "later"]
+    assert sim.events_executed == 2
+
+
+def test_negative_max_events_rejected():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=-1)
+    assert sim.events_executed == 0 and sim.pending_events == 1
+    sim.run(max_events=0)
+    assert sim.events_executed == 0
+    sim.run()  # the failed call left the simulator usable
+    assert sim.events_executed == 1
+
+
+def test_nan_times_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule(math.nan, lambda: None)
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.nan, lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_step_skips_cancelled_events():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "cancelled").cancel()
+    sim.schedule(2.0, fired.append, "kept")
+    assert sim.step()
+    assert fired == ["kept"]
+    assert sim.now == pytest.approx(2.0)
+    assert not sim.step()
 
 
 def test_event_count_tracks_dispatches():
