@@ -66,6 +66,7 @@ from repro.core.cost_model import OP_ADMISSION_TEST
 from repro.core.runtime import RuntimeEnv
 from repro.cpu.thread import WorkItem
 from repro.errors import ComponentError
+from repro.numeric import ordered_sum
 from repro.sched.aub import EPSILON, aub_term, aub_term_inverse
 from repro.sched.task import Job
 
@@ -729,7 +730,7 @@ class DistributedAdmissionControllerComponent(Component):
         if all_granted and not expired:
             task = job.task
             post = {node: votes[node].post_utilization for node in votes}
-            condition_sum = sum(
+            condition_sum = ordered_sum(
                 aub_term(post[assignment[s.index]]) for s in task.subtasks
             )
             all_granted = condition_sum <= 1.0 + EPSILON
@@ -883,7 +884,7 @@ class DistributedAdmissionControllerComponent(Component):
             condition_sum = 0.0
             if all_granted and not expired:
                 post = posts[index]
-                condition_sum = sum(
+                condition_sum = ordered_sum(
                     aub_term(post[assignment[s.index]]) for s in task.subtasks
                 )
                 all_granted = condition_sum <= 1.0 + EPSILON
@@ -993,7 +994,7 @@ class DistributedAdmissionControllerComponent(Component):
             return
         # One admission-test cost per reservation, as the scalar rounds
         # charge — piggybacking saves messages, not admission math.
-        cost = sum(
+        cost = ordered_sum(
             self.env.cost_model.sample(OP_ADMISSION_TEST, self.env.cost_rng)
             for _ in request.items
         )

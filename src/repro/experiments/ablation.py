@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional
 from repro.api.scenario import Scenario, WorkloadSource
 from repro.api.suite import ExperimentSuite
 from repro.experiments.report import format_table
+from repro.numeric import ordered_sum
 from repro.sched.replay import jobs_from_plan
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
@@ -34,11 +35,11 @@ class AblationResult:
 
     @property
     def aub_mean(self) -> float:
-        return sum(self.aub_ratios) / len(self.aub_ratios)
+        return ordered_sum(self.aub_ratios) / len(self.aub_ratios)
 
     @property
     def ds_mean(self) -> float:
-        return sum(self.ds_ratios) / len(self.ds_ratios)
+        return ordered_sum(self.ds_ratios) / len(self.ds_ratios)
 
     def format(self) -> str:
         rows = [

@@ -21,6 +21,7 @@ from repro.api.suite import ExperimentSuite, combo_grid, fold_combo_grid
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo, valid_combinations
 from repro.experiments.report import bar_chart
+from repro.numeric import ordered_sum
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
 from repro.workloads.model import Workload
@@ -40,14 +41,14 @@ class Figure5Result:
         return max(self.per_combo, key=self.per_combo.get)
 
     def mean_over(self, labels: Sequence[str]) -> float:
-        return sum(self.per_combo[l] for l in labels) / len(labels)
+        return ordered_sum(self.per_combo[l] for l in labels) / len(labels)
 
     def by_ir_strategy(self) -> Dict[str, float]:
         """Mean ratio grouped by the IR strategy letter (* X *)."""
         groups: Dict[str, List[float]] = {"N": [], "T": [], "J": []}
         for label, value in self.per_combo.items():
             groups[label.split("_")[1]].append(value)
-        return {k: sum(v) / len(v) for k, v in groups.items() if v}
+        return {k: ordered_sum(v) / len(v) for k, v in groups.items() if v}
 
     def format(self) -> str:
         return bar_chart(
@@ -137,5 +138,5 @@ def run_figure5(
         suite.run_results(n_workers), combos, n_sets
     )
     for label, ratios in result.per_combo_sets.items():
-        result.per_combo[label] = sum(ratios) / len(ratios)
+        result.per_combo[label] = ordered_sum(ratios) / len(ratios)
     return result

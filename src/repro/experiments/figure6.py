@@ -17,6 +17,7 @@ from repro.api.suite import ExperimentSuite, combo_grid, fold_combo_grid
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo, valid_combinations
 from repro.experiments.report import bar_chart
+from repro.numeric import ordered_sum
 from repro.sim.rng import RngRegistry
 from repro.workloads.imbalanced import (
     ImbalancedWorkloadParams,
@@ -143,5 +144,5 @@ def run_figure6(
         suite.run_results(n_workers), combos, n_sets
     )
     for label, ratios in result.per_combo_sets.items():
-        result.per_combo[label] = sum(ratios) / len(ratios)
+        result.per_combo[label] = ordered_sum(ratios) / len(ratios)
     return result

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.metrics.latency import LatencyMetrics
+from repro.numeric import ordered_sum
 from repro.sched.task import Job, TaskKind
 
 
@@ -83,11 +84,15 @@ class MetricsCollector:
 
     @property
     def arrived_utilization(self) -> float:
-        return sum(c.arrived_utilization for c in self.per_kind.values())
+        return ordered_sum(
+            c.arrived_utilization for c in self.per_kind.values()
+        )
 
     @property
     def released_utilization(self) -> float:
-        return sum(c.released_utilization for c in self.per_kind.values())
+        return ordered_sum(
+            c.released_utilization for c in self.per_kind.values()
+        )
 
     @property
     def accepted_utilization_ratio(self) -> float:

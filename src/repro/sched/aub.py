@@ -50,9 +50,12 @@ Two analyzer implementations share the same API:
 
 When numpy is available the per-node ``f(U_j)`` term math (the batch
 screen's worst-case terms and the refill of the terms of nodes the ledger
-changed) runs as one vectorized pass (:func:`aub_terms_bulk`);
-the pure-python loop is retained when numpy is absent or
-``REPRO_PURE_PYTHON`` is set, and both produce bit-identical floats.
+changed) runs as one vectorized pass (:func:`aub_terms_bulk`), and the
+burst screen becomes one matrix-vector product of per-registration visit
+counts with the screen's node terms (:meth:`AubAnalyzer._screen_rows`).
+The pure-python loops are retained when numpy is absent or
+``REPRO_PURE_PYTHON`` is set; decisions and floats are bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -104,6 +107,12 @@ EPSILON = 1e-9
 #: near the boundary take the exact per-candidate path and decisions
 #: remain bit-identical to the sequential oracle.
 SCREEN_GUARD = 1e-12
+
+#: Ceiling on a node term inside the array screen's product.  A saturated
+#: node's term is ``inf`` and ``0 * inf`` is NaN, which compares false
+#: and would clear every row; any finite value above the bound keeps each
+#: route through that node on watch, exactly as ``inf`` does.
+_SCREEN_TERM_CAP = 2.0
 
 #: A ledger contribution key: (task_id, job_index, subtask_index).
 #: ``job_index == RESERVED`` marks a per-task reservation (AC-per-Task
@@ -508,6 +517,12 @@ class AubAnalyzer:
     hypothetical per-node totals are shared across the burst, and each
     accepted candidate costs only O(changed nodes) overlay updates — no
     ledger mutation, no cache invalidation, no per-candidate refresh storm.
+
+    With numpy, the burst screen reads a matrix with one row of
+    per-ledger-node visit counts per registration, built from the
+    registry at the analyzer's first screen and kept up to date by
+    :meth:`register` and :meth:`_detach` from then on (analyzers that
+    never screen never build it).
     """
 
     #: Compact the expiry heap only beyond this size (below it, lazy
@@ -538,6 +553,17 @@ class AubAnalyzer:
         #: unregistered keys whose old entry still sits in the heap);
         #: drives compaction in :meth:`prune`.
         self._expiry_stale = 0
+        #: The array screen's visit-count matrix (numpy only; None until
+        #: the first burst screen): row ``_row_of[key]`` counts the visits
+        #: of registration ``key`` to each ledger node, in column order
+        #: ``_col_of``.  ``_row_keys`` maps each row in use back to its
+        #: key; rows in use that no registration holds are zero, map to
+        #: None and are listed in ``_free_rows``.
+        self._rows = None
+        self._col_of: Dict[str, int] = {}
+        self._row_of: Dict[Tuple[str, int], int] = {}
+        self._row_keys: List[Optional[Tuple[str, int]]] = []
+        self._free_rows: List[int] = []
         self.tests_performed = 0
         #: Burst-admission sessions opened (observability; see
         #: MiddlewareSystem._publish_final_metrics).
@@ -594,16 +620,26 @@ class AubAnalyzer:
         """
         terms = self._fill_stale_terms()
         dirty = self._dirty
-        violating = self._violating
         deferred = dirty & cleared if cleared else None
         if deferred:
-            violating.difference_update(deferred)
+            self._violating.difference_update(deferred)
             dirty.difference_update(deferred)
+        self._recompute_totals(dirty, terms)
+        dirty.clear()
+        if deferred:
+            dirty.update(deferred)
+
+    def _recompute_totals(
+        self, keys: Iterable[Tuple[str, int]], terms: Mapping[str, float]
+    ) -> None:
+        """Cache the visit-order condition total of each registered key
+        under ``terms`` and file it in or out of ``_violating``; the
+        caller takes the keys out of ``_dirty``."""
         registry = self._visits
         task_totals = self._task_totals
+        violating = self._violating
         bound = 1.0 + EPSILON
-        while dirty:
-            key = dirty.pop()
+        for key in keys:
             entry = registry.get(key)
             if entry is None:
                 continue
@@ -615,8 +651,6 @@ class AubAnalyzer:
                 violating.add(key)
             else:
                 violating.discard(key)
-        if deferred:
-            dirty.update(deferred)
 
     def _screen_burst(
         self, umax: Mapping[str, float]
@@ -631,11 +665,21 @@ class AubAnalyzer:
         (which absorbs ulp-scale float wobble) can never fail inside the
         burst, and cannot be violating now either.  Returns the keys the
         screen could not clear (the watch set) and ``f`` at ``umax``.
+
+        With numpy, and every burst node known to the ledger, the screen
+        is :meth:`_screen_rows`; otherwise the loop below walks the
+        registrations on the burst's nodes.
         """
         terms = self._fill_stale_terms()
         umax_terms = dict(zip(umax, aub_terms_bulk(list(umax.values()))))
-        screen_terms = {**terms, **umax_terms}
         screen_bound = 1.0 + EPSILON - SCREEN_GUARD
+        if _np is not None:
+            if self._rows is None:
+                self._build_rows()
+            if self._col_of.keys() >= umax.keys():
+                watch = self._screen_rows(terms, umax_terms, screen_bound)
+                return watch, umax_terms
+        screen_terms = {**terms, **umax_terms}
         by_node = self._by_node
         registry = self._visits
         to_screen: Set[Tuple[str, int]] = set()
@@ -654,17 +698,98 @@ class AubAnalyzer:
         self._refresh_dirty(to_screen - watch)
         return watch, umax_terms
 
+    def _screen_rows(
+        self,
+        terms: Mapping[str, float],
+        umax_terms: Mapping[str, float],
+        screen_bound: float,
+    ) -> Set[Tuple[str, int]]:
+        """The burst screen as one matrix-vector product.
+
+        Every registration's total under the screen terms (current node
+        terms, burst nodes at ``f(U_max)``) comes out of one product of the
+        visit-count rows with the term vector.  A row at or below
+        ``screen_bound`` is cleared, on a burst node or not: off the
+        burst's nodes the screen terms are the current ones, so such a
+        registration is not violating either.  The product sums in another
+        order than the visits, a few ulps (~1e-15) from the visit-order
+        total, far inside :data:`SCREEN_GUARD`; each key it puts over the
+        bound is handled exactly, in visit order: a dirty one is
+        recomputed, ``_violating`` keeps only over-bound keys, and the
+        over-bound keys on a burst node are the watch set.
+        """
+        col_of = self._col_of
+        values = [terms[node] for node in col_of]
+        for node, term in umax_terms.items():
+            values[col_of[node]] = term
+        vector = _np.array(values)
+        _np.minimum(vector, _SCREEN_TERM_CAP, out=vector)
+        row_keys = self._row_keys
+        totals = self._rows[: len(row_keys)].dot(vector)
+        over = [
+            row_keys[row]
+            for row in (totals > screen_bound).nonzero()[0].tolist()
+        ]
+        violating = self._violating
+        if violating:
+            violating.intersection_update(over)
+        dirty = self._dirty
+        stale = [key for key in over if key in dirty]
+        if stale:
+            dirty.difference_update(stale)
+            self._recompute_totals(stale, terms)
+        registry = self._visits
+        return {
+            key
+            for key in over
+            if not umax_terms.keys().isdisjoint(registry[key][0])
+        }
+
+    def _build_rows(self) -> None:
+        """Build the visit-count matrix from the current registry."""
+        nodes = self.ledger.nodes
+        self._col_of = {node: col for col, node in enumerate(nodes)}
+        capacity = max(16, 2 * len(self._visits))
+        self._rows = _np.zeros((capacity, len(self._col_of)))
+        for key, (visits, _expiry) in self._visits.items():
+            self._attach_row(key, visits)
+
+    def _attach_row(self, key: Tuple[str, int], visits: Sequence[str]) -> None:
+        """Give ``key`` a zero row (a freed one first, else the next
+        unused one, doubling the matrix when full) and count its visits."""
+        if self._free_rows:
+            row = self._free_rows.pop()
+            self._row_keys[row] = key
+        else:
+            row = len(self._row_keys)
+            rows = self._rows
+            if row == len(rows):
+                grown = _np.zeros((2 * row, rows.shape[1]))
+                grown[:row] = rows
+                self._rows = grown
+            self._row_keys.append(key)
+        self._row_of[key] = row
+        counts = self._rows[row]
+        col_of = self._col_of
+        for node in visits:
+            col = col_of.get(node)
+            if col is not None:
+                counts[col] += 1.0
+
     def _sanitize_audit_caches(self) -> None:
-        """Cached ``f(U_j)`` terms and clean task totals vs a fresh
-        recompute, bit for bit (``REPRO_SANITIZE=1`` only).
+        """Cached ``f(U_j)`` terms, clean task totals and the array
+        screen's visit-count rows vs a fresh recompute, bit for bit
+        (``REPRO_SANITIZE=1`` only).
 
         The incremental engine's correctness rests on one invariant: a
         cache entry either matches what a from-scratch evaluation of the
         current ledger state would produce, or it is marked dirty.  This
         audit recomputes every cached per-node term with :func:`aub_term`
         and every clean cached per-task condition total in visit order —
-        the exact floats :meth:`_term` / :meth:`_refresh_dirty` would
-        produce — and fails on the first mismatch.
+        the exact floats :meth:`_fill_stale_terms` /
+        :meth:`_refresh_dirty` would produce — and, once the matrix
+        exists, every registration's row from its visit list; it fails
+        on the first mismatch.
         """
         ledger = self.ledger
         for node in sorted(self._node_terms):
@@ -693,6 +818,39 @@ class AubAnalyzer:
                     f"registration {key!r} is {cached_total!r} but a "
                     f"visit-order recompute gives {fresh_total!r} — the "
                     "entry should have been marked dirty"
+                )
+        rows = self._rows
+        if rows is None:
+            return
+        # The array screen's matrix: one row per live registration, equal
+        # to its visit counts over the ledger's nodes; every other row zero.
+        held = set(self._row_of.values())
+        if self._row_of.keys() != self._visits.keys() or len(held) != len(
+            self._row_of
+        ):
+            raise SanitizeViolation(
+                "sanitize: analyzer visit-count rows do not map each live "
+                "registration to exactly one row of its own"
+            )
+        col_of = self._col_of
+        for key in sorted(self._visits):
+            row = self._row_of[key]
+            counts = [0.0] * len(col_of)
+            for node in self._visits[key][0]:
+                col = col_of.get(node)
+                if col is not None:
+                    counts[col] += 1.0
+            if rows[row].tolist() != counts or self._row_keys[row] != key:
+                raise SanitizeViolation(
+                    f"sanitize: analyzer visit-count row {row} of "
+                    f"registration {key!r} is {rows[row].tolist()!r} but "
+                    f"its visits give {counts!r}"
+                )
+        for row in range(len(rows)):
+            if row not in held and rows[row].any():
+                raise SanitizeViolation(
+                    f"sanitize: analyzer visit-count row {row} holds no "
+                    f"registration but is {rows[row].tolist()!r}, not zero"
                 )
 
     # ------------------------------------------------------------------
@@ -726,6 +884,8 @@ class AubAnalyzer:
         if expiry is not None:
             heapq.heappush(self._expiry_heap, (expiry, key))
         self._dirty.add(key)
+        if self._rows is not None:
+            self._attach_row(key, visits)
 
     def _detach(self, key: Tuple[str, int], visits: Sequence[str]) -> None:
         by_node = self._by_node
@@ -738,6 +898,11 @@ class AubAnalyzer:
         self._task_totals.pop(key, None)
         self._dirty.discard(key)
         self._violating.discard(key)
+        if self._rows is not None:
+            row = self._row_of.pop(key)
+            self._rows[row] = 0.0
+            self._row_keys[row] = None
+            self._free_rows.append(row)
 
     def unregister(self, key: Tuple[str, int]) -> None:
         entry = self._visits.pop(key, None)

@@ -29,6 +29,7 @@ import math
 from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import SchedulingError
+from repro.numeric import ordered_sum
 from repro.sched.admission import AdmissionDecision, AdmissionPolicy
 from repro.sched.task import Job, TaskKind
 
@@ -101,7 +102,7 @@ class DeferrableServerPolicy(AdmissionPolicy):
         whole_periods = math.floor(window / self.server_period)
         supply = whole_periods * self.budget
         self._prune(node, now)
-        committed = sum(
+        committed = ordered_sum(
             demand
             for expiry, demand in self._committed[node]
             if expiry <= deadline

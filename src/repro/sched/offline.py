@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.numeric import ordered_sum
 from repro.sched.aub import aub_term, task_condition_holds
 from repro.sched.edms import assign_priorities
 from repro.sched.task import TaskSpec
@@ -80,7 +81,7 @@ def _evaluate(
         visits = tuple(task.visited_processors(assignment))
         utils = [utilization[n] for n in visits]
         total = (
-            sum(aub_term(u) for u in utils)
+            ordered_sum(aub_term(u) for u in utils)
             if all(u < 1.0 for u in utils)
             else float("inf")
         )

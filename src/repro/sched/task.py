@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TaskModelError
+from repro.numeric import ordered_sum
 
 
 class TaskKind(enum.Enum):
@@ -122,12 +123,17 @@ class TaskSpec:
             raise TaskModelError(
                 f"task {self.task_id}: phase must be >= 0, got {self.phase}"
             )
-        total_exec = sum(s.execution_time for s in self.subtasks)
+        total_exec = ordered_sum(s.execution_time for s in self.subtasks)
         if total_exec > self.deadline:
             raise TaskModelError(
                 f"task {self.task_id}: total execution time {total_exec} "
                 f"exceeds end-to-end deadline {self.deadline}"
             )
+        # Derived once here, not per job (not a dataclass field, so it
+        # stays out of equality, hashing and repr).
+        object.__setattr__(
+            self, "_total_utilization", total_exec / self.deadline
+        )
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -148,7 +154,7 @@ class TaskSpec:
     def total_utilization(self) -> float:
         """Sum of subtask utilizations; the job's weight in the
         accepted-utilization-ratio metric."""
-        return sum(s.execution_time for s in self.subtasks) / self.deadline
+        return self._total_utilization
 
     def home_assignment(self) -> Dict[int, str]:
         """Assignment map when load balancing is disabled."""

@@ -222,7 +222,9 @@ class Simulator:
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         at the end of the run even if the last event fired earlier, so
-        time-weighted statistics close their final interval consistently.
+        time-weighted statistics close their final interval consistently
+        — unless the run stopped on ``max_events`` with a live event still
+        due by ``until``: the clock never passes a pending event.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
@@ -249,7 +251,10 @@ class Simulator:
                 budget -= 1
                 handle.callback(*handle.args)
             if until is not None and until > self._now:
-                self._now = until
+                while heap and heap[0][3]._cancelled:
+                    _heappop(heap)
+                if not heap or heap[0][0] > until:
+                    self._now = until
         finally:
             self._running = False
 

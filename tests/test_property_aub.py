@@ -3,9 +3,11 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sched import aub
 from repro.sched.aub import (
     AubAnalyzer,
     BatchCandidate,
@@ -435,3 +437,42 @@ class TestIncrementalMatchesNaive:
     @given(st.integers(min_value=0, max_value=2**31))
     def test_random_sequences(self, seed):
         _drive(random.Random(seed), 60)
+
+
+class TestArrayScreenMatchesLoop:
+    """With numpy the burst screen is one product of visit-count rows
+    with the node terms; with ``repro.sched.aub._np`` patched to None it
+    is the Python loop.  The same random sequence must give the same
+    decisions, ledger and counters either way."""
+
+    @pytest.mark.skipif(aub._np is None, reason="the array screen needs numpy")
+    def test_seeded_sequences_match_the_loop(self, monkeypatch):
+        for seed in range(6):
+            array = _drive(random.Random(seed), 200)
+            assert array.inc._rows is not None
+            with monkeypatch.context() as patch:
+                patch.setattr(aub, "_np", None)
+                loop = _drive(random.Random(seed), 200)
+            assert loop.inc._rows is None
+            # Scalar, burst and session decisions, in sequence order.
+            assert array.decisions == loop.decisions
+            assert array.ledger_inc.snapshot() == loop.ledger_inc.snapshot()
+            assert array.inc.tests_performed == loop.inc.tests_performed
+            assert array.inc.batch_sessions == loop.inc.batch_sessions
+
+    def test_admissible_only_analyzer_never_builds_the_matrix(self):
+        rng = random.Random(3)
+        system = _MirroredSystem()
+        for _ in range(150):
+            system.advance(rng.random() * 0.8)
+            if rng.random() < 0.7 or not system.live:
+                system.arrival(*_random_arrival(rng, system.NODES))
+            else:
+                key = rng.choice(sorted(system.live))
+                new_visits = [
+                    rng.choice(system.NODES) for _ in system.live[key][0]
+                ]
+                system.relocate(key, new_visits)
+        assert system.inc.tests_performed == 150
+        assert system.inc.registered > 0
+        assert system.inc._rows is None

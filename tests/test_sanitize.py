@@ -21,7 +21,12 @@ from repro.sanitize import (
     SanitizeViolation,
     pickle_canary,
 )
-from repro.sched.aub import AubAnalyzer, SyntheticUtilizationLedger
+from repro.sched import aub
+from repro.sched.aub import (
+    AubAnalyzer,
+    BatchCandidate,
+    SyntheticUtilizationLedger,
+)
 from repro.sim.rng import RngRegistry
 
 
@@ -160,6 +165,33 @@ class TestAnalyzerCacheAudit:
             analyzer._task_totals[("t1", 0)] += 0.25
             with pytest.raises(SanitizeViolation, match="condition total"):
                 analyzer.admissible(["n1"], {"n1": 0.1}, now=1.0)
+
+    @pytest.mark.skipif(aub._np is None, reason="the rows need numpy")
+    def test_tampered_visit_count_row_is_caught(self, sanitize):
+        ledger = SyntheticUtilizationLedger(["n1", "n2"])
+        analyzer = AubAnalyzer(ledger)
+        analyzer.register(("t1", 0), ["n1", "n2"], expiry=None)
+        analyzer.register(("t2", 0), ["n2"], expiry=None)
+        burst = [BatchCandidate(["n1"], [("n1", 0.1)])]
+        # The first burst screen builds the rows.
+        assert analyzer.admissible_batch(burst, now=0.0) == [True]
+        # The injected stale row: t1's visit to n1 goes uncounted.
+        analyzer._rows[analyzer._row_of[("t1", 0)], 0] = 0.0
+        with pytest.raises(SanitizeViolation, match="visit-count row"):
+            analyzer.admissible_batch(burst, now=1.0)
+
+    @pytest.mark.skipif(aub._np is None, reason="the rows need numpy")
+    def test_nonzero_free_row_is_caught(self, sanitize):
+        ledger = SyntheticUtilizationLedger(["n1", "n2"])
+        analyzer = AubAnalyzer(ledger)
+        analyzer.register(("t1", 0), ["n1", "n2"], expiry=None)
+        session = analyzer.batch_session(0.0, {"n1": 0.1})
+        assert session.try_admit(BatchCandidate(["n1"], [("n1", 0.1)]))
+        row = analyzer._row_of[("t1", 0)]
+        analyzer.unregister(("t1", 0))
+        analyzer._rows[row, 1] = 1.0  # a freed row left holding a count
+        with pytest.raises(SanitizeViolation, match="holds no registration"):
+            analyzer.batch_session(1.0, {"n1": 0.1})
 
     def test_clean_analyzer_is_silent(self, sanitize):
         ledger = SyntheticUtilizationLedger(["n1"])

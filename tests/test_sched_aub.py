@@ -5,9 +5,11 @@ import math
 import pytest
 
 from repro.errors import SchedulingError
+from repro.sched import aub
 from repro.sched.aub import (
     RESERVED,
     AubAnalyzer,
+    BatchCandidate,
     NaiveAubAnalyzer,
     SyntheticUtilizationLedger,
     aub_term,
@@ -364,3 +366,121 @@ class TestIncrementalMatchesNaiveScripted:
         got = inc.admissible(["a"], {"a": 0.2}, 0.0)
         assert got == nai.admissible(["a"], {"a": 0.2}, 0.0)
         assert got is True
+
+
+# ----------------------------------------------------------------------
+# The array-backed burst screen (numpy only)
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(aub._np is None, reason="the array screen needs numpy")
+class TestArrayScreen:
+    NODES = ("a", "b", "c")
+
+    def make(self):
+        ledger = SyntheticUtilizationLedger(self.NODES)
+        return ledger, AubAnalyzer(ledger)
+
+    @staticmethod
+    def commit(ledger, analyzer, key, stages, expiry=None):
+        for j, (node, u) in enumerate(stages):
+            ledger.add(node, (key[0], key[1], j), u)
+        analyzer.register(key, [node for node, _u in stages], expiry)
+
+    @staticmethod
+    def rows(analyzer):
+        """key -> its visit-count row, once the sanitizer's audit has
+        checked every row (live ones against their visits, free ones
+        for zero)."""
+        analyzer._sanitize_audit_caches()
+        return {
+            key: analyzer._rows[row].tolist()
+            for key, row in analyzer._row_of.items()
+        }
+
+    def test_saturated_node_keeps_rows_that_skip_it_on_watch(self):
+        # Node a is saturated (term inf) and no registration visits it.
+        # 0 * inf is NaN, which compares false: an unclamped product would
+        # clear every row, including T1's, which a burst on b pushes over.
+        ledger, analyzer = self.make()
+        ledger.add("a", ("X", 0, 0), 1.0)
+        self.commit(ledger, analyzer, ("T1", 0), [("b", 0.2), ("c", 0.35)])
+        self.commit(ledger, analyzer, ("T2", 0), [("c", 0.05)])
+        watch, _umax_terms = analyzer._screen_burst({"b": 0.5})
+        assert watch == {("T1", 0)}
+        # The candidate's own condition holds (f(0.5) = 0.75); T1's fails.
+        burst = [BatchCandidate(["b"], [("b", 0.3)])]
+        assert analyzer.admissible_batch(burst, now=0.0) == [False]
+
+    def test_burst_on_a_node_unknown_to_the_ledger_takes_the_loop(
+        self, monkeypatch
+    ):
+        ledger, analyzer = self.make()
+        naive = NaiveAubAnalyzer(ledger)
+        self.commit(ledger, analyzer, ("T1", 0), [("a", 0.3), ("b", 0.3)])
+        naive.register(("T1", 0), ["a", "b"], None)
+        products = []
+        screen_rows = AubAnalyzer._screen_rows
+
+        def spy(self, *args):
+            products.append(args)
+            return screen_rows(self, *args)
+
+        monkeypatch.setattr(AubAnalyzer, "_screen_rows", spy)
+        outside = [BatchCandidate(["a", "zz"], [("a", 0.1), ("zz", 0.2)])]
+        assert analyzer.admissible_batch(outside, now=0.0) == (
+            naive.admissible_batch(outside, now=0.0)
+        )
+        analyzer.batch_session(0.0, {"a": 0.1, "zz": 0.2})
+        assert products == []
+        inside = [BatchCandidate(["a"], [("a", 0.1)])]
+        assert analyzer.admissible_batch(inside, now=0.0) == (
+            naive.admissible_batch(inside, now=0.0)
+        )
+        assert len(products) == 1
+
+    def test_rows_are_reused_after_unregister_prune_and_reregister(self):
+        ledger, analyzer = self.make()
+        analyzer.register(("T1", 0), ["a", "b", "a"], None)
+        analyzer.register(("T2", 0), ["c"], expiry=5.0)
+        # Nothing is built before the first burst screen.
+        assert analyzer._rows is None
+        analyzer.admissible_batch([BatchCandidate(["a"], [("a", 0.1)])], 0.0)
+        assert self.rows(analyzer) == {
+            ("T1", 0): [2.0, 1.0, 0.0],
+            ("T2", 0): [0.0, 0.0, 1.0],
+        }
+        freed = analyzer._row_of[("T1", 0)]
+        analyzer.unregister(("T1", 0))
+        assert analyzer._free_rows == [freed]
+        analyzer.register(("T3", 0), ["b"], None)
+        assert analyzer._row_of[("T3", 0)] == freed
+        expired = analyzer._row_of[("T2", 0)]
+        analyzer.prune(10.0)
+        assert analyzer._free_rows == [expired]
+        assert self.rows(analyzer) == {("T3", 0): [0.0, 1.0, 0.0]}
+        # Re-registering replaces the row's counts in place.
+        analyzer.register(("T3", 0), ["c", "c"], None)
+        assert analyzer._row_of[("T3", 0)] == freed
+        assert self.rows(analyzer) == {("T3", 0): [0.0, 0.0, 2.0]}
+        assert len(analyzer._row_keys) == 2
+
+    def test_matrix_grows_with_the_registry(self):
+        ledger, analyzer = self.make()
+        naive = NaiveAubAnalyzer(ledger)
+        burst = [BatchCandidate(["a", "b"], [("a", 0.05), ("b", 0.05)])]
+        analyzer.admissible_batch(burst, now=0.0)
+        capacity = len(analyzer._rows)
+        for i in range(3 * capacity):
+            node = self.NODES[i % 3]
+            self.commit(ledger, analyzer, (f"T{i}", 0), [(node, 0.002)] * 2)
+            naive.register((f"T{i}", 0), [node, node], None)
+        assert len(analyzer._rows) >= 3 * capacity
+        rows = self.rows(analyzer)
+        assert len(rows) == 3 * capacity
+        assert rows[("T4", 0)] == [0.0, 2.0, 0.0]
+        # The last burst passes its own condition but not its neighbours'.
+        decisions = []
+        for extra in (0.05, 0.25, 0.4):
+            burst = [BatchCandidate(["b"], [("b", extra)])]
+            decisions += analyzer.admissible_batch(burst, now=0.0)
+            assert decisions[-1] == naive.admissible_batch(burst, now=0.0)[0]
+        assert decisions == [True, True, False]

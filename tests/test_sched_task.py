@@ -92,6 +92,15 @@ class TestTaskSpec:
         assert task.subtask_utilization(1) == pytest.approx(0.05)
         assert task.total_utilization == pytest.approx(0.3)
 
+    def test_total_utilization_adds_left_to_right(self):
+        # (0.1 + 0.2) + 0.3 is 0.6000000000000001; Python 3.12's
+        # compensated sum() gives 0.6.  The exact float is the contract:
+        # a scenario must give the same floats on every interpreter.
+        task = make_task(execs=(0.1, 0.2, 0.3), homes=("a", "b", "c"))
+        # repro-lint: disable=RL004
+        assert task.total_utilization == (0.1 + 0.2) + 0.3
+        assert repr(task.total_utilization) == "0.6000000000000001"
+
     def test_home_assignment(self):
         task = make_task(execs=(0.1, 0.1), homes=("a", "b"))
         assert task.home_assignment() == {0: "a", 1: "b"}

@@ -134,6 +134,29 @@ def test_max_events_bounds_dispatch():
     assert sim.events_executed == 4
 
 
+def test_event_budget_stop_never_moves_the_clock_past_a_pending_event():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(sim.now))
+    sim.schedule(2.0, lambda: fired.append(sim.now))
+    sim.run(until=5.0, max_events=1)
+    # The 2.0 event is still due by ``until``: the clock stays at 1.0.
+    assert sim.now == pytest.approx(1.0)
+    sim.run(until=6.0)
+    assert fired == [1.0, 2.0]
+    assert sim.now == pytest.approx(6.0)
+
+
+def test_event_budget_stop_advances_past_cancelled_and_later_events():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None).cancel()
+    sim.schedule(8.0, lambda: None)
+    # Only a cancelled entry and an event after ``until`` remain.
+    sim.run(until=5.0, max_events=1)
+    assert sim.now == pytest.approx(5.0)
+
+
 def test_drain_discards_pending():
     sim = Simulator()
     fired = []
