@@ -48,6 +48,26 @@ class AttributeSpec:
     doc: str = ""
 
 
+class _ContainerContext:
+    """A component's ``node``, ``sim``, ``processor`` or ``tracer`` before
+    install.
+
+    :meth:`Container.install` stores the container's four values as plain
+    instance attributes, which shadow this non-data descriptor, so every
+    read after install is an attribute lookup.  A read before install
+    reaches the descriptor and raises ComponentError.  (Bound at install,
+    not at the first read: CPython shares one attribute-key table among a
+    class's instances and stops adding keys to it once many instances
+    exist, so attributes first set after a deployment's components were
+    built would give each component its own dict.)
+    """
+
+    def __get__(self, component: Any, owner: Optional[type] = None) -> Any:
+        if component is None:
+            return self
+        raise component._not_installed()
+
+
 class Component:
     """Base class for all CCM-lite components."""
 
@@ -155,37 +175,12 @@ class Component:
         )
 
     # ------------------------------------------------------------------
-    # Convenience accessors (valid once installed): one hop through the
-    # container, whose attributes are bound when it is built.
+    # Component context (valid once installed): bound by Container.install.
     # ------------------------------------------------------------------
-    @property
-    def node(self) -> str:
-        """Name of the processor this component is deployed on."""
-        try:
-            return self.container.node
-        except AttributeError:
-            raise self._not_installed() from None
-
-    @property
-    def sim(self):
-        try:
-            return self.container.sim
-        except AttributeError:
-            raise self._not_installed() from None
-
-    @property
-    def processor(self):
-        try:
-            return self.container.processor
-        except AttributeError:
-            raise self._not_installed() from None
-
-    @property
-    def tracer(self):
-        try:
-            return self.container.tracer
-        except AttributeError:
-            raise self._not_installed() from None
+    node = _ContainerContext()  # name of the processor deployed on
+    sim = _ContainerContext()
+    processor = _ContainerContext()
+    tracer = _ContainerContext()
 
     def _not_installed(self) -> ComponentError:
         return ComponentError(f"component {self.name!r} is not installed")

@@ -28,7 +28,7 @@ class Container:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.processor = processor
-        #: Bound once: components reach them in one hop (Component.node/sim).
+        #: Bound once: install copies them onto each component.
         self.node: str = processor.name
         self.sim: Simulator = processor.sim
         self.federation = federation
@@ -49,6 +49,11 @@ class Container:
                 f"named {component.name!r}"
             )
         component.container = self
+        # The component's context: plain attribute reads from here on.
+        component.node = self.node
+        component.sim = self.sim
+        component.processor = self.processor
+        component.tracer = self.tracer
         self.components.append(component)
         self._by_name[component.name] = component
         component.on_install(self)

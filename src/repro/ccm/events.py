@@ -6,14 +6,14 @@ next subtask), "Idle Resetting" (IR -> AC).  A "Reject" event is added so
 task effectors can clean up held jobs; the paper leaves the rejection path
 implicit.
 
+Payloads are immutable ``NamedTuple``s: one C-level tuple per event.
 Topic-name constants are defined here so publishers and subscribers cannot
 drift apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, NamedTuple, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sched.task import Job
@@ -34,16 +34,14 @@ TOPIC_TRIGGER = "trigger"
 TOPIC_IDLE_RESETTING = "idle_resetting"
 
 
-@dataclass(frozen=True)
-class TaskArriveEvent:
+class TaskArriveEvent(NamedTuple):
     """A job arrived at a task effector and awaits an admission decision."""
 
     job: "Job"
     arrival_node: str
 
 
-@dataclass(frozen=True)
-class AcceptEvent:
+class AcceptEvent(NamedTuple):
     """Admission granted; release the job using ``assignment``.
 
     ``assignment`` maps subtask index -> processor name.  ``reallocated``
@@ -61,8 +59,7 @@ class AcceptEvent:
         return self.release_node != self.arrival_node
 
 
-@dataclass(frozen=True)
-class RejectEvent:
+class RejectEvent(NamedTuple):
     """Admission denied; the job (or whole task) is skipped."""
 
     job: "Job"
@@ -70,8 +67,7 @@ class RejectEvent:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class TriggerEvent:
+class TriggerEvent(NamedTuple):
     """Completion of subtask ``index`` releases subtask ``index + 1``."""
 
     job: "Job"
@@ -79,8 +75,7 @@ class TriggerEvent:
     assignment: Dict[int, str]
 
 
-@dataclass(frozen=True)
-class IdleResettingEvent:
+class IdleResettingEvent(NamedTuple):
     """Completed-subjob contributions that can be reset on the AC side.
 
     One event carries **one processor idle period's whole reclaim batch**:

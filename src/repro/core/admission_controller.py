@@ -669,14 +669,15 @@ class AdmissionControllerComponent(Component):
             self._m_decisions_accept.inc()
             self._m_decision_latency.observe(self.sim.now - job.arrival_time)
         release_node = assignment[0]
-        self.tracer.record(
-            self.sim.now,
-            "ac.accept",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            release_node=release_node,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "ac.accept",
+                self.node,
+                task=job.task.task_id,
+                job=job.index,
+                release_node=release_node,
+            )
         self._source.push(
             release_node,
             accept_topic(release_node),
@@ -696,14 +697,15 @@ class AdmissionControllerComponent(Component):
         if self._m_decisions_reject is not None:
             self._m_decisions_reject.inc()
             self._m_decision_latency.observe(self.sim.now - job.arrival_time)
-        self.tracer.record(
-            self.sim.now,
-            "ac.reject",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            reason=reason,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "ac.reject",
+                self.node,
+                task=job.task.task_id,
+                job=job.index,
+                reason=reason,
+            )
         self._source.push(
             event.arrival_node,
             reject_topic(event.arrival_node),
@@ -730,6 +732,7 @@ class AdmissionControllerComponent(Component):
         )
         if self._m_reclaim_size is not None and event.entries:
             self._m_reclaim_size.observe(float(len(event.entries)))
-        self.tracer.record(
-            now, "ac.idle_reset", self.node, entries=len(event.entries)
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                now, "ac.idle_reset", self.node, entries=len(event.entries)
+            )

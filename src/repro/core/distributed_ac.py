@@ -49,7 +49,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import sanitize
 from repro.ccm.component import AttributeSpec, Component
@@ -81,9 +81,10 @@ TOPIC_RESERVE_BATCH = "dac_reserve_batch"
 TOPIC_VOTE_BATCH = "dac_vote_batch"
 TOPIC_COMMIT_BATCH = "dac_commit_batch"
 
+# The protocol's messages are immutable NamedTuples: one C-level tuple per
+# message.
 
-@dataclass(frozen=True)
-class ReserveRequest:
+class ReserveRequest(NamedTuple):
     """Phase 1: coordinator asks a participant to lock utilization."""
 
     txn: int
@@ -93,8 +94,7 @@ class ReserveRequest:
     expiry: float
 
 
-@dataclass(frozen=True)
-class Vote:
+class Vote(NamedTuple):
     """Participant's reply: locked (with post-lock utilization) or refused."""
 
     txn: int
@@ -103,8 +103,7 @@ class Vote:
     post_utilization: float = 0.0
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Phase 2: commit (with this participant's cap) or abort."""
 
     txn: int
@@ -114,8 +113,7 @@ class Outcome:
     expiry: float = 0.0
 
 
-@dataclass(frozen=True)
-class ReserveItem:
+class ReserveItem(NamedTuple):
     """One reservation inside a piggybacked multi-reservation round."""
 
     index: int
@@ -124,8 +122,7 @@ class ReserveItem:
     expiry: float
 
 
-@dataclass(frozen=True)
-class BatchReserveRequest:
+class BatchReserveRequest(NamedTuple):
     """Phase 1 of a piggybacked round: every reservation of the burst
     that involves this participant, in burst order."""
 
@@ -134,8 +131,7 @@ class BatchReserveRequest:
     items: Tuple[ReserveItem, ...]
 
 
-@dataclass(frozen=True)
-class BatchVote:
+class BatchVote(NamedTuple):
     """Participant reply: one grant (with post-lock utilization) per
     item, aligned with the request's ``items``."""
 
@@ -145,13 +141,25 @@ class BatchVote:
     post_utilization: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class BatchOutcome:
+class BatchOutcome(NamedTuple):
     """Phase 2 of a piggybacked round: per-reservation commit/abort
     outcomes for this participant, aligned with its request ``items``."""
 
     txn: int
     items: Tuple[Outcome, ...]
+
+
+class _HomePlan(NamedTuple):
+    """How every job of one task is coordinated under home placement."""
+
+    #: Subtask index -> home processor (shared: receivers copy it).
+    assignment: Dict[int, str]
+    #: Participant -> the task's summed subtask utilization on it.
+    deltas: Dict[str, float]
+    #: The participants, sorted: reserves and outcomes go out in this order.
+    participants: List[str]
+    #: The processor of each stage, in chain order (AUB condition (1)).
+    visits: Tuple[str, ...]
 
 
 @dataclass
@@ -160,8 +168,7 @@ class _Transaction:
 
     job: Job
     event: TaskArriveEvent
-    participants: List[str]
-    deltas: Dict[str, float]
+    plan: _HomePlan
     votes: Dict[str, Vote] = field(default_factory=dict)
     #: Vote-timeout event handle (chaos runs only; None when disarmed).
     timeout_handle: Optional[object] = None
@@ -171,14 +178,12 @@ class _Transaction:
     started: float = 0.0
 
 
-@dataclass
-class _BatchItem:
+class _BatchItem(NamedTuple):
     """One burst arrival inside a coordinator's piggybacked round."""
 
     job: Job
     event: TaskArriveEvent
-    participants: List[str]
-    deltas: Dict[str, float]
+    plan: _HomePlan
 
 
 @dataclass
@@ -255,6 +260,8 @@ class DistributedAdmissionControllerComponent(Component):
         #: the binding (smallest) cap is read in O(1) amortized instead of
         #: scanning every live cap per reservation.
         self._cap_heap: List[Tuple[float, Tuple[str, int]]] = []
+        #: Task id -> its home plan, computed at the task's first arrival.
+        self._plans: Dict[str, _HomePlan] = {}
         self._transactions: Dict[int, _Transaction] = {}
         self._batch_transactions: Dict[int, _BatchTransaction] = {}
         self._source: Optional[EventSourcePort] = None
@@ -512,6 +519,24 @@ class DistributedAdmissionControllerComponent(Component):
     # ------------------------------------------------------------------
     # Coordinator role
     # ------------------------------------------------------------------
+    def _home_plan(self, task) -> _HomePlan:
+        plan = self._plans.get(task.task_id)
+        if plan is None:
+            assignment = task.home_assignment()
+            deltas: Dict[str, float] = {}
+            for subtask in task.subtasks:
+                node = assignment[subtask.index]
+                deltas[node] = deltas.get(node, 0.0) + task.subtask_utilization(
+                    subtask.index
+                )
+            plan = self._plans[task.task_id] = _HomePlan(
+                assignment,
+                deltas,
+                sorted(deltas),
+                tuple(assignment[s.index] for s in task.subtasks),
+            )
+        return plan
+
     def _on_task_arrive(self, event: TaskArriveEvent) -> None:
         if self._crashed:
             # A crashed node admits nothing; reject immediately (local
@@ -561,28 +586,13 @@ class DistributedAdmissionControllerComponent(Component):
             if job.absolute_deadline <= now:
                 self._reject(event, "deadline expired before admission")
                 continue
-            task = job.task
-            assignment = task.home_assignment()
-            deltas: Dict[str, float] = {}
-            for subtask in task.subtasks:
-                node = assignment[subtask.index]
-                deltas[node] = deltas.get(node, 0.0) + task.subtask_utilization(
-                    subtask.index
-                )
-            items.append(
-                _BatchItem(
-                    job=job,
-                    event=event,
-                    participants=sorted(deltas),
-                    deltas=deltas,
-                )
-            )
+            items.append(_BatchItem(job, event, self._home_plan(job.task)))
         if not items:
             return
         txn = next(self._txn_counter)
         sent: Dict[str, List[int]] = {}
         for index, item in enumerate(items):
-            for node in item.participants:
+            for node in item.plan.participants:
                 sent.setdefault(node, []).append(index)
         participants = sorted(sent)
         transaction = _BatchTransaction(
@@ -602,7 +612,7 @@ class DistributedAdmissionControllerComponent(Component):
                     ReserveItem(
                         index=i,
                         job_key=items[i].job.key,
-                        delta=items[i].deltas[node],
+                        delta=items[i].plan.deltas[node],
                         expiry=items[i].job.absolute_deadline,
                     )
                     for i in sent[node]
@@ -617,31 +627,19 @@ class DistributedAdmissionControllerComponent(Component):
             self._reject(event, "node crashed")
             return
         job = event.job
-        task = job.task
         now = self.sim.now
         if job.absolute_deadline <= now:
             self._reject(event, "deadline expired before admission")
             return
-        assignment = task.home_assignment()
-        deltas: Dict[str, float] = {}
-        for subtask in task.subtasks:
-            node = assignment[subtask.index]
-            deltas[node] = deltas.get(node, 0.0) + task.subtask_utilization(
-                subtask.index
-            )
+        plan = self._home_plan(job.task)
         txn = next(self._txn_counter)
-        transaction = _Transaction(
-            job=job,
-            event=event,
-            participants=sorted(deltas),
-            deltas=deltas,
-            started=now,
-        )
+        transaction = _Transaction(job=job, event=event, plan=plan, started=now)
         self._transactions[txn] = transaction
         self.coordination_rounds += 1
         # Armed before the reserves go out (see _drain_arrivals).
         transaction.timeout_handle = self._arm_vote_timeout(txn, 0, batch=False)
-        for node in transaction.participants:
+        deltas = plan.deltas
+        for node in plan.participants:
             request = ReserveRequest(
                 txn=txn,
                 coordinator=self.node,
@@ -659,7 +657,7 @@ class DistributedAdmissionControllerComponent(Component):
         if transaction is None:
             return
         transaction.votes[vote.node] = vote
-        if len(transaction.votes) < len(transaction.participants):
+        if len(transaction.votes) < len(transaction.plan.participants):
             return
         self._cancel_vote_timeout(transaction)
         del self._transactions[vote.txn]
@@ -675,7 +673,7 @@ class DistributedAdmissionControllerComponent(Component):
         if transaction.attempt < self._max_retries:
             transaction.attempt += 1
             job = transaction.job
-            for node in transaction.participants:
+            for node in transaction.plan.participants:
                 if node in transaction.votes:
                     continue
                 # Participants memoize granted votes, so a duplicate
@@ -689,7 +687,7 @@ class DistributedAdmissionControllerComponent(Component):
                         txn=txn,
                         coordinator=self.node,
                         job_key=job.key,
-                        delta=transaction.deltas[node],
+                        delta=transaction.plan.deltas[node],
                         expiry=job.absolute_deadline,
                     ),
                 )
@@ -704,7 +702,7 @@ class DistributedAdmissionControllerComponent(Component):
         # participant's lock expiry.
         del self._transactions[txn]
         self.aborted_transactions += 1
-        for node in transaction.participants:
+        for node in transaction.plan.participants:
             self._source.push(
                 node,
                 TOPIC_COMMIT,
@@ -719,7 +717,7 @@ class DistributedAdmissionControllerComponent(Component):
         all_granted = all(v.granted for v in votes.values())
         condition_sum = 0.0
         job = transaction.job
-        assignment = job.task.home_assignment()
+        plan = transaction.plan
         # Retried rounds can outlast the job's deadline; committing then
         # would pair an instantly-expiring reservation with a released
         # job.  Chaos-gated: without faults a round always completes in
@@ -728,18 +726,16 @@ class DistributedAdmissionControllerComponent(Component):
             transaction.attempt > 0 or self._chaos_armed()
         ) and job.absolute_deadline <= self.sim.now
         if all_granted and not expired:
-            task = job.task
-            post = {node: votes[node].post_utilization for node in votes}
             condition_sum = ordered_sum(
-                aub_term(post[assignment[s.index]]) for s in task.subtasks
+                aub_term(votes[node].post_utilization) for node in plan.visits
             )
             all_granted = condition_sum <= 1.0 + EPSILON
         if not all_granted or expired:
-            for node in transaction.participants:
+            for node in plan.participants:
                 self._source.push(
                     node,
                     TOPIC_COMMIT,
-                    Outcome(txn=txn, job_key=transaction.job.key, commit=False),
+                    Outcome(txn=txn, job_key=job.key, commit=False),
                 )
             self._reject(
                 transaction.event,
@@ -750,33 +746,33 @@ class DistributedAdmissionControllerComponent(Component):
             return
         # Partition the residual slack equally among visited processors
         # and convert each share into a local utilization cap.
-        k = len(transaction.participants)
+        k = len(plan.participants)
         slack_share = (1.0 - condition_sum) / k
-        for node in transaction.participants:
-            post_u = transaction.votes[node].post_utilization
+        for node in plan.participants:
+            post_u = votes[node].post_utilization
             cap = aub_term_inverse(aub_term(post_u) + max(0.0, slack_share))
             self._source.push(
                 node,
                 TOPIC_COMMIT,
                 Outcome(
                     txn=txn,
-                    job_key=transaction.job.key,
+                    job_key=job.key,
                     commit=True,
                     cap=cap,
-                    expiry=transaction.job.absolute_deadline,
+                    expiry=job.absolute_deadline,
                 ),
             )
         self.admitted_jobs += 1
         if self._m_decisions_accept is not None:
             self._m_decisions_accept.inc()
             self._m_decision_latency.observe(self.sim.now - job.arrival_time)
-        release_node = assignment[0]
+        release_node = plan.visits[0]
         self._source.push(
             release_node,
             accept_topic(release_node),
             AcceptEvent(
                 job=job,
-                assignment=assignment,
+                assignment=plan.assignment,
                 arrival_node=transaction.event.arrival_node,
                 release_node=release_node,
             ),
@@ -821,7 +817,7 @@ class DistributedAdmissionControllerComponent(Component):
                             ReserveItem(
                                 index=i,
                                 job_key=items[i].job.key,
-                                delta=items[i].deltas[node],
+                                delta=items[i].plan.deltas[node],
                                 expiry=items[i].job.absolute_deadline,
                             )
                             for i in transaction.sent[node]
@@ -875,21 +871,20 @@ class DistributedAdmissionControllerComponent(Component):
         check_expiry = transaction.attempt > 0 or self._chaos_armed()
         for index, item in enumerate(transaction.items):
             job = item.job
-            task = job.task
-            assignment = task.home_assignment()
+            plan = item.plan
             all_granted = all(
-                grants[index].get(node, False) for node in item.participants
+                grants[index].get(node, False) for node in plan.participants
             )
             expired = check_expiry and job.absolute_deadline <= self.sim.now
             condition_sum = 0.0
             if all_granted and not expired:
                 post = posts[index]
                 condition_sum = ordered_sum(
-                    aub_term(post[assignment[s.index]]) for s in task.subtasks
+                    aub_term(post[node]) for node in plan.visits
                 )
                 all_granted = condition_sum <= 1.0 + EPSILON
             if not all_granted or expired:
-                for node in item.participants:
+                for node in plan.participants:
                     outcomes[node].append(
                         Outcome(txn=txn, job_key=job.key, commit=False)
                     )
@@ -902,9 +897,9 @@ class DistributedAdmissionControllerComponent(Component):
                 continue
             # Partition the residual slack equally among visited
             # processors, exactly as the scalar round does.
-            k = len(item.participants)
+            k = len(plan.participants)
             slack_share = (1.0 - condition_sum) / k
-            for node in item.participants:
+            for node in plan.participants:
                 post_u = posts[index][node]
                 cap = aub_term_inverse(aub_term(post_u) + max(0.0, slack_share))
                 outcomes[node].append(
@@ -920,13 +915,13 @@ class DistributedAdmissionControllerComponent(Component):
             if self._m_decisions_accept is not None:
                 self._m_decisions_accept.inc()
                 self._m_decision_latency.observe(self.sim.now - job.arrival_time)
-            release_node = assignment[0]
+            release_node = plan.visits[0]
             self._source.push(
                 release_node,
                 accept_topic(release_node),
                 AcceptEvent(
                     job=job,
-                    assignment=assignment,
+                    assignment=plan.assignment,
                     arrival_node=item.event.arrival_node,
                     release_node=release_node,
                 ),

@@ -143,7 +143,8 @@ class IdleResetterComponent(Component):
         self.reports_sent += 1
         self.entries_reported += len(entries)
         event = IdleResettingEvent(node=self.node, entries=entries)
-        self.tracer.record(now, "ir.report", self.node, entries=len(entries))
+        if self.tracer.enabled:
+            self.tracer.record(now, "ir.report", self.node, entries=len(entries))
         # The report's contribution to overhead is op7 (the idle-time work
         # itself — preemptions of the idle detector by application work are
         # not middleware overhead) plus the communication hop; the AC-side

@@ -113,14 +113,15 @@ class _SubtaskComponentBase(Component):
         index = self.get_attribute("subtask_index")
         job.subjob_finish_times[index] = now
         self.subjobs_executed += 1
-        self.tracer.record(
-            now,
-            "subtask.complete",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            stage=index,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                now,
+                "subtask.complete",
+                self.node,
+                task=job.task.task_id,
+                job=job.index,
+                stage=index,
+            )
         if self._complete_port.connected and self.get_attribute("ir_mode") != "N":
             self._complete_port().complete(job, index)
         self._after_subjob(job, assignment, index)
@@ -160,11 +161,12 @@ class LastSubtaskComponent(_SubtaskComponentBase):
         job.status = JobStatus.COMPLETED
         job.completed_at = self.sim.now
         self.env.metrics.on_completion(job)
-        self.tracer.record(
-            self.sim.now,
-            "job.complete",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            response=job.response_time,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "job.complete",
+                self.node,
+                task=job.task.task_id,
+                job=job.index,
+                response=job.response_time,
+            )

@@ -101,9 +101,10 @@ class TaskEffectorComponent(Component):
         """A job of ``job.task`` arrived on this processor."""
         now = self.sim.now
         self.env.metrics.on_arrival(job)
-        self.tracer.record(
-            now, "te.arrive", self.node, task=job.task.task_id, job=job.index
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                now, "te.arrive", self.node, task=job.task.task_id, job=job.index
+            )
         task = job.task
         if task.is_periodic and self.get_attribute("release_mode") == "per_task":
             cached = self._task_cache.get(task.task_id)
@@ -197,9 +198,10 @@ class TaskEffectorComponent(Component):
         job.assignment = dict(assignment)
         self.jobs_released += 1
         self.env.metrics.on_release(job)
-        self.tracer.record(
-            now, "te.release", self.node, task=job.task.task_id, job=job.index
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                now, "te.release", self.node, task=job.task.task_id, job=job.index
+            )
         instance = self.env.subtask_instance(job.task.task_id, 0, self.node)
         instance.release(job, assignment)
 
@@ -210,14 +212,15 @@ class TaskEffectorComponent(Component):
         self.jobs_rejected += 1
         self.env.metrics.on_rejection(job)
         self._maybe_cache(job, admitted=False, assignment=None)
-        self.tracer.record(
-            self.sim.now,
-            "te.reject",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            reason=event.reason,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now,
+                "te.reject",
+                self.node,
+                task=job.task.task_id,
+                job=job.index,
+                reason=event.reason,
+            )
 
     def _note_remote_decision(self, event: AcceptEvent) -> None:
         """Called by the release-node TE when a held job was re-allocated."""

@@ -188,15 +188,14 @@ class Job:
     release_node: Optional[str] = None
     completed_at: Optional[float] = None
     subjob_finish_times: Dict[int, float] = field(default_factory=dict)
+    #: Globally unique job identity: (task id, job index).
+    key: Tuple[str, int] = field(init=False, repr=False, compare=False)
+    absolute_deadline: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> Tuple[str, int]:
-        """Globally unique job identity: (task id, job index)."""
-        return (self.task.task_id, self.index)
-
-    @property
-    def absolute_deadline(self) -> float:
-        return self.arrival_time + self.task.deadline
+    def __post_init__(self) -> None:
+        # Fixed by the task, index and arrival time: computed once here.
+        self.key = (self.task.task_id, self.index)
+        self.absolute_deadline = self.arrival_time + self.task.deadline
 
     @property
     def utilization(self) -> float:

@@ -5,10 +5,12 @@ by ``(time, priority, sequence)``.  The sequence number makes event ordering
 fully deterministic even when many events share a timestamp, which in turn
 makes every experiment in :mod:`repro.experiments` reproducible from a seed.
 
-Heap entries are plain ``(time, priority, seq, handle)`` tuples: the sort
-key is precomputed once at scheduling time and compared with C-level tuple
-comparison (the unique sequence number guarantees the handle itself is
-never compared), instead of dispatching a Python ``__lt__`` per sift step.
+Each :class:`EventHandle` is its own heap entry, the list ``[time,
+priority, seq, callback, args]``: scheduling builds one object, and the
+heap orders handles with C-level list comparison (the unique sequence
+number means a callback is never compared) instead of dispatching a
+Python ``__lt__`` per sift step.  The clock, :attr:`Simulator.now`, is a
+plain attribute the dispatch loop writes.
 
 :meth:`Simulator.schedule_batch` coalesces same-timestamp deliveries to
 one subscriber: every payload scheduled for the same ``(time, priority,
@@ -28,7 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -43,52 +46,37 @@ MSEC = 1e-3
 DEFAULT_PRIORITY = 100
 
 
-class EventHandle:
+class EventHandle(list):
     """A cancellable handle for a scheduled simulator event.
 
     Handles are returned by :meth:`Simulator.schedule` and
-    :meth:`Simulator.schedule_at`.  Cancellation is lazy: the heap entry is
-    marked dead and skipped when popped.
+    :meth:`Simulator.schedule_at`.  A handle is its own heap entry,
+    ``[time, priority, seq, callback, args]``, so it must never define
+    ``__eq__``/``__lt__``: a Python-level comparison would run on every
+    sift step.  Cancellation is lazy: the callback slot is cleared and the
+    entry is skipped when popped.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled")
+    __slots__ = ()
+    #: Hashable by identity, like any other handle (a list is not).
+    __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self._cancelled = False
+    time = property(itemgetter(0), doc="Virtual time the event fires at.")
+    priority = property(itemgetter(1), doc="Tie-break among same-time events.")
+    seq = property(itemgetter(2), doc="Scheduling order; unique per simulator.")
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        self._cancelled = True
-        self.callback = _noop
-        self.args = ()
+        self[3] = None
+        self[4] = ()
 
     @property
     def cancelled(self) -> bool:
-        return self._cancelled
+        return self[3] is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "pending"
-        return f"<EventHandle t={self.time:.9f} prio={self.priority} {state}>"
-
-
-#: A heap entry: the precomputed sort key plus the handle payload.
-_HeapEntry = Tuple[float, int, int, EventHandle]
-
-
-def _noop(*_args: Any) -> None:
-    return None
+        state = "cancelled" if self.cancelled else "pending"
+        return f"<EventHandle t={self[0]:.9f} prio={self[1]} {state}>"
 
 
 class Simulator:
@@ -108,8 +96,10 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._heap: List[_HeapEntry] = []
+        #: Current virtual time in seconds.  Read-only by convention: only
+        #: :meth:`run` writes it.
+        self.now = 0.0
+        self._heap: List[EventHandle] = []
         self._seq = itertools.count()
         self._running = False
         self._event_count = 0
@@ -118,13 +108,8 @@ class Simulator:
         self._batches: dict = {}
 
     # ------------------------------------------------------------------
-    # Clock
+    # Counters
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Total number of events dispatched so far."""
@@ -148,7 +133,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
 
     def schedule_at(
         self,
@@ -159,13 +144,12 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire at absolute virtual ``time``."""
         # One comparison rejects both the past and NaN (NaN compares false).
-        if not time >= self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at t={time!r} (now={self._now!r})"
+                f"cannot schedule at t={time!r} (now={self.now!r})"
             )
-        seq = next(self._seq)
-        handle = EventHandle(time, priority, seq, callback, args)
-        _heappush(self._heap, (time, priority, seq, handle))
+        handle = EventHandle((time, priority, next(self._seq), callback, args))
+        _heappush(self._heap, handle)
         return handle
 
     def schedule_batch(
@@ -187,7 +171,7 @@ class Simulator:
         """
         key = (time, priority, callback)
         entry = self._batches.get(key)
-        if entry is not None and not entry[1]._cancelled:
+        if entry is not None and entry[1][3] is not None:
             entry[0].append(payload)
             return entry[1]
         payloads = [payload]
@@ -237,24 +221,23 @@ class Simulator:
         budget = -1 if max_events is None else max_events
         try:
             while budget and heap:
-                entry = heap[0]
-                handle = entry[3]
-                if handle._cancelled:
-                    _heappop(heap)
+                handle = _heappop(heap)
+                callback = handle[3]
+                if callback is None:  # cancelled
                     continue
-                time = entry[0]
+                time = handle[0]
                 if time > limit:
+                    _heappush(heap, handle)
                     break
-                _heappop(heap)
-                self._now = time
+                self.now = time
                 self._event_count += 1
                 budget -= 1
-                handle.callback(*handle.args)
-            if until is not None and until > self._now:
-                while heap and heap[0][3]._cancelled:
+                callback(*handle[4])
+            if until is not None and until > self.now:
+                while heap and heap[0][3] is None:
                     _heappop(heap)
                 if not heap or heap[0][0] > until:
-                    self._now = until
+                    self.now = until
         finally:
             self._running = False
 

@@ -4,8 +4,16 @@ import random
 
 import pytest
 
+from repro.api import Scenario, Session, WorkloadSource
 from repro.ccm.component import AttributeSpec, Component
 from repro.ccm.container import Container
+from repro.ccm.events import (
+    AcceptEvent,
+    IdleResettingEvent,
+    RejectEvent,
+    TaskArriveEvent,
+    TriggerEvent,
+)
 from repro.ccm.ports import EventSinkPort, EventSourcePort, Facet, Receptacle
 from repro.ccm.repository import ComponentRepository
 from repro.cpu.processor import Processor
@@ -19,6 +27,7 @@ from repro.net.federation import FederatedEventChannel
 from repro.net.latency import ConstantDelay
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
+from repro.workloads.generator import RandomWorkloadParams
 
 
 class Widget(Component):
@@ -112,6 +121,40 @@ class TestContainer:
         container.install(w)
         assert w.container is container
         assert w.node == "n1"
+
+    @pytest.mark.parametrize("name", ["node", "sim", "processor", "tracer"])
+    def test_context_read_before_install_raises(self, name):
+        w = Widget("w")
+        with pytest.raises(ComponentError):
+            getattr(w, name)
+        # Still unbound: the failed read cached nothing.
+        with pytest.raises(ComponentError):
+            getattr(w, name)
+        container = make_container()
+        container.install(w)
+        assert getattr(w, name) is getattr(container, name)
+
+    @pytest.mark.parametrize("via_dance", [False, True], ids=["direct", "dance"])
+    def test_context_equals_container_on_both_deployment_routes(self, via_dance):
+        scenario = Scenario(
+            workload=WorkloadSource.random(
+                seed=17, params=RandomWorkloadParams(n_processors=3)
+            ),
+            combo="J_J_J",
+            duration=1.0,
+            seed=5,
+        )
+        system = Session(scenario, via_dance=via_dance).deploy()
+        components = 0
+        for container in system.containers.values():
+            for component in container.components:
+                components += 1
+                assert component.container is container
+                assert component.node == container.node
+                assert component.sim is container.sim
+                assert component.processor is container.processor
+                assert component.tracer is container.tracer
+        assert components > len(system.containers)
 
     def test_double_install_rejected(self):
         container = make_container()
@@ -240,3 +283,38 @@ class TestRepository:
         assert "A" in repo and "C" not in repo
         assert list(repo) == ["A", "B"]
         assert len(repo) == 2
+
+
+# ----------------------------------------------------------------------
+# Event payloads
+# ----------------------------------------------------------------------
+PAYLOADS = [
+    (TaskArriveEvent, dict(job=None, arrival_node="app1")),
+    (
+        AcceptEvent,
+        dict(job=None, assignment={0: "app2"}, arrival_node="app1", release_node="app2"),
+    ),
+    (RejectEvent, dict(job=None, arrival_node="app1", reason="full")),
+    (TriggerEvent, dict(job=None, next_index=1, assignment={0: "app1", 1: "app2"})),
+    (IdleResettingEvent, dict(node="app1", entries=(("T", 0, 0),))),
+]
+
+
+class TestPayloads:
+    @pytest.mark.parametrize(
+        "cls, fields", PAYLOADS, ids=[cls.__name__ for cls, _ in PAYLOADS]
+    )
+    def test_fields_are_read_only(self, cls, fields):
+        payload = cls(**fields)
+        for name, value in fields.items():
+            assert getattr(payload, name) == value
+            with pytest.raises(AttributeError):
+                setattr(payload, name, None)
+
+    def test_reallocated(self):
+        job = object()
+        assert not AcceptEvent(job, {0: "app1"}, "app1", "app1").reallocated
+        assert AcceptEvent(job, {0: "app2"}, "app1", "app2").reallocated
+
+    def test_reject_reason_defaults_to_empty(self):
+        assert RejectEvent(job=None, arrival_node="app1").reason == ""

@@ -3,7 +3,16 @@
 import pytest
 
 from repro.core.cost_model import CostModel
-from repro.core.distributed_ac import DistributedMiddlewareSystem
+from repro.core.distributed_ac import (
+    BatchOutcome,
+    BatchReserveRequest,
+    BatchVote,
+    DistributedMiddlewareSystem,
+    Outcome,
+    ReserveItem,
+    ReserveRequest,
+    Vote,
+)
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo
 from repro.net.latency import ConstantDelay
@@ -269,3 +278,39 @@ class TestDistributedComparisons:
             r_dist.accepted_utilization_ratio
             <= r_cent.accepted_utilization_ratio + 0.05
         )
+
+
+#: Every two-phase message type, with one value per field.
+MESSAGES = [
+    (
+        ReserveRequest,
+        dict(txn=1, coordinator="app1", job_key=("T", 0), delta=0.1, expiry=2.0),
+    ),
+    (Vote, dict(txn=1, node="app2", granted=True, post_utilization=0.4)),
+    (Outcome, dict(txn=1, job_key=("T", 0), commit=True, cap=0.7, expiry=2.0)),
+    (ReserveItem, dict(index=0, job_key=("T", 0), delta=0.1, expiry=2.0)),
+    (
+        BatchReserveRequest,
+        dict(txn=2, coordinator="app1", items=(ReserveItem(0, ("T", 0), 0.1, 2.0),)),
+    ),
+    (BatchVote, dict(txn=2, node="app2", granted=(True,), post_utilization=(0.4,))),
+    (BatchOutcome, dict(txn=2, items=(Outcome(2, ("T", 0), False),))),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields", MESSAGES, ids=[cls.__name__ for cls, _ in MESSAGES]
+)
+def test_messages_are_read_only(cls, fields):
+    message = cls(**fields)
+    for name, value in fields.items():
+        assert getattr(message, name) == value
+        with pytest.raises(AttributeError):
+            setattr(message, name, None)
+
+
+def test_message_defaults():
+    refused = Vote(txn=1, node="n", granted=False)
+    aborted = Outcome(txn=1, job_key=("T", 0), commit=False)
+    assert refused == (1, "n", False, 0.0)
+    assert aborted == (1, ("T", 0), False, 1.0, 0.0)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import DEFAULT_PRIORITY, MSEC, USEC, Simulator
+from repro.sim.kernel import DEFAULT_PRIORITY, MSEC, USEC, EventHandle, Simulator
 
 
 def test_time_starts_at_zero():
@@ -73,11 +73,55 @@ def test_cancel_prevents_firing():
 
 def test_cancel_is_idempotent():
     sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
+    fired = []
+    handle = sim.schedule(1.0, fired.append, "x")
     handle.cancel()
     handle.cancel()
+    assert handle.cancelled
     sim.run()
-    assert sim.events_executed == 0
+    assert fired == [] and sim.events_executed == 0
+    handle.cancel()  # after the run too
+    assert handle.cancelled
+
+
+def test_handle_exposes_its_schedule():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    handle = sim.schedule_at(2.5, lambda: None, priority=7)
+    assert (handle.time, handle.priority, handle.seq) == (2.5, 7, 1)
+    assert not handle.cancelled
+    handle.cancel()
+    assert handle.cancelled
+    assert (handle.time, handle.priority, handle.seq) == (2.5, 7, 1)
+
+
+def test_cancelled_event_never_dispatches_among_live_ones():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(1.0, fired.append, i) for i in range(5)]
+    handles[0].cancel()
+    handles[3].cancel()
+    sim.run()
+    assert fired == [1, 2, 4]
+    assert sim.events_executed == 3
+
+
+def test_handles_hash_by_identity():
+    sim = Simulator()
+    first = sim.schedule(1.0, print)
+    second = sim.schedule(1.0, print)
+    assert hash(first) == object.__hash__(first)
+    assert len({first, second}) == 2
+    owners = {first: "a", second: "b"}
+    first.cancel()
+    assert owners[first] == "a" and owners[second] == "b"
+
+
+def test_handle_defines_no_python_comparison():
+    # A handle is its own heap entry: a Python-level __eq__/__lt__ would
+    # run on every sift step instead of the C-level list comparison.
+    for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert name not in EventHandle.__dict__
 
 
 def test_run_until_stops_and_advances_clock():
@@ -294,10 +338,14 @@ def test_schedule_batch_cancel_drops_whole_batch():
     handle = sim.schedule_batch(1.0, batches.append, "a")
     assert sim.schedule_batch(1.0, batches.append, "b") is handle
     handle.cancel()
+    assert handle.cancelled
     # A payload scheduled after cancellation starts a fresh batch.
-    sim.schedule_batch(1.0, batches.append, "c")
+    fresh = sim.schedule_batch(1.0, batches.append, "c")
+    assert fresh is not handle and not fresh.cancelled
+    assert sim.schedule_batch(1.0, batches.append, "d") is fresh
     sim.run()
-    assert batches == [["c"]]
+    assert batches == [["c", "d"]]
+    assert sim.events_executed == 1
 
 
 def test_schedule_batch_from_inside_callback_starts_fresh_batch():
