@@ -18,12 +18,12 @@ wall-clock:
   the regression gate guards p99 as lower-is-better.
 * **Burst admission** — end-to-end admission of a burst of 64
   simultaneous arrivals (test + ledger commit + registration) through the
-  per-arrival incremental path vs one ``admissible_batch`` call plus one
-  ``add_batch`` commit.
+  per-arrival incremental path vs one ``admissible_batch`` call (one
+  session) plus one ``add_batch`` commit.
 * **LB burst placement** — greedy placement + admission of the same burst
-  through the sequential path (per-candidate ``location()`` probe, double
-  admission test, interim ledger commits) vs one
-  :class:`BatchAdmissionSession` with its accepted-placement overlay.
+  through the pre-batch sequential path (``location()`` plan, probe and
+  re-test, interim ledger commits) vs one :class:`BatchAdmissionSession`
+  with its accepted-placement overlay.
 * **Sharded ledger** — contribution add/remove churn across a
   1000-processor ledger, scalar ops vs batched ops.
 * **Fault-injection overhead** — ``Network.send`` throughput with no
@@ -56,7 +56,6 @@ from repro.net.fault import FaultInjector
 from repro.net.network import Network
 from repro.sched.aub import (
     AubAnalyzer,
-    BatchCandidate,
     NaiveAubAnalyzer,
     SyntheticUtilizationLedger,
 )
@@ -74,6 +73,9 @@ SCALES = tuple(
 
 #: Simultaneous arrivals per admission burst.
 BURST = 64
+
+#: Registry key of each burst arrival, by position.
+BURST_KEYS = [(f"B{i}", 0) for i in range(BURST)]
 
 #: Per-measurement wall-clock window; lengthen on noisy shared runners
 #: (CI sets 1.0) so scheduling jitter cannot flake the speedup floors.
@@ -189,16 +191,14 @@ def _measure_admission_latency(n_tasks: int, duration_s: float = WINDOW_S):
 # Burst admission: per-arrival vs batched
 # ----------------------------------------------------------------------
 def _burst_candidates(nodes, rng, burst: int):
-    """A burst of arrivals light enough that most are admitted (so both
-    paths pay the commit + invalidation cost that dominates real bursts)."""
+    """A burst of ``(visits, stage_contribs)`` arrivals light enough that
+    most are admitted (so both paths pay the commit + invalidation cost
+    that dominates real bursts).  Visits are distinct nodes."""
     candidates = []
-    for i in range(burst):
+    for _ in range(burst):
         n_stages = rng.randint(1, 3)
         visits = rng.sample(nodes, n_stages)
-        stage_contribs = [(node, 0.001) for node in visits]
-        candidates.append(
-            BatchCandidate(visits, stage_contribs, key=(f"B{i}", 0))
-        )
+        candidates.append((visits, [(node, 0.001) for node in visits]))
     return candidates
 
 
@@ -216,18 +216,18 @@ def _admit_burst_per_arrival(ledger, analyzer, candidates):
     time, every commit invalidating the analyzer caches."""
     committed = []
     decisions = []
-    for cand in candidates:
-        ok = analyzer.admissible(cand.visits, cand.contribs, now=0.0)
+    for (visits, stage_contribs), key in zip(candidates, BURST_KEYS):
+        ok = analyzer.admissible(visits, dict(stage_contribs), now=0.0)
         decisions.append(ok)
         if ok:
-            task_id, job_index = cand.key
+            task_id, job_index = key
             entries = []
-            for j, (node, value) in enumerate(cand.stage_contribs):
+            for j, (node, value) in enumerate(stage_contribs):
                 contrib_key = (task_id, job_index, j)
                 ledger.add(node, contrib_key, value)
                 entries.append((node, contrib_key))
-            analyzer.register(cand.key, list(cand.visits), expiry=1e12)
-            committed.append((cand.key, entries))
+            analyzer.register(key, list(visits), expiry=1e12)
+            committed.append((key, entries))
     return decisions, committed
 
 
@@ -236,20 +236,20 @@ def _admit_burst_batched(ledger, analyzer, candidates):
     decisions = analyzer.admissible_batch(candidates, now=0.0)
     add_entries = []
     committed = []
-    for cand, ok in zip(candidates, decisions):
+    for (_visits, stage_contribs), key, ok in zip(candidates, BURST_KEYS, decisions):
         if not ok:
             continue
-        task_id, job_index = cand.key
+        task_id, job_index = key
         entries = []
-        for j, (node, value) in enumerate(cand.stage_contribs):
+        for j, (node, value) in enumerate(stage_contribs):
             contrib_key = (task_id, job_index, j)
             add_entries.append((node, contrib_key, value))
             entries.append((node, contrib_key))
-        committed.append((cand.key, entries))
+        committed.append((key, entries))
     ledger.add_batch(add_entries)
-    for cand, ok in zip(candidates, decisions):
+    for (visits, _stages), key, ok in zip(candidates, BURST_KEYS, decisions):
         if ok:
-            analyzer.register(cand.key, list(cand.visits), expiry=1e12)
+            analyzer.register(key, list(visits), expiry=1e12)
     return decisions, committed
 
 
@@ -325,22 +325,24 @@ def _placement_jobs(nodes, rng, burst: int):
 
 def _place_burst_per_candidate(ledger, analyzer, lb, jobs):
     """The pre-batch LB path: greedy-plan against the live ledger, probe
-    admissibility in location(), re-test in the AC's test-and-commit,
-    commit per stage — every commit invalidating the analyzer caches."""
+    admissibility (the LB's old location() test), re-test (the AC's
+    test-and-commit), commit per stage — every commit invalidating the
+    analyzer caches.  Today's sequential AC tests each plan once; this
+    reference keeps the probe so the figure stays comparable."""
     plans = []
     committed = []
     for job in jobs:
         task = job.task
-        assignment, added = lb._greedy_plan(task, ledger)
+        assignment = lb.location(job, ledger)
         visits = task.visited_processors(assignment)
-        ok = analyzer.admissible(visits, added, now=0.0)
+        contribs = {}
+        for subtask in task.subtasks:
+            node = assignment[subtask.index]
+            contribs[node] = contribs.get(
+                node, 0.0
+            ) + task.subtask_utilization(subtask.index)
+        ok = analyzer.admissible(visits, contribs, now=0.0)
         if ok:
-            contribs = {}
-            for subtask in task.subtasks:
-                node = assignment[subtask.index]
-                contribs[node] = contribs.get(
-                    node, 0.0
-                ) + task.subtask_utilization(subtask.index)
             ok = analyzer.admissible(visits, contribs, now=0.0)
         plans.append(assignment if ok else None)
         if not ok:
@@ -371,7 +373,16 @@ def _place_burst_batched(ledger, analyzer, lb, jobs):
             for node in subtask.eligible:
                 demand[node] = demand.get(node, 0.0) + value
     session = analyzer.batch_session(now=0.0, demand=demand)
-    plans = [lb.location_in_batch(job, session) for job in jobs]
+    plans = []
+    for job in jobs:
+        task = job.task
+        plan = lb.location(job, session)
+        stages = [
+            (plan[s.index], task.subtask_utilization(s.index))
+            for s in task.subtasks
+        ]
+        admitted = session.try_admit(task.visited_processors(plan), stages)
+        plans.append(plan if admitted else None)
     add_entries = []
     committed = []
     for job, plan in zip(jobs, plans):

@@ -21,34 +21,37 @@ Strategy semantics (paper section 4.2):
 Admission work executes on a dispatch thread of the task-manager CPU, so
 concurrent arrivals serialize and queueing delay is measured honestly.
 
+Every decision is one AUB test on one plan.  The plan is the home
+assignment without LB, a pinned per-task placement, or a "Location" plan
+from the LB, which only plans.  A sequential arrival is tested against
+the live ledger (:meth:`~repro.sched.aub.AubAnalyzer.admissible`) and
+committed stage by stage.
+
 **Burst batching** (the ``batching`` attribute, driven by a scenario's
 ``arrival_batching`` flag): instead of deciding one arrival per dispatch
 work item, incoming "Task Arrive" events accumulate in an arrival queue
-and the first work item to run drains the whole queue through
-:meth:`~repro.sched.aub.AubAnalyzer.admissible_batch` — one prune, one
-cache refresh, shared hypothetical totals, and a single ledger
-``add_batch`` commit for every accepted arrival in the burst.  Each
-arrival still pays its own sampled admission cost on the dispatch thread
-(CPU accounting is unchanged); what batching amortizes is the analyzer
-bookkeeping and the decision latency of arrivals queued behind the first.
+and the first work item to run drains the whole queue.  Fresh
+admissions are decided in segments, each through one analyzer session
+(:meth:`~repro.sched.aub.AubAnalyzer.batch_session`): plans score nodes
+against its overlay, which stands in for the interim ledger commits,
+each plan is tested once with ``try_admit``, and the segment commits
+through a single ledger ``add_batch``.  Decisions are bit-identical to
+the per-arrival path.  Each arrival still pays its own sampled
+admission cost on the dispatch thread (CPU accounting is unchanged);
+what batching amortizes is the analyzer bookkeeping and the decision
+latency of arrivals queued behind the first.
 
-Load-balanced configurations batch too: placements are planned and
-tested against one analyzer batch session per burst
-(:meth:`~repro.sched.aub.AubAnalyzer.batch_session`), whose overlay
-plays the role of the interim ledger commits each placement must
-observe, so decisions stay bit-identical to the per-arrival path while
-the burst commits through a single ledger ``add_batch``.  Only two
-cases re-enter the sequential flow mid-burst (after flushing the open
-batch segment, so ordering is preserved): a later job of a periodic
-task whose first job is still undecided in the same burst, and — under
-AC-per-task + LB-per-job — a cached-accept arrival that may *relocate*
-the live reservation, a ledger mutation later decisions must see.
+Two cases end the open segment and re-enter the sequential flow, so
+ordering is preserved: a later job of a periodic task whose first job
+is still undecided in the segment, and, under AC-per-task + LB-per-job,
+a cached-accept arrival that may *relocate* the live reservation, a
+ledger mutation later decisions must see.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ccm.component import AttributeSpec, Component
 from repro.ccm.events import (
@@ -72,13 +75,14 @@ from repro.core.strategies import (
 )
 from repro.cpu.thread import WorkItem
 from repro.errors import ComponentError
-from repro.sched.aub import (
-    RESERVED,
-    AubAnalyzer,
-    BatchCandidate,
-    SyntheticUtilizationLedger,
-)
+from repro.sched.aub import RESERVED, AubAnalyzer, SyntheticUtilizationLedger
 from repro.sched.task import Job, TaskSpec
+
+#: Reject reason of an arrival that fails the admission test.
+AUB_REJECT = "AUB condition (1) would be violated"
+
+#: One decided arrival of a burst: event, plan, reserved?, admitted?, visits.
+_Decided = Tuple[TaskArriveEvent, Dict[int, str], bool, bool, List[str]]
 
 
 @dataclass
@@ -127,8 +131,8 @@ class AdmissionControllerComponent(Component):
         "batching": AttributeSpec(
             bool,
             default=False,
-            doc="Drain simultaneous arrivals into one batched admission "
-            "test (admissible_batch) instead of deciding per event.",
+            doc="Drain queued arrivals through one analyzer batch session "
+            "per segment instead of deciding per event.",
         ),
     }
 
@@ -272,12 +276,31 @@ class AdmissionControllerComponent(Component):
         )
 
     def _decide(self, event: TaskArriveEvent) -> None:
+        """Sequential path: plan, one test against the live ledger, and a
+        stage-by-stage commit."""
         now = self.sim.now
         triage = self._triage(event, now)
         if triage is None:
             return
         record, per_task_ac = triage
-        self._admit_fresh(event, record, per_task_ac, now)
+        job = event.job
+        task = job.task
+        assignment = self._plan(job, record, self.ledger)
+        visits = task.visited_processors(assignment)
+        admitted = self.analyzer.admissible(
+            visits, self._contributions(task, assignment), now
+        )
+        if admitted:
+            job_index = RESERVED if per_task_ac else job.index
+            for subtask in task.subtasks:
+                self.ledger.add(
+                    assignment[subtask.index],
+                    (task.task_id, job_index, subtask.index),
+                    task.subtask_utilization(subtask.index),
+                    now,
+                )
+        self._record(record, task, per_task_ac, assignment, admitted)
+        self._publish(event, assignment, per_task_ac, admitted, visits)
 
     def _triage(
         self, event: TaskArriveEvent, now: float
@@ -308,39 +331,85 @@ class AdmissionControllerComponent(Component):
             return None
         return record, per_task_ac
 
-    def _admit_fresh(
-        self,
-        event: TaskArriveEvent,
-        record: TaskRecord,
-        per_task_ac: bool,
-        now: float,
-    ) -> None:
-        """Propose an assignment, run the admission test, publish."""
-        job = event.job
+    def _plan(self, job: Job, record: TaskRecord, source) -> Dict[int, str]:
+        """The assignment the admission test evaluates: the home placement
+        without LB, the pinned placement of an LB-per-task periodic task,
+        else an LB plan scored against ``source`` (the live ledger, or a
+        burst's session)."""
         task = job.task
-        assignment = self._propose_assignment(job, record, now)
-        if assignment is None:
-            admitted = False
-        else:
-            admitted = self._test_and_commit(job, assignment, per_task_ac, now)
-        # The assignment dict is owned by this decision path (home/LB plans
-        # are built fresh, and nothing mutates a stored plan in place), so
-        # the record and the Accept event can share it without copying.
+        lb = self.get_attribute("lb_strategy")
+        if lb == "N":
+            return task.home_assignment()
+        if lb == "T" and task.is_periodic and record.assignment is not None:
+            return record.assignment
+        return self._locator().location(job, source)
+
+    @staticmethod
+    def _contributions(task: TaskSpec, assignment: Dict[int, str]) -> Dict[str, float]:
+        """node -> the synthetic utilization ``assignment`` adds there."""
+        contribs: Dict[str, float] = {}
+        for subtask in task.subtasks:
+            node = assignment[subtask.index]
+            contribs[node] = contribs.get(node, 0.0) + task.subtask_utilization(
+                subtask.index
+            )
+        return contribs
+
+    def _record(
+        self,
+        record: TaskRecord,
+        task: TaskSpec,
+        per_task_ac: bool,
+        assignment: Dict[int, str],
+        admitted: bool,
+    ) -> None:
+        """Cache what the task's later jobs reuse: the AC-per-task decision
+        and the LB-per-task placement.  Plans are built fresh and never
+        mutated, so the record and the Accept event share the dict."""
         if per_task_ac:
             record.admitted = admitted
             record.assignment = assignment if admitted else None
-        if admitted:
-            if self.get_attribute("lb_strategy") == "T" and task.is_periodic:
-                record.assignment = assignment
-            self._send_accept(event, assignment)
+        if admitted and self.get_attribute("lb_strategy") == "T" and task.is_periodic:
+            record.assignment = assignment
+
+    def _publish(
+        self,
+        event: TaskArriveEvent,
+        assignment: Dict[int, str],
+        per_task_ac: bool,
+        admitted: bool,
+        visits: List[str],
+    ) -> None:
+        """Publish a decision whose ledger commit is done: an accept is
+        registered (until its deadline, unless reserved) first."""
+        if not admitted:
+            self._send_reject(event, AUB_REJECT)
+            return
+        job = event.job
+        task = job.task
+        if per_task_ac:
+            self.analyzer.register((task.task_id, RESERVED), visits, None)
         else:
-            self._send_reject(event, "AUB condition (1) would be violated")
+            self.analyzer.register(
+                (task.task_id, job.index), visits, job.absolute_deadline
+            )
+            self.sim.schedule_at(
+                job.absolute_deadline, self._expire_job, job, assignment
+            )
+        self._send_accept(event, assignment)
 
     # ------------------------------------------------------------------
     # Batched arrival handling
     # ------------------------------------------------------------------
     def _drain_arrivals(self, _payload=None) -> None:
-        """Decide every queued arrival in one batched admission pass."""
+        """Decide every queued arrival, fresh admissions in bursts.
+
+        An arrival whose sequential decision must observe the commits of
+        the arrivals before it ends the open segment and is decided
+        alone: a later job of a periodic task whose first (reserving) job
+        is in the segment, and, under AC-per-task + LB-per-job, a cached
+        accept that may relocate its reservation.
+        """
         events = self._arrival_queue
         if not events:
             return
@@ -349,56 +418,6 @@ class AdmissionControllerComponent(Component):
         self.batched_arrivals += len(events)
         if self._m_batch_size is not None:
             self._m_batch_size.observe(float(len(events)))
-        if self.lb_enabled:
-            self._drain_arrivals_lb(events)
-            return
-        now = self.sim.now
-        pending: List[Tuple[TaskArriveEvent, TaskRecord, bool]] = []
-        #: Periodic tasks whose first (reserving) job is in ``pending``.
-        reserving: set = set()
-        deferred: List[TaskArriveEvent] = []
-        for event in events:
-            task = event.job.task
-            if task.task_id in reserving:
-                # A later job of a periodic task whose first job is being
-                # decided in this very batch (AC per task): its outcome is
-                # that first job's cached decision, which exists only
-                # after the batch commits — defer, exactly as the
-                # sequential path would have found the cache populated.
-                deferred.append(event)
-                continue
-            triage = self._triage(event, now)
-            if triage is None:
-                continue
-            record, per_task_ac = triage
-            if per_task_ac:
-                reserving.add(task.task_id)
-            pending.append((event, record, per_task_ac))
-        if pending:
-            self._admit_batch(pending, now)
-        for event in deferred:
-            # The batch populated the per-task cache, so this re-enters
-            # the normal sequential flow as a cache hit (or, if the first
-            # job expired before deciding, as a fresh admission — the
-            # same state the sequential path would see).
-            self._decide(event)
-
-    def _drain_arrivals_lb(self, events: List[TaskArriveEvent]) -> None:
-        """Batched drain for load-balanced combos.
-
-        Placements are planned and tested against one analyzer batch
-        session: the session overlay stands in for the interim ledger
-        commits the sequential path interleaves between arrivals, so
-        plans and decisions are bit-identical to deciding each arrival
-        alone.  Two cases must leave the batch to preserve sequential
-        ordering — a later job of a periodic task whose first (reserving)
-        job sits in the open segment, and, under AC-per-task +
-        LB-per-job, a cached-accept arrival that may *relocate* the live
-        reservation (a ledger mutation every later decision must
-        observe).  Both flush the open segment first and then re-enter
-        the sequential flow, which sees exactly the state the per-arrival
-        path would have built.
-        """
         now = self.sim.now
         relocating = (
             self.get_attribute("ac_strategy") == "T"
@@ -407,26 +426,19 @@ class AdmissionControllerComponent(Component):
         segment: List[Tuple[TaskArriveEvent, TaskRecord, bool]] = []
         #: Periodic tasks whose first (reserving) job is in ``segment``.
         reserving: set = set()
-
-        def flush() -> None:
-            if segment:
-                self._admit_segment_lb(segment, now)
-                segment.clear()
-            reserving.clear()
-
         for event in events:
             task = event.job.task
-            if task.task_id in reserving:
-                flush()
+            alone = task.task_id in reserving
+            if not alone and relocating and task.is_periodic:
+                record = self._records.get(task.task_id)
+                alone = record is not None and bool(record.admitted)
+            if alone:
+                if segment:
+                    self._admit_burst(segment, now)
+                    segment = []
+                reserving.clear()
                 self._decide(event)
                 continue
-            if relocating and task.is_periodic:
-                record = self._records.get(task.task_id)
-                if record is not None and record.admitted:
-                    # Cached accept that may relocate the reservation.
-                    flush()
-                    self._decide(event)
-                    continue
             triage = self._triage(event, now)
             if triage is None:
                 continue
@@ -434,196 +446,58 @@ class AdmissionControllerComponent(Component):
             if per_task_ac:
                 reserving.add(task.task_id)
             segment.append((event, record, per_task_ac))
-        flush()
+        if segment:
+            self._admit_burst(segment, now)
 
-    def _admit_segment_lb(
+    def _admit_burst(
         self,
-        segment: List[Tuple[TaskArriveEvent, TaskRecord, bool]],
+        segment: Sequence[Tuple[TaskArriveEvent, TaskRecord, bool]],
         now: float,
     ) -> None:
-        """Plan and decide one contiguous run of fresh LB admissions
-        through a single analyzer batch session."""
-        locator = self._locator()
-        lb = self.get_attribute("lb_strategy")
-        # Worst-case demand envelope: every stage of every queued arrival
-        # counted on each processor it could be placed on.  Placements
-        # chosen below always stay inside it (plans pick from eligible
-        # sets; pinned assignments were themselves LB plans), which lets
-        # the session screen out registered tasks that no placement of
-        # this burst can push over the bound.
+        """Plan and test a segment of fresh admissions in one analyzer
+        session, commit the accepts with one ``add_batch``, then register
+        and publish in arrival order."""
+        homes_only = self.get_attribute("lb_strategy") == "N"
+        # Worst-case demand envelope: every stage of every arrival counted
+        # on each processor a plan may put it on (its home without LB, any
+        # eligible one otherwise; pinned placements were LB plans).  The
+        # session screens out registered tasks no placement of this burst
+        # can push over the bound.
         demand: Dict[str, float] = {}
         for event, _record, _per_task_ac in segment:
             task = event.job.task
             for subtask in task.subtasks:
                 value = task.subtask_utilization(subtask.index)
-                for node in subtask.eligible:
+                for node in (subtask.home,) if homes_only else subtask.eligible:
                     demand[node] = demand.get(node, 0.0) + value
         session = self.analyzer.batch_session(now, demand)
-        decided: List[
-            Tuple[TaskArriveEvent, Optional[Dict[int, str]], bool, bool]
-        ] = []
+        entries = []
+        decided: List[_Decided] = []
         for event, record, per_task_ac in segment:
             job = event.job
             task = job.task
-            if lb == "T" and task.is_periodic and record.assignment is not None:
-                # Pinned per-task placement: no Location call, just the
-                # admission test (the sequential path's test-and-commit).
-                assignment = record.assignment
-                admitted = session.try_admit(
-                    BatchCandidate(
-                        task.visited_processors(assignment),
-                        [
-                            (
-                                assignment[s.index],
-                                task.subtask_utilization(s.index),
-                            )
-                            for s in task.subtasks
-                        ],
+            assignment = self._plan(job, record, session)
+            visits = task.visited_processors(assignment)
+            stages = [
+                (assignment[s.index], task.subtask_utilization(s.index))
+                for s in task.subtasks
+            ]
+            admitted = session.try_admit(visits, stages)
+            if admitted:
+                job_index = RESERVED if per_task_ac else job.index
+                for subtask, (node, value) in zip(task.subtasks, stages):
+                    entries.append(
+                        (node, (task.task_id, job_index, subtask.index), value)
                     )
-                )
-            else:
-                assignment = locator.location_in_batch(job, session)
-                admitted = assignment is not None
-            # Records update inside the loop (not after the batch): a
-            # later arrival in this very segment may depend on them — the
-            # LB-per-task pin, the AC-per-task cached decision.
-            if per_task_ac:
-                record.admitted = admitted
-                record.assignment = assignment if admitted else None
-            if admitted and lb == "T" and task.is_periodic:
-                record.assignment = assignment
-            decided.append((event, assignment, per_task_ac, admitted))
-        self._finalize_batch(decided, now)
-
-    def _admit_batch(
-        self,
-        pending: List[Tuple[TaskArriveEvent, TaskRecord, bool]],
-        now: float,
-    ) -> None:
-        """Home-assignment burst admission through ``admissible_batch``."""
-        candidates: List[BatchCandidate] = []
-        assignments: List[Dict[int, str]] = []
-        for event, _record, _per_task_ac in pending:
-            task = event.job.task
-            assignment = task.home_assignment()
-            assignments.append(assignment)
-            candidates.append(
-                BatchCandidate(
-                    task.visited_processors(assignment),
-                    [
-                        (assignment[s.index], task.subtask_utilization(s.index))
-                        for s in task.subtasks
-                    ],
-                )
-            )
-        decisions = self.analyzer.admissible_batch(candidates, now)
-        decided: List[
-            Tuple[TaskArriveEvent, Optional[Dict[int, str]], bool, bool]
-        ] = []
-        for (event, record, per_task_ac), assignment, admitted in zip(
-            pending, assignments, decisions
-        ):
-            if per_task_ac:
-                record.admitted = admitted
-                record.assignment = assignment if admitted else None
-            decided.append((event, assignment, per_task_ac, admitted))
-        self._finalize_batch(decided, now)
-
-    def _finalize_batch(
-        self,
-        decided: List[Tuple[TaskArriveEvent, Optional[Dict[int, str]], bool, bool]],
-        now: float,
-    ) -> None:
-        """Commit and publish a batch of decisions.
-
-        One ledger commit for the whole burst: stage contributions in
-        decision order (bit-identical floats to per-arrival commits),
-        one change notification per touched node — then register, expiry
-        scheduling, and Accept/Reject publication per arrival.
-        """
-        add_entries = []
-        for event, assignment, per_task_ac, admitted in decided:
-            if not admitted:
-                continue
-            job = event.job
-            task = job.task
-            job_index = RESERVED if per_task_ac else job.index
-            for subtask in task.subtasks:
-                add_entries.append(
-                    (
-                        assignment[subtask.index],
-                        (task.task_id, job_index, subtask.index),
-                        task.subtask_utilization(subtask.index),
-                    )
-                )
-        if add_entries:
-            self.ledger.add_batch(add_entries, now)
-        for event, assignment, per_task_ac, admitted in decided:
-            job = event.job
-            task = job.task
-            if not admitted:
-                self._send_reject(event, "AUB condition (1) would be violated")
-                continue
-            job_index = RESERVED if per_task_ac else job.index
-            registry_key = (task.task_id, job_index)
-            expiry = None if per_task_ac else job.absolute_deadline
-            self.analyzer.register(
-                registry_key, task.visited_processors(assignment), expiry
-            )
-            if not per_task_ac:
-                self.sim.schedule_at(
-                    job.absolute_deadline, self._expire_job, job, assignment
-                )
-            self._send_accept(event, assignment)
-
-    def _propose_assignment(
-        self, job: Job, record: TaskRecord, now: float
-    ) -> Optional[Dict[int, str]]:
-        """Choose the assignment plan the admission test will evaluate."""
-        task = job.task
-        lb = self.get_attribute("lb_strategy")
-        if lb == "N":
-            return task.home_assignment()
-        if lb == "T" and task.is_periodic and record.assignment is not None:
-            return record.assignment
-        locator = self._locator()
-        return locator.location(job, now)
-
-    def _test_and_commit(
-        self,
-        job: Job,
-        assignment: Dict[int, str],
-        reserved: bool,
-        now: float,
-    ) -> bool:
-        """Run the admission test for ``assignment``; commit if it passes."""
-        task = job.task
-        visits = task.visited_processors(assignment)
-        contribs: Dict[str, float] = {}
-        for subtask in task.subtasks:
-            node = assignment[subtask.index]
-            contribs[node] = contribs.get(node, 0.0) + task.subtask_utilization(
-                subtask.index
-            )
-        if not self.analyzer.admissible(visits, contribs, now):
-            return False
-        job_index = RESERVED if reserved else job.index
-        for subtask in task.subtasks:
-            node = assignment[subtask.index]
-            self.ledger.add(
-                node,
-                (task.task_id, job_index, subtask.index),
-                task.subtask_utilization(subtask.index),
-                now,
-            )
-        registry_key = (task.task_id, job_index)
-        expiry = None if reserved else job.absolute_deadline
-        self.analyzer.register(registry_key, visits, expiry)
-        if not reserved:
-            self.sim.schedule_at(
-                job.absolute_deadline, self._expire_job, job, assignment
-            )
-        return True
+            # Records update inside the loop: a later arrival in this very
+            # segment may depend on them (the LB-per-task pin, the
+            # AC-per-task cached decision).
+            self._record(record, task, per_task_ac, assignment, admitted)
+            decided.append((event, assignment, per_task_ac, admitted, visits))
+        if entries:
+            self.ledger.add_batch(entries, now)
+        for decision in decided:
+            self._publish(*decision)
 
     def _expire_job(self, job: Job, assignment: Dict[int, str]) -> None:
         """Deadline expiry: the job leaves the current task set."""
@@ -635,17 +509,27 @@ class AdmissionControllerComponent(Component):
         self.analyzer.unregister((task.task_id, job.index))
 
     def _try_relocate_reserved(self, task: TaskSpec, record: TaskRecord) -> None:
-        """AC-per-task + LB-per-job: move the lifetime reservation if the
-        LB finds a better admissible placement for this job."""
-        locator = self._locator()
-        now = self.sim.now
-        proposed = locator.location_for_reserved(task, record.assignment, now)
-        if proposed is None or proposed == record.assignment:
+        """AC-per-task + LB-per-job: move the lifetime reservation when the
+        LB plans another placement and the move passes the admission test."""
+        current = record.assignment
+        proposed = self._locator().location_for_reserved(task, current)
+        if proposed is None:
             return
-        old = record.assignment
+        now = self.sim.now
+        # The move's deltas: the new placement minus the reservation.
+        delta = self._contributions(task, proposed)
+        for subtask in task.subtasks:
+            node = current[subtask.index]
+            delta[node] = delta.get(node, 0.0) - task.subtask_utilization(
+                subtask.index
+            )
+        visits = task.visited_processors(proposed)
+        key = (task.task_id, RESERVED)
+        if not self.analyzer.admissible(visits, delta, now, exclude=key):
+            return
         for subtask in task.subtasks:
             self.ledger.remove(
-                old[subtask.index], (task.task_id, RESERVED, subtask.index), now
+                current[subtask.index], (task.task_id, RESERVED, subtask.index), now
             )
         for subtask in task.subtasks:
             self.ledger.add(
@@ -654,9 +538,7 @@ class AdmissionControllerComponent(Component):
                 task.subtask_utilization(subtask.index),
                 now,
             )
-        self.analyzer.register(
-            (task.task_id, RESERVED), task.visited_processors(proposed), None
-        )
+        self.analyzer.register(key, visits, None)
         record.assignment = proposed
 
     # ------------------------------------------------------------------

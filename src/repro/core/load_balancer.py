@@ -10,9 +10,11 @@ decided; already-admitted tasks are never moved (paper section 4.4),
 except that under AC-per-task + LB-per-job the reservation of the *same*
 task may be relocated when one of its jobs arrives.
 
-The LB shares the AC's live ledger/analyzer through the
-``admission_state`` facet, so its plans are admissible exactly when the
-AC's subsequent bookkeeping says they are.
+The LB only plans.  The AC runs the AUB admission test on every plan,
+once, and rejects an inadmissible one like any other arrival.  Plans
+score nodes against a utilization source: the AC's live ledger, or the
+open burst session's overlay during a batched drain.  Relocation plans
+read the ledger the AC shares through the ``admission_state`` facet.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from repro.ccm.component import AttributeSpec, Component
 from repro.ccm.ports import Facet, Receptacle
 from repro.core.runtime import RuntimeEnv
 from repro.errors import ComponentError
-from repro.sched.aub import RESERVED, BatchAdmissionSession, BatchCandidate
 from repro.sched.task import Job, TaskSpec
 
 
@@ -45,8 +46,6 @@ class LoadBalancerComponent(Component):
         self.env = env
         self._state = Receptacle(self, "admission_state")
         self.location_calls = 0
-        self.plans_returned = 0
-        self.reallocations_proposed = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -78,85 +77,37 @@ class LoadBalancerComponent(Component):
     # ------------------------------------------------------------------
     # Location interface (called synchronously by the AC)
     # ------------------------------------------------------------------
-    def location(self, job: Job, now: float) -> Optional[Dict[int, str]]:
-        """Propose an admissible assignment for ``job``, or None.
+    def location(self, job: Job, source) -> Dict[int, str]:
+        """Plan an assignment for ``job`` against ``source``.
 
         Greedy heuristic: stage by stage, pick the eligible processor with
-        the lowest synthetic utilization (counting utilization this plan
-        has already placed), then verify the AUB condition for the whole
-        system under the plan.
+        the lowest synthetic utilization, counting what this plan has
+        already placed.  ``source`` is anything with ``utilization(node)``:
+        the live ledger, or a
+        :class:`~repro.sched.aub.BatchAdmissionSession`, whose overlay
+        holds the placements accepted earlier in the burst.
         """
         self.location_calls += 1
-        state = self._state()
-        task = job.task
-        assignment, contribs = self._greedy_plan(task, state.ledger)
-        visits = task.visited_processors(assignment)
-        if not state.analyzer.admissible(visits, contribs, now):
-            return None
-        self.plans_returned += 1
-        return assignment
+        return self._greedy_plan(job.task, source)
 
-    def location_in_batch(
-        self, job: Job, session: BatchAdmissionSession
-    ) -> Optional[Dict[int, str]]:
-        """Batch counterpart of :meth:`location` for a drained burst.
-
-        Plans against the session's overlay view — the live ledger plus
-        every placement this burst has already accepted — so the greedy
-        scores see exactly the utilizations the sequential path's interim
-        ledger commits would have produced.  The plan is tested once
-        through the session (the sequential path tests it twice, in
-        ``location()`` and again in the AC's test-and-commit, but under
-        an unchanged ledger both tests agree, so decisions stay
-        bit-identical) and committed into the overlay on success.
-        Returns the admissible assignment, or None.
-        """
-        self.location_calls += 1
-        task = job.task
-        assignment, _added = self._greedy_plan(task, session)
-        candidate = BatchCandidate(
-            task.visited_processors(assignment),
-            [
-                (assignment[s.index], task.subtask_utilization(s.index))
-                for s in task.subtasks
-            ],
-        )
-        if not session.try_admit(candidate):
-            return None
-        self.plans_returned += 1
-        return assignment
+    #: The per-layer tracer in ``bench_e2e/layer_trace.py`` patches this
+    #: name; it goes with the tracer's span wrappers (ROADMAP item 5).
+    location_in_batch = location
 
     def location_for_reserved(
-        self, task: TaskSpec, current: Dict[int, str], now: float
+        self, task: TaskSpec, current: Dict[int, str]
     ) -> Optional[Dict[int, str]]:
-        """Propose moving an already-reserved task's assignment.
+        """Plan a move of an already-reserved task (AC-per-task +
+        LB-per-job), or None when the plan keeps ``current``.
 
-        Used for AC-per-task + LB-per-job.  Returns an admissible new
-        assignment evaluated as a *delta* against the existing reservation
-        (contributions move between processors), or None when no
-        admissible improvement exists.
+        Each stage's own reservation is discounted on the node holding
+        it, so the plan is not biased against staying put.
         """
         self.location_calls += 1
-        state = self._state()
-        assignment, delta = self._greedy_plan(
-            task, state.ledger, discount=current
+        assignment = self._greedy_plan(
+            task, self._state().ledger, discount=current
         )
-        if assignment == current:
-            return None
-        # The plan's contribution map is owned by this call, so the move
-        # deltas (new placement minus current reservation) fold in place.
-        for subtask in task.subtasks:
-            node = current[subtask.index]
-            delta[node] = delta.get(node, 0.0) - task.subtask_utilization(
-                subtask.index
-            )
-        visits = task.visited_processors(assignment)
-        if not state.analyzer.admissible(
-            visits, delta, now, exclude=(task.task_id, RESERVED)
-        ):
-            return None
-        self.reallocations_proposed += 1
-        return assignment
+        return None if assignment == current else assignment
 
     # ------------------------------------------------------------------
     # Internals
@@ -164,19 +115,14 @@ class LoadBalancerComponent(Component):
     def _greedy_plan(
         self,
         task: TaskSpec,
-        ledger,
+        source,
         discount: Optional[Dict[int, str]] = None,
-    ):
+    ) -> Dict[int, str]:
         """Stage-by-stage lowest-utilization placement.
 
-        ``ledger`` is any utilization source exposing ``utilization(node)``
-        — the live ledger on the sequential path, a
-        :class:`~repro.sched.aub.BatchAdmissionSession` (ledger plus
-        batch overlay) on the batched path.  ``discount`` maps subtask
-        index -> node currently holding that subtask's reservation; the
-        reservation's utilization is subtracted when scoring that node so
-        a relocation decision is not biased against keeping the current
-        placement.
+        ``discount`` maps subtask index -> node currently holding that
+        subtask's reservation; the reservation's utilization is
+        subtracted when scoring that node.
         """
         assignment: Dict[int, str] = {}
         added: Dict[str, float] = {}
@@ -186,7 +132,7 @@ class LoadBalancerComponent(Component):
             best = None
             best_score = None
             for node in subtask.eligible:
-                base = ledger.utilization(node) + added.get(node, 0.0)
+                base = source.utilization(node) + added.get(node, 0.0)
                 if node == current:
                     base -= u
                 score = (base, node)
@@ -195,4 +141,4 @@ class LoadBalancerComponent(Component):
                     best_score = score
             assignment[subtask.index] = best
             added[best] = added.get(best, 0.0) + u
-        return assignment, added
+        return assignment

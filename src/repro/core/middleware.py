@@ -95,8 +95,8 @@ class MiddlewareSystem:
         self.aperiodic_interarrival_factor = aperiodic_interarrival_factor
         #: Batched hot path: simultaneous arrivals are delivered to the
         #: task effectors as one kernel batch, and the AC drains its
-        #: arrival queue through admissible_batch (home placement) or a
-        #: batch placement session (load-balanced combos).
+        #: arrival queue through one analyzer batch session per segment
+        #: (home, pinned or LB placements alike).
         self.arrival_batching = arrival_batching
         self.sim = Simulator()
         self.rngs = RngRegistry(seed)

@@ -41,10 +41,10 @@ class AdmissionPolicy(ABC):
         """Decide a burst of simultaneous arrivals, in arrival order.
 
         The default is the literal sequential loop.  Policies with a
-        batched fast path (the AUB engine's ``admissible_batch`` and
-        batch sessions) may override it; overrides must keep decisions
-        bit-identical to this loop — the contract every batched hot path
-        in the middleware is property-tested against.
+        batched fast path (the AUB engine's batch sessions) may override
+        it; overrides must keep decisions bit-identical to this loop —
+        the contract every batched hot path in the middleware is
+        property-tested against.
         """
         return [self.on_arrival(job, now) for job in jobs]
 

@@ -34,14 +34,14 @@ Two analyzer implementations share the same API:
   with per-task cached condition totals, and retires expired registrations
   through a min-heap instead of a linear sweep.  An admission test only
   evaluates the candidate plus the tasks that visit a node whose
-  utilization would actually change.  :meth:`AubAnalyzer.admissible_batch`
-  admits a whole burst of simultaneous arrivals in one call: one prune,
-  one screen, one dirty refresh, shared hypothetical per-node totals, and
-  O(changed-nodes) bookkeeping per accepted candidate.
-  :meth:`AubAnalyzer.batch_session` opens the same overlay machinery
-  incrementally (:class:`BatchAdmissionSession`) for bursts whose
-  candidates are built on the fly — load-balanced placement plans that
-  must score nodes against the placements accepted before them.
+  utilization would actually change.  The test is written once, in
+  :class:`BatchAdmissionSession`: :meth:`AubAnalyzer.admissible` runs it
+  against the live ledger, and a burst of simultaneous arrivals opens one
+  session (:meth:`AubAnalyzer.batch_session`: one prune, one screen, one
+  dirty refresh) whose overlay stands in for the interim ledger commits,
+  at O(changed-nodes) bookkeeping per accepted candidate.  The overlay
+  is also the load balancer's utilization view, so placements planned
+  during a burst score nodes against the placements accepted before them.
 * :class:`NaiveAubAnalyzer` — the direct transcription of condition (1)
   (snapshot the ledger, rescan every registered task).  Retained as the
   reference implementation: property tests assert the incremental engine
@@ -99,7 +99,7 @@ _BULK_MIN = 16
 #: exactly the bound are not rejected by floating-point noise.
 EPSILON = 1e-9
 
-#: Safety margin of the batch screen (see ``admissible_batch``): a task
+#: Safety margin of the batch screen (see ``_screen_burst``): a task
 #: is exempted from per-candidate re-evaluation only if its condition
 #: under the burst's worst-case totals stays this far *below* the
 #: admission bound.  The margin dwarfs the ulp-scale wobble of float
@@ -439,55 +439,6 @@ class SyntheticUtilizationLedger:
         return self._shard(node).stat.average(until)
 
 
-class BatchCandidate:
-    """One arrival in a burst submitted to ``admissible_batch``.
-
-    Parameters
-    ----------
-    visits:
-        Processor list the candidate visits (one entry per stage).
-    stage_contribs:
-        The per-stage ``(node, utilization)`` contributions **in commit
-        order**.  Kept separate from the aggregated ``contribs`` mapping
-        because the ledger accrues stage values one at a time and float
-        addition is not associative — replaying the exact commit order is
-        what keeps batch decisions bit-identical to the sequential
-        test-and-commit path.
-    key:
-        Optional registry key carried for the caller's bookkeeping;
-        ``admissible_batch`` itself never registers anything.
-
-    Batch candidates model *arrivals*, so stage contributions must be
-    non-negative (relocations with mixed-sign deltas go through the
-    per-candidate :meth:`AubAnalyzer.admissible` path).
-    """
-
-    __slots__ = ("visits", "stage_contribs", "contribs", "key")
-
-    def __init__(
-        self,
-        visits: Sequence[str],
-        stage_contribs: Sequence[Tuple[str, float]],
-        key: Optional[Tuple[str, int]] = None,
-    ) -> None:
-        self.visits: Tuple[str, ...] = tuple(visits)
-        self.stage_contribs: Tuple[Tuple[str, float], ...] = tuple(
-            (node, float(value)) for node, value in stage_contribs
-        )
-        contribs: Dict[str, float] = {}
-        for node, value in self.stage_contribs:
-            if value < 0:
-                raise SchedulingError(
-                    f"batch candidates are arrivals; stage contribution on "
-                    f"{node!r} must be >= 0, got {value}"
-                )
-            # The same aggregation expression the admission controller
-            # uses, so the tested deltas are the same floats.
-            contribs[node] = contribs.get(node, 0.0) + value
-        self.contribs = contribs
-        self.key = key
-
-
 class AubAnalyzer:
     """System-wide AUB admission testing over a ledger — incremental engine.
 
@@ -512,11 +463,11 @@ class AubAnalyzer:
     by the candidate are covered by the cached-total invariant (their
     condition value cannot have changed since it was last computed).
 
-    :meth:`admissible_batch` extends the same machinery to a burst of
-    simultaneous arrivals: prune, screen and dirty refresh run once,
-    hypothetical per-node totals are shared across the burst, and each
-    accepted candidate costs only O(changed nodes) overlay updates — no
-    ledger mutation, no cache invalidation, no per-candidate refresh storm.
+    :meth:`batch_session` extends the same machinery to a burst of
+    simultaneous arrivals: prune, screen and dirty refresh run once, and
+    each accepted candidate costs only O(changed nodes) overlay updates —
+    no ledger mutation, no cache invalidation, no per-candidate refresh
+    storm.
 
     With numpy, the burst screen reads a matrix with one row of
     per-ledger-node visit counts per registration, built from the
@@ -571,6 +522,9 @@ class AubAnalyzer:
         # REPRO_SANITIZE=1 (checked once, at construction): audit the
         # caches against a fresh recompute at every admission entry point.
         self._sanitize = sanitize_enabled()
+        #: The session :meth:`admissible` tests through: no overlay, no
+        #: screen, and the live term cache in place of a copy.
+        self._live = BatchAdmissionSession(self, self._node_terms)
         ledger.subscribe(self._on_ledger_change)
 
     # ------------------------------------------------------------------
@@ -590,7 +544,7 @@ class AubAnalyzer:
         Afterwards the cache holds the current term of every ledger node
         (all of them are stale at construction), so a node missing from
         it is unknown to the ledger and its term is ``f(0) = 0.0``: loops
-        read ``terms.get(node, 0.0)``.  Batches and sessions never mutate
+        read ``terms.get(node, 0.0)``.  Sessions never mutate
         the ledger, so the cache stays complete until they end.
         """
         stale = self._stale_nodes
@@ -977,511 +931,269 @@ class AubAnalyzer:
         exclude:
             Registry key whose old visit list should be ignored (the task
             being relocated; its new visit list is ``candidate_visits``).
+
+        Prune and the dirty refresh run first; the test itself is
+        :meth:`BatchAdmissionSession._test` on the analyzer's own session,
+        whose overlay stays empty and which reads the term cache in place,
+        so a call opens no session.
         """
-        self.tests_performed += 1
         if self._sanitize:
             self._sanitize_audit_caches()
         self.prune(now)
-        terms = self._fill_stale_terms()
-        ledger = self.ledger
-        # Hypothetical post-admission utilization on each touched node.
-        hyp: Dict[str, float] = {}
-        for node, extra in candidate_contribs.items():
-            hyp[node] = max(0.0, ledger.utilization_or_zero(node) + extra)
-        # Every processor must stay below saturation for f(u) to be finite.
-        for node in set(candidate_visits):
-            u = hyp.get(node)
-            if u is None:
-                u = ledger.utilization_or_zero(node)
-            if u >= 1.0:
-                return False
-        # The candidate's own condition.
-        total = 0.0
-        for node in candidate_visits:
-            u = hyp.get(node)
-            total += terms.get(node, 0.0) if u is None else aub_term(u)
-            if total > 1.0 + EPSILON:
-                return False
-        # Registered tasks: only those visiting a node whose utilization
-        # would actually change can see their condition value move.
         self._refresh_dirty()
-        affected: Set[Tuple[str, int]] = set()
-        by_node = self._by_node
-        for node, extra in candidate_contribs.items():
-            if extra == 0.0:
-                continue
-            keys = by_node.get(node)
-            if keys:
-                affected.update(keys)
-        if self._violating:
-            # A task already over the bound fails the test no matter what
-            # the candidate changes elsewhere (mirrors the full rescan).
-            for key in self._violating:
-                if key != exclude and key not in affected:
-                    return False
-        registry = self._visits
-        for key in affected:
-            if key == exclude:
-                continue
-            total = 0.0
-            for node in registry[key][0]:
-                u = hyp.get(node)
-                total += terms.get(node, 0.0) if u is None else aub_term(u)
-                if total > 1.0 + EPSILON:
-                    return False
-        return True
+        return self._live._test(candidate_visits, candidate_contribs, exclude)
 
     def admissible_batch(
         self,
-        candidates: Sequence[BatchCandidate],
+        candidates: Sequence[Tuple[Sequence[str], Sequence[Tuple[str, float]]]],
         now: float,
     ) -> List[bool]:
-        """Greedy burst admission: one decision per candidate, in order.
-
-        Decisions are **bit-identical** to testing each candidate with
-        :meth:`admissible` and committing each accepted candidate's
-        contributions (stage by stage, in order) to the ledger before
-        testing the next — the prefix-greedy set.  The call is pure: the
-        ledger and the registry are untouched; the caller commits accepted
-        candidates afterwards (e.g. one
-        :meth:`SyntheticUtilizationLedger.add_batch` over the accepted
-        stage contributions in candidate order, then ``register()`` each).
-
-        The batch amortizes everything the per-arrival path pays per
-        arrival.  Prune runs once, then the **shared hypothetical totals
-        screen** (:meth:`_screen_burst`): every registered task on a
-        burst-touched node is evaluated once against the worst-case
-        per-node totals ``U_max`` (current totals plus *every*
-        candidate's stage deltas).  A task it clears can never fail
-        inside this batch and is exempted from every per-candidate
-        rescan and from the dirty refresh, which runs once after the
-        screen.  Only the tasks the screen puts on watch are re-evaluated
-        exactly, per candidate, with the same floats the sequential path
-        would compute.  An accepted candidate costs O(changed nodes)
-        overlay updates plus its own one-off screen — no ledger
-        mutation, so no cache invalidation and no re-refresh storm
-        between candidates.
-        """
-        if self._sanitize:
-            self._sanitize_audit_caches()
-        self.prune(now)
-        ledger = self.ledger
-        # Shared worst-case totals: current totals plus every candidate's
-        # stage deltas.
-        umax: Dict[str, float] = {}
-        for cand in candidates:
-            for node, value in cand.stage_contribs:
-                base = umax.get(node)
-                if base is None:
-                    base = ledger.utilization_or_zero(node)
-                umax[node] = base + value
-        watch, umax_terms = self._screen_burst(umax)
-        screen_bound = 1.0 + EPSILON - SCREEN_GUARD
-        terms = self._node_terms
-        by_node = self._by_node
-        registry = self._visits
-        violating = self._violating
-        # Batch-local overlay over the ledger: running totals for nodes an
-        # accepted candidate touched, cached f() terms for those nodes,
-        # and a node -> watched-accepted-candidate reverse index (accepted
-        # candidates join the rescan set exactly like registered tasks,
-        # and are screened against U_max the same way).
-        over_totals: Dict[str, float] = {}
-        over_terms: Dict[str, float] = {}
-        accepted_by_node: Dict[str, Set[int]] = {}
-        accepted_visits: List[Tuple[str, ...]] = []
-        decisions: List[bool] = []
-        for cand in candidates:
-            self.tests_performed += 1
-            visits = cand.visits
-            contribs = cand.contribs
-            # Hypothetical post-admission utilization on each touched node.
-            hyp: Dict[str, float] = {}
-            for node, extra in contribs.items():
-                base = over_totals.get(node)
-                if base is None:
-                    base = ledger.utilization_or_zero(node)
-                hyp[node] = max(0.0, base + extra)
-            ok = True
-            # Every processor must stay below saturation.
-            for node in set(visits):
-                u = hyp.get(node)
-                if u is None:
-                    u = over_totals.get(node)
-                    if u is None:
-                        u = ledger.utilization_or_zero(node)
-                if u >= 1.0:
-                    ok = False
-                    break
-            # The candidate's own condition.
-            if ok:
-                total = 0.0
-                for node in visits:
-                    u = hyp.get(node)
-                    if u is None:
-                        total += self._overlay_term(node, over_totals, over_terms)
-                    else:
-                        total += aub_term(u)
-                    if total > 1.0 + EPSILON:
-                        ok = False
-                        break
-            # Watched registered tasks and watched earlier-accepted
-            # candidates visiting a node this candidate would change.
-            # (Screened-out tasks cannot fail under any state <= U_max.)
-            affected: Set[Tuple[str, int]] = set()
-            affected_accepted: Set[int] = set()
-            if ok and (watch or accepted_by_node):
-                for node, extra in contribs.items():
-                    if extra == 0.0:
-                        continue
-                    keys = by_node.get(node)
-                    if keys and watch:
-                        affected.update(keys & watch)
-                    batch_keys = accepted_by_node.get(node)
-                    if batch_keys:
-                        affected_accepted.update(batch_keys)
-            if ok and violating:
-                # A task already over the bound fails the test no matter
-                # what this candidate changes elsewhere; with non-negative
-                # arrival deltas it cannot recover inside the batch, so
-                # every candidate is rejected either here or in the
-                # affected rescan below (violating tasks screen onto the
-                # watch list whenever a candidate touches their nodes).
-                for key in violating:
-                    if key not in affected:
-                        ok = False
-                        break
-            if ok:
-                for key in affected:
-                    total = 0.0
-                    for node in registry[key][0]:
-                        u = hyp.get(node)
-                        if u is None:
-                            total += self._overlay_term(
-                                node, over_totals, over_terms
-                            )
-                        else:
-                            total += aub_term(u)
-                        if total > 1.0 + EPSILON:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                for index in affected_accepted:
-                    total = 0.0
-                    for node in accepted_visits[index]:
-                        u = hyp.get(node)
-                        if u is None:
-                            total += self._overlay_term(
-                                node, over_totals, over_terms
-                            )
-                        else:
-                            total += aub_term(u)
-                        if total > 1.0 + EPSILON:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            decisions.append(ok)
-            if ok:
-                # Commit into the overlay: replay the exact per-stage
-                # additions the ledger would perform, then invalidate the
-                # overlay terms of the changed nodes — O(changed nodes).
-                index = len(accepted_visits)
-                accepted_visits.append(visits)
-                for node, value in cand.stage_contribs:
-                    base = over_totals.get(node)
-                    if base is None:
-                        base = ledger.utilization_or_zero(node)
-                    over_totals[node] = base + value
-                # Screen the accepted candidate against U_max like a
-                # registered task: only watched ones are ever rescanned.
-                total = 0.0
-                watched = False
-                for node in visits:
-                    term = umax_terms.get(node)
-                    total += terms.get(node, 0.0) if term is None else term
-                    if total > screen_bound:
-                        watched = True
-                        break
-                for node in contribs:
-                    over_terms.pop(node, None)
-                    if watched:
-                        members = accepted_by_node.get(node)
-                        if members is None:
-                            accepted_by_node[node] = {index}
-                        else:
-                            members.add(index)
-        return decisions
-
-    def _overlay_term(
-        self,
-        node: str,
-        over_totals: Dict[str, float],
-        over_terms: Dict[str, float],
-    ) -> float:
-        """Cached f(U_j) under the batch overlay (falls back to the
-        ledger-level cached term for nodes the batch has not changed)."""
-        term = over_terms.get(node)
-        if term is None:
-            u = over_totals.get(node)
-            if u is None:
-                return self._node_terms.get(node, 0.0)
-            term = aub_term(u)
-            over_terms[node] = term
-        return term
+        """Greedy burst admission of ``(visits, stage_contribs)`` arrivals:
+        one :meth:`batch_session` screened by the burst's summed stage
+        deltas, one :meth:`BatchAdmissionSession.try_admit` per candidate,
+        in order.  The ledger and registry are untouched."""
+        demand: Dict[str, float] = {}
+        for _visits, stage_contribs in candidates:
+            for node, value in stage_contribs:
+                demand[node] = demand.get(node, 0.0) + value
+        session = self.batch_session(now, demand)
+        return [session.try_admit(visits, stages) for visits, stages in candidates]
 
     def batch_session(
         self, now: float, demand: Optional[Mapping[str, float]] = None
     ) -> "BatchAdmissionSession":
-        """Open an incremental burst-admission session.
+        """Open a burst-admission session at ``now``.
 
-        :meth:`admissible_batch` needs every candidate up front;
-        load-balanced bursts cannot provide that because each placement
-        plan scores nodes against the utilization left by the plans
-        accepted before it.  A session exposes the same batch-local
-        overlay one candidate at a time (see
-        :class:`BatchAdmissionSession`); prune, screen and dirty refresh
-        run once here, at session start.
-
-        ``demand`` optionally maps node -> the worst-case synthetic
-        utilization the whole burst could add there (every stage of every
-        queued arrival counted on each of its eligible processors).  The
-        placements are unknown up front but their demand envelope is not,
-        and it is enough to run the same worst-case screen
-        ``admissible_batch`` builds from its candidate list: registered
-        tasks whose condition holds under the envelope can never fail
-        inside the burst and are exempted from every per-candidate
-        rescan.  Every candidate later offered to ``try_admit`` must stay
-        inside the envelope, or the screen is unsound.
+        Prune runs once here, then the dirty refresh or, given ``demand``,
+        the worst-case screen (:meth:`_screen_burst`).  ``demand`` maps
+        node -> the most synthetic utilization the whole burst could add
+        there: the AC counts every stage of every queued arrival on each
+        processor it may be placed on.  A registered task whose condition
+        holds under the envelope's totals can never fail inside the burst
+        and is exempt from every rescan.  Every candidate later offered
+        to ``try_admit`` must stay inside the envelope, or the screen is
+        unsound.
         """
         if self._sanitize:
             self._sanitize_audit_caches()
         self.batch_sessions += 1
-        return BatchAdmissionSession(self, now, demand)
+        self.prune(now)
+        if demand is None:
+            self._refresh_dirty()
+            return BatchAdmissionSession(self, dict(self._node_terms))
+        utilization = self.ledger.utilization_or_zero
+        watch, umax_terms = self._screen_burst(
+            {node: utilization(node) + extra for node, extra in demand.items()}
+        )
+        return BatchAdmissionSession(
+            self, dict(self._node_terms), watch, umax_terms
+        )
 
 
 class BatchAdmissionSession:
-    """Incremental burst admission for candidates built *during* the batch.
+    """The AUB admission test, over the ledger plus a burst's overlay.
 
-    The load balancer plans one placement at a time: each plan's node
-    scores must include the contributions of every placement accepted
-    earlier in the burst.  A session carries the same batch-local overlay
-    :meth:`AubAnalyzer.admissible_batch` uses — running per-node totals,
-    cached overlay terms, and the accepted-candidate rescan index — but
-    accepts candidates one by one: :meth:`utilization` is the planner's
-    view (overlay where the batch changed a node, live ledger otherwise)
-    and :meth:`try_admit` tests a candidate and folds it into the overlay
-    on success, at O(changed nodes) cost with no ledger mutation and no
-    cache invalidation between candidates.
+    :meth:`_test` is the incremental engine's one implementation of
+    condition (1).  :meth:`AubAnalyzer.admissible` runs it on the
+    analyzer's own session, whose overlay stays empty.  A burst session
+    (:meth:`AubAnalyzer.batch_session`) accepts candidates one by one
+    through :meth:`try_admit`, which folds each accepted candidate into
+    the overlay: running per-node totals, the ``f`` terms of the nodes
+    they changed, and an index of accepted candidates to rescan.
+    :meth:`utilization` is the load balancer's view of the same state, so
+    each placement scores nodes against the placements accepted before it.
 
-    Decisions and floats are **bit-identical** to the sequential loop of
-    :meth:`AubAnalyzer.admissible` followed by per-stage ledger commits
-    and ``register()`` for each accepted candidate: overlay totals replay
-    the exact per-stage additions a ledger commit performs, hypothetical
-    states use the same ``max(0, U + delta)`` expression, and every
-    rescan recomputes the same visit-order sums with the same early exit.
-    Each test rescans the registered tasks and earlier-accepted
-    candidates on the nodes the candidate would change — exactly the set
-    the sequential path rescans — unless a ``demand`` envelope was given
-    at session start, in which case the same worst-case screen
-    ``admissible_batch`` runs over its candidate list runs here over the
-    envelope: burst deltas are non-negative and ``f`` is monotone, so a
-    task whose condition holds under the envelope totals (by at least
-    :data:`SCREEN_GUARD`) would pass every rescan the sequential path
-    performs, and skipping those rescans cannot change a decision.
+    Decisions and floats are **bit-identical** to testing each candidate
+    with :class:`NaiveAubAnalyzer` and committing it stage by stage before
+    testing the next: overlay totals replay the per-stage additions a
+    ledger commit performs, hypothetical totals use the same
+    ``max(0, U + delta)`` expression, and every sum runs in visit order
+    with the same early exit.  A test rescans the registered tasks and
+    the accepted candidates on the nodes the candidate would change,
+    except those a demand envelope's screen exempted.
 
-    Sessions model arrival bursts at one instant: candidate stage
-    contributions are non-negative and ``now`` is fixed at session start.
-    The session never touches the ledger or the registry; the caller
-    commits accepted candidates afterwards (one
-    :meth:`SyntheticUtilizationLedger.add_batch` over the accepted stage
-    contributions in acceptance order, then ``register()`` each).
+    A burst session models arrivals at one instant: stage contributions
+    are non-negative and ``now`` is fixed when it opens.  It never
+    touches the ledger or the registry; the caller commits the accepted
+    candidates afterwards (one :meth:`SyntheticUtilizationLedger.add_batch`
+    over their stage contributions in acceptance order, then
+    ``register()`` each).
     """
 
     __slots__ = (
         "_analyzer",
+        "_terms",
+        "_by_node",
+        "_umax_terms",
         "_over_totals",
-        "_over_terms",
         "_accepted_by_node",
         "_accepted_visits",
-        "_watch",
-        "_umax_terms",
     )
 
     def __init__(
         self,
         analyzer: AubAnalyzer,
-        now: float,
-        demand: Optional[Mapping[str, float]] = None,
+        terms: Dict[str, float],
+        watch: Optional[Set[Tuple[str, int]]] = None,
+        umax_terms: Optional[Dict[str, float]] = None,
     ) -> None:
-        analyzer.prune(now)
         self._analyzer = analyzer
-        #: Running post-commit totals for nodes accepted candidates touched.
+        #: f() of every ledger node under ledger + overlay.
+        self._terms = terms
+        #: node -> registered keys a test rescans: every registration
+        #: without a screen, else those the screen put on ``watch``.
+        self._by_node: Dict[str, Set[Tuple[str, int]]] = analyzer._by_node
+        if watch is not None:
+            self._by_node = {}
+            for key in watch:
+                for node in analyzer._visits[key][0]:
+                    keys = self._by_node.get(node)
+                    if keys is None:
+                        self._by_node[node] = {key}
+                    else:
+                        keys.add(key)
+        #: f() at the envelope's worst-case totals, per burst node.
+        self._umax_terms = umax_terms
+        #: Post-commit totals of the nodes accepted candidates touched.
         self._over_totals: Dict[str, float] = {}
-        #: Cached f() terms for overlay nodes (invalidated on commit).
-        self._over_terms: Dict[str, float] = {}
-        #: node -> indices of accepted candidates visiting it.
+        #: node -> indices of the watched accepted candidates visiting it.
         self._accepted_by_node: Dict[str, Set[int]] = {}
-        self._accepted_visits: List[Tuple[str, ...]] = []
-        #: Registered keys the worst-case screen could not exempt (None
-        #: when no demand envelope was given: rescan everything).
-        self._watch: Optional[Set[Tuple[str, int]]] = None
-        #: f() terms at the envelope's worst-case per-node totals.
-        self._umax_terms: Optional[Dict[str, float]] = None
-        if demand is None:
-            analyzer._refresh_dirty()
-            return
-        # The screen admissible_batch builds from its candidate list, with
-        # the envelope in the role of the burst's summed stage deltas.
-        ledger = analyzer.ledger
-        self._watch, self._umax_terms = analyzer._screen_burst(
-            {
-                node: ledger.utilization_or_zero(node) + extra
-                for node, extra in demand.items()
-            }
-        )
-
-    @property
-    def accepted(self) -> int:
-        return len(self._accepted_visits)
+        self._accepted_visits: List[Sequence[str]] = []
 
     def utilization(self, node: str) -> float:
-        """The planner's utilization view: the overlay total where this
-        batch already placed something, the live ledger total otherwise
-        (same floats a ledger commit would have produced)."""
+        """The planner's view: the overlay total where this burst already
+        placed something, the live ledger total otherwise (the floats a
+        ledger commit would have produced)."""
         total = self._over_totals.get(node)
         if total is None:
             return self._analyzer.ledger.utilization(node)
         return total
 
-    def try_admit(self, cand: BatchCandidate) -> bool:
-        """Test ``cand`` under ledger + overlay; commit it into the
-        overlay and return True when the system stays schedulable."""
-        analyzer = self._analyzer
-        analyzer.tests_performed += 1
-        ledger = analyzer.ledger
+    def try_admit(
+        self,
+        visits: Sequence[str],
+        stage_contribs: Sequence[Tuple[str, float]],
+    ) -> bool:
+        """Test an arrival under ledger + overlay; on success fold it into
+        the overlay and return True.
+
+        ``stage_contribs`` lists the arrival's ``(node, utilization)``
+        stage contributions in commit order.  The overlay replays them
+        one addition at a time, as the ledger will, because float
+        addition is not associative.  An accept costs O(changed nodes):
+        no ledger mutation, no cache invalidation.
+        """
+        contribs: Dict[str, float] = {}
+        for node, value in stage_contribs:
+            contribs[node] = contribs.get(node, 0.0) + value
+        if not self._test(visits, contribs):
+            return False
+        utilization = self._analyzer.ledger.utilization_or_zero
         over_totals = self._over_totals
-        over_terms = self._over_terms
-        visits = cand.visits
-        # Hypothetical post-admission utilization on each touched node.
-        hyp: Dict[str, float] = {}
-        for node, extra in cand.contribs.items():
+        for node, value in stage_contribs:
             base = over_totals.get(node)
             if base is None:
-                base = ledger.utilization_or_zero(node)
-            hyp[node] = max(0.0, base + extra)
-        # Every processor must stay below saturation.
-        for node in set(visits):
-            u = hyp.get(node)
-            if u is None:
-                u = over_totals.get(node)
-                if u is None:
-                    u = ledger.utilization_or_zero(node)
-            if u >= 1.0:
-                return False
+                base = utilization(node)
+            over_totals[node] = base + value
+        terms = self._terms
+        for node in contribs:
+            terms[node] = aub_term(over_totals[node])
+        # Screen the accepted candidate against the envelope like a
+        # registered task: only a watched one is ever rescanned.
+        umax_terms = self._umax_terms
+        if umax_terms is not None:
+            node_terms = self._analyzer._node_terms
+            screen_bound = 1.0 + EPSILON - SCREEN_GUARD
+            total = 0.0
+            for node in visits:
+                term = umax_terms.get(node)
+                total += node_terms.get(node, 0.0) if term is None else term
+                if total > screen_bound:
+                    break
+            else:
+                return True
+        index = len(self._accepted_visits)
+        self._accepted_visits.append(visits)
+        accepted_by_node = self._accepted_by_node
+        for node in contribs:
+            members = accepted_by_node.get(node)
+            if members is None:
+                accepted_by_node[node] = {index}
+            else:
+                members.add(index)
+        return True
+
+    def _test(
+        self,
+        visits: Sequence[str],
+        contribs: Mapping[str, float],
+        exclude: Optional[Tuple[str, int]] = None,
+    ) -> bool:
+        """Condition (1) for the candidate and for every current task whose
+        condition it could move, under ledger + overlay + ``contribs``.
+
+        ``contribs`` maps node -> the candidate's delta there (negative on
+        the nodes a relocation leaves); ``exclude`` is the registration a
+        relocation replaces.  A saturated node's term is ``inf``, so the
+        sums reject it without a separate check.
+        """
+        analyzer = self._analyzer
+        analyzer.tests_performed += 1
+        utilization = analyzer.ledger.utilization_or_zero
+        over_totals = self._over_totals
+        terms = self._terms
+        bound = 1.0 + EPSILON
+        # f() of each touched node's hypothetical post-admission total.
+        hyp: Dict[str, float] = {}
+        for node, extra in contribs.items():
+            base = over_totals.get(node)
+            if base is None:
+                base = utilization(node)
+            hyp[node] = aub_term(max(0.0, base + extra))
         # The candidate's own condition.
         total = 0.0
         for node in visits:
-            u = hyp.get(node)
-            if u is None:
-                total += analyzer._overlay_term(node, over_totals, over_terms)
-            else:
-                total += aub_term(u)
-            if total > 1.0 + EPSILON:
+            term = hyp.get(node)
+            total += terms.get(node, 0.0) if term is None else term
+            if total > bound:
                 return False
-        # Registered tasks and earlier-accepted candidates visiting a
-        # node this candidate would change (watched ones only, when the
-        # demand envelope screened the rest out).
+        # Only a task visiting a node whose total would change can see its
+        # condition move: registered tasks (the watched ones, after a
+        # screen) and watched accepted candidates.
+        by_node = self._by_node
+        accepted_by_node = self._accepted_by_node
         affected: Set[Tuple[str, int]] = set()
         affected_accepted: Set[int] = set()
-        by_node = analyzer._by_node
-        accepted_by_node = self._accepted_by_node
-        watch = self._watch
-        for node, extra in cand.contribs.items():
+        for node, extra in contribs.items():
             if extra == 0.0:
                 continue
             keys = by_node.get(node)
             if keys:
-                affected.update(keys if watch is None else keys & watch)
-            batch_keys = accepted_by_node.get(node)
-            if batch_keys:
-                affected_accepted.update(batch_keys)
-        violating = analyzer._violating
-        if violating:
-            # A task already over the bound fails the test no matter what
-            # the candidate changes elsewhere (mirrors ``admissible``).
-            for key in violating:
-                if key not in affected:
-                    return False
+                affected.update(keys)
+            indices = accepted_by_node.get(node)
+            if indices:
+                affected_accepted.update(indices)
+        # A task already over the bound fails the test whatever the
+        # candidate changes elsewhere.
+        for key in analyzer._violating:
+            if key != exclude and key not in affected:
+                return False
         registry = analyzer._visits
+        routes = []
         for key in affected:
-            total = 0.0
-            for node in registry[key][0]:
-                u = hyp.get(node)
-                if u is None:
-                    total += analyzer._overlay_term(
-                        node, over_totals, over_terms
-                    )
-                else:
-                    total += aub_term(u)
-                if total > 1.0 + EPSILON:
-                    return False
-        accepted_visits = self._accepted_visits
+            if key != exclude:
+                routes.append(registry[key][0])
+        accepted = self._accepted_visits
         for index in affected_accepted:
+            routes.append(accepted[index])
+        for route in routes:
             total = 0.0
-            for node in accepted_visits[index]:
-                u = hyp.get(node)
-                if u is None:
-                    total += analyzer._overlay_term(
-                        node, over_totals, over_terms
-                    )
-                else:
-                    total += aub_term(u)
-                if total > 1.0 + EPSILON:
-                    return False
-        self._commit(cand)
-        return True
-
-    def _commit(self, cand: BatchCandidate) -> None:
-        """Fold an accepted candidate into the overlay: replay the exact
-        per-stage additions the ledger commit will perform, invalidate
-        the overlay terms of the changed nodes — O(changed nodes)."""
-        over_totals = self._over_totals
-        analyzer = self._analyzer
-        ledger = analyzer.ledger
-        index = len(self._accepted_visits)
-        self._accepted_visits.append(cand.visits)
-        for node, value in cand.stage_contribs:
-            base = over_totals.get(node)
-            if base is None:
-                base = ledger.utilization_or_zero(node)
-            over_totals[node] = base + value
-        # Screen the accepted candidate against the demand envelope like
-        # a registered task: only watched ones are ever rescanned.
-        umax_terms = self._umax_terms
-        watched = True
-        if umax_terms is not None:
-            screen_bound = 1.0 + EPSILON - SCREEN_GUARD
-            total = 0.0
-            watched = False
-            terms = analyzer._node_terms
-            for node in cand.visits:
-                term = umax_terms.get(node)
+            for node in route:
+                term = hyp.get(node)
                 total += terms.get(node, 0.0) if term is None else term
-                if total > screen_bound:
-                    watched = True
-                    break
-        accepted_by_node = self._accepted_by_node
-        for node in cand.contribs:
-            self._over_terms.pop(node, None)
-            if watched:
-                members = accepted_by_node.get(node)
-                if members is None:
-                    accepted_by_node[node] = {index}
-                else:
-                    members.add(index)
+                if total > bound:
+                    return False
+        return True
 
 
 class NaiveAubAnalyzer:
@@ -1550,52 +1262,56 @@ class NaiveAubAnalyzer:
 
     def admissible_batch(
         self,
-        candidates: Sequence[BatchCandidate],
+        candidates: Sequence[Tuple[Sequence[str], Sequence[Tuple[str, float]]]],
         now: float,
     ) -> List[bool]:
         """Reference burst admission: the literal sequential loop.
 
-        Each candidate is tested exactly like :meth:`admissible` against
-        the running totals; an accepted candidate's stage contributions
-        are folded into the totals (in commit order) and its visit list
-        joins the rescan set, exactly as if it had been committed to the
-        ledger and registered before the next test.
+        Each ``(visits, stage_contribs)`` candidate is tested exactly like
+        :meth:`admissible` against the running totals; an accepted
+        candidate's stage contributions are folded into the totals (in
+        commit order) and its visit list joins the rescan set, exactly as
+        if it had been committed to the ledger and registered before the
+        next test.
         """
         self.prune(now)
         totals = self.ledger.snapshot()
-        accepted: List[Tuple[str, ...]] = []
+        accepted: List[Sequence[str]] = []
         decisions: List[bool] = []
-        for cand in candidates:
+        for visits, stage_contribs in candidates:
             self.tests_performed += 1
+            contribs: Dict[str, float] = {}
+            for node, value in stage_contribs:
+                contribs[node] = contribs.get(node, 0.0) + value
             trial = dict(totals)
-            for node, extra in cand.contribs.items():
+            for node, extra in contribs.items():
                 trial[node] = max(0.0, trial.get(node, 0.0) + extra)
             ok = True
-            for node in set(cand.visits):
+            for node in set(visits):
                 if trial.get(node, 0.0) >= 1.0:
                     ok = False
                     break
             if ok and not task_condition_holds(
-                [trial[n] for n in cand.visits]
+                [trial[n] for n in visits]
             ):
                 ok = False
             if ok:
-                for _key, (visits, _expiry) in self._visits.items():
+                for _key, (route, _expiry) in self._visits.items():
                     if not task_condition_holds(
-                        [trial.get(n, 0.0) for n in visits]
+                        [trial.get(n, 0.0) for n in route]
                     ):
                         ok = False
                         break
             if ok:
-                for visits in accepted:
+                for route in accepted:
                     if not task_condition_holds(
-                        [trial.get(n, 0.0) for n in visits]
+                        [trial.get(n, 0.0) for n in route]
                     ):
                         ok = False
                         break
             decisions.append(ok)
             if ok:
-                for node, value in cand.stage_contribs:
+                for node, value in stage_contribs:
                     totals[node] = totals.get(node, 0.0) + value
-                accepted.append(cand.visits)
+                accepted.append(visits)
         return decisions

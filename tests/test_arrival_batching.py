@@ -1,17 +1,25 @@
 """Integration tests for the batched arrival hot path.
 
 The batching flag must (a) actually engage — arrivals drain through the
-AC's batched decision pass — (b) respect every strategy's semantics, and
-(c) refuse engines that have no admission controller.
+AC's batched decision pass — (b) respect every strategy's semantics,
+(c) decide exactly as the sequential path wherever no drain decides more
+than one arrival, and (d) refuse engines that have no admission
+controller.
 """
+
+import random
 
 import pytest
 
 from repro.api import Scenario, Session
+from repro.core.admission_controller import AUB_REJECT
+from repro.core.strategies import valid_combinations
 from repro.errors import ConfigurationError
 from repro.workloads.generator import RandomWorkloadParams
 
 PARAMS = RandomWorkloadParams(n_periodic=4, n_aperiodic=4)
+
+COMBOS = [combo.label for combo in valid_combinations()]
 
 
 def _scenario(combo="J_J_N", batching=True, **kwargs):
@@ -86,11 +94,28 @@ class TestMiddlewareBatching:
         ac = session.system.ac
         lb = session.system.lb
         # The queue drains in batches and placements run through the
-        # batch admission session (no per-candidate location() probes).
+        # batch admission session, which opens one session per segment.
         assert ac.batch_calls > 0
         assert lb.location_calls > 0
-        assert lb.plans_returned > 0
+        assert 0 < ac.analyzer.batch_sessions <= ac.batch_calls
         assert result.released_jobs > 0
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_one_analyzer_test_per_decision(self, batching):
+        """The LB only plans and the AC tests each plan once: on a light
+        AC-per-job + LB-per-job run every decision costs exactly one AUB
+        test, sequential or batched (no relocations under AC per job)."""
+        session = Session(_scenario(combo="J_N_J", batching=batching, trace=True))
+        session.run()
+        ac = session.system.ac
+        reasons = {
+            record.get("reason")
+            for record in session.system.tracer.by_category("ac.reject")
+        }
+        # A job that expired in the AC queue is decided without a test.
+        assert reasons <= {AUB_REJECT}
+        assert ac.admitted_jobs > 0
+        assert ac.analyzer.tests_performed == ac.admitted_jobs + ac.rejected_jobs
 
     @pytest.mark.parametrize("combo", ["J_J_J", "T_T_T", "T_T_J", "J_N_T"])
     def test_lb_batching_matches_sequential_decisions(self, combo):
@@ -143,6 +168,60 @@ class TestMiddlewareBatching:
         result = session.run()
         assert sum(ac.batch_calls for ac in session.system.acs.values()) > 0
         assert result.released_jobs > 0
+
+
+def _generated_scenario(rng, combo):
+    """A fault-free centralized scenario builder drawn from ``rng``: a
+    small random workload with short deadlines, so drains are frequent."""
+    params = RandomWorkloadParams(
+        n_periodic=rng.randint(2, 5),
+        n_aperiodic=rng.randint(1, 4),
+        n_processors=rng.randint(2, 4),
+        max_subtasks=3,
+        max_deadline=2.0,
+        target_utilization=rng.uniform(0.3, 0.9),
+    )
+    return (
+        Scenario.builder()
+        .random_workload(seed=rng.randrange(10**6), params=params)
+        .combo(combo)
+        .duration(20.0)
+        .seed(rng.randrange(10**6))
+    )
+
+
+class TestBatchedEqualsSequential:
+    """The AC's two entry points, pinned to each other.
+
+    Where no drain decided more than one arrival
+    (``batched_arrivals == batch_calls``), the batched run must give the
+    byte-identical RunResult of the sequential one.  The precondition is
+    checked, not assumed: arrivals at distinct times still share a drain
+    when they queue behind a busy dispatch thread, and such a drain
+    decides the later arrivals earlier than the sequential path would.
+    """
+
+    EXAMPLES = 8
+
+    @pytest.mark.parametrize("combo", COMBOS)
+    def test_generated_scenarios(self, combo):
+        compared = 0
+        for k in range(self.EXAMPLES):
+            rng = random.Random(COMBOS.index(combo) * 1000 + k)
+            builder = _generated_scenario(rng, combo)
+            sequential = Session(builder.arrival_batching(False).build()).run()
+            session = Session(builder.arrival_batching(True).build())
+            batched = session.run()
+            ac = session.system.ac
+            assert ac.batch_calls > 0
+            if ac.batched_arrivals != ac.batch_calls:
+                continue
+            compared += 1
+            assert batched.to_json_str() == sequential.to_json_str(), (
+                f"{combo} example {k}: batched and sequential runs differ"
+            )
+        # Most examples must meet the precondition, or the test is vacuous.
+        assert compared > self.EXAMPLES // 2
 
 
 class TestBatchingValidation:

@@ -11,8 +11,9 @@ from repro.ccm.events import (
     TOPIC_TASK_ARRIVE,
     TaskArriveEvent,
     accept_topic,
+    reject_topic,
 )
-from repro.core.admission_controller import AdmissionControllerComponent
+from repro.core.admission_controller import AUB_REJECT, AdmissionControllerComponent
 from repro.core.idle_resetter import IdleResetterComponent
 from repro.core.load_balancer import LoadBalancerComponent
 from repro.core.subtask import FISubtaskComponent, LastSubtaskComponent
@@ -228,6 +229,9 @@ class TestAdmissionController:
 # Load Balancer
 # ----------------------------------------------------------------------
 class TestLoadBalancer:
+    """The LB only plans; the AC tests every plan once (``location`` never
+    reads the analyzer)."""
+
     def test_location_picks_lowest_utilization(self):
         env, containers = make_env(combo_label="J_N_J")
         ac, lb = install_ac(env, containers, lb=True)
@@ -237,10 +241,10 @@ class TestLoadBalancer:
             homes=("app1",), replicas=[("app2",)],
         )
         job = Job(task, 0, 0.0, "app1")
-        assignment = lb.location(job, now=0.0)
-        assert assignment == {0: "app2"}
+        assert lb.location(job, ac.ledger) == {0: "app2"}
+        assert ac.analyzer.tests_performed == 0
 
-    def test_location_none_when_nothing_admissible(self):
+    def test_inadmissible_plan_rejected_by_ac_with_aub_reason(self):
         env, containers = make_env(combo_label="J_N_J")
         ac, lb = install_ac(env, containers, lb=True)
         ac.ledger.add("app1", ("X", 0, 0), 0.9)
@@ -250,17 +254,32 @@ class TestLoadBalancer:
             homes=("app1",), replicas=[("app2",)],
         )
         job = Job(task, 0, 0.0, "app1")
-        assert lb.location(job, now=0.0) is None
+        # The LB plans whether or not the plan is admissible...
+        assert lb.location(job, ac.ledger) == {0: "app1"}
+        rejects = []
+        env.federation.subscribe("app1", reject_topic("app1"), rejects.append)
+        env.federation.send(
+            "app1",
+            env.manager_node,
+            TOPIC_TASK_ARRIVE,
+            TaskArriveEvent(job=job, arrival_node="app1"),
+        )
+        env.sim.run()
+        # ...and the AC's one test of it rejects the arrival.
+        assert ac.rejected_jobs == 1
+        assert [event.reason for event in rejects] == [AUB_REJECT]
+        assert ac.analyzer.tests_performed == 1
+        assert lb.location_calls == 2
 
     def test_chain_spreads_across_processors(self):
         env, containers = make_env(combo_label="J_N_J")
-        _ac, lb = install_ac(env, containers, lb=True)
+        ac, lb = install_ac(env, containers, lb=True)
         task = make_task(
             "A", TaskKind.APERIODIC, deadline=1.0, execs=(0.2, 0.2),
             homes=("app1", "app1"), replicas=[("app2",), ("app2",)],
         )
         job = Job(task, 0, 0.0, "app1")
-        assignment = lb.location(job, now=0.0)
+        assignment = lb.location(job, ac.ledger)
         # Greedy: stage 0 -> app1 (tie broken by name), stage 1 -> app2.
         assert sorted(assignment.values()) == ["app1", "app2"]
 
@@ -277,7 +296,7 @@ class TestLoadBalancer:
                 "app1", (task.task_id, RESERVED, subtask.index), 0.2
             )
         # app1 holds only this reservation; moving gains nothing.
-        assert lb.location_for_reserved(task, current, now=0.0) is None
+        assert lb.location_for_reserved(task, current) is None
 
     def test_location_for_reserved_moves_off_hot_node(self):
         env, containers = make_env(combo_label="T_N_J")
@@ -289,8 +308,10 @@ class TestLoadBalancer:
         ac.ledger.add("app1", (task.task_id, RESERVED, 0), 0.2)
         ac.analyzer.register((task.task_id, RESERVED), ["app1"], None)
         ac.ledger.add("app1", ("OTHER", 0, 0), 0.5)  # app1 now hot
-        proposed = lb.location_for_reserved(task, {0: "app1"}, now=0.0)
+        proposed = lb.location_for_reserved(task, {0: "app1"})
         assert proposed == {0: "app2"}
+        # Planning a move tests nothing; the AC tests it before moving.
+        assert ac.analyzer.tests_performed == 0
 
     def test_unconnected_state_refused_at_activation(self):
         env, containers = make_env()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.sched import aub
 from repro.sched.aub import (
     AubAnalyzer,
-    BatchCandidate,
     NaiveAubAnalyzer,
     SyntheticUtilizationLedger,
     aub_term,
@@ -277,7 +276,7 @@ class _MirroredSystem:
         against the sequential naive oracle, then committed in one
         ``add_batch``."""
         candidates = [
-            BatchCandidate(visits, list(zip(visits, stage_utils)))
+            (visits, list(zip(visits, stage_utils)))
             for visits, stage_utils, _lifetime in arrivals
         ]
         got = self.inc.admissible_batch(candidates, self.now)
@@ -306,10 +305,8 @@ class _MirroredSystem:
             visits = [rng.choice(eligible) for eligible, _u in stages]
             stage_utils = [u for _eligible, u in stages]
             arrivals.append((visits, stage_utils, lifetime))
-            candidates.append(
-                BatchCandidate(visits, list(zip(visits, stage_utils)))
-            )
-        got = [session.try_admit(cand) for cand in candidates]
+            candidates.append((visits, list(zip(visits, stage_utils))))
+        got = [session.try_admit(*cand) for cand in candidates]
         self._burst_decisions(candidates, got)
         self._accept(arrivals, got)
 

@@ -3,11 +3,12 @@
 Four contracts are enforced here:
 
 * **Batch admission parity** — for random bursts of arrivals,
-  :meth:`AubAnalyzer.admissible_batch` accepts exactly the prefix-greedy
-  set that sequential :meth:`NaiveAubAnalyzer.admissible` calls (with
-  real per-stage ledger commits between them) would accept, at exact
-  float equality; and :meth:`NaiveAubAnalyzer.admissible_batch` — the
-  retained reference transcription — agrees with both.
+  :meth:`AubAnalyzer.admissible_batch` (one session, one ``try_admit``
+  per arrival) accepts exactly the prefix-greedy set that sequential
+  :meth:`NaiveAubAnalyzer.admissible` calls (with real per-stage ledger
+  commits between them) would accept, at exact float equality; and
+  :meth:`NaiveAubAnalyzer.admissible_batch` — the retained reference
+  transcription — agrees with both.
 * **Batch placement parity** — load-balanced bursts planned through a
   :class:`BatchAdmissionSession` (greedy scores against the ledger plus
   the burst's accepted overlay, one ``try_admit`` per plan) produce the
@@ -33,7 +34,6 @@ from hypothesis import strategies as st
 from repro.core.load_balancer import LoadBalancerComponent
 from repro.sched.aub import (
     AubAnalyzer,
-    BatchCandidate,
     NaiveAubAnalyzer,
     SyntheticUtilizationLedger,
     _aub_terms_python,
@@ -73,29 +73,35 @@ def _build_population(rng, n_pre):
 
 
 def _random_burst(rng, size):
+    """``size`` arrivals as ``(visits, stage_contribs)`` pairs."""
     candidates = []
-    for c in range(size):
+    for _ in range(size):
         stages = rng.randint(1, 3)
         visits = [rng.choice(NODES) for _ in range(stages)]
         utils = [rng.uniform(0.005, 0.3) for _ in range(stages)]
-        candidates.append(
-            BatchCandidate(visits, list(zip(visits, utils)), key=(f"B{c}", 0))
-        )
+        candidates.append((visits, list(zip(visits, utils))))
     return candidates
 
 
-def _sequential_oracle(ledger, analyzer, candidates, now):
+def _aggregate(stage_contribs):
+    """node -> summed stage contribution, added in stage order."""
+    contribs = {}
+    for node, value in stage_contribs:
+        contribs[node] = contribs.get(node, 0.0) + value
+    return contribs
+
+
+def _sequential_oracle(ledger, analyzer, candidates, now, prefix="B"):
     """The ground truth: test each candidate, really commit accepts
-    (under each candidate's own registry key)."""
+    (candidate ``c`` under registry key ``(prefix + c, 0)``)."""
     decisions = []
-    for cand in candidates:
-        admitted = analyzer.admissible(cand.visits, cand.contribs, now)
+    for c, (visits, stage_contribs) in enumerate(candidates):
+        admitted = analyzer.admissible(visits, _aggregate(stage_contribs), now)
         decisions.append(admitted)
         if admitted:
-            task_id, job_index = cand.key
-            for j, (node, value) in enumerate(cand.stage_contribs):
-                ledger.add(node, (task_id, job_index, j), value)
-            analyzer.register(cand.key, list(cand.visits), expiry=1e9)
+            for j, (node, value) in enumerate(stage_contribs):
+                ledger.add(node, (f"{prefix}{c}", 0, j), value)
+            analyzer.register((f"{prefix}{c}", 0), list(visits), expiry=1e9)
     return decisions
 
 
@@ -113,10 +119,12 @@ def _assert_burst_parity(seed, n_pre, burst_size):
     # Committing the accepted set through add_batch must reproduce the
     # sequential ledger bit for bit (same per-stage float accumulation).
     entries = [
-        (node, (cand.key[0], cand.key[1], j), value)
-        for cand, admitted in zip(candidates, incremental)
+        (node, (f"B{c}", 0, j), value)
+        for c, ((_visits, stage_contribs), admitted) in enumerate(
+            zip(candidates, incremental)
+        )
         if admitted
-        for j, (node, value) in enumerate(cand.stage_contribs)
+        for j, (node, value) in enumerate(stage_contribs)
     ]
     ledgers[0].add_batch(entries)
     for node in NODES:
@@ -124,15 +132,14 @@ def _assert_burst_parity(seed, n_pre, burst_size):
     # And the committed incremental engine keeps agreeing with the
     # sequential oracle on a follow-up burst (fresh F-keys, no collision
     # with the burst just committed).
-    for cand, admitted in zip(candidates, incremental):
+    for c, ((visits, _stages), admitted) in enumerate(zip(candidates, incremental)):
         if admitted:
-            analyzers[0].register(cand.key, list(cand.visits), expiry=1e9)
-    follow_up = [
-        BatchCandidate(c.visits, c.stage_contribs, key=(f"F{i}", 0))
-        for i, c in enumerate(_random_burst(rng, 4))
-    ]
+            analyzers[0].register((f"B{c}", 0), list(visits), expiry=1e9)
+    follow_up = _random_burst(rng, 4)
     follow_inc = analyzers[0].admissible_batch(follow_up, now=1.0)
-    follow_seq = _sequential_oracle(ledgers[2], analyzers[2], follow_up, 1.0)
+    follow_seq = _sequential_oracle(
+        ledgers[2], analyzers[2], follow_up, 1.0, prefix="F"
+    )
     assert follow_inc == follow_seq
 
 
@@ -171,10 +178,7 @@ class TestBatchAdmissionParity:
         """A burst that fills a node admits a prefix and rejects the rest."""
         ledger = SyntheticUtilizationLedger(["a"])
         analyzer = AubAnalyzer(ledger)
-        candidates = [
-            BatchCandidate(["a"], [("a", 0.2)], key=(f"B{i}", 0))
-            for i in range(8)
-        ]
+        candidates = [(["a"], [("a", 0.2)]) for _ in range(8)]
         decisions = analyzer.admissible_batch(candidates, now=0.0)
         assert any(decisions) and not all(decisions)
         # Greedy prefix property: once a candidate of this uniform burst
@@ -254,25 +258,33 @@ def _demand_envelope(jobs):
     return demand
 
 
+def _stages(task, plan):
+    """The plan's ``(node, utilization)`` stage contributions."""
+    return [
+        (plan[s.index], task.subtask_utilization(s.index)) for s in task.subtasks
+    ]
+
+
+def _place(lb, session, job):
+    """The batched AC's step: plan against the session, test the plan
+    once with ``try_admit``; the plan, or None when rejected."""
+    task = job.task
+    plan = lb.location(job, session)
+    visits = task.visited_processors(plan)
+    return plan if session.try_admit(visits, _stages(task, plan)) else None
+
+
 def _lb_sequential_oracle(ledger, analyzer, lb, jobs, now):
     """The sequential LB path, transcribed: greedy-plan against the live
-    ledger, test in location(), re-test in the AC's test-and-commit, then
-    commit per stage and register."""
+    ledger, test the plan once, then commit per stage and register."""
     plans = []
     for job in jobs:
         task = job.task
-        assignment, added = lb._greedy_plan(task, ledger)
+        assignment = lb.location(job, ledger)
         visits = task.visited_processors(assignment)
-        if not analyzer.admissible(visits, added, now):
-            plans.append(None)
-            continue
-        contribs = {}
-        for subtask in task.subtasks:
-            node = assignment[subtask.index]
-            contribs[node] = contribs.get(
-                node, 0.0
-            ) + task.subtask_utilization(subtask.index)
-        if not analyzer.admissible(visits, contribs, now):
+        if not analyzer.admissible(
+            visits, _aggregate(_stages(task, assignment)), now
+        ):
             plans.append(None)
             continue
         for subtask in task.subtasks:
@@ -293,14 +305,14 @@ def _assert_placement_parity(seed, n_pre, burst_size):
     lb = LoadBalancerComponent("lb", None)
 
     session = analyzers[0].batch_session(now=1.0)
-    batched = [lb.location_in_batch(job, session) for job in jobs]
+    batched = [_place(lb, session, job) for job in jobs]
     # A screened session (sessions never mutate ledger or registry, so a
     # second one can replay the same burst): skipping the rescans the
     # demand envelope exempts must not change any plan.
     screened_session = analyzers[0].batch_session(
         now=1.0, demand=_demand_envelope(jobs)
     )
-    screened = [lb.location_in_batch(job, screened_session) for job in jobs]
+    screened = [_place(lb, screened_session, job) for job in jobs]
     assert screened == batched, (
         f"screened session diverged (seed={seed}): "
         f"screened={screened} unscreened={batched}"
@@ -339,7 +351,7 @@ class TestBatchPlacementParity:
             session = analyzers[0].batch_session(
                 now=1.0, demand=_demand_envelope(jobs)
             )
-            batched = [lb.location_in_batch(job, session) for job in jobs]
+            batched = [_place(lb, session, job) for job in jobs]
             sequential = _lb_sequential_oracle(
                 ledgers[1], analyzers[1], lb, jobs, now=1.0
             )
@@ -369,9 +381,9 @@ class TestBatchPlacementParity:
         t1 = make_task("T1", execs=(0.1,), homes=("a",), replicas=[("b",)])
         j0 = Job(task=t0, index=0, arrival_time=0.0, arrival_node="a")
         j1 = Job(task=t1, index=0, arrival_time=0.0, arrival_node="a")
-        assert lb.location_in_batch(j0, session) == {0: "a"}
+        assert _place(lb, session, j0) == {0: "a"}
         # Without the overlay "a" would still score 0.0 and win the tie.
-        assert lb.location_in_batch(j1, session) == {0: "b"}
+        assert _place(lb, session, j1) == {0: "b"}
 
     def test_saturating_burst_rejects_tail(self):
         ledger = SyntheticUtilizationLedger(("a",))
@@ -382,7 +394,7 @@ class TestBatchPlacementParity:
         for i in range(8):
             task = make_task(f"T{i}", execs=(0.2,), homes=("a",))
             job = Job(task=task, index=0, arrival_time=0.0, arrival_node="a")
-            plans.append(lb.location_in_batch(job, session))
+            plans.append(_place(lb, session, job))
         decisions = [p is not None for p in plans]
         assert any(decisions) and not all(decisions)
         first_reject = decisions.index(False)

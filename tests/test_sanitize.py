@@ -24,7 +24,6 @@ from repro.sanitize import (
 from repro.sched import aub
 from repro.sched.aub import (
     AubAnalyzer,
-    BatchCandidate,
     SyntheticUtilizationLedger,
 )
 from repro.sim.rng import RngRegistry
@@ -172,7 +171,7 @@ class TestAnalyzerCacheAudit:
         analyzer = AubAnalyzer(ledger)
         analyzer.register(("t1", 0), ["n1", "n2"], expiry=None)
         analyzer.register(("t2", 0), ["n2"], expiry=None)
-        burst = [BatchCandidate(["n1"], [("n1", 0.1)])]
+        burst = [(["n1"], [("n1", 0.1)])]
         # The first burst screen builds the rows.
         assert analyzer.admissible_batch(burst, now=0.0) == [True]
         # The injected stale row: t1's visit to n1 goes uncounted.
@@ -186,7 +185,7 @@ class TestAnalyzerCacheAudit:
         analyzer = AubAnalyzer(ledger)
         analyzer.register(("t1", 0), ["n1", "n2"], expiry=None)
         session = analyzer.batch_session(0.0, {"n1": 0.1})
-        assert session.try_admit(BatchCandidate(["n1"], [("n1", 0.1)]))
+        assert session.try_admit(["n1"], [("n1", 0.1)])
         row = analyzer._row_of[("t1", 0)]
         analyzer.unregister(("t1", 0))
         analyzer._rows[row, 1] = 1.0  # a freed row left holding a count

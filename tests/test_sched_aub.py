@@ -9,7 +9,6 @@ from repro.sched import aub
 from repro.sched.aub import (
     RESERVED,
     AubAnalyzer,
-    BatchCandidate,
     NaiveAubAnalyzer,
     SyntheticUtilizationLedger,
     aub_term,
@@ -407,7 +406,7 @@ class TestArrayScreen:
         watch, _umax_terms = analyzer._screen_burst({"b": 0.5})
         assert watch == {("T1", 0)}
         # The candidate's own condition holds (f(0.5) = 0.75); T1's fails.
-        burst = [BatchCandidate(["b"], [("b", 0.3)])]
+        burst = [(["b"], [("b", 0.3)])]
         assert analyzer.admissible_batch(burst, now=0.0) == [False]
 
     def test_burst_on_a_node_unknown_to_the_ledger_takes_the_loop(
@@ -425,13 +424,13 @@ class TestArrayScreen:
             return screen_rows(self, *args)
 
         monkeypatch.setattr(AubAnalyzer, "_screen_rows", spy)
-        outside = [BatchCandidate(["a", "zz"], [("a", 0.1), ("zz", 0.2)])]
+        outside = [(["a", "zz"], [("a", 0.1), ("zz", 0.2)])]
         assert analyzer.admissible_batch(outside, now=0.0) == (
             naive.admissible_batch(outside, now=0.0)
         )
         analyzer.batch_session(0.0, {"a": 0.1, "zz": 0.2})
         assert products == []
-        inside = [BatchCandidate(["a"], [("a", 0.1)])]
+        inside = [(["a"], [("a", 0.1)])]
         assert analyzer.admissible_batch(inside, now=0.0) == (
             naive.admissible_batch(inside, now=0.0)
         )
@@ -443,7 +442,7 @@ class TestArrayScreen:
         analyzer.register(("T2", 0), ["c"], expiry=5.0)
         # Nothing is built before the first burst screen.
         assert analyzer._rows is None
-        analyzer.admissible_batch([BatchCandidate(["a"], [("a", 0.1)])], 0.0)
+        analyzer.admissible_batch([(["a"], [("a", 0.1)])], 0.0)
         assert self.rows(analyzer) == {
             ("T1", 0): [2.0, 1.0, 0.0],
             ("T2", 0): [0.0, 0.0, 1.0],
@@ -466,7 +465,7 @@ class TestArrayScreen:
     def test_matrix_grows_with_the_registry(self):
         ledger, analyzer = self.make()
         naive = NaiveAubAnalyzer(ledger)
-        burst = [BatchCandidate(["a", "b"], [("a", 0.05), ("b", 0.05)])]
+        burst = [(["a", "b"], [("a", 0.05), ("b", 0.05)])]
         analyzer.admissible_batch(burst, now=0.0)
         capacity = len(analyzer._rows)
         for i in range(3 * capacity):
@@ -480,7 +479,7 @@ class TestArrayScreen:
         # The last burst passes its own condition but not its neighbours'.
         decisions = []
         for extra in (0.05, 0.25, 0.4):
-            burst = [BatchCandidate(["b"], [("b", extra)])]
+            burst = [(["b"], [("b", extra)])]
             decisions += analyzer.admissible_batch(burst, now=0.0)
             assert decisions[-1] == naive.admissible_batch(burst, now=0.0)[0]
         assert decisions == [True, True, False]

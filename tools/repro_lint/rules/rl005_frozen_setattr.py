@@ -1,6 +1,6 @@
 """RL005: no ``object.__setattr__`` on frozen instances from outside.
 
-Frozen dataclasses (``Scenario``, ``BatchCandidate``, the workload
+Frozen dataclasses (``Scenario``, ``TaskSpec``, the workload
 specs ...) are this repo's immutability contract: once built they are
 safe to share across processes and hash into caches.  The canonical
 escape hatch — ``object.__setattr__(self, ...)`` inside the defining
