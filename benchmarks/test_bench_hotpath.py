@@ -60,7 +60,7 @@ from repro.sched.aub import (
     SyntheticUtilizationLedger,
 )
 from repro.sched.task import Job, SubtaskSpec, TaskKind, TaskSpec
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.rng import RngRegistry
 
 from conftest import merge_hotpath_record
@@ -496,7 +496,7 @@ def _measure_kernel(n_events: int = 120_000):
             if remaining % 5 == 0:
                 # Cancellation churn: dead entries must be swept cheaply.
                 victim = sim.schedule(0.0005, tick, 0)
-                victim.cancel()
+                EventHandle.cancel(victim)
 
     for lane in range(8):
         sim.schedule(lane * 0.0001, tick, n_events // 8)

@@ -21,12 +21,13 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.api.registry import default_registry
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
 from repro.errors import ConfigurationError
+from repro.json_checks import reject_unknown
 from repro.net.latency import (
     ConstantDelay,
     DelayModel,
@@ -59,14 +60,6 @@ SOURCE_KINDS = (SOURCE_EXPLICIT, SOURCE_RANDOM, SOURCE_IMBALANCED)
 # ----------------------------------------------------------------------
 # JSON codecs for the embedded value objects
 # ----------------------------------------------------------------------
-def _reject_unknown(data: Dict[str, Any], allowed: Iterable[str], what: str) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {what} field(s): {', '.join(sorted(unknown))}"
-        )
-
-
 def workload_to_json(workload: Workload) -> Dict[str, Any]:
     """Serialize an explicit :class:`Workload` (tasks + topology)."""
     return {
@@ -96,17 +89,17 @@ def workload_to_json(workload: Workload) -> Dict[str, Any]:
 
 def workload_from_json(data: Dict[str, Any]) -> Workload:
     """Rebuild a :class:`Workload` from :func:`workload_to_json` output."""
-    _reject_unknown(data, ("manager_node", "app_nodes", "tasks"), "workload")
+    reject_unknown(data, ("manager_node", "app_nodes", "tasks"), "workload")
     tasks: List[TaskSpec] = []
     for t in data.get("tasks", ()):
-        _reject_unknown(
+        reject_unknown(
             t,
             ("task_id", "kind", "deadline", "period", "phase", "subtasks"),
             "task",
         )
         subtasks: List[SubtaskSpec] = []
         for s in t.get("subtasks", ()):
-            _reject_unknown(
+            reject_unknown(
                 s, ("index", "execution_time", "home", "replicas"), "subtask"
             )
             subtasks.append(
@@ -144,7 +137,7 @@ def cost_model_from_json(data: Optional[Dict[str, Any]]) -> Optional[CostModel]:
     if data is None:
         return None
     allowed = {f.name for f in fields(CostModel)}
-    _reject_unknown(data, allowed, "cost model")
+    reject_unknown(data, allowed, "cost model")
     return CostModel(**data)
 
 
@@ -181,7 +174,7 @@ def delay_model_from_json(data: Optional[Dict[str, Any]]) -> Optional[DelayModel
             f"{', '.join(sorted(_DELAY_TYPES))}"
         )
     cls, attrs = _DELAY_TYPES[tag]
-    _reject_unknown(data, ("type",) + attrs, "delay model")
+    reject_unknown(data, ("type",) + attrs, "delay model")
     try:
         return cls(**{a: data[a] for a in attrs if a in data})
     except TypeError as exc:
@@ -323,7 +316,7 @@ class WorkloadSource:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "WorkloadSource":
-        _reject_unknown(
+        reject_unknown(
             data,
             ("kind", "workload", "seed", "index", "stream", "params"),
             "workload source",
@@ -346,7 +339,7 @@ class WorkloadSource:
                 else ImbalancedWorkloadParams
             )
             allowed = {f.name for f in fields(params_cls)}
-            _reject_unknown(data["params"], allowed, "workload params")
+            reject_unknown(data["params"], allowed, "workload params")
             params = params_cls(**data["params"])
         return cls(
             kind=kind,
@@ -583,7 +576,7 @@ FAULT_DISTURBANCE_TYPES = (NodeCrash, Partition, DelaySpike, MessageLoss)
 def disturbance_from_json(data: Dict[str, Any]) -> Disturbance:
     tag = data.get("type")
     if tag == "burst":
-        _reject_unknown(
+        reject_unknown(
             data,
             ("type", "time", "jobs", "task_id", "spacing", "base_index"),
             "burst",
@@ -596,21 +589,21 @@ def disturbance_from_json(data: Dict[str, Any]) -> Disturbance:
             base_index=data.get("base_index", 100_000),
         )
     if tag == "slowdown":
-        _reject_unknown(data, ("type", "time", "factor", "nodes"), "slowdown")
+        reject_unknown(data, ("type", "time", "factor", "nodes"), "slowdown")
         return Slowdown(
             time=data["time"],
             factor=data["factor"],
             nodes=tuple(data.get("nodes", ())),
         )
     if tag == "node_crash":
-        _reject_unknown(data, ("type", "node", "time", "recovery"), "node crash")
+        reject_unknown(data, ("type", "node", "time", "recovery"), "node crash")
         return NodeCrash(
             node=data["node"],
             time=data["time"],
             recovery=data.get("recovery"),
         )
     if tag == "partition":
-        _reject_unknown(
+        reject_unknown(
             data, ("type", "time", "heal", "group_a", "group_b"), "partition"
         )
         return Partition(
@@ -620,14 +613,14 @@ def disturbance_from_json(data: Dict[str, Any]) -> Disturbance:
             group_b=tuple(data.get("group_b", ())),
         )
     if tag == "delay_spike":
-        _reject_unknown(data, ("type", "time", "until", "factor"), "delay spike")
+        reject_unknown(data, ("type", "time", "until", "factor"), "delay spike")
         return DelaySpike(
             time=data["time"],
             until=data["until"],
             factor=data["factor"],
         )
     if tag == "message_loss":
-        _reject_unknown(
+        reject_unknown(
             data,
             ("type", "probability", "time", "until", "stream"),
             "message loss",
@@ -870,7 +863,7 @@ class Scenario:
                 f"scenario JSON must be an object, got {type(data).__name__}"
             )
         allowed = {f.name for f in fields(cls)}
-        _reject_unknown(data, allowed, "scenario")
+        reject_unknown(data, allowed, "scenario")
         if "workload" not in data:
             raise ConfigurationError("scenario JSON needs a workload source")
         kwargs: Dict[str, Any] = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.registry import default_registry
@@ -35,6 +35,7 @@ from repro.api.scenario import (
     Slowdown,
 )
 from repro.errors import ConfigurationError
+from repro.json_checks import json_field, reject_unknown
 from repro.metrics.overhead import ALL_ROWS, OverheadRow
 from repro.metrics.registry import MetricsRegistry, MetricsSnapshot
 from repro.sim.kernel import USEC
@@ -44,6 +45,15 @@ from repro.sim.monitor import StatSeries
 # ----------------------------------------------------------------------
 # Serializable statistics
 # ----------------------------------------------------------------------
+#: JSON types of the scalar fields the ``from_json`` methods below read,
+#: by annotation (a float field takes any JSON number).
+_JSON_SCALARS: Dict[str, Tuple[type, ...]] = {
+    "str": (str,),
+    "int": (int,),
+    "float": (int, float),
+}
+
+
 @dataclass(frozen=True)
 class StatSnapshot:
     """Frozen, mergeable snapshot of a :class:`StatSeries`.
@@ -95,14 +105,21 @@ class StatSnapshot:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "StatSnapshot":
-        count = data.get("count", 0)
-        return cls(
-            count=count,
-            total=data.get("total", 0.0),
-            total_sq=data.get("total_sq", 0.0),
-            minimum=data.get("minimum", math.inf),
-            maximum=data.get("maximum", -math.inf),
-        )
+        """Raises ConfigurationError on a malformed ``data``; an absent
+        field takes its default."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"stat snapshot must be a JSON object, got {type(data).__name__}"
+            )
+        what = "stat snapshot"
+        try:
+            return cls(**{
+                f.name: json_field(data, f.name, _JSON_SCALARS[str(f.type)], what)
+                for f in fields(cls)
+                if f.name in data
+            })
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -215,22 +232,44 @@ class RunResult:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "RunResult":
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(data) - allowed
-        if unknown:
+        """Raises ConfigurationError on any malformed ``data``: an unknown
+        or missing required field, or a value of the wrong type at any
+        depth."""
+        if not isinstance(data, dict):
             raise ConfigurationError(
-                f"unknown run-result field(s): {', '.join(sorted(unknown))}"
+                f"run result must be a JSON object, got {type(data).__name__}"
             )
-        kwargs = dict(data)
-        kwargs["overhead"] = {
-            k: StatSnapshot.from_json(v)
-            for k, v in data.get("overhead", {}).items()
-        }
-        kwargs["comm_delay"] = StatSnapshot.from_json(data.get("comm_delay", {}))
-        if data.get("metrics_snapshot") is not None:
-            kwargs["metrics_snapshot"] = MetricsSnapshot.from_json(
-                data["metrics_snapshot"]
-            )
+        reject_unknown(data, (f.name for f in fields(cls)), "run-result")
+        what = "run result"
+        kwargs: Dict[str, Any] = {}
+        try:
+            for f in fields(cls):
+                name = f.name
+                if name not in data:
+                    if f.default is MISSING and f.default_factory is MISSING:
+                        raise ValueError(f"{what} lacks {name!r}")
+                    continue
+                value = data[name]
+                if name == "comm_delay":
+                    value = StatSnapshot.from_json(value)
+                elif name == "overhead":
+                    value = {
+                        row: StatSnapshot.from_json(snap)
+                        for row, snap in json_field(data, name, dict, what).items()
+                    }
+                elif name in ("cpu_utilization", "final_synthetic_utilization"):
+                    value = {
+                        node: json_field(value, node, (int, float), name)
+                        for node in json_field(data, name, dict, what)
+                    }
+                elif name == "metrics_snapshot":
+                    if value is not None:
+                        value = MetricsSnapshot.from_json(value)
+                else:
+                    value = json_field(data, name, _JSON_SCALARS[str(f.type)], what)
+                kwargs[name] = value
+        except ValueError as exc:
+            raise ConfigurationError(f"malformed run result: {exc}") from exc
         return cls(**kwargs)
 
 

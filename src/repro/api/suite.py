@@ -20,11 +20,12 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.api.scenario import Scenario, WorkloadSource, _reject_unknown
+from repro.api.scenario import Scenario, WorkloadSource
 from repro.api.session import RunResult, Session
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
 from repro.errors import ConfigurationError
+from repro.json_checks import reject_unknown
 from repro.workloads.model import Workload
 
 
@@ -51,7 +52,7 @@ class MappingCell:
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "MappingCell":
         allowed = tuple(f.name for f in fields(cls)) + ("type",)
-        _reject_unknown(data, allowed, "mapping cell")
+        reject_unknown(data, allowed, "mapping cell")
         kwargs = {k: v for k, v in data.items() if k != "type"}
         return cls(**kwargs)
 
@@ -161,7 +162,7 @@ class ExperimentSuite:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "ExperimentSuite":
-        _reject_unknown(data, ("name", "description", "cells"), "suite")
+        reject_unknown(data, ("name", "description", "cells"), "suite")
         cells: List[Cell] = []
         for entry in data.get("cells", ()):
             tag = entry.get("type", "scenario")

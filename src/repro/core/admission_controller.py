@@ -152,6 +152,11 @@ class AdmissionControllerComponent(Component):
         self.idle_resets_applied = 0
         self.batch_calls = 0
         self.batched_arrivals = 0
+        # The immutable strategy attributes, copied at activation so the
+        # per-arrival path reads plain attributes.
+        self._ac_strategy: Optional[str] = None
+        self._lb_strategy: Optional[str] = None
+        self._batching = False
         # Pre-bound metric children (armed runs only): one None-check on
         # the decision path instead of registry lookups per event.
         self._m_decisions_accept = None
@@ -220,6 +225,9 @@ class AdmissionControllerComponent(Component):
             )
         if self.ledger is None:
             self._initialize_state()
+        self._ac_strategy = self.get_attribute("ac_strategy")
+        self._lb_strategy = self.get_attribute("lb_strategy")
+        self._batching = self.get_attribute("batching")
         self._thread = self.processor.new_thread(f"{self.name}.dispatch", 0.0)
         registry = self.env.metrics_registry
         if registry is not None:
@@ -253,9 +261,9 @@ class AdmissionControllerComponent(Component):
     # Task Arrive handling
     # ------------------------------------------------------------------
     def _on_task_arrive(self, event: TaskArriveEvent) -> None:
-        op = OP_LB_PLAN if self.lb_enabled else OP_ADMISSION_TEST
+        op = OP_ADMISSION_TEST if self._lb_strategy == "N" else OP_LB_PLAN
         cost = self.env.cost_model.sample(op, self.env.cost_rng)
-        if self.get_attribute("batching"):
+        if self._batching:
             # Queue the arrival; the work item that completes first drains
             # the whole queue in one batched decision pass, later ones
             # find it empty.  Every arrival still charges its own sampled
@@ -316,16 +324,18 @@ class AdmissionControllerComponent(Component):
             # whole window; releasing it could not meet the deadline.
             self._send_reject(event, "deadline expired before admission")
             return None
-        record = self._records.setdefault(task.task_id, TaskRecord())
+        record = self._records.get(task.task_id)
+        if record is None:
+            record = self._records[task.task_id] = TaskRecord()
         record.jobs_seen += 1
-        per_task_ac = self.get_attribute("ac_strategy") == "T" and task.is_periodic
+        per_task_ac = self._ac_strategy == "T" and task.is_periodic
         if per_task_ac and record.admitted is not None:
             # Cached per-task decision: no admission test, but per-job load
             # balancing may still relocate the reserved assignment.
             if not record.admitted:
                 self._send_reject(event, "task rejected at first arrival")
                 return None
-            if self.get_attribute("lb_strategy") == "J":
+            if self._lb_strategy == "J":
                 self._try_relocate_reserved(task, record)
             self._send_accept(event, record.assignment)
             return None
@@ -337,7 +347,7 @@ class AdmissionControllerComponent(Component):
         else an LB plan scored against ``source`` (the live ledger, or a
         burst's session)."""
         task = job.task
-        lb = self.get_attribute("lb_strategy")
+        lb = self._lb_strategy
         if lb == "N":
             return task.home_assignment()
         if lb == "T" and task.is_periodic and record.assignment is not None:
@@ -369,7 +379,7 @@ class AdmissionControllerComponent(Component):
         if per_task_ac:
             record.admitted = admitted
             record.assignment = assignment if admitted else None
-        if admitted and self.get_attribute("lb_strategy") == "T" and task.is_periodic:
+        if admitted and self._lb_strategy == "T" and task.is_periodic:
             record.assignment = assignment
 
     def _publish(
@@ -419,10 +429,7 @@ class AdmissionControllerComponent(Component):
         if self._m_batch_size is not None:
             self._m_batch_size.observe(float(len(events)))
         now = self.sim.now
-        relocating = (
-            self.get_attribute("ac_strategy") == "T"
-            and self.get_attribute("lb_strategy") == "J"
-        )
+        relocating = self._ac_strategy == "T" and self._lb_strategy == "J"
         segment: List[Tuple[TaskArriveEvent, TaskRecord, bool]] = []
         #: Periodic tasks whose first (reserving) job is in ``segment``.
         reserving: set = set()
@@ -457,7 +464,7 @@ class AdmissionControllerComponent(Component):
         """Plan and test a segment of fresh admissions in one analyzer
         session, commit the accepts with one ``add_batch``, then register
         and publish in arrival order."""
-        homes_only = self.get_attribute("lb_strategy") == "N"
+        homes_only = self._lb_strategy == "N"
         # Worst-case demand envelope: every stage of every arrival counted
         # on each processor a plan may put it on (its home without LB, any
         # eligible one otherwise; pinned placements were LB plans).  The

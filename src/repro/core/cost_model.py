@@ -39,9 +39,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from math import sqrt as _sqrt
 from typing import Dict
 
 from repro.errors import ConfigurationError
+from repro.numeric import Triangular, triangular_constants
 from repro.sim.kernel import USEC
 
 #: Operation names, usable as trace categories.
@@ -87,6 +89,21 @@ class CostModel:
             raise ConfigurationError(
                 f"jitter must be in [0, 1), got {self.jitter}"
             )
+        # The triangular constants of every jittered operation, worked out
+        # once (outside the dataclass fields, so equality, hashing and
+        # serialization are unchanged).  An operation without jitter or
+        # with zero mean has no entry: its sample is the mean, undrawn.
+        draws: Dict[str, Triangular] = {}
+        if self.jitter != 0:
+            for name in _OPERATIONS:
+                mean = getattr(self, name)
+                if mean != 0:
+                    draws[name] = triangular_constants(
+                        mean * (1.0 - self.jitter),
+                        mean * (1.0 + self.jitter),
+                        mean,
+                    )
+        object.__setattr__(self, "_draws", draws)
 
     def mean(self, operation: str) -> float:
         """The mean cost of ``operation`` (one of the OP_* names)."""
@@ -95,13 +112,21 @@ class CostModel:
         return getattr(self, operation)
 
     def sample(self, operation: str, rng: random.Random) -> float:
-        """Draw one jittered cost sample for ``operation``."""
-        mean = self.mean(operation)
-        if self.jitter == 0 or mean == 0:
-            return mean
-        return rng.triangular(
-            mean * (1.0 - self.jitter), mean * (1.0 + self.jitter), mean
-        )
+        """Draw one jittered cost sample for ``operation``.
+
+        Bit-identical to ``rng.triangular(mean * (1 - jitter), mean * (1 +
+        jitter), mean)``: one ``rng.random()`` draw, evaluated with the
+        :func:`~repro.numeric.triangular_constants` that
+        :meth:`__post_init__` worked out.
+        """
+        draw = self._draws.get(operation)
+        if draw is None:
+            return self.mean(operation)
+        low, span, c, high, back, back_c = draw
+        u = rng.random()
+        if u > c:
+            return high + back * _sqrt((1.0 - u) * back_c)
+        return low + span * _sqrt(u * c)
 
     def as_dict(self) -> Dict[str, float]:
         return {name: getattr(self, name) for name in _OPERATIONS}

@@ -69,6 +69,7 @@ from repro.errors import ComponentError
 from repro.numeric import ordered_sum
 from repro.sched.aub import EPSILON, aub_term, aub_term_inverse
 from repro.sched.task import Job
+from repro.sim.kernel import EventHandle
 
 #: Topics of the two-phase coordination protocol.
 TOPIC_RESERVE = "dac_reserve"
@@ -291,6 +292,9 @@ class DistributedAdmissionControllerComponent(Component):
         # Re-read from attributes at activation.
         self._vote_timeout = 0.25
         self._max_retries = 2
+        self._batching = False
+        #: Recovery machinery armed for this run (see :meth:`arm_recovery`).
+        self._chaos = False
         # Pre-bound metric children (armed runs only; see on_activate).
         self._m_decisions_accept = None
         self._m_decisions_reject = None
@@ -354,6 +358,7 @@ class DistributedAdmissionControllerComponent(Component):
         self._thread = self.processor.new_thread(f"{self.name}.dispatch", 0.0)
         self._vote_timeout = float(self.get_attribute("vote_timeout"))
         self._max_retries = int(self.get_attribute("max_retries"))
+        self._batching = self.get_attribute("batching")
         registry = self.env.metrics_registry
         if registry is not None:
             decisions = registry.counter(
@@ -377,19 +382,18 @@ class DistributedAdmissionControllerComponent(Component):
     # ------------------------------------------------------------------
     # Fault tolerance
     # ------------------------------------------------------------------
-    def _chaos_armed(self) -> bool:
-        """True when the network carries an armed fault injector.
+    def arm_recovery(self, chaos: bool) -> None:
+        """Arm vote timeouts, retries and lock-expiry backstops for the
+        coming run if ``chaos`` (the network carries an armed fault
+        injector) and vote timeouts are enabled.
 
-        Vote timeouts, retries and lock-expiry backstops arm only then:
-        on a fault-free network every vote and outcome arrives, so the
+        On a fault-free network every vote and outcome arrives, so the
         recovery machinery would only schedule events it always cancels.
-        The injector's window set is fixed before the run starts, so this
-        is constant for a whole run and both modes are deterministic.
+        The injector's window set is fixed before the run starts, so
+        :meth:`DistributedMiddlewareSystem.run` works ``chaos`` out once
+        and hands it to every controller; both modes are deterministic.
         """
-        if self._vote_timeout <= 0:
-            return False
-        injector = self.env.network.fault_injector
-        return injector is not None and injector.armed
+        self._chaos = chaos and self._vote_timeout > 0
 
     @property
     def crashed(self) -> bool:
@@ -471,7 +475,7 @@ class DistributedAdmissionControllerComponent(Component):
 
     def _arm_vote_timeout(self, txn: int, attempt: int, batch: bool):
         """Schedule the vote-timeout event for one round (chaos only)."""
-        if not self._chaos_armed():
+        if not self._chaos:
             return None
         callback = self._on_batch_vote_timeout if batch else self._on_vote_timeout
         return self.sim.schedule(
@@ -481,7 +485,7 @@ class DistributedAdmissionControllerComponent(Component):
     @staticmethod
     def _cancel_vote_timeout(transaction) -> None:
         if transaction.timeout_handle is not None:
-            transaction.timeout_handle.cancel()
+            EventHandle.cancel(transaction.timeout_handle)
             transaction.timeout_handle = None
 
     def _arm_lock_expiry(self, key: object, expiry: float) -> None:
@@ -492,7 +496,7 @@ class DistributedAdmissionControllerComponent(Component):
         the lock — and the vote recorded for resends — are released
         here, so no reservation outlives the job it was for.
         """
-        if not self._chaos_armed():
+        if not self._chaos:
             return
         self._lock_expiry[key] = self.sim.schedule_at(
             max(self.sim.now, expiry), self._expire_lock, key
@@ -501,7 +505,7 @@ class DistributedAdmissionControllerComponent(Component):
     def _cancel_lock_expiry(self, key: object) -> None:
         handle = self._lock_expiry.pop(key, None)
         if handle is not None:
-            handle.cancel()
+            EventHandle.cancel(handle)
 
     def _expire_lock(self, key: object) -> None:
         self._lock_expiry.pop(key, None)
@@ -545,7 +549,7 @@ class DistributedAdmissionControllerComponent(Component):
             self._reject(event, "node crashed")
             return
         cost = self.env.cost_model.sample(OP_ADMISSION_TEST, self.env.cost_rng)
-        if self.get_attribute("batching"):
+        if self._batching:
             # Queue the arrival; the first work item to complete drains
             # every queued arrival in one pass (each still pays its own
             # sampled admission cost on the dispatch thread).
@@ -723,7 +727,7 @@ class DistributedAdmissionControllerComponent(Component):
         # job.  Chaos-gated: without faults a round always completes in
         # a few network hops, well inside any deadline.
         expired = (
-            transaction.attempt > 0 or self._chaos_armed()
+            transaction.attempt > 0 or self._chaos
         ) and job.absolute_deadline <= self.sim.now
         if all_granted and not expired:
             condition_sum = ordered_sum(
@@ -868,7 +872,7 @@ class DistributedAdmissionControllerComponent(Component):
             node: [] for node in transaction.participants
         }
         # See _finish_transaction: retried rounds can outlast deadlines.
-        check_expiry = transaction.attempt > 0 or self._chaos_armed()
+        check_expiry = transaction.attempt > 0 or self._chaos
         for index, item in enumerate(transaction.items):
             job = item.job
             plan = item.plan
@@ -1217,6 +1221,8 @@ class DistributedMiddlewareSystem:
         arrived = self._base.schedule_arrivals(plan)
         injector = self.network.fault_injector
         chaos = injector is not None and injector.armed
+        for ac in self.acs.values():
+            ac.arm_recovery(chaos)
         end = duration
         if drain:
             end += max(t.deadline for t in self.workload.tasks)

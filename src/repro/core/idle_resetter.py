@@ -68,6 +68,8 @@ class IdleResetterComponent(Component):
         self._report_queued = False
         self._thread = None
         self._source: Optional[EventSourcePort] = None
+        #: The immutable ``strategy`` attribute, copied at activation.
+        self._strategy = "N"
         self.completions_recorded = 0
         self.reports_sent = 0
         self.entries_reported = 0
@@ -90,6 +92,7 @@ class IdleResetterComponent(Component):
                 f"{self.get_attribute('processor_id')!r} does not match "
                 f"deployment node {self.node!r}"
             )
+        self._strategy = self.get_attribute("strategy")
         self.env.idle_resetters[self.node] = self
 
     def provide_complete_facet(self) -> Facet:
@@ -106,7 +109,7 @@ class IdleResetterComponent(Component):
     # ------------------------------------------------------------------
     def complete(self, job: Job, subtask_index: int) -> None:
         """A subjob of ``job`` finished on this processor."""
-        strategy = self.get_attribute("strategy")
+        strategy = self._strategy
         if strategy == "N":
             return
         if strategy == "T" and job.task.is_periodic:

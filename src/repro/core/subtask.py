@@ -87,13 +87,16 @@ class _SubtaskComponentBase(Component):
     # ------------------------------------------------------------------
     def release(self, job: Job, assignment: Dict[int, str]) -> None:
         """Dispatch one subjob of ``job`` on this component's thread."""
-        index = self.get_attribute("subtask_index")
+        # Immutable attributes, read from the validated dict: a subtask
+        # component stores no copies (a deployment holds thousands).
+        attributes = self._attributes
+        index = attributes["subtask_index"]
         if assignment.get(index) != self.node:
             raise ComponentError(
                 f"{self.name!r}: job {job.key} assigned stage {index} to "
                 f"{assignment.get(index)!r}, not this node {self.node!r}"
             )
-        cost = self.get_attribute("execution_time")
+        cost = attributes["execution_time"]
         self.processor.submit(
             self._thread,
             WorkItem(
@@ -110,7 +113,8 @@ class _SubtaskComponentBase(Component):
     def _subjob_finished(self, payload) -> None:
         job, assignment = payload
         now = self.sim.now
-        index = self.get_attribute("subtask_index")
+        attributes = self._attributes
+        index = attributes["subtask_index"]
         job.subjob_finish_times[index] = now
         self.subjobs_executed += 1
         if self.tracer.enabled:
@@ -122,7 +126,7 @@ class _SubtaskComponentBase(Component):
                 job=job.index,
                 stage=index,
             )
-        if self._complete_port.connected and self.get_attribute("ir_mode") != "N":
+        if self._complete_port.connected and attributes["ir_mode"] != "N":
             self._complete_port().complete(job, index)
         self._after_subjob(job, assignment, index)
 

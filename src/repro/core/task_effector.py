@@ -71,6 +71,8 @@ class TaskEffectorComponent(Component):
         #: Cached per-task decisions: task_id -> (admitted, assignment).
         self._task_cache: Dict[str, Tuple[bool, Optional[Dict[int, str]]]] = {}
         self._source: Optional[EventSourcePort] = None
+        #: The immutable ``ac_node`` attribute, copied at activation.
+        self._ac_node = ""
         self.jobs_held = 0
         self.jobs_released = 0
         self.jobs_rejected = 0
@@ -92,6 +94,7 @@ class TaskEffectorComponent(Component):
                 f"{self.get_attribute('processor_id')!r} does not match "
                 f"deployment node {self.node!r}"
             )
+        self._ac_node = self.get_attribute("ac_node")
         self.env.task_effectors[self.node] = self
 
     # ------------------------------------------------------------------
@@ -121,7 +124,7 @@ class TaskEffectorComponent(Component):
         # (not possible in the current protocol, but cheap to guard).
         if job.key not in self.waiting:
             return
-        destination = self.get_attribute("ac_node") or self.env.manager_node
+        destination = self._ac_node or self.env.manager_node
         self._source.push(
             destination,
             TOPIC_TASK_ARRIVE,

@@ -45,7 +45,8 @@ class Processor:
         self._ready_counter = 0
         self._running: Optional[DispatchThread] = None
         self._segment_start = 0.0
-        self._completion: Optional[EventHandle] = None
+        #: Handle of the running item's completion event.
+        self._completion: Optional[list] = None
         self._idle_listeners: List[Callable[[float], None]] = []
         self._busy_stat = TimeWeightedStat(start=sim.now, initial=0.0)
         self.items_completed = 0
@@ -83,7 +84,7 @@ class Processor:
         if self._running is not None:
             thread = self._running
             assert self._completion is not None
-            self._completion.cancel()
+            EventHandle.cancel(self._completion)
             consumed = (self.sim.now - self._segment_start) * self.speed
             item = thread.head()
             item.remaining = max(0.0, item.remaining - consumed)
@@ -175,7 +176,7 @@ class Processor:
         thread = self._running
         assert thread is not None
         assert self._completion is not None
-        self._completion.cancel()
+        EventHandle.cancel(self._completion)
         self._completion = None
         consumed = (self.sim.now - self._segment_start) * self.speed
         item = thread.head()

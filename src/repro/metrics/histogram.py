@@ -27,6 +27,8 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+from repro.json_checks import json_list
+
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Histogram",
@@ -142,8 +144,12 @@ class HistogramSnapshot:
 
     @staticmethod
     def from_json(payload: Mapping[str, Any]) -> "HistogramSnapshot":
-        buckets = _validate_buckets(payload["buckets"])
-        samples = tuple(sorted(float(s) + 0.0 for s in payload["samples"]))
+        """Raises ValueError on a malformed ``payload``."""
+        buckets = _validate_buckets(
+            json_list(payload, "buckets", (int, float), "histogram")
+        )
+        raw = json_list(payload, "samples", (int, float), "histogram")
+        samples = tuple(sorted(float(s) + 0.0 for s in raw))
         for s in samples:
             if not math.isfinite(s):
                 raise ValueError("histogram samples must be finite")

@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.json_checks import json_field, json_list
 from repro.metrics.histogram import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
@@ -266,22 +267,34 @@ class MetricFamilySnapshot:
 
     @staticmethod
     def from_json(payload: Mapping[str, Any]) -> "MetricFamilySnapshot":
-        kind = payload["kind"]
+        """Raises ValueError on a malformed ``payload``."""
+        what = "metric family"
+        kind = json_field(payload, "kind", str, what)
         if kind not in ("counter", "gauge", "histogram"):
             raise ValueError(f"unknown metric kind: {kind!r}")
+        labelnames = _check_labelnames(json_list(payload, "labelnames", str, what))
         series: List[Tuple[Tuple[str, ...], Union[float, HistogramSnapshot]]] = []
-        for row in payload["series"]:
-            key = tuple(str(v) for v in row["labels"])
+        for row in json_field(payload, "series", list, what):
+            key = tuple(json_list(row, "labels", str, "metric series"))
+            if len(key) != len(labelnames):
+                raise ValueError(f"series labels {key!r} do not match {labelnames!r}")
             if kind == "histogram":
-                series.append((key, HistogramSnapshot.from_json(row["value"])))
+                value = json_field(row, "value", Mapping, "metric series")
+                series.append((key, HistogramSnapshot.from_json(value)))
             else:
-                series.append((key, float(row["value"])))
+                value = json_field(row, "value", (int, float), "metric series")
+                series.append((key, float(value)))
+        buckets = (
+            json_list(payload, "buckets", (int, float), what)
+            if "buckets" in payload
+            else ()
+        )
         return MetricFamilySnapshot(
-            name=_check_name(payload["name"]),
-            help=str(payload["help"]),
+            name=_check_name(json_field(payload, "name", str, what)),
+            help=json_field(payload, "help", str, what),
             kind=kind,
-            labelnames=_check_labelnames(payload["labelnames"]),
-            buckets=tuple(float(b) for b in payload.get("buckets", ())),
+            labelnames=labelnames,
+            buckets=tuple(float(b) for b in buckets),
             series=tuple(sorted(series, key=lambda item: item[0])),
         )
 
@@ -326,9 +339,11 @@ class MetricsSnapshot:
 
     @staticmethod
     def from_json(payload: Mapping[str, Any]) -> "MetricsSnapshot":
+        """Raises ValueError on a malformed ``payload``."""
+        rows = json_field(payload, "families", list, "metrics snapshot")
         families = tuple(
             sorted(
-                (MetricFamilySnapshot.from_json(row) for row in payload["families"]),
+                (MetricFamilySnapshot.from_json(row) for row in rows),
                 key=lambda fam: fam.name,
             )
         )

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from math import sqrt as _sqrt
 
 from repro.errors import SimulationError
+from repro.numeric import triangular_constants
 from repro.sim.kernel import USEC
 
 
@@ -74,19 +76,43 @@ class UniformDelay(DelayModel):
 
 
 class TriangularDelay(DelayModel):
-    """Triangular on ``[low, high]`` with the given ``mode``."""
+    """Triangular on ``[low, high]`` with the given ``mode``.
+
+    The parameters are read-only: :meth:`sample` draws with the
+    :func:`~repro.numeric.triangular_constants` worked out from them at
+    construction.
+    """
 
     def __init__(self, low: float, mode: float, high: float) -> None:
         if not 0 <= low <= mode <= high:
             raise SimulationError(
                 f"invalid triangular parameters ({low}, {mode}, {high})"
             )
-        self.low = low
-        self.mode = mode
-        self.high = high
+        self._low = low
+        self._mode = mode
+        self._high = high
+        self._draw = triangular_constants(low, high, mode)
+
+    @property
+    def low(self) -> float:
+        return self._low
+
+    @property
+    def mode(self) -> float:
+        return self._mode
+
+    @property
+    def high(self) -> float:
+        return self._high
 
     def sample(self, rng: random.Random) -> float:
-        return rng.triangular(self.low, self.high, self.mode)
+        # ``rng.triangular(low, high, mode)``: one ``random()`` draw and
+        # the same float expressions, without the call.
+        low, span, c, high, back, back_c = self._draw
+        u = rng.random()
+        if u > c:
+            return high + back * _sqrt((1.0 - u) * back_c)
+        return low + span * _sqrt(u * c)
 
     def mean(self) -> float:
         return (self.low + self.mode + self.high) / 3.0

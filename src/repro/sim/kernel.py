@@ -5,11 +5,12 @@ by ``(time, priority, sequence)``.  The sequence number makes event ordering
 fully deterministic even when many events share a timestamp, which in turn
 makes every experiment in :mod:`repro.experiments` reproducible from a seed.
 
-Each :class:`EventHandle` is its own heap entry, the list ``[time,
-priority, seq, callback, args]``: scheduling builds one object, and the
-heap orders handles with C-level list comparison (the unique sequence
-number means a callback is never compared) instead of dispatching a
-Python ``__lt__`` per sift step.  The clock, :attr:`Simulator.now`, is a
+An event's handle is its own heap entry, the plain list ``[time,
+priority, seq, callback, args]``: scheduling builds one list display, and
+the heap orders handles with C-level list comparison (the unique sequence
+number means a callback is never compared).  :class:`EventHandle` holds
+the operations on a handle as static functions: ``EventHandle.cancel(h)``
+and ``EventHandle.cancelled(h)``.  The clock, :attr:`Simulator.now`, is a
 plain attribute the dispatch loop writes.
 
 :meth:`Simulator.schedule_batch` coalesces same-timestamp deliveries to
@@ -30,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from heapq import heappop as _heappop, heappush as _heappush
-from operator import itemgetter
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
@@ -46,37 +46,27 @@ MSEC = 1e-3
 DEFAULT_PRIORITY = 100
 
 
-class EventHandle(list):
-    """A cancellable handle for a scheduled simulator event.
+class EventHandle:
+    """Operations on a scheduled event's handle.
 
-    Handles are returned by :meth:`Simulator.schedule` and
-    :meth:`Simulator.schedule_at`.  A handle is its own heap entry,
-    ``[time, priority, seq, callback, args]``, so it must never define
-    ``__eq__``/``__lt__``: a Python-level comparison would run on every
-    sift step.  Cancellation is lazy: the callback slot is cleared and the
-    entry is skipped when popped.
+    :meth:`Simulator.schedule`, :meth:`Simulator.schedule_at` and
+    :meth:`Simulator.schedule_batch` return the event's heap entry
+    itself, the plain list ``[time, priority, seq, callback, args]``.  A
+    handle is therefore not hashable, and compares as a list.
+    Cancellation is lazy: the callback slot is cleared and the entry is
+    skipped when popped.
     """
 
-    __slots__ = ()
-    #: Hashable by identity, like any other handle (a list is not).
-    __hash__ = object.__hash__
-
-    time = property(itemgetter(0), doc="Virtual time the event fires at.")
-    priority = property(itemgetter(1), doc="Tie-break among same-time events.")
-    seq = property(itemgetter(2), doc="Scheduling order; unique per simulator.")
-
-    def cancel(self) -> None:
+    @staticmethod
+    def cancel(handle: list) -> None:
         """Prevent the event from firing.  Idempotent."""
-        self[3] = None
-        self[4] = ()
+        handle[3] = None
+        handle[4] = ()
 
-    @property
-    def cancelled(self) -> bool:
-        return self[3] is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self[0]:.9f} prio={self[1]} {state}>"
+    @staticmethod
+    def cancelled(handle: list) -> bool:
+        """Whether ``handle``'s event was cancelled."""
+        return handle[3] is None
 
 
 class Simulator:
@@ -99,7 +89,8 @@ class Simulator:
         #: Current virtual time in seconds.  Read-only by convention: only
         #: :meth:`run` writes it.
         self.now = 0.0
-        self._heap: List[EventHandle] = []
+        #: Handles, ``[time, priority, seq, callback, args]``.
+        self._heap: List[list] = []
         self._seq = itertools.count()
         self._running = False
         self._event_count = 0
@@ -129,7 +120,7 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = DEFAULT_PRIORITY,
-    ) -> EventHandle:
+    ) -> list:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -141,14 +132,14 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = DEFAULT_PRIORITY,
-    ) -> EventHandle:
+    ) -> list:
         """Schedule ``callback(*args)`` to fire at absolute virtual ``time``."""
         # One comparison rejects both the past and NaN (NaN compares false).
         if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time!r} (now={self.now!r})"
             )
-        handle = EventHandle((time, priority, next(self._seq), callback, args))
+        handle = [time, priority, next(self._seq), callback, args]
         _heappush(self._heap, handle)
         return handle
 
@@ -158,7 +149,7 @@ class Simulator:
         callback: Callable[[List[Any]], None],
         payload: Any,
         priority: int = DEFAULT_PRIORITY,
-    ) -> EventHandle:
+    ) -> list:
         """Enqueue ``payload`` for batched delivery to ``callback`` at
         absolute ``time``.
 

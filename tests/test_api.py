@@ -7,9 +7,12 @@ Session reproduces the direct-construction result exactly), RunResult
 serialization, and the ExperimentSuite fan-out.
 """
 
+import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     Burst,
@@ -31,6 +34,7 @@ from repro.core.cost_model import CostModel
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo, valid_combinations
 from repro.errors import ConfigurationError
+from repro.metrics.registry import MetricsRegistry
 from repro.net.latency import (
     ConstantDelay,
     NormalDelay,
@@ -342,6 +346,91 @@ class TestJsonRoundTrip:
         restored = StatSnapshot.from_json(empty.to_json())
         assert restored.count == 0
         assert math.isinf(restored.minimum)
+
+
+def _json_paths(node, prefix=()):
+    """The key/index path of every value in a JSON document, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths.extend(_json_paths(value, prefix + (key,)))
+    return paths
+
+
+def _json_kind(value):
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+#: Replacement values; a mutation uses one of another JSON kind.
+_WRONG_VALUES = (None, "x", 7, 2.5, True, [], {}, [1], {"a": 1})
+
+
+class TestRunResultBoundary:
+    """Malformed RunResult JSON fails with ConfigurationError, at any depth."""
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        # Armed and under message loss: the chaos counters, the overhead
+        # and delay snapshots and the metrics snapshot are all present.
+        scenario = (
+            Scenario.builder()
+            .random_workload(seed=3, params=RandomWorkloadParams(
+                n_periodic=4, n_aperiodic=4, n_processors=3))
+            .distributed()
+            .duration(5.0)
+            .seed(11)
+            .message_loss(0.2)
+            .build()
+        )
+        data = Session(scenario, metrics=MetricsRegistry()).run().to_json()
+        assert data["messages_dropped"] and data["metrics_snapshot"]["families"]
+        return data
+
+    def test_unmutated_payload_round_trips(self, payload):
+        assert RunResult.from_json(payload).to_json() == payload
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_payload_fails_only_with_configuration_error(
+        self, payload, data
+    ):
+        mutated = copy.deepcopy(payload)
+        path = data.draw(st.sampled_from(_json_paths(mutated)))
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        drop = isinstance(parent, dict) and data.draw(st.booleans())
+        if drop:
+            del parent[key]
+        else:
+            kind = _json_kind(parent[key])
+            parent[key] = data.draw(st.sampled_from(
+                [v for v in _WRONG_VALUES if _json_kind(v) != kind]
+            ))
+        try:
+            RunResult.from_json(mutated)
+        except ConfigurationError:
+            return
+        # Only a dropped optional field or an absent snapshot parses.
+        assert drop or (path == ("metrics_snapshot",) and parent[key] is None)
+
+    @pytest.mark.parametrize("data", [None, [], "x", 7])
+    def test_non_object_payload_rejected(self, data):
+        with pytest.raises(ConfigurationError):
+            RunResult.from_json(data)
+        with pytest.raises(ConfigurationError):
+            StatSnapshot.from_json(data)
 
 
 class TestSession:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.api import Scenario, Session, WorkloadSource
+from repro.api import Burst, MessageLoss, Scenario, Session, WorkloadSource
 from repro.ccm.component import AttributeSpec, Component
 from repro.ccm.container import Container
 from repro.ccm.events import (
@@ -155,6 +155,50 @@ class TestContainer:
                 assert component.processor is container.processor
                 assert component.tracer is container.tracer
         assert components > len(system.containers)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(
+                workload=WorkloadSource.random(
+                    seed=17, params=RandomWorkloadParams(n_processors=3)
+                ),
+                combo="J_J_J",
+                duration=10.0,
+                seed=5,
+                arrival_batching=True,
+                disturbances=(Burst(time=4.0, jobs=20, spacing=1e-4),),
+            ),
+            Scenario(
+                workload=WorkloadSource.random(
+                    seed=17, params=RandomWorkloadParams(n_processors=3)
+                ),
+                engine="distributed",
+                combo="J_N_N",
+                duration=10.0,
+                seed=5,
+                disturbances=(MessageLoss(probability=0.2, until=10.0),),
+            ),
+        ],
+        ids=["batched", "distributed"],
+    )
+    def test_no_instance_attribute_is_set_after_construction(self, scenario):
+        # CPython shares one attribute-key table among a class's instances
+        # and stops adding keys to it once many instances exist: an
+        # attribute first set after a deployment's components were built
+        # gives every component its own dict (+10 to +14% peak RSS on a
+        # deployment of thousands of subtask components).
+        session = Session(scenario)
+        system = session.deploy()
+        session.run()
+        containers = getattr(system, "containers", None) or system._base.containers
+        context = {"node", "sim", "processor", "tracer"}
+        components = [c for ct in containers.values() for c in ct.components]
+        assert len(components) > len(containers)
+        for component in components:
+            fresh = type(component)(component.name, component.env)
+            late = set(vars(component)) - set(vars(fresh)) - context
+            assert not late, f"{component.name}: set after __init__: {sorted(late)}"
 
     def test_double_install_rejected(self):
         container = make_container()

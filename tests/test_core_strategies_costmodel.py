@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost_model import (
     CostModel,
@@ -137,6 +139,36 @@ class TestCostModel:
         cm = CostModel()
         with pytest.raises(ConfigurationError):
             cm.mean("warp_drive")
+        for model in (cm, CostModel.zero()):
+            with pytest.raises(ConfigurationError):
+                model.sample("warp_drive", random.Random(0))
+
+    @given(
+        mean=st.just(0.0) | st.floats(min_value=0.0, max_value=1e-2),
+        jitter=st.just(0.0)
+        | st.floats(min_value=0.0, max_value=0.99, exclude_max=True),
+        op=st.sampled_from(sorted(CostModel().as_dict())),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    # Subnormal mean: the bounds round to one value, and the stdlib draws
+    # once before returning it.
+    @example(mean=5e-324, jitter=0.5, op=OP_RELEASE, seed=0)
+    @settings(max_examples=400, deadline=None)
+    def test_sample_is_stdlib_triangular_bit_for_bit(self, mean, jitter, op, seed):
+        """The precomputed draw equals ``random.triangular`` bit for bit
+        (or is the undrawn mean), and leaves the generator where the
+        stdlib call does."""
+        cm = CostModel(**{op: mean}, jitter=jitter)
+        drawn, oracle = random.Random(seed), random.Random(seed)
+        sample = cm.sample(op, drawn)
+        if jitter == 0 or mean == 0:
+            expected = mean
+        else:
+            expected = oracle.triangular(
+                mean * (1.0 - jitter), mean * (1.0 + jitter), mean
+            )
+        assert sample.hex() == expected.hex()
+        assert drawn.random() == oracle.random()
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ConfigurationError):

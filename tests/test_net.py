@@ -1,8 +1,11 @@
 """Unit tests for latency models, the network, and event channels."""
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.net.channel import LocalEventChannel
@@ -46,6 +49,41 @@ class TestDelayModels:
         for _ in range(100):
             assert 1.0 <= model.sample(rng) <= 3.0
         assert model.mean() == pytest.approx(2.0)
+
+    @given(
+        bounds=st.lists(
+            st.floats(min_value=0.0, max_value=1e-2), min_size=3, max_size=3
+        ).map(sorted),
+        degenerate=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(bounds=[1e-3, 1e-3, 1e-3], degenerate=False, seed=0)
+    # Zero spans of signed zeros: the stdlib returns ``low``, sign and all.
+    @example(bounds=[-0.0, -0.0, -0.0], degenerate=False, seed=0)
+    @example(bounds=[0.0, 0.0, -0.0], degenerate=False, seed=0)
+    # An infinite span is not a zero one: the stdlib returns NaN.
+    @example(bounds=[math.inf] * 3, degenerate=False, seed=0)
+    @settings(max_examples=400, deadline=None)
+    def test_triangular_is_stdlib_triangular_bit_for_bit(
+        self, bounds, degenerate, seed
+    ):
+        """The precomputed draw equals ``random.triangular`` bit for bit,
+        also for ``low == mode == high``, and takes exactly its one draw."""
+        low, mode, high = (bounds[1],) * 3 if degenerate else bounds
+        model = TriangularDelay(low, mode, high)
+        drawn, oracle = random.Random(seed), random.Random(seed)
+        sample = model.sample(drawn)
+        assert sample.hex() == oracle.triangular(low, high, mode).hex()
+        assert drawn.random() == oracle.random()
+
+    def test_triangular_parameters_are_read_only(self):
+        model = TriangularDelay(1.0, 2.0, 3.0)
+        for name in ("low", "mode", "high"):
+            with pytest.raises(AttributeError):
+                setattr(model, name, 0.5)
+        assert (model.low, model.mode, model.high) == (1.0, 2.0, 3.0)
+        assert model == TriangularDelay(1.0, 2.0, 3.0)
+        assert model != TriangularDelay(1.0, 2.0, 4.0)
 
     def test_triangular_rejects_bad_order(self):
         with pytest.raises(SimulationError):

@@ -65,8 +65,8 @@ def test_cancel_prevents_firing():
     fired = []
     handle = sim.schedule(1.0, fired.append, "cancelled")
     sim.schedule(2.0, fired.append, "kept")
-    handle.cancel()
-    assert handle.cancelled
+    EventHandle.cancel(handle)
+    assert EventHandle.cancelled(handle)
     sim.run()
     assert fired == ["kept"]
 
@@ -75,53 +75,49 @@ def test_cancel_is_idempotent():
     sim = Simulator()
     fired = []
     handle = sim.schedule(1.0, fired.append, "x")
-    handle.cancel()
-    handle.cancel()
-    assert handle.cancelled
+    EventHandle.cancel(handle)
+    EventHandle.cancel(handle)
+    assert EventHandle.cancelled(handle)
     sim.run()
     assert fired == [] and sim.events_executed == 0
-    handle.cancel()  # after the run too
-    assert handle.cancelled
+    EventHandle.cancel(handle)  # after the run too
+    assert EventHandle.cancelled(handle)
 
 
 def test_handle_exposes_its_schedule():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     handle = sim.schedule_at(2.5, lambda: None, priority=7)
-    assert (handle.time, handle.priority, handle.seq) == (2.5, 7, 1)
-    assert not handle.cancelled
-    handle.cancel()
-    assert handle.cancelled
-    assert (handle.time, handle.priority, handle.seq) == (2.5, 7, 1)
+    # [time, priority, seq, callback, args]
+    assert (handle[0], handle[1], handle[2]) == (2.5, 7, 1)
+    assert not EventHandle.cancelled(handle)
+    EventHandle.cancel(handle)
+    assert EventHandle.cancelled(handle)
+    assert (handle[0], handle[1], handle[2]) == (2.5, 7, 1)
 
 
 def test_cancelled_event_never_dispatches_among_live_ones():
     sim = Simulator()
     fired = []
     handles = [sim.schedule(1.0, fired.append, i) for i in range(5)]
-    handles[0].cancel()
-    handles[3].cancel()
+    EventHandle.cancel(handles[0])
+    EventHandle.cancel(handles[3])
     sim.run()
     assert fired == [1, 2, 4]
     assert sim.events_executed == 3
 
 
-def test_handles_hash_by_identity():
-    sim = Simulator()
-    first = sim.schedule(1.0, print)
-    second = sim.schedule(1.0, print)
-    assert hash(first) == object.__hash__(first)
-    assert len({first, second}) == 2
-    owners = {first: "a", second: "b"}
-    first.cancel()
-    assert owners[first] == "a" and owners[second] == "b"
-
-
-def test_handle_defines_no_python_comparison():
-    # A handle is its own heap entry: a Python-level __eq__/__lt__ would
+def test_handle_is_a_plain_list():
+    # A handle is its own heap entry: a list subclass would cost a Python
+    # constructor call per event, and a Python-level __eq__/__lt__ would
     # run on every sift step instead of the C-level list comparison.
-    for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
-        assert name not in EventHandle.__dict__
+    sim = Simulator()
+    for handle in (
+        sim.schedule(1.0, print),
+        sim.schedule_at(2.0, print),
+        sim.schedule_batch(3.0, print, "payload"),
+    ):
+        assert type(handle) is list
 
 
 def test_run_until_stops_and_advances_clock():
@@ -194,7 +190,7 @@ def test_event_budget_stop_never_moves_the_clock_past_a_pending_event():
 def test_event_budget_stop_advances_past_cancelled_and_later_events():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None).cancel()
+    EventHandle.cancel(sim.schedule(2.0, lambda: None))
     sim.schedule(8.0, lambda: None)
     # Only a cancelled entry and an event after ``until`` remain.
     sim.run(until=5.0, max_events=1)
@@ -275,7 +271,7 @@ def test_nan_times_rejected():
 def test_step_skips_cancelled_events():
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, fired.append, "cancelled").cancel()
+    EventHandle.cancel(sim.schedule(1.0, fired.append, "cancelled"))
     sim.schedule(2.0, fired.append, "kept")
     assert sim.step()
     assert fired == ["kept"]
@@ -337,11 +333,11 @@ def test_schedule_batch_cancel_drops_whole_batch():
     batches = []
     handle = sim.schedule_batch(1.0, batches.append, "a")
     assert sim.schedule_batch(1.0, batches.append, "b") is handle
-    handle.cancel()
-    assert handle.cancelled
+    EventHandle.cancel(handle)
+    assert EventHandle.cancelled(handle)
     # A payload scheduled after cancellation starts a fresh batch.
     fresh = sim.schedule_batch(1.0, batches.append, "c")
-    assert fresh is not handle and not fresh.cancelled
+    assert fresh is not handle and not EventHandle.cancelled(fresh)
     assert sim.schedule_batch(1.0, batches.append, "d") is fresh
     sim.run()
     assert batches == [["c", "d"]]
