@@ -104,7 +104,7 @@ def test_bench_piggybacked_rounds():
             arrival_batching=batching,
         )
         for i in range(burst):
-            system.sim.schedule_at(0.0, system._base._arrive, task, i, 0.0)
+            system.sim.schedule_at(0.0, system._arrive, task, i, 0.0)
         system.sim.run(until=1.0)
         counters[batching] = {
             "rounds": sum(

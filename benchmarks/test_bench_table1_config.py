@@ -56,7 +56,8 @@ def test_bench_configuration_engine(benchmark, workload):
 
 
 def test_bench_dance_deployment(benchmark, workload):
-    """DAnCE-lite deployment of the full 9-task, 6-node system."""
+    """Plan deployment (check, then assembly) of the full 9-task, 6-node
+    system."""
     engine = ConfigurationEngine()
     chars = ApplicationCharacteristics(True, True, False)
     result = engine.configure(workload, chars)

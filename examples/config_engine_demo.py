@@ -6,8 +6,10 @@
 3. The engine maps the answers to strategies (Table 1), generates the
    XML deployment plan with EDMS priorities, and validates it —
    including refusing an invalid hand-edited plan.
-4. The decision is emitted as a declarative ``repro.api`` Scenario that
-   round-trips through JSON, and DAnCE-lite deploys + runs it.
+4. The XML plan is deployed: checked against the plan its own workload
+   and combination generate, then built and run.  The same decision,
+   emitted as a declarative ``repro.api`` Scenario that round-trips
+   through JSON, runs the identical system through a Session.
 """
 
 import os
@@ -16,8 +18,7 @@ from pathlib import Path
 
 from repro.api import Scenario, Session
 from repro.config import ConfigurationEngine
-from repro.config.xml_io import parse_xml
-from repro.errors import InvalidStrategyCombination
+from repro.errors import ConfigurationError, InvalidStrategyCombination
 from repro.core.strategies import StrategyCombo
 
 DURATION = float(os.environ.get("REPRO_EXAMPLE_DURATION", "60.0"))
@@ -81,17 +82,26 @@ def main() -> None:
     print(f"combo={restored.combo} duration={restored.duration:.0f}s "
           f"seed={restored.seed} (round-trip exact)")
 
-    # Deploy and run via DAnCE-lite (workload + combo -> XML plan ->
-    # Execution Manager), the same path `repro scenario run --via-dance`
-    # takes.
-    plan = parse_xml(result.xml)
-    session = Session(restored, via_dance=True)
-    run = session.run()
+    # A hand-edited plan that says something its workload and combo do
+    # not generate is refused before any component exists.
+    edited = result.xml.replace("per_job", "per_task", 1)
+    assert edited != result.xml
+    try:
+        engine.deploy_xml(edited)
+    except ConfigurationError as exc:
+        print(f"edited plan refused: {exc}")
+
+    # Deploy the XML plan just emitted and run it (Figure 4: configure ->
+    # XML -> deploy); the Session builds the identical system.
+    system = engine.deploy_xml(result.xml, seed=1)
+    run = system.run(DURATION)
+    session_run = Session(restored).run()
+    assert session_run.accepted_utilization_ratio == run.accepted_utilization_ratio
     print(f"\n--- deployed system run ({DURATION:.0f} s) ---")
-    print(f"plan label                 : {plan.label}")
-    print(f"accepted utilization ratio : {run.accepted_utilization_ratio:.3f}")
+    print(f"accepted utilization ratio : {run.accepted_utilization_ratio:.3f}"
+          " (the Session run agrees)")
     print(f"jobs arrived / released    : "
-          f"{run.arrived_jobs} / {run.released_jobs}")
+          f"{run.metrics.arrived_jobs} / {run.metrics.released_jobs}")
     print(f"deadline misses            : {run.deadline_misses}")
 
 

@@ -14,8 +14,7 @@ fail-safe actuator, the application cannot skip jobs (criterion C1 = no)
 and its diagnosis stage keeps state (C2 = yes) — the configuration engine
 therefore selects per-task strategies, exactly the paper's Figure 4
 example.  The engine *emits* the configured run as a declarative
-:class:`repro.api.Scenario`, which a Session deploys through the full
-DAnCE-lite pipeline.
+:class:`repro.api.Scenario`, which a Session deploys and runs.
 """
 
 import os
@@ -94,7 +93,7 @@ def main() -> None:
 
     # The engine's decision, as a serializable scenario data object.
     scenario = engine.scenario(result, duration=DURATION, seed=7)
-    session = Session(scenario, via_dance=True)
+    session = Session(scenario)
     run = session.run()
 
     print(f"\n=== plant monitoring, {DURATION:.0f} simulated seconds ===")

@@ -24,9 +24,10 @@ Scenarios are frozen, validated, and JSON-round-trip serializable
 all cores via ``repro.api.ExperimentSuite`` with bit-identical results
 for any worker count.
 
-Direct ``MiddlewareSystem(workload, combo)`` construction remains
-supported as a deprecated back-compat path — see ``docs/API.md`` for
-the migration table.  See ``examples/`` for full scenarios and
+``MiddlewareSystem(workload, combo)`` is the one assembler behind a
+Session, and a checked deployment plan is built by it too
+(``repro.config.deploy_plan``); ``docs/API.md`` maps its loosely-shaped
+results onto ``RunResult``.  See ``examples/`` for full scenarios and
 ``benchmarks/`` for the reproductions of the paper's figures and
 tables.
 """

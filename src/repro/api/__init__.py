@@ -22,9 +22,9 @@ resolved by name through the :func:`default_registry`, and grids of
 scenarios fan out over all cores through :class:`ExperimentSuite` with
 results bit-identical to a serial run.
 
-Direct ``MiddlewareSystem(...)`` construction still works but is a
-deprecated back-compat path — see ``docs/API.md`` for the migration
-table.
+``MiddlewareSystem(...)``, the assembler a Session deploys through,
+returns loosely-shaped results — see ``docs/API.md`` for how they map
+onto :class:`RunResult`.
 """
 
 from repro.api.registry import REGISTRY, StrategyRegistry, default_registry

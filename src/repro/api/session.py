@@ -4,8 +4,8 @@ The session is the one audited execution path behind every experiment,
 example, and CLI command.  It dispatches on the scenario's engine:
 
 * ``middleware`` — the paper's Figure 1 deployment via
-  :class:`~repro.core.middleware.MiddlewareSystem` (optionally through the
-  DAnCE-lite XML plan pipeline with ``via_dance=True``);
+  :class:`~repro.core.middleware.MiddlewareSystem`, the one assembler that
+  a checked deployment plan is also built by;
 * ``distributed`` — the per-processor two-phase admission prototype;
 * ``replay`` — analytic trace replay through a registry admission policy.
 
@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.registry import default_registry
 from repro.api.scenario import (
     ENGINE_DISTRIBUTED,
-    ENGINE_MIDDLEWARE,
     ENGINE_REPLAY,
     Burst,
     NodeCrash,
@@ -279,11 +278,6 @@ class RunResult:
 class Session:
     """Deploys a scenario into a live system and runs it exactly once.
 
-    ``via_dance=True`` routes a middleware-engine scenario through the
-    DAnCE-lite pipeline (workload + combo -> XML deployment plan ->
-    Execution Manager), proving the declarative and deployment-descriptor
-    paths assemble identical systems.
-
     ``metrics`` arms the run with a :class:`MetricsRegistry`: the
     engines publish decision counters, latency histograms, and shard
     gauges into it, and the resulting :class:`RunResult` carries
@@ -294,23 +288,16 @@ class Session:
     def __init__(
         self,
         scenario: Scenario,
-        via_dance: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not isinstance(scenario, Scenario):
             raise ConfigurationError(
                 f"Session needs a Scenario, got {type(scenario).__name__}"
             )
-        if via_dance and scenario.engine != ENGINE_MIDDLEWARE:
-            raise ConfigurationError(
-                "the DAnCE-lite pipeline deploys middleware scenarios only, "
-                f"not {scenario.engine!r}"
-            )
         self.scenario = scenario
-        self.via_dance = via_dance
         self.metrics = metrics
         # The deployed system comes from intentionally-untyped engine
-        # modules (middleware / distributed / DAnCE-lite), hence Any.
+        # modules (middleware / distributed), hence Any.
         self._system: Optional[Any] = None
         self._result: Optional[RunResult] = None
         self._validate_disturbance_nodes()
@@ -383,28 +370,21 @@ class Session:
             )
             self._install_faults(self._system)
             return self._system
-        if self.via_dance:
-            from repro.config.dance import DeploymentEngine
+        from repro.core.middleware import MiddlewareSystem
 
-            self._system = DeploymentEngine().deploy_scenario(
-                scenario, metrics_registry=self.metrics
-            )
-        else:
-            from repro.core.middleware import MiddlewareSystem
-
-            self._system = MiddlewareSystem(
-                workload,
-                scenario.strategy_combo,
-                cost_model=scenario.cost_model,
-                seed=scenario.seed,
-                trace=scenario.trace,
-                delay_model=scenario.delay_model,
-                aperiodic_interarrival_factor=(
-                    scenario.aperiodic_interarrival_factor
-                ),
-                arrival_batching=scenario.arrival_batching,
-                metrics_registry=self.metrics,
-            )
+        self._system = MiddlewareSystem(
+            workload,
+            scenario.strategy_combo,
+            cost_model=scenario.cost_model,
+            seed=scenario.seed,
+            trace=scenario.trace,
+            delay_model=scenario.delay_model,
+            aperiodic_interarrival_factor=(
+                scenario.aperiodic_interarrival_factor
+            ),
+            arrival_batching=scenario.arrival_batching,
+            metrics_registry=self.metrics,
+        )
         self._apply_disturbances(self._system)
         self._install_faults(self._system)
         return self._system
@@ -642,9 +622,7 @@ class Session:
         )
 
 
-def run_scenario(
-    scenario: Scenario, via_dance: bool = False, with_metrics: bool = False
-) -> RunResult:
+def run_scenario(scenario: Scenario, with_metrics: bool = False) -> RunResult:
     """One-shot convenience: ``Session(scenario).run()``.
 
     ``with_metrics=True`` arms the run with a fresh
@@ -653,4 +631,4 @@ def run_scenario(
     picklable-friendly for ``run_cells`` fan-out.
     """
     registry = MetricsRegistry() if with_metrics else None
-    return Session(scenario, via_dance=via_dance, metrics=registry).run()
+    return Session(scenario, metrics=registry).run()

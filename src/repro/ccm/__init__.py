@@ -12,14 +12,11 @@ architecture the paper builds on:
   calls on the LB component).
 * :class:`~repro.ccm.container.Container` — execution environment binding
   components to a processor and the event-channel federation.
-* :class:`~repro.ccm.repository.ComponentRepository` — maps implementation
-  names from deployment plans to Python component classes.
 """
 
 from repro.ccm.component import AttributeSpec, Component
 from repro.ccm.container import Container
 from repro.ccm.ports import EventSinkPort, EventSourcePort, Facet, Receptacle
-from repro.ccm.repository import ComponentRepository
 
 __all__ = [
     "AttributeSpec",
@@ -29,5 +26,4 @@ __all__ = [
     "EventSourcePort",
     "Facet",
     "Receptacle",
-    "ComponentRepository",
 ]

@@ -157,24 +157,6 @@ class Component:
         return self._activated
 
     # ------------------------------------------------------------------
-    # Generic port wiring (used by the DAnCE-lite deployment pipeline)
-    # ------------------------------------------------------------------
-    def provide_facet(self, port_name: str):
-        """Return the named facet; components with facets override this."""
-        raise ComponentError(
-            f"{type(self).__name__} {self.name!r} provides no facet "
-            f"{port_name!r}"
-        )
-
-    def connect_receptacle(self, port_name: str, facet: Any) -> None:
-        """Connect the named receptacle; components with receptacles
-        override this."""
-        raise ComponentError(
-            f"{type(self).__name__} {self.name!r} has no receptacle "
-            f"{port_name!r}"
-        )
-
-    # ------------------------------------------------------------------
     # Component context (valid once installed): bound by Container.install.
     # ------------------------------------------------------------------
     node = _ContainerContext()  # name of the processor deployed on

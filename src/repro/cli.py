@@ -18,7 +18,8 @@ configure <workload-spec> [--answers C1,C3,C2,TOL] [--xml-out PATH]
     Run the front-end configuration engine: map characteristics to
     strategies, emit (and optionally save) the XML deployment plan.
 run <workload-spec> [--combo LABEL] [--duration SEC] [--seed N]
-    Deploy a workload (via DAnCE-lite) and run it, printing metrics.
+    Configure a workload, deploy the configured system and run it,
+    printing metrics.
 metrics <scenario.json> [--out PATH] [--json OUT]
     Run a scenario armed with the metrics registry and dump the
     Prometheus text exposition (see docs/OBSERVABILITY.md).
@@ -150,8 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     psr.add_argument("path", help="scenario JSON path")
     psr.add_argument("--json", metavar="PATH", default=None,
                      help="write the RunResult as JSON")
-    psr.add_argument("--via-dance", action="store_true",
-                     help="deploy through the DAnCE-lite XML plan pipeline")
 
     pan = sub.add_parser("analyze", help="offline AUB feasibility report")
     pan.add_argument("workload")
@@ -181,8 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "the Prometheus text exposition",
     )
     pm.add_argument("path", help="scenario JSON path")
-    pm.add_argument("--via-dance", action="store_true",
-                    help="deploy through the DAnCE-lite XML plan pipeline")
     pm.add_argument("--out", metavar="PATH", default=None,
                     help="write the exposition here instead of stdout")
     pm.add_argument("--json", metavar="PATH", default=None,
@@ -278,7 +275,7 @@ def _scenario_run(args) -> None:
     scenario = Scenario.load(args.path)
     print(f"scenario: {scenario.effective_label} "
           f"(engine={scenario.engine}, duration={scenario.duration:.0f}s)")
-    result = Session(scenario, via_dance=args.via_dance).run()
+    result = Session(scenario).run()
     _print_run_result(result)
     _write_json(args.json, result.to_json())
 
@@ -288,9 +285,7 @@ def _metrics_run(args) -> None:
 
     scenario = Scenario.load(args.path)
     registry = MetricsRegistry()
-    result = Session(
-        scenario, via_dance=args.via_dance, metrics=registry
-    ).run()
+    result = Session(scenario, metrics=registry).run()
     exposition = registry.expose()
     if args.out is None:
         sys.stdout.write(exposition)
@@ -446,7 +441,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         scenario = engine.scenario(
             result, duration=args.duration, seed=args.seed
         )
-        run = Session(scenario, via_dance=True).run()
+        run = Session(scenario).run()
         _print_run_result(run)
         _write_json(args.json, run.to_json())
     elif command == "metrics":

@@ -1,26 +1,19 @@
-"""Front-end configuration engine and DAnCE-lite deployment pipeline.
+"""Front-end configuration engine and plan deployment.
 
 Paper sections 4 and 6: application developers describe their CPS through
 the four questionnaire answers (:mod:`repro.config.characteristics`); the
 engine maps them to service strategies per Table 1
 (:mod:`repro.config.mapping`), builds an XML deployment plan
 (:mod:`repro.config.plan`, :mod:`repro.config.xml_io`), refuses invalid
-configurations (:mod:`repro.config.validation`) and deploys through the
-staged DAnCE pipeline (:mod:`repro.config.dance`).
+configurations (:mod:`repro.config.validation`) and deploys a checked
+plan through the one assembler (:mod:`repro.config.dance`).
 """
 
 from repro.config.characteristics import (
     ApplicationCharacteristics,
     OverheadTolerance,
 )
-from repro.config.dance import (
-    DeploymentEngine,
-    ExecutionManager,
-    NodeApplication,
-    NodeApplicationManager,
-    PlanLauncher,
-    default_repository,
-)
+from repro.config.dance import deploy_plan
 from repro.config.engine import ConfigurationEngine, EngineResult
 from repro.config.mapping import map_characteristics
 from repro.config.plan import (
@@ -41,12 +34,7 @@ from repro.config.xml_io import parse_xml, to_xml
 __all__ = [
     "ApplicationCharacteristics",
     "OverheadTolerance",
-    "DeploymentEngine",
-    "ExecutionManager",
-    "NodeApplication",
-    "NodeApplicationManager",
-    "PlanLauncher",
-    "default_repository",
+    "deploy_plan",
     "ConfigurationEngine",
     "EngineResult",
     "map_characteristics",

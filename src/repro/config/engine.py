@@ -10,7 +10,8 @@ The engine ties the configuration pipeline together:
 4. Build the XML deployment plan with EDMS priorities assigned in order
    of end-to-end deadlines.
 5. Validate the plan — invalid strategy combinations cannot be produced.
-6. Optionally deploy through the DAnCE-lite pipeline.
+6. Optionally deploy it: the plan, or its XML, is checked and built by
+   :func:`repro.config.dance.deploy_plan`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import List, Mapping, Optional, Union
 
 from repro.config.characteristics import ApplicationCharacteristics
-from repro.config.dance import DeploymentEngine
+from repro.config.dance import deploy_plan
 from repro.config.mapping import DEFAULT_COMBO, map_characteristics
 from repro.config.plan import DeploymentPlan, build_deployment_plan
 from repro.config.validation import validate_plan
@@ -44,10 +45,7 @@ class EngineResult:
 
 
 class ConfigurationEngine:
-    """Front end to the DAnCE-lite deployment pipeline."""
-
-    def __init__(self) -> None:
-        self._deployer = DeploymentEngine()
+    """Front end: workload and characteristics in, checked plan out."""
 
     # ------------------------------------------------------------------
     # Configuration
@@ -126,8 +124,8 @@ class ConfigurationEngine:
         The scenario embeds the configured workload and the mapped
         strategy combination; extra keyword arguments (``duration``,
         ``seed``, ``cost_model``, ...) pass through to the scenario,
-        which validates them.  Run it with :class:`repro.api.Session`
-        (``via_dance=True`` routes back through this pipeline).
+        which validates them.  Run it with :class:`repro.api.Session`,
+        which builds the same system as :meth:`deploy` of ``result``.
         """
         from repro.api.scenario import Scenario, WorkloadSource
 
@@ -141,9 +139,9 @@ class ConfigurationEngine:
     # Deployment
     # ------------------------------------------------------------------
     def deploy(self, result: EngineResult, **runtime_kwargs) -> MiddlewareSystem:
-        """Deploy an engine result through the DAnCE-lite pipeline."""
-        return self._deployer.deploy(result.plan, **runtime_kwargs)
+        """Deploy an engine result's plan (see :func:`deploy_plan`)."""
+        return deploy_plan(result.plan, **runtime_kwargs)
 
     def deploy_xml(self, xml_text: str, **runtime_kwargs) -> MiddlewareSystem:
-        """Deploy directly from an XML descriptor string."""
-        return self._deployer.deploy(xml_text, **runtime_kwargs)
+        """Deploy from an XML descriptor string (see :func:`deploy_plan`)."""
+        return deploy_plan(xml_text, **runtime_kwargs)

@@ -3,9 +3,9 @@
 A :class:`DeploymentPlan` is the in-memory form of the XML assembly
 descriptor the paper's configuration engine emits for DAnCE: component
 instances (with ``configProperty`` settings), facet/receptacle and event
-connections, the processor topology, and the embedded workload (so the
-DAnCE-lite runtime can reconstruct arrival generation without a side
-channel).
+connections, the processor topology, and the embedded workload (so a
+deployer can rebuild the system and its arrival generation from the plan
+alone).
 
 :func:`build_deployment_plan` performs the paper's generation step,
 including assigning EDMS priorities "in order of tasks' end-to-end
@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.sched.edms import edms_priority
 from repro.workloads.model import Workload
 
-#: Implementation names registered in the component repository.
+#: Implementation names of the six paper components, as a plan names them.
 IMPL_AC = "repro.AdmissionController"
 IMPL_LB = "repro.LoadBalancer"
 IMPL_TE = "repro.TaskEffector"
@@ -116,10 +116,6 @@ class DeploymentPlan:
             if inst.implementation == implementation
         ]
 
-    @property
-    def nodes(self) -> Tuple[str, ...]:
-        return (self.manager_node,) + self.app_nodes
-
     def combo(self) -> StrategyCombo:
         """The strategy combination encoded in the AC instance."""
         acs = self.instances_of(IMPL_AC)
@@ -128,9 +124,11 @@ class DeploymentPlan:
                 f"plan must contain exactly one AC instance, found {len(acs)}"
             )
         props = acs[0].property_dict()
-        return StrategyCombo.from_label(
-            f"{props['ac_strategy']}_{props['ir_strategy']}_{props['lb_strategy']}"
-        )
+        try:
+            parts = [props[f"{service}_strategy"] for service in ("ac", "ir", "lb")]
+        except KeyError as exc:
+            raise ConfigurationError(f"AC instance lacks property {exc}") from None
+        return StrategyCombo.from_label("_".join(map(str, parts)))
 
 
 def build_deployment_plan(

@@ -1,39 +1,31 @@
-"""Deployment-plan feasibility checks.
+"""Deployment-plan checks.
 
 The paper's configuration engine "performs a feasibility check on
 configuration settings, to ensure correct handling of dependent
-constraints" — most prominently refusing AC-per-Task + IR-per-Job.  This
-module checks a whole :class:`~repro.config.plan.DeploymentPlan`:
+constraints" — most prominently refusing AC-per-Task + IR-per-Job.
+:func:`validate_plan` checks a whole
+:class:`~repro.config.plan.DeploymentPlan`:
 
-* the AC strategy triple is a valid combination;
-* an LB instance exists iff the AC's lb_strategy enables it, and they are
-  colocated on the task manager;
-* exactly one TE and IR per application processor, with matching
-  processor_id properties and IR strategies consistent with the AC's;
-* TE release modes consistent with the AC/LB strategies;
-* subtask instances carry EDMS-consistent priorities (a task with a
-  shorter end-to-end deadline never has a lower-urgency priority value);
-* every task chain is complete on every eligible processor and the first
-  stage's home processor hosts a TE.
+* its AC's strategy triple is a valid combination;
+* its embedded workload parses;
+* it is exactly the plan :func:`~repro.config.plan.build_deployment_plan`
+  generates for that workload and combination: the same topology, the
+  same instances (id, node, implementation and typed configuration) and
+  the same connections, in any order and under any label.
+
+The last check covers every structural rule of a plan (an LB iff the AC
+enables one, one TE and IR per application processor, release modes,
+EDMS priorities, complete task chains), and it lets a deployer build the
+system from the workload and combination alone: a plan cannot deploy as
+something it does not say.
 """
 
 from __future__ import annotations
 
-import json
-from collections import defaultdict
-from typing import Dict, List
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.config.plan import (
-    DeploymentPlan,
-    IMPL_AC,
-    IMPL_FI_SUBTASK,
-    IMPL_IR,
-    IMPL_LAST_SUBTASK,
-    IMPL_LB,
-    IMPL_TE,
-)
+from repro.config.plan import ComponentInstance, DeploymentPlan, build_deployment_plan
 from repro.config.workload_spec import parse_workload_json
-from repro.core.strategies import ACStrategy, LBStrategy
 from repro.errors import ConfigurationError
 from repro.workloads.model import Workload
 
@@ -42,177 +34,92 @@ def validate_plan(plan: DeploymentPlan) -> Workload:
     """Validate ``plan``; returns the embedded workload on success.
 
     Raises :class:`ConfigurationError` (or the more specific
-    :class:`~repro.errors.InvalidStrategyCombination`) on any violation.
+    :class:`~repro.errors.InvalidStrategyCombination`) on any violation,
+    naming the first instance or connection that is missing, extra or
+    different from the generated plan.
     """
-    combo = plan.combo()  # raises on missing/duplicated AC
+    combo = plan.combo()  # raises on a missing/duplicated AC
     combo.validate()
-    workload = _embedded_workload(plan)
-    _check_services(plan, combo)
-    _check_effectors_and_resetters(plan, combo, workload)
-    _check_subtasks(plan, combo, workload)
+    if not plan.workload_json:
+        raise ConfigurationError("plan has no embedded workload")
+    workload = parse_workload_json(plan.workload_json)
+    generated = build_deployment_plan(workload, combo)
+    where = f"the plan generated for its workload and combo {combo.label}"
+    if (plan.manager_node, sorted(plan.app_nodes)) != (
+        generated.manager_node, sorted(generated.app_nodes)
+    ):
+        raise ConfigurationError(
+            f"plan topology (manager {plan.manager_node!r}, nodes "
+            f"{list(plan.app_nodes)}) differs from {where} (manager "
+            f"{generated.manager_node!r}, nodes {list(generated.app_nodes)})"
+        )
+    _check_same("instance", plan.instances, generated.instances,
+                lambda inst: inst.instance_id, _instance_difference, where)
+    _check_same("connection", plan.connections, generated.connections,
+                lambda conn: conn.name, _connection_difference, where)
     return workload
 
 
-def _embedded_workload(plan: DeploymentPlan) -> Workload:
-    if not plan.workload_json:
-        raise ConfigurationError("plan has no embedded workload")
-    try:
-        return parse_workload_json(plan.workload_json)
-    except json.JSONDecodeError as exc:  # pragma: no cover - parse guards
-        raise ConfigurationError(f"embedded workload is invalid: {exc}") from None
-
-
-def _check_services(plan: DeploymentPlan, combo) -> None:
-    ac = plan.instances_of(IMPL_AC)[0]
-    if ac.node != plan.manager_node:
-        raise ConfigurationError(
-            f"AC instance must live on the task manager {plan.manager_node!r}, "
-            f"found on {ac.node!r}"
-        )
-    lbs = plan.instances_of(IMPL_LB)
-    lb_enabled = combo.lb is not LBStrategy.NONE
-    if lb_enabled and len(lbs) != 1:
-        raise ConfigurationError(
-            f"lb_strategy={combo.lb.value} requires exactly one LB instance, "
-            f"found {len(lbs)}"
-        )
-    if not lb_enabled and lbs:
-        raise ConfigurationError(
-            "plan deploys an LB instance but the AC disables load balancing"
-        )
-    if lb_enabled:
-        lb = lbs[0]
-        if lb.node != plan.manager_node:
-            raise ConfigurationError(
-                "LB instance must be colocated with the AC on the task manager"
-            )
-        facet_conns = {
-            (c.source_instance, c.source_port, c.target_instance)
-            for c in plan.connections
-            if c.kind == "facet"
-        }
-        if (ac.instance_id, "locator", lb.instance_id) not in facet_conns:
-            raise ConfigurationError(
-                "missing facet connection: AC locator -> LB location"
-            )
-        if (lb.instance_id, "admission_state", ac.instance_id) not in facet_conns:
-            raise ConfigurationError(
-                "missing facet connection: LB admission_state -> AC"
-            )
-
-
-def _check_effectors_and_resetters(
-    plan: DeploymentPlan, combo, workload: Workload
+def _check_same(
+    kind: str,
+    given: Sequence[Any],
+    generated: Sequence[Any],
+    key: Callable[[Any], str],
+    difference: Callable[[Any, Any], Optional[str]],
+    where: str,
 ) -> None:
-    expected_mode = (
-        "per_task"
-        if combo.ac is ACStrategy.PER_TASK and combo.lb is not LBStrategy.PER_JOB
-        else "per_job"
-    )
-    te_nodes: Dict[str, int] = defaultdict(int)
-    for te in plan.instances_of(IMPL_TE):
-        props = te.property_dict()
-        if props.get("processor_id") != te.node:
+    """Raise for the first element of ``generated`` that ``given`` lacks or
+    holds differently, then for the first extra element of ``given``."""
+    by_key: Dict[str, Any] = {}
+    for element in given:
+        if key(element) in by_key:
+            raise ConfigurationError(f"plan repeats {kind} {key(element)!r}")
+        by_key[key(element)] = element
+    for expected in generated:
+        element = by_key.pop(key(expected), None)
+        if element is None:
             raise ConfigurationError(
-                f"TE {te.instance_id!r}: processor_id "
-                f"{props.get('processor_id')!r} != node {te.node!r}"
+                f"plan lacks {kind} {key(expected)!r} of {where}"
             )
-        if props.get("release_mode") != expected_mode:
+        problem = difference(element, expected)
+        if problem is not None:
             raise ConfigurationError(
-                f"TE {te.instance_id!r}: release_mode "
-                f"{props.get('release_mode')!r} inconsistent with strategies "
-                f"{combo.label} (expected {expected_mode!r})"
+                f"{kind} {key(expected)!r} differs from {where}: {problem}"
             )
-        te_nodes[te.node] += 1
-    ir_nodes: Dict[str, int] = defaultdict(int)
-    for ir in plan.instances_of(IMPL_IR):
-        props = ir.property_dict()
-        if props.get("processor_id") != ir.node:
-            raise ConfigurationError(
-                f"IR {ir.instance_id!r}: processor_id mismatch"
-            )
-        if props.get("strategy") != combo.ir.value:
-            raise ConfigurationError(
-                f"IR {ir.instance_id!r}: strategy {props.get('strategy')!r} "
-                f"!= AC's ir_strategy {combo.ir.value!r}"
-            )
-        ir_nodes[ir.node] += 1
-    for node in workload.app_nodes:
-        if te_nodes.get(node, 0) != 1:
-            raise ConfigurationError(
-                f"application processor {node!r} needs exactly one TE, "
-                f"found {te_nodes.get(node, 0)}"
-            )
-        if ir_nodes.get(node, 0) != 1:
-            raise ConfigurationError(
-                f"application processor {node!r} needs exactly one IR, "
-                f"found {ir_nodes.get(node, 0)}"
-            )
+    if by_key:
+        raise ConfigurationError(
+            f"plan has {kind} {next(iter(by_key))!r}, which {where} lacks"
+        )
 
 
-def _check_subtasks(plan: DeploymentPlan, combo, workload: Workload) -> None:
-    subtask_instances = plan.instances_of(IMPL_FI_SUBTASK) + plan.instances_of(
-        IMPL_LAST_SUBTASK
-    )
-    deployed = {}
-    priorities: Dict[str, float] = {}
-    for inst in subtask_instances:
-        props = inst.property_dict()
-        key = (props["task_id"], props["subtask_index"], inst.node)
-        if key in deployed:
-            raise ConfigurationError(
-                f"duplicate subtask instance for {key}"
-            )
-        deployed[key] = inst
-        if props.get("ir_mode") != combo.ir.value:
-            raise ConfigurationError(
-                f"subtask {inst.instance_id!r}: ir_mode "
-                f"{props.get('ir_mode')!r} != AC's ir_strategy"
-            )
-        task_id = props["task_id"]
-        priority = float(props["priority"])
-        if task_id in priorities and priorities[task_id] != priority:
-            raise ConfigurationError(
-                f"task {task_id!r} has inconsistent priorities across "
-                "subtask instances"
-            )
-        priorities[task_id] = priority
+_ABSENT = object()
 
-    by_deadline: List = sorted(workload.tasks, key=lambda t: t.deadline)
-    for earlier, later in zip(by_deadline, by_deadline[1:]):
-        if earlier.task_id in priorities and later.task_id in priorities:
-            if priorities[earlier.task_id] > priorities[later.task_id]:
-                raise ConfigurationError(
-                    f"EDMS violation: task {earlier.task_id!r} (deadline "
-                    f"{earlier.deadline}) has lower urgency than "
-                    f"{later.task_id!r} (deadline {later.deadline})"
-                )
 
-    for task in workload.tasks:
-        last_index = task.n_subtasks - 1
-        for subtask in task.subtasks:
-            expected_impl = (
-                IMPL_LAST_SUBTASK if subtask.index == last_index else IMPL_FI_SUBTASK
+def _typed(value: Any) -> Tuple[type, Any]:
+    # 1, 1.0 and True compare equal; a plan must carry the generated type.
+    return (type(value), value)
+
+
+def _instance_difference(
+    given: ComponentInstance, expected: ComponentInstance
+) -> Optional[str]:
+    for field in ("node", "implementation"):
+        if getattr(given, field) != getattr(expected, field):
+            return (
+                f"{field} {getattr(given, field)!r}, generated "
+                f"{getattr(expected, field)!r}"
             )
-            for node in subtask.eligible:
-                key = (task.task_id, subtask.index, node)
-                inst = deployed.get(key)
-                if inst is None:
-                    raise ConfigurationError(
-                        f"missing subtask instance for task {task.task_id!r} "
-                        f"stage {subtask.index} on {node!r}"
-                    )
-                if inst.implementation != expected_impl:
-                    raise ConfigurationError(
-                        f"subtask {inst.instance_id!r}: implementation "
-                        f"{inst.implementation!r}, expected {expected_impl!r}"
-                    )
-        arrival_node = task.subtasks[0].home
-        te_id = f"TE-{arrival_node}"
-        try:
-            plan.instance(te_id)
-        except ConfigurationError:
-            raise ConfigurationError(
-                f"task {task.task_id!r} arrives on {arrival_node!r} "
-                f"but no TE is deployed there"
-            ) from None
+    props, wanted = given.property_dict(), expected.property_dict()
+    for name in sorted(set(props) | set(wanted)):
+        value, want = props.get(name, _ABSENT), wanted.get(name, _ABSENT)
+        if _typed(value) != _typed(want):
+            shown = "absent" if value is _ABSENT else repr(value)
+            shown_want = "absent" if want is _ABSENT else repr(want)
+            return f"property {name!r} {shown}, generated {shown_want}"
+    return None
+
+
+def _connection_difference(given: Any, expected: Any) -> Optional[str]:
+    if given == expected:
+        return None
+    return f"{given}, generated {expected}"

@@ -36,10 +36,12 @@ Comments (``#``) and blank lines are ignored in the text format.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.errors import WorkloadSpecError
+from repro.errors import TaskModelError, WorkloadSpecError
+from repro.json_checks import json_field, json_list
 from repro.sched.task import SubtaskSpec, TaskKind, TaskSpec
 from repro.workloads.model import DEFAULT_MANAGER_NODE, Workload
 
@@ -76,63 +78,70 @@ def workload_to_json(workload: Workload, indent: Optional[int] = 2) -> str:
 
 
 def parse_workload_json(text: str) -> Workload:
-    """Parse the canonical JSON workload format."""
+    """Parse the canonical JSON workload format; raises WorkloadSpecError
+    on any malformed input."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkloadSpecError(f"invalid JSON workload spec: {exc}") from None
-    if not isinstance(doc, dict):
-        raise WorkloadSpecError("workload spec must be a JSON object")
+    what = "workload spec"
     try:
-        processors = [str(p) for p in doc["processors"]]
-        raw_tasks = doc["tasks"]
-    except KeyError as exc:
-        raise WorkloadSpecError(f"workload spec missing key {exc}") from None
-    manager = str(doc.get("manager", DEFAULT_MANAGER_NODE))
-    tasks: List[TaskSpec] = []
-    for raw in raw_tasks:
-        tasks.append(_task_from_dict(raw))
-    return Workload(
-        tasks=tuple(tasks), app_nodes=tuple(processors), manager_node=manager
-    )
+        processors = json_list(doc, "processors", str, what)
+        manager = (
+            json_field(doc, "manager", str, what)
+            if "manager" in doc
+            else DEFAULT_MANAGER_NODE
+        )
+        tasks = tuple(
+            _task_from_dict(raw) for raw in json_list(doc, "tasks", dict, what)
+        )
+    except (ValueError, OverflowError, TaskModelError) as exc:
+        raise WorkloadSpecError(f"invalid workload spec: {exc}") from None
+    return Workload(tasks=tasks, app_nodes=tuple(processors), manager_node=manager)
 
 
 def _task_from_dict(raw: Dict[str, Any]) -> TaskSpec:
-    try:
-        task_id = str(raw["id"])
-        kind = TaskKind(str(raw["kind"]).lower())
-        deadline = float(raw["deadline"])
-        raw_subtasks = raw["subtasks"]
-    except KeyError as exc:
-        raise WorkloadSpecError(f"task entry missing key {exc}") from None
-    except ValueError as exc:
-        raise WorkloadSpecError(f"bad task entry: {exc}") from None
+    task_id = json_field(raw, "id", str, "task entry")
+    what = f"task {task_id!r}"
     subtasks = []
-    for index, raw_sub in enumerate(raw_subtasks):
-        try:
-            subtasks.append(
-                SubtaskSpec(
-                    index=index,
-                    execution_time=float(raw_sub["execution_time"]),
-                    home=str(raw_sub["processor"]),
-                    replicas=tuple(
-                        str(r) for r in raw_sub.get("replicas", ())
-                    ),
-                )
+    for index, raw_sub in enumerate(json_list(raw, "subtasks", dict, what)):
+        where = f"{what} subtask {index}"
+        subtasks.append(
+            SubtaskSpec(
+                index=index,
+                execution_time=_json_number(raw_sub, "execution_time", where),
+                home=json_field(raw_sub, "processor", str, where),
+                replicas=tuple(
+                    json_list(raw_sub, "replicas", str, where)
+                    if "replicas" in raw_sub
+                    else ()
+                ),
             )
-        except KeyError as exc:
-            raise WorkloadSpecError(
-                f"task {task_id} subtask {index} missing key {exc}"
-            ) from None
-    period = raw.get("period")
+        )
     return TaskSpec(
         task_id=task_id,
-        kind=kind,
-        deadline=deadline,
+        kind=TaskKind(json_field(raw, "kind", str, what).lower()),
+        deadline=_json_number(raw, "deadline", what),
         subtasks=tuple(subtasks),
-        period=float(period) if period is not None else None,
-        phase=float(raw.get("phase", 0.0)),
+        period=(
+            _json_number(raw, "period", what)
+            if raw.get("period") is not None
+            else None
+        ),
+        phase=_json_number(raw, "phase", what) if "phase" in raw else 0.0,
     )
+
+
+def _json_number(raw: Dict[str, Any], key: str, what: str) -> float:
+    return _finite(json_field(raw, key, (int, float), what), f"{what} {key!r}")
+
+
+def _finite(value: Any, what: str) -> float:
+    """``value`` as a float; raises ValueError unless it is a finite number."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {number}")
+    return number
 
 
 # ----------------------------------------------------------------------
@@ -153,16 +162,19 @@ def parse_workload_text(text: str) -> Workload:
             raise WorkloadSpecError(
                 f"task {current['id']} has no subtask lines"
             )
-        tasks.append(
-            TaskSpec(
-                task_id=current["id"],
-                kind=current["kind"],
-                deadline=current["deadline"],
-                subtasks=tuple(current["subtasks"]),
-                period=current["period"],
-                phase=current["phase"],
+        try:
+            tasks.append(
+                TaskSpec(
+                    task_id=current["id"],
+                    kind=current["kind"],
+                    deadline=current["deadline"],
+                    subtasks=tuple(current["subtasks"]),
+                    period=current["period"],
+                    phase=current["phase"],
+                )
             )
-        )
+        except TaskModelError as exc:
+            raise WorkloadSpecError(str(exc)) from None
         current = None
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -231,9 +243,9 @@ def _parse_task_line(fields: List[str], lineno: int) -> Dict[str, Any]:
     return {
         "id": task_id,
         "kind": kind,
-        "deadline": float(kv["deadline"]),
-        "period": float(kv["period"]) if "period" in kv else None,
-        "phase": float(kv.get("phase", 0.0)),
+        "deadline": _spec_number(kv, "deadline", lineno),
+        "period": _spec_number(kv, "period", lineno) if "period" in kv else None,
+        "phase": _spec_number(kv, "phase", lineno) if "phase" in kv else 0.0,
         "subtasks": [],
     }
 
@@ -249,12 +261,24 @@ def _parse_subtask_line(
     replicas = tuple(
         r for r in kv.get("replicas", "").split(",") if r
     )
-    return SubtaskSpec(
-        index=index,
-        execution_time=float(kv["exec"]),
-        home=kv["on"],
-        replicas=replicas,
-    )
+    try:
+        return SubtaskSpec(
+            index=index,
+            execution_time=_spec_number(kv, "exec", lineno),
+            home=kv["on"],
+            replicas=replicas,
+        )
+    except TaskModelError as exc:
+        raise WorkloadSpecError(f"line {lineno}: {exc}") from None
+
+
+def _spec_number(kv: Dict[str, str], key: str, lineno: int) -> float:
+    try:
+        return _finite(kv[key], f"{key}=")
+    except ValueError:
+        raise WorkloadSpecError(
+            f"line {lineno}: {key}= needs a finite number, got {kv[key]!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------

@@ -65,11 +65,12 @@ def _decode_value(value_el: ET.Element) -> Any:
     text = payload.text.strip()
     if kind == "tk_string":
         return text
-    if kind == "tk_long":
-        return int(text)
-    if kind == "tk_double":
-        return float(text)
-    return text.lower() == "true"
+    if kind == "tk_boolean":
+        return text.lower() == "true"
+    try:
+        return int(text) if kind == "tk_long" else float(text)
+    except ValueError:
+        raise ConfigurationError(f"{kind} value {text!r} is not a number") from None
 
 
 def to_xml(plan: DeploymentPlan) -> str:

@@ -201,17 +201,6 @@ class AdmissionControllerComponent(Component):
         """Wire the receptacle for 'Location' calls on the LB component."""
         self._locator.connect(facet)
 
-    def provide_facet(self, port_name: str) -> Facet:
-        if port_name == "admission_state":
-            return self.provide_state_facet()
-        return super().provide_facet(port_name)
-
-    def connect_receptacle(self, port_name: str, facet: Facet) -> None:
-        if port_name == "locator":
-            self.connect_locator(facet)
-            return
-        super().connect_receptacle(port_name, facet)
-
     def _initialize_state(self) -> None:
         self.ledger = SyntheticUtilizationLedger(self.env.app_nodes)
         self.analyzer = AubAnalyzer(self.ledger)

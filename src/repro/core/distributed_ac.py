@@ -63,11 +63,16 @@ from repro.ccm.events import (
 )
 from repro.ccm.ports import EventSinkPort, EventSourcePort
 from repro.core.cost_model import OP_ADMISSION_TEST
+from repro.core.middleware import MiddlewareSystem
 from repro.core.runtime import RuntimeEnv
+from repro.core.strategies import StrategyCombo
+from repro.core.subtask import FISubtaskComponent, LastSubtaskComponent
+from repro.core.task_effector import TaskEffectorComponent
 from repro.cpu.thread import WorkItem
 from repro.errors import ComponentError
 from repro.numeric import ordered_sum
 from repro.sched.aub import EPSILON, aub_term, aub_term_inverse
+from repro.sched.edms import edms_priority
 from repro.sched.task import Job
 from repro.sim.kernel import EventHandle
 
@@ -390,8 +395,8 @@ class DistributedAdmissionControllerComponent(Component):
         On a fault-free network every vote and outcome arrives, so the
         recovery machinery would only schedule events it always cancels.
         The injector's window set is fixed before the run starts, so
-        :meth:`DistributedMiddlewareSystem.run` works ``chaos`` out once
-        and hands it to every controller; both modes are deterministic.
+        :class:`DistributedMiddlewareSystem` works ``chaos`` out once per
+        run and hands it to every controller; both modes are deterministic.
         """
         self._chaos = chaos and self._vote_timeout > 0
 
@@ -1097,7 +1102,7 @@ class DistributedAdmissionControllerComponent(Component):
         self._caps.pop(job_key, None)
 
 
-class DistributedMiddlewareSystem:
+class DistributedMiddlewareSystem(MiddlewareSystem):
     """A deployment using per-processor admission controllers.
 
     Reuses the :class:`~repro.core.middleware.MiddlewareSystem` substrate
@@ -1111,28 +1116,30 @@ class DistributedMiddlewareSystem:
                  delay_model=None, aperiodic_interarrival_factor: float = 2.0,
                  arrival_batching: bool = False, vote_timeout: float = 0.25,
                  max_retries: int = 2, metrics_registry=None):
-        from repro.core.middleware import MiddlewareSystem
-        from repro.core.strategies import StrategyCombo
-
-        self._base = MiddlewareSystem(
+        # Read by _deploy, which the base constructor calls.  Arrivals
+        # reach the task effectors one kernel event each (the base's
+        # arrival_batching stays off); a controller batches its own queue.
+        self._dac_batching = arrival_batching
+        self._vote_timeout = vote_timeout
+        self._max_retries = max_retries
+        self.acs: Dict[str, DistributedAdmissionControllerComponent] = {}
+        super().__init__(
             workload,
             StrategyCombo.from_label("J_N_N"),
             cost_model=cost_model,
             seed=seed,
             delay_model=delay_model,
             aperiodic_interarrival_factor=aperiodic_interarrival_factor,
-            auto_deploy=False,
             metrics_registry=metrics_registry,
         )
-        self.metrics_registry = metrics_registry
-        env = self._base.env
-        containers = self._base.containers
+
+    def _deploy(self) -> None:
+        workload = self.workload
+        env = self.env
+        containers = self.containers
         # Task effectors pointed at their local controllers.
         for node in workload.app_nodes:
-            te_name = f"TE-{node}"
-            from repro.core.task_effector import TaskEffectorComponent
-
-            te = TaskEffectorComponent(te_name, env)
+            te = TaskEffectorComponent(f"TE-{node}", env)
             te.set_configuration(
                 {
                     "processor_id": node,
@@ -1141,50 +1148,18 @@ class DistributedMiddlewareSystem:
                 }
             )
             containers[node].install(te)
-        self.acs: Dict[str, DistributedAdmissionControllerComponent] = {}
         for node in workload.app_nodes:
             ac = DistributedAdmissionControllerComponent(f"DAC-{node}", env)
             ac.set_configuration(
                 {
                     "processor_id": node,
-                    "batching": arrival_batching,
-                    "vote_timeout": vote_timeout,
-                    "max_retries": max_retries,
+                    "batching": self._dac_batching,
+                    "vote_timeout": self._vote_timeout,
+                    "max_retries": self._max_retries,
                 }
             )
             containers[node].install(ac)
             self.acs[node] = ac
-        self._deploy_subtasks(workload, env, containers)
-        for container in containers.values():
-            container.activate_all()
-        self.env = env
-        self.sim = self._base.sim
-        self.metrics = self._base.metrics
-        self.network = self._base.network
-        self.rngs = self._base.rngs
-        self.workload = workload
-        self._vote_timeout = vote_timeout
-        self._max_retries = max_retries
-
-    # ------------------------------------------------------------------
-    # Chaos hooks (see repro.net.fault and docs/CHAOS.md)
-    # ------------------------------------------------------------------
-    def install_fault_injector(self, injector) -> None:
-        """Install the fault injector consulted on every remote send."""
-        self.network.install_fault_injector(injector)
-
-    def crash_node(self, node: str) -> None:
-        """Fail-silent crash of ``node``'s admission controller now."""
-        self.acs[node].crash()
-
-    def recover_node(self, node: str) -> None:
-        """Re-admit ``node`` (empty ledger shard) after a crash."""
-        self.acs[node].recover()
-
-    def _deploy_subtasks(self, workload, env, containers) -> None:
-        from repro.core.subtask import FISubtaskComponent, LastSubtaskComponent
-        from repro.sched.edms import edms_priority
-
         for task in workload.tasks:
             priority = edms_priority(task)
             last_index = task.n_subtasks - 1
@@ -1207,38 +1182,48 @@ class DistributedMiddlewareSystem:
                 )
                 containers[subtask.home].install(component)
 
-    def run(self, duration: float, drain: bool = True):
-        """Run the workload; returns the base SystemResults but with the
-        distributed controllers' state summarized."""
-        from repro.workloads.arrivals import build_arrival_plan
+    # ------------------------------------------------------------------
+    # Chaos hooks (see repro.net.fault and docs/CHAOS.md)
+    # ------------------------------------------------------------------
+    def install_fault_injector(self, injector) -> None:
+        """Install the fault injector consulted on every remote send."""
+        self.network.install_fault_injector(injector)
 
-        plan = build_arrival_plan(
-            self.workload,
-            duration,
-            self._base.rngs.stream("arrivals"),
-            self._base.aperiodic_interarrival_factor,
-        )
-        arrived = self._base.schedule_arrivals(plan)
+    def crash_node(self, node: str) -> None:
+        """Fail-silent crash of ``node``'s admission controller now."""
+        self.acs[node].crash()
+
+    def recover_node(self, node: str) -> None:
+        """Re-admit ``node`` (empty ledger shard) after a crash."""
+        self.acs[node].recover()
+
+    def _prepare_run(self, horizon: float, drain: bool) -> float:
+        """Arm the controllers' recovery machinery if the network carries
+        an armed fault injector, and extend the drain to match."""
         injector = self.network.fault_injector
         chaos = injector is not None and injector.armed
         for ac in self.acs.values():
             ac.arm_recovery(chaos)
-        end = duration
-        if drain:
-            end += max(t.deadline for t in self.workload.tasks)
-            if chaos and self._vote_timeout > 0:
-                # A transaction started just before `duration` can climb
-                # the whole retry/backoff ladder before aborting; give
-                # timed-out rounds room to resolve inside the drain so
-                # every arrival still ends accepted or rejected.
-                end += self._vote_timeout * (2.0 ** (self._max_retries + 1))
-        self.sim.run(until=end)
+        end = super()._prepare_run(horizon, drain)
+        if drain and chaos and self._vote_timeout > 0:
+            # A transaction started just before the horizon can climb
+            # the whole retry/backoff ladder before aborting; give
+            # timed-out rounds room to resolve inside the drain so
+            # every arrival still ends accepted or rejected.
+            end += self._vote_timeout * (2.0 ** (self._max_retries + 1))
+        return end
+
+    def _results(self, end: float, arrived: int):
+        """The base run's totals with the distributed controllers' state
+        summarized."""
+        self.env.audit_rngs()
         if sanitize.enabled():
             for node in sorted(self.acs):
                 self.acs[node].verify_ledger()
+        injector = self.network.fault_injector
         fault_metrics = injector.metrics if injector is not None else None
         if self.metrics_registry is not None:
-            self._publish_final_metrics()
+            self._publish_coordination_metrics()
         return DistributedRunResults(
             duration=end,
             metrics=self.metrics,
@@ -1264,7 +1249,7 @@ class DistributedMiddlewareSystem:
             ),
         )
 
-    def _publish_final_metrics(self) -> None:
+    def _publish_coordination_metrics(self) -> None:
         """Aggregate coordination counters and final shard levels, one
         series per coordinator node.  Only reached when armed."""
         registry = self.metrics_registry

@@ -99,11 +99,6 @@ class IdleResetterComponent(Component):
         """The facet subtask components call on subjob completion."""
         return Facet(self, "complete", self)
 
-    def provide_facet(self, port_name: str) -> Facet:
-        if port_name == "complete":
-            return self.provide_complete_facet()
-        return super().provide_facet(port_name)
-
     # ------------------------------------------------------------------
     # Complete interface (called by F/I and Last Subtask components)
     # ------------------------------------------------------------------

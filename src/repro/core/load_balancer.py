@@ -57,17 +57,6 @@ class LoadBalancerComponent(Component):
     def connect_admission_state(self, facet: Facet) -> None:
         self._state.connect(facet)
 
-    def provide_facet(self, port_name: str) -> Facet:
-        if port_name == "location":
-            return self.provide_location_facet()
-        return super().provide_facet(port_name)
-
-    def connect_receptacle(self, port_name: str, facet: Facet) -> None:
-        if port_name == "admission_state":
-            self.connect_admission_state(facet)
-            return
-        super().connect_receptacle(port_name, facet)
-
     def on_activate(self) -> None:
         if not self._state.connected:
             raise ComponentError(

@@ -7,21 +7,19 @@ and one F/I or Last Subtask component per (task, stage, eligible
 processor).  It then drives the workload's arrival plan through the task
 effectors and collects results.
 
-It is the runtime substrate that both the declarative ``repro.api``
-surface and the DAnCE-lite deployment pipeline target.  Direct
-construction (``MiddlewareSystem(workload, combo, ...)``) is retained as
-a deprecated back-compat path: new code should build a
-:class:`repro.api.Scenario` and run it through
-:class:`repro.api.Session`, which validates the full parameter set,
-serializes to JSON, and returns a typed
-:class:`~repro.api.session.RunResult` instead of the loosely-shaped
-:class:`SystemResults`.  See ``docs/API.md`` for the migration table.
+It is the one assembler of a centralized system.  A
+:class:`repro.api.Session` builds one from a scenario, adding disturbances
+and a typed :class:`~repro.api.session.RunResult`; a deployment plan, in
+memory or as XML, is checked against the plan its own workload and
+combination generate and then built here
+(:func:`repro.config.dance.deploy_plan`).  The distributed engine
+subclasses it and replaces the deploy step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.ccm.container import Container
 from repro.core.admission_controller import AdmissionControllerComponent
@@ -84,7 +82,6 @@ class MiddlewareSystem:
         trace: bool = False,
         delay_model: Optional[DelayModel] = None,
         aperiodic_interarrival_factor: float = 2.0,
-        auto_deploy: bool = True,
         arrival_batching: bool = False,
         metrics_registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -128,10 +125,9 @@ class MiddlewareSystem:
         self._build_infrastructure()
         self.ac: Optional[AdmissionControllerComponent] = None
         self.lb: Optional[LoadBalancerComponent] = None
-        if auto_deploy:
-            self._deploy_services()
-            self._deploy_application()
-            self._activate()
+        self._deploy()
+        for container in self.containers.values():
+            container.activate_all()
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -143,6 +139,11 @@ class MiddlewareSystem:
             self.processors[node] = processor
             self.federation.add_node(node)
             self.containers[node] = Container(processor, self.federation, self.tracer)
+
+    def _deploy(self) -> None:
+        """Install every component (subclasses replace this step)."""
+        self._deploy_services()
+        self._deploy_application()
 
     def _deploy_services(self) -> None:
         manager = self.containers[self.workload.manager_node]
@@ -215,19 +216,6 @@ class MiddlewareSystem:
                     self.containers[node].install(component)
                     component.connect_ir(ir_facets[node])
 
-    def _activate(self) -> None:
-        for container in self.containers.values():
-            container.activate_all()
-
-    def finish_deployment(self) -> None:
-        """Activate all containers after an external (DAnCE-lite) deployment
-        populated them; requires an AC component to have been installed."""
-        if self.ac is None:
-            raise ConfigurationError(
-                "finish_deployment: no admission controller was installed"
-            )
-        self._activate()
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -281,21 +269,15 @@ class MiddlewareSystem:
         horizon by the longest task deadline, so late-arriving jobs can
         complete and their contributions expire.
         """
-        if self._ran:
-            raise ConfigurationError("this system instance already ran")
-        self._ran = True
-        plan = build_arrival_plan(
-            self.workload,
-            duration,
-            self.rngs.stream("arrivals"),
-            self.aperiodic_interarrival_factor,
+        return self.run_plan(
+            build_arrival_plan(
+                self.workload,
+                duration,
+                self.rngs.stream("arrivals"),
+                self.aperiodic_interarrival_factor,
+            ),
+            drain,
         )
-        arrived = self.schedule_arrivals(plan)
-        end = duration
-        if drain:
-            end += max(t.deadline for t in self.workload.tasks)
-        self.sim.run(until=end)
-        return self._results(end, arrived)
 
     def run_plan(self, plan: ArrivalPlan, drain: bool = True) -> SystemResults:
         """Run a pre-built arrival plan (for paired strategy comparisons
@@ -304,11 +286,17 @@ class MiddlewareSystem:
             raise ConfigurationError("this system instance already ran")
         self._ran = True
         arrived = self.schedule_arrivals(plan)
-        end = plan.horizon
-        if drain:
-            end += max(t.deadline for t in self.workload.tasks)
+        end = self._prepare_run(plan.horizon, drain)
         self.sim.run(until=end)
         return self._results(end, arrived)
+
+    def _prepare_run(self, horizon: float, drain: bool) -> float:
+        """The simulated time the run ends at; called once, after the
+        arrivals are scheduled and before the kernel runs."""
+        end = horizon
+        if drain:
+            end += max(t.deadline for t in self.workload.tasks)
+        return end
 
     def _results(self, end: float, arrived: int) -> SystemResults:
         # Under REPRO_SANITIZE=1 the registry proxies every stream; a

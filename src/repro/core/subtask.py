@@ -65,12 +65,6 @@ class _SubtaskComponentBase(Component):
         """Wire the receptacle for Complete calls on the local IR."""
         self._complete_port.connect(facet)
 
-    def connect_receptacle(self, port_name: str, facet: Facet) -> None:
-        if port_name == "ir_complete":
-            self.connect_ir(facet)
-            return
-        super().connect_receptacle(port_name, facet)
-
     def on_activate(self) -> None:
         task_id = self.get_attribute("task_id")
         index = self.get_attribute("subtask_index")

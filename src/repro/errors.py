@@ -56,6 +56,3 @@ class InvalidStrategyCombination(ConfigurationError):
 class WorkloadSpecError(ConfigurationError):
     """A workload specification file is malformed."""
 
-
-class DeploymentError(ConfigurationError):
-    """Errors raised by the DAnCE-lite deployment pipeline."""

@@ -44,6 +44,8 @@ from repro.net.latency import (
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
 
+from tests.jsonutil import WRONG_VALUES, json_kind, json_paths
+
 
 def _workload(seed=2008):
     return generate_random_workload(RngRegistry(seed).stream("wl"))
@@ -348,33 +350,6 @@ class TestJsonRoundTrip:
         assert math.isinf(restored.minimum)
 
 
-def _json_paths(node, prefix=()):
-    """The key/index path of every value in a JSON document, at any depth."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return []
-    paths = []
-    for key, value in items:
-        paths.append(prefix + (key,))
-        paths.extend(_json_paths(value, prefix + (key,)))
-    return paths
-
-
-def _json_kind(value):
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "number"
-    return type(value).__name__
-
-
-#: Replacement values; a mutation uses one of another JSON kind.
-_WRONG_VALUES = (None, "x", 7, 2.5, True, [], {}, [1], {"a": 1})
-
-
 class TestRunResultBoundary:
     """Malformed RunResult JSON fails with ConfigurationError, at any depth."""
 
@@ -405,7 +380,7 @@ class TestRunResultBoundary:
         self, payload, data
     ):
         mutated = copy.deepcopy(payload)
-        path = data.draw(st.sampled_from(_json_paths(mutated)))
+        path = data.draw(st.sampled_from(json_paths(mutated)))
         parent = mutated
         for key in path[:-1]:
             parent = parent[key]
@@ -414,9 +389,9 @@ class TestRunResultBoundary:
         if drop:
             del parent[key]
         else:
-            kind = _json_kind(parent[key])
+            kind = json_kind(parent[key])
             parent[key] = data.draw(st.sampled_from(
-                [v for v in _WRONG_VALUES if _json_kind(v) != kind]
+                [v for v in WRONG_VALUES if json_kind(v) != kind]
             ))
         try:
             RunResult.from_json(mutated)
@@ -450,28 +425,6 @@ class TestSession:
         )
         with pytest.raises(ConfigurationError, match="no deployment"):
             Session(scenario).deploy()
-
-    def test_via_dance_matches_direct(self):
-        workload = _workload(seed=8)
-        scenario = (
-            Scenario.builder().workload(workload).combo("J_J_T")
-            .duration(15.0).seed(6).build()
-        )
-        direct = Session(scenario).run()
-        via_dance = Session(scenario, via_dance=True).run()
-        assert via_dance.accepted_utilization_ratio == (
-            direct.accepted_utilization_ratio
-        )
-        assert via_dance.arrived_jobs == direct.arrived_jobs
-        assert via_dance.deadline_misses == direct.deadline_misses
-
-    def test_via_dance_rejects_distributed(self):
-        scenario = (
-            Scenario.builder().workload(_workload())
-            .distributed().duration(5.0).build()
-        )
-        with pytest.raises(ConfigurationError, match="middleware scenarios"):
-            Session(scenario, via_dance=True)
 
     def test_distributed_scenario_runs(self):
         scenario = (

@@ -242,9 +242,3 @@ class TestBatchingValidation:
         assert restored == scenario
         # Default-off scenarios omit the key entirely (format stability).
         assert "arrival_batching" not in _scenario(batching=False).to_json()
-
-    def test_via_dance_deploys_batching_ac(self):
-        session = Session(_scenario(), via_dance=True)
-        session.run()
-        assert session.system.ac.get_attribute("batching") is True
-        assert session.system.ac.batch_calls > 0

@@ -15,12 +15,10 @@ from repro.ccm.events import (
     TriggerEvent,
 )
 from repro.ccm.ports import EventSinkPort, EventSourcePort, Facet, Receptacle
-from repro.ccm.repository import ComponentRepository
 from repro.cpu.processor import Processor
 from repro.errors import (
     AttributeConfigError,
     ComponentError,
-    DeploymentError,
     PortError,
 )
 from repro.net.federation import FederatedEventChannel
@@ -134,17 +132,21 @@ class TestContainer:
         container.install(w)
         assert getattr(w, name) is getattr(container, name)
 
-    @pytest.mark.parametrize("via_dance", [False, True], ids=["direct", "dance"])
-    def test_context_equals_container_on_both_deployment_routes(self, via_dance):
+    @pytest.mark.parametrize(
+        "engine", ["middleware", "distributed"], ids=["direct", "distributed"]
+    )
+    def test_context_equals_container_on_both_deployment_routes(self, engine):
+        # The centralized deploy step and the distributed engine's override.
         scenario = Scenario(
             workload=WorkloadSource.random(
                 seed=17, params=RandomWorkloadParams(n_processors=3)
             ),
-            combo="J_J_J",
+            engine=engine,
+            combo="J_J_J" if engine == "middleware" else "J_N_N",
             duration=1.0,
             seed=5,
         )
-        system = Session(scenario, via_dance=via_dance).deploy()
+        system = Session(scenario).deploy()
         components = 0
         for container in system.containers.values():
             for component in container.components:
@@ -191,7 +193,7 @@ class TestContainer:
         session = Session(scenario)
         system = session.deploy()
         session.run()
-        containers = getattr(system, "containers", None) or system._base.containers
+        containers = system.containers
         context = {"node", "sim", "processor", "tracer"}
         components = [c for ct in containers.values() for c in ct.components]
         assert len(components) > len(containers)
@@ -284,49 +286,6 @@ class TestPorts:
         receptacle = Receptacle(w, "r")
         with pytest.raises(PortError):
             receptacle()
-
-    def test_generic_facet_hooks_default_to_error(self):
-        w = Widget("w")
-        with pytest.raises(ComponentError):
-            w.provide_facet("anything")
-        with pytest.raises(ComponentError):
-            w.connect_receptacle("anything", None)
-
-
-# ----------------------------------------------------------------------
-# Repository
-# ----------------------------------------------------------------------
-class TestRepository:
-    def test_register_and_create(self):
-        repo = ComponentRepository()
-        repo.register_class("Widget", Widget)
-        w = repo.create("Widget", "inst1")
-        assert isinstance(w, Widget) and w.name == "inst1"
-
-    def test_duplicate_registration_rejected(self):
-        repo = ComponentRepository()
-        repo.register_class("Widget", Widget)
-        with pytest.raises(DeploymentError):
-            repo.register_class("Widget", Widget)
-
-    def test_unknown_implementation_rejected(self):
-        repo = ComponentRepository()
-        with pytest.raises(DeploymentError):
-            repo.create("Nope", "x")
-
-    def test_factory_must_return_component(self):
-        repo = ComponentRepository()
-        repo.register("Bad", lambda name: object())
-        with pytest.raises(DeploymentError):
-            repo.create("Bad", "x")
-
-    def test_contains_iter_len(self):
-        repo = ComponentRepository()
-        repo.register_class("A", Widget)
-        repo.register_class("B", Widget)
-        assert "A" in repo and "C" not in repo
-        assert list(repo) == ["A", "B"]
-        assert len(repo) == 2
 
 
 # ----------------------------------------------------------------------

@@ -319,7 +319,7 @@ class TestDeploymentPlan:
             connections=plan.connections,
             workload_json=plan.workload_json,
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="'IR-app1'.*'strategy'"):
             validate_plan(tampered)
 
     def test_validate_rejects_missing_lb_connection(self):
@@ -334,8 +334,62 @@ class TestDeploymentPlan:
             ),
             workload_json=plan.workload_json,
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="lacks connection 'ac_locator'"):
             validate_plan(pruned)
+
+    @pytest.mark.parametrize(
+        "tamper, match",
+        [
+            # An int where the generated plan writes a float (1 == 1.0).
+            (lambda i: i if i.instance_id != "A1.s0@app2" else
+             ComponentInstance.make(i.instance_id, i.implementation, i.node,
+                                    {**i.property_dict(), "priority": 1}),
+             "'A1.s0@app2'.*'priority' 1, generated 0.5"),
+            (lambda i: i if i.instance_id != "TE-app2" else
+             ComponentInstance.make(i.instance_id, i.implementation, "app1",
+                                    i.property_dict()),
+             "'TE-app2'.*node 'app1', generated 'app2'"),
+            (lambda i: i if i.instance_id != "P1.s1@app1" else
+             ComponentInstance.make("P1.s1@app3", i.implementation, i.node,
+                                    i.property_dict()),
+             "lacks instance 'P1.s1@app1'"),
+        ],
+        ids=["retyped_property", "moved_instance", "renamed_instance"],
+    )
+    def test_validate_names_first_difference(self, tamper, match):
+        plan = self.make_plan("J_T_T")
+        tampered = DeploymentPlan(
+            label="hand-edited",
+            manager_node=plan.manager_node,
+            app_nodes=plan.app_nodes,
+            instances=tuple(tamper(inst) for inst in plan.instances),
+            connections=plan.connections,
+            workload_json=plan.workload_json,
+        )
+        with pytest.raises(ConfigurationError, match=match):
+            validate_plan(tampered)
+
+    def test_validate_ignores_order_label_and_json_format(self):
+        plan = self.make_plan("T_T_T")
+        shuffled = DeploymentPlan(
+            label="hand-written",
+            manager_node=plan.manager_node,
+            app_nodes=tuple(reversed(plan.app_nodes)),
+            instances=tuple(reversed(plan.instances)),
+            connections=tuple(reversed(plan.connections)),
+            workload_json=workload_to_json(make_two_node_workload(), indent=4),
+        )
+        assert validate_plan(shuffled) == make_two_node_workload()
+        extra = DeploymentPlan(
+            label=plan.label,
+            manager_node=plan.manager_node,
+            app_nodes=plan.app_nodes,
+            instances=plan.instances + (plan.instances[-1],),
+            connections=plan.connections,
+            workload_json=plan.workload_json,
+        )
+        with pytest.raises(ConfigurationError, match="repeats instance"):
+            validate_plan(extra)
 
     def test_validate_rejects_invalid_combo_in_plan(self):
         plan = self.make_plan("J_J_N")

@@ -55,7 +55,7 @@ class TestDistributedAdmission:
         )
         workload = Workload(tasks=(task,), app_nodes=("app1", "app2"))
         system = build_distributed(workload, seed=1)
-        system.sim.schedule_at(0.0, system._base._arrive, task, 0, 0.0)
+        system.sim.schedule_at(0.0, system._arrive, task, 0, 0.0)
         system.sim.run(until=2.0)
         assert system.acs["app1"].admitted_jobs == 1
         assert system.metrics.completed_jobs == 1
@@ -67,7 +67,7 @@ class TestDistributedAdmission:
         )
         workload = Workload(tasks=(task,), app_nodes=("app1", "app2"))
         system = build_distributed(workload, seed=1)
-        system.sim.schedule_at(0.0, system._base._arrive, task, 0, 0.0)
+        system.sim.schedule_at(0.0, system._arrive, task, 0, 0.0)
         system.sim.run(until=2.0)
         coordinator = system.acs["app1"]
         assert coordinator.admitted_jobs == 1
@@ -81,7 +81,7 @@ class TestDistributedAdmission:
         workload = Workload(tasks=(task,), app_nodes=("app1",))
         system = build_distributed(workload, seed=1)
         for i in range(3):
-            system.sim.schedule_at(0.0, system._base._arrive, task, i, 0.0)
+            system.sim.schedule_at(0.0, system._arrive, task, i, 0.0)
         system.sim.run(until=2.0)
         ac = system.acs["app1"]
         assert ac.admitted_jobs == 1
@@ -93,7 +93,7 @@ class TestDistributedAdmission:
         )
         workload = Workload(tasks=(task,), app_nodes=("app1",))
         system = build_distributed(workload, seed=1)
-        system.sim.schedule_at(0.0, system._base._arrive, task, 0, 0.0)
+        system.sim.schedule_at(0.0, system._arrive, task, 0, 0.0)
         system.sim.run(until=0.5)
         assert system.acs["app1"].utilization == pytest.approx(0.3)
         system.sim.run(until=1.5)
@@ -111,8 +111,8 @@ class TestDistributedAdmission:
         )
         workload = Workload(tasks=(spanning, local), app_nodes=("app1", "app2"))
         system = build_distributed(workload, seed=1)
-        system.sim.schedule_at(0.0, system._base._arrive, spanning, 0, 0.0)
-        system.sim.schedule_at(0.1, system._base._arrive, local, 0, 0.1)
+        system.sim.schedule_at(0.0, system._arrive, spanning, 0, 0.0)
+        system.sim.schedule_at(0.1, system._arrive, local, 0, 0.1)
         system.sim.run(until=3.0)
         # spanning: u=0.3 per stage; f(0.3)*2 = 0.73, slack 0.27 split ->
         # cap per node = f_inv(f(0.3)+0.136) = f_inv(0.5) ~ 0.42.
@@ -153,7 +153,7 @@ class TestPiggybackedRounds:
             arrival_batching=batching,
         )
         for i in range(n_jobs):
-            system.sim.schedule_at(0.0, system._base._arrive, task, i, 0.0)
+            system.sim.schedule_at(0.0, system._arrive, task, i, 0.0)
         system.sim.run(until=0.5)
         return system
 
@@ -245,7 +245,7 @@ class TestPiggybackedRounds:
             arrival_batching=True,
         )
         for i in range(4):
-            system.sim.schedule_at(0.0, system._base._arrive, task, i, 0.0)
+            system.sim.schedule_at(0.0, system._arrive, task, i, 0.0)
         system.sim.run(until=1.0)
         coordinator = system.acs["app1"]
         # The first arrival's admission-test work item completes at

@@ -217,15 +217,6 @@ class TestArmedParity:
         assert armed.metrics_snapshot is not None
         assert armed.metrics_snapshot.family("repro_admission_decisions_total")
 
-    def test_via_dance_armed_parity(self):
-        scenario = _scenario()
-        plain = Session(scenario, via_dance=True).run()
-        armed = Session(
-            scenario, via_dance=True, metrics=MetricsRegistry()
-        ).run()
-        assert _legacy_json(armed) == _legacy_json(plain)
-        assert armed.metrics_snapshot is not None
-
     def test_run_result_round_trips_snapshot(self):
         result = run_scenario(_scenario(), with_metrics=True)
         again = RunResult.from_json(result.to_json())

@@ -9,7 +9,7 @@ from repro.config.plan import ComponentInstance, DeploymentPlan
 from repro.config.xml_io import parse_xml, to_xml
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
-from repro.config.dance import DeploymentEngine
+from repro.config.dance import deploy_plan
 from repro.config.plan import build_deployment_plan
 from repro.cpu.processor import Processor
 from repro.cpu.thread import WorkItem
@@ -95,13 +95,15 @@ class TestDeploymentKwargs:
     def test_engine_passes_runtime_options_through(self):
         workload = make_two_node_workload()
         plan = build_deployment_plan(workload, StrategyCombo.from_label("J_N_N"))
-        system = DeploymentEngine().deploy(
+        system = deploy_plan(
             plan,
             seed=3,
             cost_model=CostModel.zero(),
             delay_model=ConstantDelay(0.002),
             aperiodic_interarrival_factor=1.5,
+            arrival_batching=True,
         )
         assert system.cost_model.admission_test == 0.0
         assert system.aperiodic_interarrival_factor == 1.5
         assert system.network.default_delay.delay == 0.002
+        assert system.ac.get_attribute("batching") is True

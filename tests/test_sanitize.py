@@ -212,6 +212,20 @@ class TestRngDrawAttribution:
         with pytest.raises(SanitizeViolation, match="unattributed"):
             rngs.audit()
 
+    def test_distributed_run_audits_its_registry(self, sanitize):
+        scenario = (
+            Scenario.builder().random_workload(seed=7).distributed()
+            .duration(5.0).seed(7).build()
+        )
+        session = Session(scenario)
+        system = session.deploy()
+        # Behind the wrapper's back, after the run drew its arrivals.
+        system.sim.schedule_at(
+            1.0, lambda: system.rngs._streams["arrivals"].random()
+        )
+        with pytest.raises(SanitizeViolation, match="'arrivals'"):
+            session.run()
+
     def test_attributed_draws_audit_clean(self, sanitize):
         rngs = RngRegistry(1)
         stream = rngs.stream("arrivals")
