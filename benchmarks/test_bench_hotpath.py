@@ -54,16 +54,13 @@ from repro.core.load_balancer import LoadBalancerComponent
 from repro.metrics.histogram import Histogram
 from repro.net.fault import FaultInjector
 from repro.net.network import Network
-from repro.sched.aub import (
-    AubAnalyzer,
-    NaiveAubAnalyzer,
-    SyntheticUtilizationLedger,
-)
+from repro.sched.aub import AubAnalyzer, SyntheticUtilizationLedger
 from repro.sched.task import Job, SubtaskSpec, TaskKind, TaskSpec
 from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.rng import RngRegistry
 
 from conftest import merge_hotpath_record
+from tests.aub_oracle import NaiveAubAnalyzer
 
 #: Registered-task scales for the admission benchmarks (env-reducible).
 SCALES = tuple(
@@ -276,9 +273,9 @@ def _measure_burst(admit, n_tasks: int, duration_s: float = WINDOW_S):
         elapsed += time.perf_counter() - start
         count += len(candidates)
         _undo_burst(ledger, analyzer, committed)
-        # Steady state between bursts: the undo's invalidations are not
-        # part of the admission path being measured.
-        analyzer._refresh_dirty()
+        # Steady state between bursts: refilling the node terms the undo
+        # invalidated is not part of the admission path being measured.
+        analyzer._fill_stale_terms()
     assert decisions and all(decisions), (
         "burst benchmark must run in the admitting regime"
     )
@@ -434,7 +431,7 @@ def _measure_placement(place, n_tasks: int, duration_s: float = WINDOW_S):
         elapsed += time.perf_counter() - start
         count += len(jobs)
         _undo_burst(ledger, analyzer, committed)
-        analyzer._refresh_dirty()
+        analyzer._fill_stale_terms()
     assert plans and all(plan is not None for plan in plans), (
         "placement benchmark must run in the admitting regime"
     )

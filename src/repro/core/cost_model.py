@@ -38,9 +38,9 @@ yields an overhead-free model for pure-theory experiments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import sqrt as _sqrt
-from typing import Dict
+from typing import Dict, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.numeric import Triangular, triangular_constants
@@ -104,6 +104,14 @@ class CostModel:
                         mean,
                     )
         object.__setattr__(self, "_draws", draws)
+
+    def __reduce__(self) -> Tuple[Type["CostModel"], Tuple[float, ...]]:
+        # Pickled as its fields; unpickling calls the constructor, which
+        # works the draws out again.  Pickled with the draws, a copy would
+        # re-pickle to other bytes: the unpickler interns the attribute
+        # names but not the draw table's equal keys, so the memo no
+        # longer shares them.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     def mean(self, operation: str) -> float:
         """The mean cost of ``operation`` (one of the OP_* names)."""

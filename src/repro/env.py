@@ -40,10 +40,12 @@ def flag(name: str, default: bool = False) -> bool:
 
 
 def pure_python_forced() -> bool:
-    """True when ``$REPRO_PURE_PYTHON`` disables the numpy bulk path.
+    """True when ``$REPRO_PURE_PYTHON`` disables the numpy burst screen.
 
-    Results are bit-identical either way (see ``aub_terms_bulk``); the
-    knob exists so both paths can be exercised on one machine.
+    Results are bit-identical either way (the Python loop screens every
+    registration as the matrix product does; see
+    ``repro.sched.aub.AubAnalyzer._screen_burst``); the knob exists so
+    both paths can be exercised on one machine.
     """
     return flag(PURE_PYTHON_VAR)
 

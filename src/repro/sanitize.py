@@ -24,10 +24,12 @@ parity mismatch.
    identical key sets, identical per-contribution values, totals within
    float-drift tolerance of an order-independent ``fsum``.
 
-3. **Analyzer cache audit** (:func:`check_analyzer_cache`, hooked into
+3. **Analyzer cache audit** (hooked into
    :class:`repro.sched.aub.AubAnalyzer` admission entry points): every
-   cached per-node ``f(U_j)`` term and every clean cached per-task
-   condition total must equal a fresh recompute bit-for-bit.
+   cached per-node ``f(U_j)`` term and, once the burst screen has built
+   it, every visit-count row must equal a fresh recompute bit-for-bit,
+   and each burst screen's violators must equal a fresh visit-order
+   recompute of every registration's condition.
 
 4. **RNG draw attribution** (:class:`RngDrawLedger`, hooked into
    :class:`repro.sim.rng.RngRegistry`): every draw must go through a

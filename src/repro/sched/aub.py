@@ -26,36 +26,28 @@ contributions with **one observer notification per touched node** instead
 of one per contribution — the mechanism behind batched burst admission
 and idle-period reclaim coalescing.
 
-Two analyzer implementations share the same API:
+The incremental engine, :class:`AubAnalyzer`, caches per-node ``f(U_j)``
+terms (invalidated through a ledger change listener) and retires expired
+registrations through a min-heap instead of a linear sweep.  The test is
+written once, in :class:`BatchAdmissionSession`: it checks the candidate
+and every live registration under the candidate's hypothetical terms, in
+visit order with early exit (the direct transcription of condition (1),
+over cached terms).  :meth:`AubAnalyzer.admissible` runs it against the
+live ledger, and a burst of simultaneous arrivals opens one session
+(:meth:`AubAnalyzer.batch_session`: one prune, one screen) whose overlay
+stands in for the interim ledger commits, at O(changed-nodes) bookkeeping
+per accepted candidate.  The screen of a session opened with a demand
+envelope checks every registration once: those that cannot fail inside
+the burst are never rescanned, and those already over the bound are the
+session's violators.  The overlay is also the load balancer's utilization
+view, so placements planned during a burst score nodes against the
+placements accepted before them.
 
-* :class:`AubAnalyzer` — the **incremental engine** used by the
-  middleware.  It caches per-node ``f(U_j)`` terms (invalidated through a
-  ledger change listener), keeps a node -> registered-tasks reverse index
-  with per-task cached condition totals, and retires expired registrations
-  through a min-heap instead of a linear sweep.  An admission test only
-  evaluates the candidate plus the tasks that visit a node whose
-  utilization would actually change.  The test is written once, in
-  :class:`BatchAdmissionSession`: :meth:`AubAnalyzer.admissible` runs it
-  against the live ledger, and a burst of simultaneous arrivals opens one
-  session (:meth:`AubAnalyzer.batch_session`: one prune, one screen, one
-  dirty refresh) whose overlay stands in for the interim ledger commits,
-  at O(changed-nodes) bookkeeping per accepted candidate.  The overlay
-  is also the load balancer's utilization view, so placements planned
-  during a burst score nodes against the placements accepted before them.
-* :class:`NaiveAubAnalyzer` — the direct transcription of condition (1)
-  (snapshot the ledger, rescan every registered task).  Retained as the
-  reference implementation: property tests assert the incremental engine
-  makes bit-identical decisions — per call *and* per batch — and the
-  hot-path benchmark measures the speedup against it.
-
-When numpy is available the per-node ``f(U_j)`` term math (the batch
-screen's worst-case terms and the refill of the terms of nodes the ledger
-changed) runs as one vectorized pass (:func:`aub_terms_bulk`), and the
-burst screen becomes one matrix-vector product of per-registration visit
-counts with the screen's node terms (:meth:`AubAnalyzer._screen_rows`).
-The pure-python loops are retained when numpy is absent or
-``REPRO_PURE_PYTHON`` is set; decisions and floats are bit-identical
-either way.
+When numpy is available the burst screen is one matrix-vector product of
+per-registration visit counts with the screen's node terms
+(:meth:`AubAnalyzer._screen_rows`); the pure-python loop is used when
+numpy is absent or ``REPRO_PURE_PYTHON`` is set.  Decisions and floats
+are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -80,20 +72,16 @@ from repro.errors import SchedulingError
 from repro.sanitize import LedgerShadow, SanitizeViolation
 from repro.sim.monitor import TimeWeightedStat
 
-# numpy is an optional accelerator (the ``fast`` extra): the per-node
-# f(U) term math vectorizes over the sharded ledger's contiguous totals.
-# Setting REPRO_PURE_PYTHON forces the scalar path even when numpy is
-# installed, so both paths can be exercised on one machine; results are
-# bit-identical either way (see ``aub_terms_bulk``).
+# numpy is an optional accelerator (the ``fast`` extra): the burst screen
+# becomes one matrix-vector product.  Setting REPRO_PURE_PYTHON forces the
+# Python loop even when numpy is installed, so both paths can be exercised
+# on one machine; results are bit-identical either way.
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
 if pure_python_forced():
     _np = None
-
-#: Below this many values the scalar loop beats the array round-trip.
-_BULK_MIN = 16
 
 #: Numeric slack for condition comparisons, so contributions that sum to
 #: exactly the bound are not rejected by floating-point noise.
@@ -155,42 +143,6 @@ def aub_term_inverse(t: float) -> float:
     if math.isinf(t):
         return 1.0
     return 2.0 * t / ((1.0 + t) + math.hypot(1.0, t))
-
-
-def _aub_terms_python(values: Sequence[float]) -> List[float]:
-    return [aub_term(u) for u in values]
-
-
-def _aub_terms_numpy(values: Sequence[float]) -> List[float]:
-    arr = _np.asarray(values, dtype=_np.float64)
-    if (arr < 0.0).any():
-        bad = float(arr[arr < 0.0][0])
-        raise SchedulingError(f"synthetic utilization cannot be negative: {bad}")
-    saturated = arr >= 1.0
-    any_saturated = bool(saturated.any())
-    # Saturated entries are masked to 0 before the division (their result
-    # is overwritten with +inf), so no divide-by-zero is ever evaluated.
-    safe = _np.where(saturated, 0.0, arr) if any_saturated else arr
-    terms = safe * (1.0 - safe / 2.0) / (1.0 - safe)
-    if any_saturated:
-        terms[saturated] = _np.inf
-    return terms.tolist()
-
-
-def aub_terms_bulk(values: Sequence[float]) -> List[float]:
-    """Vectorized :func:`aub_term` over many utilizations.
-
-    Elementwise IEEE-754 double arithmetic evaluates the same expression
-    ``u * (1 - u/2) / (1 - u)`` the scalar function uses, so the results
-    are **bit-identical** to ``[aub_term(u) for u in values]`` — numpy
-    only changes how fast the terms are produced, never their values.
-    Falls back to the scalar loop when numpy is absent (or disabled via
-    ``REPRO_PURE_PYTHON``) or when the input is too small to amortize the
-    array round-trip.
-    """
-    if _np is None or len(values) < _BULK_MIN:
-        return _aub_terms_python(values)
-    return _aub_terms_numpy(values)
 
 
 def task_condition_holds(visit_utils: Sequence[float]) -> bool:
@@ -444,30 +396,27 @@ class AubAnalyzer:
 
     The analyzer tracks the *visit lists* of all tasks that currently hold
     contributions, because condition (1) must keep holding for **every**
-    admitted task when a new one is admitted.  Three structures make the
-    test incremental:
+    admitted task when a new one is admitted.  Two structures keep the
+    test cheap:
 
     * ``f(U_j)`` is cached per node and invalidated by the ledger's change
       listener, so unchanged processors never recompute the term;
-    * a node -> registered-tasks reverse index plus cached per-task
-      condition totals restrict each test to the candidate and the tasks
-      visiting a node whose utilization would actually change;
     * expirations sit in a min-heap popped as time advances, replacing the
       per-test linear sweep over the whole registry (the heap is compacted
       during :meth:`prune` when lazily-invalidated stale entries outnumber
       live ones).
 
-    Decisions are bit-identical to :class:`NaiveAubAnalyzer`: hypothetical
-    utilizations use the same ``max(0, U + delta)`` expression, per-task
-    sums run in visit order with the same early exit, and tasks untouched
-    by the candidate are covered by the cached-total invariant (their
-    condition value cannot have changed since it was last computed).
+    A test rescans the candidate and every live registration under the
+    cached terms, with the candidate's nodes at their hypothetical
+    ``f(max(0, U + delta))``; each sum runs in visit order and stops at
+    the first prefix over the bound.  Decisions are those of the direct
+    transcription of condition (1) (the test oracle snapshots the ledger
+    and recomputes every term).
 
-    :meth:`batch_session` extends the same machinery to a burst of
-    simultaneous arrivals: prune, screen and dirty refresh run once, and
-    each accepted candidate costs only O(changed nodes) overlay updates —
-    no ledger mutation, no cache invalidation, no per-candidate refresh
-    storm.
+    :meth:`batch_session` extends the same test to a burst of simultaneous
+    arrivals: prune and screen run once, and each accepted candidate costs
+    only O(changed nodes) overlay updates — no ledger mutation, no cache
+    invalidation.
 
     With numpy, the burst screen reads a matrix with one row of
     per-ledger-node visit counts per registration, built from the
@@ -484,20 +433,11 @@ class AubAnalyzer:
         self.ledger = ledger
         #: registrant key -> (visit list, expiry time or None)
         self._visits: Dict[Tuple[str, int], Tuple[Sequence[str], Optional[float]]] = {}
-        #: node -> keys of registered tasks visiting it
-        self._by_node: Dict[str, Set[Tuple[str, int]]] = {}
         #: node -> cached f(U_j) under the current ledger state
         self._node_terms: Dict[str, float] = {}
         #: nodes whose cached term the ledger invalidated since the last
         #: fill (an insertion-ordered set)
         self._stale_nodes: Dict[str, None] = dict.fromkeys(ledger.nodes)
-        #: key -> cached visit-order sum of f over the task's visits
-        self._task_totals: Dict[Tuple[str, int], float] = {}
-        #: keys whose cached total is stale (a visited node changed)
-        self._dirty: Set[Tuple[str, int]] = set()
-        #: keys whose cached total exceeds the bound (normally empty; can
-        #: occur when the ledger is mutated behind the analyzer's back)
-        self._violating: Set[Tuple[str, int]] = set()
         #: (expiry, key) min-heap with lazy invalidation
         self._expiry_heap: List[Tuple[float, Tuple[str, int]]] = []
         #: Upper bound on stale heap entries (re-registered or
@@ -533,9 +473,6 @@ class AubAnalyzer:
     def _on_ledger_change(self, node: str) -> None:
         self._node_terms.pop(node, None)
         self._stale_nodes[node] = None
-        affected = self._by_node.get(node)
-        if affected:
-            self._dirty.update(affected)
 
     def _fill_stale_terms(self) -> Dict[str, float]:
         """Recompute the cached ``f(U_j)`` of every node the ledger changed
@@ -551,153 +488,79 @@ class AubAnalyzer:
         terms = self._node_terms
         if stale:
             utilization = self.ledger.utilization_or_zero
-            if len(stale) >= _BULK_MIN:
-                nodes = list(stale)
-                utils = [utilization(node) for node in nodes]
-                for node, term in zip(nodes, aub_terms_bulk(utils)):
-                    terms[node] = term
-            else:
-                for node in stale:
-                    terms[node] = aub_term(utilization(node))
+            for node in stale:
+                terms[node] = aub_term(utilization(node))
             stale.clear()
         return terms
 
-    def _refresh_dirty(
-        self, cleared: AbstractSet[Tuple[str, int]] = frozenset()
-    ) -> None:
-        """Recompute cached condition totals for stale registrations.
-
-        Keys in ``cleared`` passed the worst-case burst screen (see
-        :meth:`_screen_burst`), so they cannot be violating now: they
-        leave ``_violating`` without a recompute and stay dirty until a
-        refresh that does not clear them recomputes them.
-        """
-        terms = self._fill_stale_terms()
-        dirty = self._dirty
-        deferred = dirty & cleared if cleared else None
-        if deferred:
-            self._violating.difference_update(deferred)
-            dirty.difference_update(deferred)
-        self._recompute_totals(dirty, terms)
-        dirty.clear()
-        if deferred:
-            dirty.update(deferred)
-
-    def _recompute_totals(
-        self, keys: Iterable[Tuple[str, int]], terms: Mapping[str, float]
-    ) -> None:
-        """Cache the visit-order condition total of each registered key
-        under ``terms`` and file it in or out of ``_violating``; the
-        caller takes the keys out of ``_dirty``."""
-        registry = self._visits
-        task_totals = self._task_totals
-        violating = self._violating
-        bound = 1.0 + EPSILON
-        for key in keys:
-            entry = registry.get(key)
-            if entry is None:
-                continue
-            total = 0.0
-            for node in entry[0]:
-                total += terms.get(node, 0.0)
-            task_totals[key] = total
-            if total > bound:
-                violating.add(key)
-            else:
-                violating.discard(key)
-
     def _screen_burst(
-        self, umax: Mapping[str, float]
-    ) -> Tuple[Set[Tuple[str, int]], Dict[str, float]]:
-        """The worst-case burst screen, then the dirty refresh it leaves.
+        self, umax_terms: Mapping[str, float]
+    ) -> Tuple[Set[Tuple[str, int]], Set[Tuple[str, int]], Dict[str, float]]:
+        """The worst-case burst screen of every registration.
 
-        ``umax`` maps each node a burst can touch to the highest total the
-        burst can reach there.  Burst deltas are non-negative and ``f`` is
-        monotone, so every state inside the burst lies at or below
-        ``umax`` node-wise: a registered task on a burst node whose
-        condition holds under ``umax`` by at least :data:`SCREEN_GUARD`
+        ``umax_terms`` maps each node a burst can touch to ``f`` of the
+        highest total the burst can reach there.  Burst deltas are
+        non-negative and ``f`` is monotone, so every state inside the
+        burst lies at or below that envelope node-wise: a registration
+        whose condition holds under the screen terms (the current ones,
+        burst nodes at ``umax_terms``) by at least :data:`SCREEN_GUARD`
         (which absorbs ulp-scale float wobble) can never fail inside the
-        burst, and cannot be violating now either.  Returns the keys the
-        screen could not clear (the watch set) and ``f`` at ``umax``.
+        burst, and cannot be over the bound now either.
 
-        With numpy, and every burst node known to the ledger, the screen
-        is :meth:`_screen_rows`; otherwise the loop below walks the
-        registrations on the burst's nodes.
+        The screen is :meth:`_screen_rows` with numpy and every burst
+        node known to the ledger, otherwise the loop below, which
+        screens every registration as the product does.  Each
+        registration over the screen's bound is rechecked exactly, in
+        visit order under the current terms.  Returns the watch set (the
+        over ones that visit a burst node), the violators (the over ones
+        whose current condition already fails) and the screen terms.
         """
         terms = self._fill_stale_terms()
-        umax_terms = dict(zip(umax, aub_terms_bulk(list(umax.values()))))
-        screen_bound = 1.0 + EPSILON - SCREEN_GUARD
+        screen_terms = {**terms, **umax_terms}
+        bound = 1.0 + EPSILON
+        screen_bound = bound - SCREEN_GUARD
+        registry = self._visits
+        over = None
         if _np is not None:
             if self._rows is None:
                 self._build_rows()
-            if self._col_of.keys() >= umax.keys():
-                watch = self._screen_rows(terms, umax_terms, screen_bound)
-                return watch, umax_terms
-        screen_terms = {**terms, **umax_terms}
-        by_node = self._by_node
-        registry = self._visits
-        to_screen: Set[Tuple[str, int]] = set()
-        for node in umax:
-            keys = by_node.get(node)
-            if keys:
-                to_screen.update(keys)
+            if self._col_of.keys() >= umax_terms.keys():
+                over = self._screen_rows(screen_terms, screen_bound)
+        if over is None:
+            over = [
+                key
+                for key, (route, _expiry) in registry.items()
+                if _exceeds(route, screen_terms, screen_bound)
+            ]
         watch: Set[Tuple[str, int]] = set()
-        for key in to_screen:
-            total = 0.0
-            for node in registry[key][0]:
-                total += screen_terms.get(node, 0.0)
-                if total > screen_bound:
-                    watch.add(key)
-                    break
-        self._refresh_dirty(to_screen - watch)
-        return watch, umax_terms
+        violators: Set[Tuple[str, int]] = set()
+        for key in over:
+            route = registry[key][0]
+            if _exceeds(route, terms, bound):
+                violators.add(key)
+            if not umax_terms.keys().isdisjoint(route):
+                watch.add(key)
+        return watch, violators, screen_terms
 
     def _screen_rows(
-        self,
-        terms: Mapping[str, float],
-        umax_terms: Mapping[str, float],
-        screen_bound: float,
-    ) -> Set[Tuple[str, int]]:
+        self, screen_terms: Mapping[str, float], screen_bound: float
+    ) -> List[Tuple[str, int]]:
         """The burst screen as one matrix-vector product.
 
-        Every registration's total under the screen terms (current node
-        terms, burst nodes at ``f(U_max)``) comes out of one product of the
-        visit-count rows with the term vector.  A row at or below
-        ``screen_bound`` is cleared, on a burst node or not: off the
-        burst's nodes the screen terms are the current ones, so such a
-        registration is not violating either.  The product sums in another
-        order than the visits, a few ulps (~1e-15) from the visit-order
-        total, far inside :data:`SCREEN_GUARD`; each key it puts over the
-        bound is handled exactly, in visit order: a dirty one is
-        recomputed, ``_violating`` keeps only over-bound keys, and the
-        over-bound keys on a burst node are the watch set.
+        Every registration's total under ``screen_terms`` comes out of one
+        product of the visit-count rows with the term vector; the keys
+        whose total passes ``screen_bound`` are returned.  The product
+        sums in another order than the visits, a few ulps (~1e-15) from
+        the visit-order total, far inside :data:`SCREEN_GUARD`.
         """
-        col_of = self._col_of
-        values = [terms[node] for node in col_of]
-        for node, term in umax_terms.items():
-            values[col_of[node]] = term
-        vector = _np.array(values)
+        vector = _np.array([screen_terms[node] for node in self._col_of])
         _np.minimum(vector, _SCREEN_TERM_CAP, out=vector)
         row_keys = self._row_keys
         totals = self._rows[: len(row_keys)].dot(vector)
-        over = [
+        return [
             row_keys[row]
             for row in (totals > screen_bound).nonzero()[0].tolist()
         ]
-        violating = self._violating
-        if violating:
-            violating.intersection_update(over)
-        dirty = self._dirty
-        stale = [key for key in over if key in dirty]
-        if stale:
-            dirty.difference_update(stale)
-            self._recompute_totals(stale, terms)
-        registry = self._visits
-        return {
-            key
-            for key in over
-            if not umax_terms.keys().isdisjoint(registry[key][0])
-        }
 
     def _build_rows(self) -> None:
         """Build the visit-count matrix from the current registry."""
@@ -731,19 +594,14 @@ class AubAnalyzer:
                 counts[col] += 1.0
 
     def _sanitize_audit_caches(self) -> None:
-        """Cached ``f(U_j)`` terms, clean task totals and the array
-        screen's visit-count rows vs a fresh recompute, bit for bit
-        (``REPRO_SANITIZE=1`` only).
+        """Cached ``f(U_j)`` terms and the array screen's visit-count rows
+        vs a fresh recompute, bit for bit (``REPRO_SANITIZE=1`` only).
 
-        The incremental engine's correctness rests on one invariant: a
-        cache entry either matches what a from-scratch evaluation of the
-        current ledger state would produce, or it is marked dirty.  This
-        audit recomputes every cached per-node term with :func:`aub_term`
-        and every clean cached per-task condition total in visit order —
-        the exact floats :meth:`_fill_stale_terms` /
-        :meth:`_refresh_dirty` would produce — and, once the matrix
-        exists, every registration's row from its visit list; it fails
-        on the first mismatch.
+        The engine's correctness rests on one invariant: a cached term
+        either matches what :func:`aub_term` gives for the current ledger
+        state, or its node is stale.  This audit recomputes every cached
+        per-node term and, once the matrix exists, every registration's
+        row from its visit list; it fails on the first mismatch.
         """
         ledger = self.ledger
         for node in sorted(self._node_terms):
@@ -755,23 +613,6 @@ class AubAnalyzer:
                     f"{node!r} is {cached!r} but the ledger state gives "
                     f"{fresh!r} — a ledger mutation bypassed the change "
                     "listener"
-                )
-        for key in sorted(self._task_totals):
-            if key in self._dirty:
-                continue
-            entry = self._visits.get(key)
-            if entry is None:
-                continue
-            fresh_total = 0.0
-            for node in entry[0]:
-                fresh_total += aub_term(ledger.utilization_or_zero(node))
-            cached_total = self._task_totals[key]
-            if cached_total != fresh_total:
-                raise SanitizeViolation(
-                    f"sanitize: analyzer cached condition total for "
-                    f"registration {key!r} is {cached_total!r} but a "
-                    f"visit-order recompute gives {fresh_total!r} — the "
-                    "entry should have been marked dirty"
                 )
         rows = self._rows
         if rows is None:
@@ -807,6 +648,24 @@ class AubAnalyzer:
                     f"registration but is {rows[row].tolist()!r}, not zero"
                 )
 
+    def _sanitize_audit_violators(
+        self, violators: Set[Tuple[str, int]]
+    ) -> None:
+        """A screen's violators vs a fresh visit-order recompute of every
+        registration's condition (``REPRO_SANITIZE=1`` only)."""
+        utilization = self.ledger.utilization_or_zero
+        fresh = {
+            key
+            for key, (route, _expiry) in self._visits.items()
+            if not task_condition_holds([utilization(node) for node in route])
+        }
+        if violators != fresh:
+            raise SanitizeViolation(
+                f"sanitize: the burst screen names violators "
+                f"{sorted(violators)!r} but a visit-order recompute of the "
+                f"registrations over the bound gives {sorted(fresh)!r}"
+            )
+
     # ------------------------------------------------------------------
     # Current-task registry
     # ------------------------------------------------------------------
@@ -826,32 +685,15 @@ class AubAnalyzer:
             if old[1] is not None:
                 # The old registration's heap entry is now stale.
                 self._expiry_stale += 1
-            self._detach(key, old[0])
+            self._detach(key)
         self._visits[key] = (visits, expiry)
-        by_node = self._by_node
-        for node in visits:
-            keys = by_node.get(node)
-            if keys is None:
-                by_node[node] = {key}
-            else:
-                keys.add(key)
         if expiry is not None:
             heapq.heappush(self._expiry_heap, (expiry, key))
-        self._dirty.add(key)
         if self._rows is not None:
             self._attach_row(key, visits)
 
-    def _detach(self, key: Tuple[str, int], visits: Sequence[str]) -> None:
-        by_node = self._by_node
-        for node in visits:
-            keys = by_node.get(node)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del by_node[node]
-        self._task_totals.pop(key, None)
-        self._dirty.discard(key)
-        self._violating.discard(key)
+    def _detach(self, key: Tuple[str, int]) -> None:
+        """Zero and free ``key``'s visit-count row, once the matrix exists."""
         if self._rows is not None:
             row = self._row_of.pop(key)
             self._rows[row] = 0.0
@@ -864,7 +706,7 @@ class AubAnalyzer:
             if entry[1] is not None:
                 # Its heap entry outlives the registration — now stale.
                 self._expiry_stale += 1
-            self._detach(key, entry[0])
+            self._detach(key)
 
     def prune(self, now: float) -> None:
         """Retire registry entries whose expiry has passed.
@@ -883,7 +725,7 @@ class AubAnalyzer:
             entry = visits.get(key)
             if entry is not None and entry[1] == expiry:
                 del visits[key]
-                self._detach(key, entry[0])
+                self._detach(key)
             elif self._expiry_stale > 0:
                 self._expiry_stale -= 1
         if (
@@ -932,15 +774,15 @@ class AubAnalyzer:
             Registry key whose old visit list should be ignored (the task
             being relocated; its new visit list is ``candidate_visits``).
 
-        Prune and the dirty refresh run first; the test itself is
-        :meth:`BatchAdmissionSession._test` on the analyzer's own session,
-        whose overlay stays empty and which reads the term cache in place,
-        so a call opens no session.
+        Prune and the refill of stale node terms run first; the test
+        itself is :meth:`BatchAdmissionSession._test` on the analyzer's
+        own session, whose overlay stays empty and which reads the term
+        cache in place, so a call opens no session.
         """
         if self._sanitize:
             self._sanitize_audit_caches()
         self.prune(now)
-        self._refresh_dirty()
+        self._fill_stale_terms()
         return self._live._test(candidate_visits, candidate_contribs, exclude)
 
     def admissible_batch(
@@ -964,30 +806,49 @@ class AubAnalyzer:
     ) -> "BatchAdmissionSession":
         """Open a burst-admission session at ``now``.
 
-        Prune runs once here, then the dirty refresh or, given ``demand``,
-        the worst-case screen (:meth:`_screen_burst`).  ``demand`` maps
-        node -> the most synthetic utilization the whole burst could add
-        there: the AC counts every stage of every queued arrival on each
-        processor it may be placed on.  A registered task whose condition
-        holds under the envelope's totals can never fail inside the burst
-        and is exempt from every rescan.  Every candidate later offered
-        to ``try_admit`` must stay inside the envelope, or the screen is
-        unsound.
+        Prune runs once here, then, given ``demand``, the worst-case
+        screen (:meth:`_screen_burst`).  ``demand`` maps node -> the most
+        synthetic utilization the whole burst could add there: the AC
+        counts every stage of every queued arrival on each processor it
+        may be placed on.  A registered task whose condition holds under
+        the envelope's totals can never fail inside the burst and is
+        exempt from every rescan.  Every candidate later offered to
+        ``try_admit`` must stay inside the envelope, or the screen is
+        unsound.  Without ``demand`` every test rescans every
+        registration and every accepted candidate.
         """
         if self._sanitize:
             self._sanitize_audit_caches()
         self.batch_sessions += 1
         self.prune(now)
         if demand is None:
-            self._refresh_dirty()
-            return BatchAdmissionSession(self, dict(self._node_terms))
+            return BatchAdmissionSession(self, dict(self._fill_stale_terms()))
         utilization = self.ledger.utilization_or_zero
-        watch, umax_terms = self._screen_burst(
-            {node: utilization(node) + extra for node, extra in demand.items()}
+        watch, violators, screen_terms = self._screen_burst(
+            {
+                node: aub_term(utilization(node) + extra)
+                for node, extra in demand.items()
+            }
         )
+        if self._sanitize:
+            self._sanitize_audit_violators(violators)
         return BatchAdmissionSession(
-            self, dict(self._node_terms), watch, umax_terms
+            self, dict(self._node_terms), screen_terms, watch, violators
         )
+
+
+def _exceeds(
+    route: Iterable[str], terms: Mapping[str, float], bound: float
+) -> bool:
+    """Whether the visit-order sum of ``terms`` over ``route`` passes
+    ``bound`` (a node without a term counts 0.0).  Terms are non-negative,
+    so the first prefix over the bound decides."""
+    total = 0.0
+    for node in route:
+        total += terms.get(node, 0.0)
+        if total > bound:
+            return True
+    return False
 
 
 class BatchAdmissionSession:
@@ -998,19 +859,23 @@ class BatchAdmissionSession:
     analyzer's own session, whose overlay stays empty.  A burst session
     (:meth:`AubAnalyzer.batch_session`) accepts candidates one by one
     through :meth:`try_admit`, which folds each accepted candidate into
-    the overlay: running per-node totals, the ``f`` terms of the nodes
-    they changed, and an index of accepted candidates to rescan.
-    :meth:`utilization` is the load balancer's view of the same state, so
-    each placement scores nodes against the placements accepted before it.
+    the overlay: running per-node totals and the ``f`` terms of the nodes
+    they changed.  :meth:`utilization` is the load balancer's view of the
+    same state, so each placement scores nodes against the placements
+    accepted before it.
 
     Decisions and floats are **bit-identical** to testing each candidate
-    with :class:`NaiveAubAnalyzer` and committing it stage by stage before
-    testing the next: overlay totals replay the per-stage additions a
-    ledger commit performs, hypothetical totals use the same
-    ``max(0, U + delta)`` expression, and every sum runs in visit order
-    with the same early exit.  A test rescans the registered tasks and
-    the accepted candidates on the nodes the candidate would change,
-    except those a demand envelope's screen exempted.
+    with the direct transcription of condition (1) and committing it
+    stage by stage before testing the next: overlay totals replay the
+    per-stage additions a ledger commit performs, hypothetical totals use
+    the same ``max(0, U + delta)`` expression, and every sum runs in
+    visit order with the same early exit.  Without a screen, a test
+    rescans every registration and every accepted candidate.  A screened
+    session (one opened with a demand envelope) rescans only the
+    registrations and accepted candidates its screen left on watch, on
+    the nodes the candidate would change, and rejects a candidate
+    outright while one of its violators (the registrations already over
+    the bound) visits none of those nodes.
 
     A burst session models arrivals at one instant: stage contributions
     are non-negative and ``now`` is fixed when it opens.  It never
@@ -1023,8 +888,9 @@ class BatchAdmissionSession:
     __slots__ = (
         "_analyzer",
         "_terms",
-        "_by_node",
-        "_umax_terms",
+        "_screen_terms",
+        "_watch",
+        "_violators",
         "_over_totals",
         "_accepted_by_node",
         "_accepted_visits",
@@ -1034,30 +900,38 @@ class BatchAdmissionSession:
         self,
         analyzer: AubAnalyzer,
         terms: Dict[str, float],
-        watch: Optional[Set[Tuple[str, int]]] = None,
-        umax_terms: Optional[Dict[str, float]] = None,
+        screen_terms: Optional[Dict[str, float]] = None,
+        watch: Iterable[Tuple[str, int]] = (),
+        violators: AbstractSet[Tuple[str, int]] = frozenset(),
     ) -> None:
         self._analyzer = analyzer
         #: f() of every ledger node under ledger + overlay.
         self._terms = terms
-        #: node -> registered keys a test rescans: every registration
-        #: without a screen, else those the screen put on ``watch``.
-        self._by_node: Dict[str, Set[Tuple[str, int]]] = analyzer._by_node
-        if watch is not None:
-            self._by_node = {}
+        #: The screen's terms (current, burst nodes at the envelope), or
+        #: None for a session without a screen.
+        self._screen_terms = screen_terms
+        #: node -> the registrations on watch that visit it (screened
+        #: sessions only).
+        self._watch: Optional[Dict[str, Set[Tuple[str, int]]]] = None
+        if screen_terms is not None:
+            self._watch = {}
+            registry = analyzer._visits
             for key in watch:
-                for node in analyzer._visits[key][0]:
-                    keys = self._by_node.get(node)
+                for node in registry[key][0]:
+                    keys = self._watch.get(node)
                     if keys is None:
-                        self._by_node[node] = {key}
+                        self._watch[node] = {key}
                     else:
                         keys.add(key)
-        #: f() at the envelope's worst-case totals, per burst node.
-        self._umax_terms = umax_terms
+        #: Registrations over the bound when the screen ran.
+        self._violators = violators
         #: Post-commit totals of the nodes accepted candidates touched.
         self._over_totals: Dict[str, float] = {}
-        #: node -> indices of the watched accepted candidates visiting it.
+        #: node -> indices of the watched accepted candidates visiting it
+        #: (screened sessions only).
         self._accepted_by_node: Dict[str, Set[int]] = {}
+        #: The accepted candidates a test rescans: every one without a
+        #: screen, the watched ones with it.
         self._accepted_visits: List[Sequence[str]] = []
 
     def utilization(self, node: str) -> float:
@@ -1098,20 +972,14 @@ class BatchAdmissionSession:
         terms = self._terms
         for node in contribs:
             terms[node] = aub_term(over_totals[node])
+        screen_terms = self._screen_terms
+        if screen_terms is None:
+            self._accepted_visits.append(visits)
+            return True
         # Screen the accepted candidate against the envelope like a
         # registered task: only a watched one is ever rescanned.
-        umax_terms = self._umax_terms
-        if umax_terms is not None:
-            node_terms = self._analyzer._node_terms
-            screen_bound = 1.0 + EPSILON - SCREEN_GUARD
-            total = 0.0
-            for node in visits:
-                term = umax_terms.get(node)
-                total += node_terms.get(node, 0.0) if term is None else term
-                if total > screen_bound:
-                    break
-            else:
-                return True
+        if not _exceeds(visits, screen_terms, 1.0 + EPSILON - SCREEN_GUARD):
+            return True
         index = len(self._accepted_visits)
         self._accepted_visits.append(visits)
         accepted_by_node = self._accepted_by_node
@@ -1129,8 +997,8 @@ class BatchAdmissionSession:
         contribs: Mapping[str, float],
         exclude: Optional[Tuple[str, int]] = None,
     ) -> bool:
-        """Condition (1) for the candidate and for every current task whose
-        condition it could move, under ledger + overlay + ``contribs``.
+        """Condition (1) for the candidate and for every current task,
+        under ledger + overlay + ``contribs``.
 
         ``contribs`` maps node -> the candidate's delta there (negative on
         the nodes a relocation leaves); ``exclude`` is the registration a
@@ -1157,35 +1025,47 @@ class BatchAdmissionSession:
             total += terms.get(node, 0.0) if term is None else term
             if total > bound:
                 return False
-        # Only a task visiting a node whose total would change can see its
-        # condition move: registered tasks (the watched ones, after a
-        # screen) and watched accepted candidates.
-        by_node = self._by_node
-        accepted_by_node = self._accepted_by_node
-        affected: Set[Tuple[str, int]] = set()
-        affected_accepted: Set[int] = set()
-        for node, extra in contribs.items():
-            if extra == 0.0:
-                continue
-            keys = by_node.get(node)
-            if keys:
-                affected.update(keys)
-            indices = accepted_by_node.get(node)
-            if indices:
-                affected_accepted.update(indices)
-        # A task already over the bound fails the test whatever the
-        # candidate changes elsewhere.
-        for key in analyzer._violating:
-            if key != exclude and key not in affected:
-                return False
         registry = analyzer._visits
-        routes = []
-        for key in affected:
-            if key != exclude:
-                routes.append(registry[key][0])
-        accepted = self._accepted_visits
-        for index in affected_accepted:
-            routes.append(accepted[index])
+        watch = self._watch
+        if watch is None:
+            # Every registration, then every accepted candidate.
+            for key, (route, _expiry) in registry.items():
+                if key == exclude:
+                    continue
+                total = 0.0
+                for node in route:
+                    term = hyp.get(node)
+                    total += terms.get(node, 0.0) if term is None else term
+                    if total > bound:
+                        return False
+            routes = self._accepted_visits
+        else:
+            # Only a task visiting a node whose total would change can see
+            # its condition move: the watched registrations and accepted
+            # candidates there.  A violator anywhere else stays over the
+            # bound whatever the candidate does.
+            affected: Set[Tuple[str, int]] = set()
+            affected_accepted: Set[int] = set()
+            accepted_by_node = self._accepted_by_node
+            for node, extra in contribs.items():
+                if extra == 0.0:
+                    continue
+                keys = watch.get(node)
+                if keys:
+                    affected.update(keys)
+                indices = accepted_by_node.get(node)
+                if indices:
+                    affected_accepted.update(indices)
+            for key in self._violators:
+                if key != exclude and key not in affected:
+                    return False
+            routes = []
+            for key in affected:
+                if key != exclude:
+                    routes.append(registry[key][0])
+            accepted = self._accepted_visits
+            for index in affected_accepted:
+                routes.append(accepted[index])
         for route in routes:
             total = 0.0
             for node in route:
@@ -1194,124 +1074,3 @@ class BatchAdmissionSession:
                 if total > bound:
                     return False
         return True
-
-
-class NaiveAubAnalyzer:
-    """Reference implementation: full-registry rescan per admission test.
-
-    This is the direct transcription of condition (1): snapshot the whole
-    ledger, apply the candidate's deltas, then re-evaluate every registered
-    task.  O(tasks * visits) per test plus an O(tasks) expiry sweep —
-    kept verbatim so property tests can assert the incremental
-    :class:`AubAnalyzer` agrees decision-for-decision, and so the hot-path
-    benchmark can quantify the speedup.
-    """
-
-    def __init__(self, ledger: SyntheticUtilizationLedger) -> None:
-        self.ledger = ledger
-        self._visits: Dict[Tuple[str, int], Tuple[List[str], Optional[float]]] = {}
-        self.tests_performed = 0
-
-    def register(
-        self,
-        key: Tuple[str, int],
-        visits: Sequence[str],
-        expiry: Optional[float],
-    ) -> None:
-        self._visits[key] = (list(visits), expiry)
-
-    def unregister(self, key: Tuple[str, int]) -> None:
-        self._visits.pop(key, None)
-
-    def prune(self, now: float) -> None:
-        expired = [
-            k
-            for k, (_visits, expiry) in self._visits.items()
-            if expiry is not None and expiry <= now + EPSILON
-        ]
-        for k in expired:
-            del self._visits[k]
-
-    @property
-    def registered(self) -> int:
-        return len(self._visits)
-
-    def admissible(
-        self,
-        candidate_visits: Sequence[str],
-        candidate_contribs: Mapping[str, float],
-        now: float,
-        exclude: Optional[Tuple[str, int]] = None,
-    ) -> bool:
-        self.tests_performed += 1
-        self.prune(now)
-        totals = self.ledger.snapshot()
-        for node, extra in candidate_contribs.items():
-            totals[node] = max(0.0, totals.get(node, 0.0) + extra)
-        for node in set(candidate_visits):
-            if totals.get(node, 0.0) >= 1.0:
-                return False
-        if not task_condition_holds([totals[n] for n in candidate_visits]):
-            return False
-        for key, (visits, _expiry) in self._visits.items():
-            if exclude is not None and key == exclude:
-                continue
-            if not task_condition_holds([totals.get(n, 0.0) for n in visits]):
-                return False
-        return True
-
-    def admissible_batch(
-        self,
-        candidates: Sequence[Tuple[Sequence[str], Sequence[Tuple[str, float]]]],
-        now: float,
-    ) -> List[bool]:
-        """Reference burst admission: the literal sequential loop.
-
-        Each ``(visits, stage_contribs)`` candidate is tested exactly like
-        :meth:`admissible` against the running totals; an accepted
-        candidate's stage contributions are folded into the totals (in
-        commit order) and its visit list joins the rescan set, exactly as
-        if it had been committed to the ledger and registered before the
-        next test.
-        """
-        self.prune(now)
-        totals = self.ledger.snapshot()
-        accepted: List[Sequence[str]] = []
-        decisions: List[bool] = []
-        for visits, stage_contribs in candidates:
-            self.tests_performed += 1
-            contribs: Dict[str, float] = {}
-            for node, value in stage_contribs:
-                contribs[node] = contribs.get(node, 0.0) + value
-            trial = dict(totals)
-            for node, extra in contribs.items():
-                trial[node] = max(0.0, trial.get(node, 0.0) + extra)
-            ok = True
-            for node in set(visits):
-                if trial.get(node, 0.0) >= 1.0:
-                    ok = False
-                    break
-            if ok and not task_condition_holds(
-                [trial[n] for n in visits]
-            ):
-                ok = False
-            if ok:
-                for _key, (route, _expiry) in self._visits.items():
-                    if not task_condition_holds(
-                        [trial.get(n, 0.0) for n in route]
-                    ):
-                        ok = False
-                        break
-            if ok:
-                for route in accepted:
-                    if not task_condition_holds(
-                        [trial.get(n, 0.0) for n in route]
-                    ):
-                        ok = False
-                        break
-            decisions.append(ok)
-            if ok:
-                for node, value in stage_contribs:
-                    totals[node] = totals.get(node, 0.0) + value
-                accepted.append(visits)
-        return decisions

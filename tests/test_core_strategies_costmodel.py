@@ -1,5 +1,6 @@
 """Unit tests for strategy combinations and the cost model."""
 
+import pickle
 import random
 
 import pytest
@@ -183,3 +184,20 @@ class TestCostModel:
         assert cm.admission_test == pytest.approx(400 * USEC)
         with pytest.raises(ConfigurationError):
             CostModel().scaled(-1.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [CostModel(), CostModel.zero(), CostModel().scaled(1.7), CostModel(jitter=0.0)],
+        ids=["default", "zero", "scaled", "jitter-0"],
+    )
+    def test_pickled_copy_repickles_to_the_same_bytes(self, model):
+        """A pickled copy equals the original, pickles to the same bytes
+        (what the run_cells canary checks) and draws the same samples."""
+        blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        copy = pickle.loads(blob)
+        assert copy == model
+        assert pickle.dumps(copy, protocol=pickle.HIGHEST_PROTOCOL) == blob
+        for op in sorted(model.as_dict()):
+            drawn, oracle = random.Random(11), random.Random(11)
+            for _ in range(3):
+                assert copy.sample(op, drawn).hex() == model.sample(op, oracle).hex()

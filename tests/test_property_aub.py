@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from repro.sched import aub
 from repro.sched.aub import (
     AubAnalyzer,
-    NaiveAubAnalyzer,
     SyntheticUtilizationLedger,
     aub_term,
     aub_term_inverse,
     task_condition_holds,
 )
+
+from tests.aub_oracle import NaiveAubAnalyzer
 
 utilizations = st.floats(
     min_value=0.0, max_value=0.999, allow_nan=False, allow_infinity=False
@@ -157,9 +159,12 @@ class _MirroredSystem:
     sequence of scalar tests, bursts, placement sessions, untested adds,
     relocations, idle resets and expiries, asserting decision parity.
 
-    Bursts and sessions defer the dirty refresh of registrations their
-    worst-case screen clears; ``deferred`` collects those keys and
-    ``deferred_refreshed`` counts the ones a later scalar test refreshed.
+    ``over_bound`` counts the decisions taken while a registration was
+    already over the bound (left there by an untested add), by path
+    (``sequential``, ``screened``, ``unscreened``) and by whether the
+    candidate changes a node that registration visits (``affected``) or
+    not (``unaffected``).  A screened session's violators are checked
+    against those registrations.
     """
 
     NODES = ("a", "b", "c", "d")
@@ -174,10 +179,7 @@ class _MirroredSystem:
         self.now = 0.0
         self.counter = 0
         self.decisions = []
-        self.deferred = set()
-        self.deferred_refreshed = 0
-        #: Scalar tests that ran with a registered task over the bound.
-        self.violating_tests = 0
+        self.over_bound = Counter()
 
     # -- helpers -------------------------------------------------------
     def _commit(self, key, visits, stage_utils, expiry):
@@ -208,21 +210,28 @@ class _MirroredSystem:
         self.counter += 1
         return key
 
+    def _over_bound_keys(self):
+        """The live registrations whose condition already fails."""
+        utilization = self.ledger_nai.utilization
+        return {
+            key
+            for key, (visits, _utils, _expiry) in self.live.items()
+            if not task_condition_holds([utilization(n) for n in visits])
+        }
+
+    def _count_over_bound(self, path, over, visits, contribs):
+        """Count one decision taken with the registrations ``over`` over
+        the bound, by whether the candidate changes a node they visit."""
+        for key in over:
+            reach = any(contribs.get(node, 0.0) != 0.0 for node in self.live[key][0])
+            self.over_bound[path, "affected" if reach else "unaffected"] += 1
+
     def _scalar_test(self, visits, contribs, exclude=None):
-        """One scalar ``admissible`` on both sides; also records which
-        screen-deferred keys this test's dirty refresh recomputed."""
-        pending = self.deferred & self.inc._dirty
+        """One scalar ``admissible`` on both sides."""
+        over = self._over_bound_keys() - {exclude}
+        self._count_over_bound("sequential", over, visits, contribs)
         got = self.inc.admissible(visits, contribs, self.now, exclude=exclude)
         want = self.nai.admissible(visits, contribs, self.now, exclude=exclude)
-        refreshed = (pending - self.inc._dirty) & self.inc._task_totals.keys()
-        for key in sorted(refreshed):
-            fresh = 0.0
-            for node in self.inc._visits[key][0]:
-                fresh += aub_term(self.ledger_nai.utilization(node))
-            assert self.inc._task_totals[key] == fresh
-        self.deferred_refreshed += len(refreshed)
-        self.deferred = pending & self.inc._dirty
-        self.violating_tests += bool(self.inc._violating)
         return got, want
 
     def _evict(self, key):
@@ -279,11 +288,16 @@ class _MirroredSystem:
             (visits, list(zip(visits, stage_utils)))
             for visits, stage_utils, _lifetime in arrivals
         ]
+        self._count_burst("screened", candidates)
         got = self.inc.admissible_batch(candidates, self.now)
-        # The batch's refresh leaves dirty exactly the keys it deferred.
-        self.deferred = set(self.inc._dirty)
         self._burst_decisions(candidates, got)
         self._accept(arrivals, got)
+
+    def _count_burst(self, path, candidates):
+        over = self._over_bound_keys()
+        for visits, stage_contribs in candidates:
+            self._count_over_bound(path, over, visits, dict(stage_contribs))
+        return over
 
     def session(self, jobs, rng, screened):
         """An LB-style placement burst through ``batch_session``: each
@@ -298,7 +312,6 @@ class _MirroredSystem:
         session = self.inc.batch_session(
             self.now, demand if screened else None
         )
-        self.deferred = set(self.inc._dirty)
         arrivals = []
         candidates = []
         for stages, lifetime in jobs:
@@ -306,6 +319,13 @@ class _MirroredSystem:
             stage_utils = [u for _eligible, u in stages]
             arrivals.append((visits, stage_utils, lifetime))
             candidates.append((visits, list(zip(visits, stage_utils))))
+        over = self._count_burst(
+            "screened" if screened else "unscreened", candidates
+        )
+        if screened:
+            # The screen hands the session exactly the registrations
+            # (left after its prune) already over the bound.
+            assert session._violators == over & self.inc._visits.keys()
         got = [session.try_admit(*cand) for cand in candidates]
         self._burst_decisions(candidates, got)
         self._accept(arrivals, got)
@@ -421,14 +441,17 @@ class TestIncrementalMatchesNaive:
         # The workload must exercise both outcomes to be meaningful.
         assert admitted_something and rejected_something
 
-    def test_screen_deferred_refresh_and_violating_tasks_are_exercised(self):
-        """Seed 0 reaches the interleavings the deferred refresh creates:
-        a dirty registration a burst's screen cleared (refresh skipped)
-        that a later scalar test then recomputes exactly, and scalar
-        tests run while an untested add leaves a task over the bound."""
-        system = _drive(random.Random(0), 200)
-        assert system.deferred_refreshed > 0
-        assert system.violating_tests > 0
+    def test_over_bound_registrations_are_exercised(self):
+        """The seeded sequences decide, on the sequential path and on the
+        screened and unscreened session paths, while an untested add
+        leaves a registration over the bound, both where the candidate
+        changes one of its nodes and where it does not."""
+        over_bound = Counter()
+        for seed in range(8):
+            over_bound += _drive(random.Random(seed), 200).over_bound
+        for path in ("sequential", "screened", "unscreened"):
+            for reach in ("affected", "unaffected"):
+                assert over_bound[path, reach] > 0, (path, reach)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))

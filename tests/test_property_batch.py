@@ -1,6 +1,6 @@
 """Property tests for the batched hot path.
 
-Four contracts are enforced here:
+Three contracts are enforced here:
 
 * **Batch admission parity** — for random bursts of arrivals,
   :meth:`AubAnalyzer.admissible_batch` (one session, one ``try_admit``
@@ -15,9 +15,6 @@ Four contracts are enforced here:
   same assignments, the same accept/reject decisions, and bit-identical
   final ledger utilizations as the sequential path's
   plan / ``admissible`` / per-stage-commit / register loop.
-* **Vectorized f(U) parity** — when numpy is importable,
-  ``aub_terms_bulk`` returns bit-identical floats to the scalar
-  ``aub_term`` loop (elementwise float64 ops are IEEE-754 exact).
 * **Ledger shard invariants** — the per-node sharded
   :class:`SyntheticUtilizationLedger` reports the same utilizations,
   snapshots, and contribution counts as an unsharded dict-of-dicts
@@ -27,22 +24,14 @@ Four contracts are enforced here:
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.load_balancer import LoadBalancerComponent
-from repro.sched.aub import (
-    AubAnalyzer,
-    NaiveAubAnalyzer,
-    SyntheticUtilizationLedger,
-    _aub_terms_python,
-    _np,
-    aub_term,
-    aub_terms_bulk,
-)
+from repro.sched.aub import AubAnalyzer, SyntheticUtilizationLedger
 from repro.sched.task import Job, TaskKind
 
+from tests.aub_oracle import NaiveAubAnalyzer
 from tests.taskutil import make_task
 
 NODES = ("a", "b", "c", "d")
@@ -399,45 +388,6 @@ class TestBatchPlacementParity:
         assert any(decisions) and not all(decisions)
         first_reject = decisions.index(False)
         assert not any(decisions[first_reject:])
-
-
-# ----------------------------------------------------------------------
-# Vectorized f(U) parity
-# ----------------------------------------------------------------------
-class TestBulkTermParity:
-    def test_scalar_fallback_matches_aub_term(self):
-        values = [0.0, 0.1, 0.5, 0.999, 1.0, 1.5]
-        assert aub_terms_bulk(values) == [aub_term(v) for v in values]
-
-    @pytest.mark.skipif(_np is None, reason="numpy not importable")
-    @settings(max_examples=60, deadline=None)
-    @given(
-        values=st.lists(
-            st.floats(min_value=0.0, max_value=1.25, allow_nan=False),
-            min_size=1,
-            max_size=64,
-        )
-    )
-    def test_numpy_path_bit_identical(self, values):
-        from repro.sched.aub import _aub_terms_numpy
-
-        scalar = _aub_terms_python(values)
-        vectorized = _aub_terms_numpy(values)
-        assert len(scalar) == len(vectorized)
-        for s, v in zip(scalar, vectorized):
-            # Exact equality: elementwise float64 arithmetic must agree
-            # with the scalar expression bit for bit (inf == inf holds).
-            assert s == v
-
-    @pytest.mark.skipif(_np is None, reason="numpy not importable")
-    def test_negative_utilization_rejected_by_both_paths(self):
-        from repro.errors import SchedulingError
-        from repro.sched.aub import _aub_terms_numpy
-
-        with pytest.raises(SchedulingError):
-            _aub_terms_python([0.1, -1e-9])
-        with pytest.raises(SchedulingError):
-            _aub_terms_numpy([0.1, -1e-9])
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Scenario
+from repro.core.cost_model import CostModel
+from repro.net.latency import ConstantDelay, NormalDelay, TriangularDelay, UniformDelay
 
 COMBOS = ("T_T_T", "T_N_N", "J_J_J", "J_N_N", "default", "paper-best")
 POLICIES = ("aub", "deferrable_server")
@@ -26,6 +28,27 @@ durations = st.floats(
 
 
 node_names = st.sampled_from(("n1", "n2", "n3", "n4"))
+
+jitters = st.just(0.0) | st.floats(0.0, 0.99, allow_nan=False)
+cost_models = st.one_of(
+    st.builds(CostModel, jitter=jitters),
+    st.just(CostModel.zero()),
+    st.builds(
+        lambda jitter, factor: CostModel(jitter=jitter).scaled(factor),
+        jitters,
+        st.floats(0.0, 4.0, allow_nan=False),
+    ),
+)
+
+delays = st.floats(0.0, 1e-3, allow_nan=False)
+delay_models = st.one_of(
+    st.builds(ConstantDelay, delays),
+    st.builds(lambda a, b: UniformDelay(*sorted((a, b))), delays, delays),
+    st.builds(
+        lambda a, b, c: TriangularDelay(*sorted((a, b, c))), delays, delays, delays
+    ),
+    st.builds(NormalDelay, delays, delays, delays),
+)
 
 
 def _draw_fault(draw, builder) -> None:
@@ -103,6 +126,12 @@ def scenarios(draw) -> Scenario:
                 until=start + draw(st.floats(0.1, 50.0, allow_nan=False)),
                 factor=draw(st.floats(0.1, 10.0, allow_nan=False)),
             )
+    if engine != "replay":
+        # Replay scenarios are overhead-free: no cost or delay model.
+        if draw(st.booleans()):
+            builder.cost_model(draw(cost_models))
+        if draw(st.booleans()):
+            builder.delay_model(draw(delay_models))
     builder.duration(draw(durations))
     builder.seed(draw(seeds))
     if draw(st.booleans()):

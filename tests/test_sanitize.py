@@ -155,15 +155,19 @@ class TestAnalyzerCacheAudit:
         with pytest.raises(SanitizeViolation, match="cached f\\(U\\)"):
             analyzer.admissible(["n1"], {"n1": 0.1}, now=1.0)
 
-    def test_tampered_task_total_is_caught(self, sanitize):
-        ledger = SyntheticUtilizationLedger(["n1"])
+    def test_wrong_violator_set_is_caught(self, sanitize, monkeypatch):
+        ledger = SyntheticUtilizationLedger(["n1", "n2"])
         analyzer = AubAnalyzer(ledger)
+        # An untested add leaves t1 over the bound: f(0.7) > 1.
+        ledger.add("n1", ("t1", 0, 0), 0.7)
         analyzer.register(("t1", 0), ["n1"], expiry=None)
-        assert analyzer.admissible(["n1"], {"n1": 0.1}, now=0.0)
-        if ("t1", 0) in analyzer._task_totals:
-            analyzer._task_totals[("t1", 0)] += 0.25
-            with pytest.raises(SanitizeViolation, match="condition total"):
-                analyzer.admissible(["n1"], {"n1": 0.1}, now=1.0)
+        burst = [(["n2"], [("n2", 0.1)])]
+        assert analyzer.admissible_batch(burst, now=0.0) == [False]
+        # The injected screen bug: a guard that clears routes over the
+        # bound, so the screen names no violator.
+        monkeypatch.setattr(aub, "SCREEN_GUARD", -1.0)
+        with pytest.raises(SanitizeViolation, match="violators"):
+            analyzer.admissible_batch(burst, now=1.0)
 
     @pytest.mark.skipif(aub._np is None, reason="the rows need numpy")
     def test_tampered_visit_count_row_is_caught(self, sanitize):

@@ -9,12 +9,13 @@ from repro.sched import aub
 from repro.sched.aub import (
     RESERVED,
     AubAnalyzer,
-    NaiveAubAnalyzer,
     SyntheticUtilizationLedger,
     aub_term,
     aub_term_inverse,
     task_condition_holds,
 )
+
+from tests.aub_oracle import NaiveAubAnalyzer
 
 
 # ----------------------------------------------------------------------
@@ -403,8 +404,16 @@ class TestArrayScreen:
         ledger.add("a", ("X", 0, 0), 1.0)
         self.commit(ledger, analyzer, ("T1", 0), [("b", 0.2), ("c", 0.35)])
         self.commit(ledger, analyzer, ("T2", 0), [("c", 0.05)])
-        watch, _umax_terms = analyzer._screen_burst({"b": 0.5})
+        watch, violators, screen_terms = analyzer._screen_burst(
+            {"b": aub_term(0.5)}
+        )
         assert watch == {("T1", 0)}
+        # T1 passes under the current terms: on watch, not a violator.
+        assert violators == set()
+        assert screen_terms == {
+            "a": math.inf, "b": aub_term(0.5),
+            "c": aub_term(ledger.utilization("c")),
+        }
         # The candidate's own condition holds (f(0.5) = 0.75); T1's fails.
         burst = [(["b"], [("b", 0.3)])]
         assert analyzer.admissible_batch(burst, now=0.0) == [False]

@@ -16,6 +16,8 @@ written), each side's median and quartiles
 (``statistics.quantiles(runs, n=4, method="inclusive")``) and
 ``change_better_pairs``, the pairs in which the change read strictly
 better by the metric's ``better`` direction (a tie counts for neither).
+Before it, one line per metric gives its verdict (:func:`verdict`):
+``gain``, ``worse``, ``unresolved`` or ``within bound``.
 
 Exit status: 0 every run reported ``"correct": true``, 1 some run did
 not, 2 a run's output was unreadable.  Standard library only.
@@ -55,6 +57,56 @@ def better_pairs(
     if better == "lower":
         return sum(c < p for p, c in zip(parent, change))
     raise ValueError(f"unknown direction {better!r}")
+
+
+def verdict(
+    parent: Sequence[float], change: Sequence[float], metric: Dict[str, Any]
+) -> str:
+    """How paired runs of one metric read against its ``BENCHMARK.json``
+    entry (``better`` direction, relative ``bound``).
+
+    ``gain``: the change is better in at least nine tenths of the pairs
+    and its median is further from the parent's, on the better side, than
+    the parent's interquartile range.  ``worse``: the change's median is
+    worse than the parent's by more than ``bound`` times the parent's
+    median.  ``unresolved``: the parent's interquartile range is wider
+    than that bound and not every change run beats every parent run.
+    Otherwise ``within bound``.
+    """
+    pairs = better_pairs(parent, change, metric["better"])
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    q1, parent_median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gained = sign * (statistics.median(change) - parent_median)
+    if 10 * pairs >= 9 * len(change) and gained > q3 - q1:
+        return "gain"
+    allowed = metric["bound"] * abs(parent_median)
+    if -gained > allowed:
+        return "worse"
+    # Every change run better than every parent run.
+    swept = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > allowed and not swept:
+        return "unresolved"
+    return "within bound"
+
+
+def verdict_lines(
+    runs: Dict[str, List[Dict[str, float]]], metrics: Sequence[Dict[str, Any]]
+) -> List[str]:
+    """One ``verdict <metric>: <verdict> (...)`` line per metric."""
+    lines = []
+    for metric in metrics:
+        name = metric["name"]
+        parent = [run[name] for run in runs["parent"]]
+        change = [run[name] for run in runs["change"]]
+        parent_median = statistics.median(parent)
+        shift = statistics.median(change) / parent_median - 1.0
+        lines.append(
+            f"verdict {name}: {verdict(parent, change, metric)} "
+            f"(median {shift:+.1%}, "
+            f"better in {better_pairs(parent, change, metric['better'])}"
+            f"/{len(change)} pairs)"
+        )
+    return lines
 
 
 def end_to_end_block(
@@ -128,6 +180,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             runs[side].append(values)
             shown = " ".join(f"{name}={value:.6g}" for name, value in values.items())
             print(f"pair {pair} {side:6s} correct={correct} {shown}", flush=True)
+    for line in verdict_lines(runs, metrics):
+        print(line)
     print(json.dumps(end_to_end_block(runs, metrics)))
     return 0 if all_correct else 1
 
