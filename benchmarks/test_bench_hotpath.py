@@ -711,8 +711,8 @@ def _run_bench_hotpath():
             f"| {row['p99_s']:>10.2e} | {row['max_s']:>10.2e}"
         )
     header = (
-        f"  {'tasks':>6} | {'per-arrival burst/s':>20} | "
-        f"{'batched burst/s':>16} | {'speedup':>8}"
+        f"  {'tasks':>6} | {'per-arrival arrivals/s':>22} | "
+        f"{'batched arrivals/s':>18} | {'speedup':>8}"
     )
     print(f"  burst admission (bursts of {BURST} arrivals, commits included)")
     print(header)
@@ -720,8 +720,8 @@ def _run_bench_hotpath():
     for n_tasks in SCALES:
         row = admission_batch[str(n_tasks)]
         print(
-            f"  {n_tasks:>6} | {row['per_arrival_tests_per_sec']:>20,.0f} | "
-            f"{row['batch_tests_per_sec']:>16,.0f} | {row['speedup']:>7.1f}x"
+            f"  {n_tasks:>6} | {row['per_arrival_tests_per_sec']:>22,.0f} | "
+            f"{row['batch_tests_per_sec']:>18,.0f} | {row['speedup']:>7.1f}x"
         )
     header = (
         f"  {'tasks':>6} | {'per-candidate plans/s':>22} | "

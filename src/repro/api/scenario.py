@@ -18,6 +18,7 @@ describes a runnable deployment or refuses to exist.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -288,6 +289,12 @@ class WorkloadSource:
         if self.kind == SOURCE_EXPLICIT:
             assert self.workload is not None  # enforced by __post_init__
             return self.workload
+        return self._generate()
+
+    @functools.lru_cache(maxsize=32)
+    def _generate(self) -> Workload:
+        """Memoized by the recipe (kind, seed, index, stream, params) for
+        the 32 most recent: a grid's cells share one frozen task set."""
         assert self.seed is not None  # enforced by __post_init__
         rng = RngRegistry(self.seed).stream(self.stream)
         generate = (

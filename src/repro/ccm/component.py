@@ -13,7 +13,7 @@ mistake" guarantee (the other half lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, TYPE_CHECKING
 
 from repro.errors import AttributeConfigError, ComponentError
 
@@ -73,15 +73,21 @@ class Component:
 
     #: Subclasses override: declared configurable attributes.
     ATTRIBUTES: Dict[str, AttributeSpec] = {}
+    #: Derived from ATTRIBUTES once per class (``__init_subclass__``).
+    _DEFAULTS: Dict[str, Any] = {}
+    _REQUIRED: FrozenSet[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        specs = cls.ATTRIBUTES
+        cls._DEFAULTS = {n: s.default for n, s in specs.items() if not s.required}
+        cls._REQUIRED = frozenset(n for n, s in specs.items() if s.required)
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.container: Optional["Container"] = None
         self._activated = False
-        self._attributes: Dict[str, Any] = {}
-        for attr_name, spec in self.ATTRIBUTES.items():
-            if not spec.required:
-                self._attributes[attr_name] = spec.default
+        self._attributes: Dict[str, Any] = self._DEFAULTS.copy()
 
     # ------------------------------------------------------------------
     # Attribute machinery (configProperty / Configurator)
@@ -128,13 +134,21 @@ class Component:
         for key, value in properties.items():
             self.set_attribute(key, value)
 
+    def copy_configuration(self, configured: "Component") -> None:
+        """Take the values ``set_configuration`` checked on ``configured``,
+        an instance of the same class (another replica of one subtask)."""
+        if type(configured) is not type(self) or self._activated:
+            raise AttributeConfigError(f"{self.name!r} cannot copy {configured.name!r}")
+        self._attributes = configured._attributes.copy()
+
     def check_required_attributes(self) -> None:
         """Raise if any required attribute is still unset."""
-        for attr_name, spec in self.ATTRIBUTES.items():
-            if spec.required and attr_name not in self._attributes:
-                raise AttributeConfigError(
-                    f"required attribute {attr_name!r} of {self.name!r} was never set"
-                )
+        if not self._attributes.keys() >= self._REQUIRED:
+            # Every optional attribute holds at least its default.
+            missing = next(n for n in self.ATTRIBUTES if n not in self._attributes)
+            raise AttributeConfigError(
+                f"required attribute {missing!r} of {self.name!r} was never set"
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, List, Optional
+from typing import Any, List, NoReturn, Optional
 
 from repro.api import Scenario, Session, default_registry
 from repro.config.characteristics import ApplicationCharacteristics
@@ -59,8 +59,19 @@ from repro.experiments.table1 import format_rows, rows_to_json
 from repro.sched.offline import analyze_workload, format_report
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # one line, no usage text
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(raw: str) -> int:
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reconfigurable real-time middleware reproduction "
         "(Zhang, Gill & Lu, WUCSE-2008-5).",
@@ -80,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("figure6", "imbalanced workloads, LB comparison (section 7.2)"),
     ):
         p = _experiment_parser(name, doc)
-        p.add_argument("--sets", type=int, default=10)
+        p.add_argument("--sets", type=_positive_int, default=10)
         p.add_argument("--duration", type=float, default=60.0)
         p.add_argument("--seed", type=int, default=2008)
 
@@ -91,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _experiment_parser("table1", "criteria-to-strategy mapping")
 
     pa = _experiment_parser("ablation", "AUB vs Deferrable Server admission")
-    pa.add_argument("--sets", type=int, default=10)
+    pa.add_argument("--sets", type=_positive_int, default=10)
     pa.add_argument("--duration", type=float, default=120.0)
     pa.add_argument("--seed", type=int, default=2008)
 
@@ -296,8 +307,7 @@ def _metrics_run(args) -> None:
     _write_json(args.json, result.to_json())
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run_command(args: argparse.Namespace) -> None:
     command = args.command
 
     if command == "figure5":
@@ -449,6 +459,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif command == "combos":
         for combo in valid_combinations():
             print(combo.label)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        _run_command(args)
+    except (ReproError, OSError) as exc:  # bad input, unreadable file
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -201,18 +201,24 @@ class MiddlewareSystem:
                     if subtask.index == last_index
                     else FISubtaskComponent
                 )
+                # The home replica (eligible[0]) checks; the others copy.
+                home = None
                 for node in subtask.eligible:
                     name = f"{task.task_id}.s{subtask.index}@{node}"
                     component = cls(name, self.env)
-                    component.set_configuration(
-                        {
-                            "task_id": task.task_id,
-                            "subtask_index": subtask.index,
-                            "execution_time": subtask.execution_time,
-                            "priority": priority,
-                            "ir_mode": self.combo.ir.value,
-                        }
-                    )
+                    if home is None:
+                        component.set_configuration(
+                            {
+                                "task_id": task.task_id,
+                                "subtask_index": subtask.index,
+                                "execution_time": subtask.execution_time,
+                                "priority": priority,
+                                "ir_mode": self.combo.ir.value,
+                            }
+                        )
+                        home = component
+                    else:
+                        component.copy_configuration(home)
                     self.containers[node].install(component)
                     component.connect_ir(ir_facets[node])
 

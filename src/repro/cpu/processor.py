@@ -40,7 +40,6 @@ class Processor:
         self.name = name
         #: Relative speed; a work item of cost c takes c / speed seconds.
         self.speed = speed
-        self.threads: List[DispatchThread] = []
         self._ready: List[DispatchThread] = []
         self._ready_counter = 0
         self._running: Optional[DispatchThread] = None
@@ -61,7 +60,6 @@ class Processor:
                 f"thread {thread.name} already bound to {thread.processor.name}"
             )
         thread.processor = self
-        self.threads.append(thread)
         return thread
 
     def new_thread(self, name: str, priority: float) -> DispatchThread:
@@ -187,7 +185,7 @@ class Processor:
     def _complete(self, thread: DispatchThread) -> None:
         if thread is not self._running:  # pragma: no cover - defensive
             raise SimulationError("completion fired for non-running thread")
-        item = thread.queue.popleft()
+        item = thread.queue.pop(0)
         item.remaining = 0.0
         self._running = None
         self._completion = None

@@ -10,8 +10,7 @@ priority value.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -63,19 +62,16 @@ class DispatchThread:
     :class:`~repro.cpu.processor.Processor`.
     """
 
+    __slots__ = ("name", "priority", "queue", "processor", "_ready_seq")
+
     def __init__(self, name: str, priority: float) -> None:
         self.name = name
         self.priority = float(priority)
-        self.queue: Deque[WorkItem] = deque()
+        self.queue: List[WorkItem] = []  # short: a deque would take 760 bytes
         self.processor = None  # set by Processor.add_thread
         #: Monotonic sequence assigned by the processor when the thread
         #: becomes ready; used as a FIFO tie-break between equal priorities.
         self._ready_seq = 0
-
-    @property
-    def busy(self) -> bool:
-        """True when the thread has queued or in-progress work."""
-        return bool(self.queue)
 
     def head(self) -> WorkItem:
         if not self.queue:

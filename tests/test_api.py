@@ -33,7 +33,7 @@ from repro.api import (
 from repro.core.cost_model import CostModel
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo, valid_combinations
-from repro.errors import ConfigurationError
+from repro.errors import AttributeConfigError, ConfigurationError
 from repro.metrics.registry import MetricsRegistry
 from repro.net.latency import (
     ConstantDelay,
@@ -41,10 +41,13 @@ from repro.net.latency import (
     TriangularDelay,
     UniformDelay,
 )
+from repro.sched.task import TaskKind
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
+from repro.workloads.model import Workload
 
 from tests.jsonutil import WRONG_VALUES, json_kind, json_paths
+from tests.taskutil import make_task
 
 
 def _workload(seed=2008):
@@ -536,3 +539,77 @@ class TestExperimentSuite:
         )
         restored = ExperimentSuite.from_json(suite.to_json())
         assert restored == suite
+
+
+class TestGeneratedWorkloadMemo:
+    """A generated source materializes once per recipe (bounded memo)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        WorkloadSource._generate.cache_clear()
+        yield
+        WorkloadSource._generate.cache_clear()
+
+    def test_equal_recipes_share_one_workload(self):
+        first = WorkloadSource.random(seed=11, index=2).materialize()
+        assert WorkloadSource.random(seed=11, index=2).materialize() is first
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            WorkloadSource.random(seed=11, index=3),
+            WorkloadSource.random(seed=11, index=2, stream="other_sets"),
+            WorkloadSource.random(
+                seed=11, index=2, params=RandomWorkloadParams(n_periodic=4)
+            ),
+            WorkloadSource.imbalanced(seed=11, index=2),
+        ],
+        ids=["index", "stream", "params", "kind"],
+    )
+    def test_recipes_that_differ_do_not_share(self, other):
+        base = WorkloadSource.random(seed=11, index=2).materialize()
+        assert other.materialize() is not base
+
+    def test_memoized_workload_equals_direct_generation(self):
+        params = RandomWorkloadParams(n_periodic=3, n_aperiodic=2)
+        source = WorkloadSource.random(seed=11, index=2, params=params, stream="s")
+        source.materialize()  # the second call is served by the memo
+        rng = RngRegistry(11).stream("s")
+        for _ in range(2):
+            generate_random_workload(rng, params)
+        assert source.materialize() == generate_random_workload(rng, params)
+
+    def test_evicted_recipe_regenerates_equal(self):
+        first = WorkloadSource.random(seed=0).materialize()
+        size = WorkloadSource._generate.cache_info().maxsize
+        for seed in range(1, size + 1):
+            WorkloadSource.random(seed=seed).materialize()
+        assert WorkloadSource._generate.cache_info().currsize == size
+        again = WorkloadSource.random(seed=0).materialize()
+        assert again is not first and again == first
+
+
+class TestDeployRefusesBadValues:
+    """The home replica checks a subtask's values; the others copy them."""
+
+    @staticmethod
+    def _workload(execution_time, deadline):
+        task = make_task(
+            "P1", TaskKind.PERIODIC, deadline=deadline, execs=(execution_time,),
+            homes=("app1",), replicas=[("app2",)],
+        )
+        return Workload(tasks=(task,), app_nodes=("app1", "app2"))
+
+    @pytest.mark.parametrize(
+        "execution_time, deadline, attribute",
+        [(1, 4.0, "execution_time"), (0.5, 4, "priority")],
+        ids=["int-execution-time", "int-deadline"],
+    )
+    @pytest.mark.parametrize("distributed", [False, True], ids=["central", "J_N_N"])
+    def test_home_replica_refuses(self, execution_time, deadline, attribute, distributed):
+        builder = Scenario.builder().workload(self._workload(execution_time, deadline))
+        builder = builder.distributed() if distributed else builder.combo("J_J_J")
+        session = Session(builder.duration(5.0).build())
+        with pytest.raises(AttributeConfigError, match=attribute) as refused:
+            session.deploy()
+        assert "'P1.s0@app1'" in str(refused.value)

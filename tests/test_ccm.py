@@ -108,6 +108,49 @@ class TestAttributes:
         with pytest.raises(ComponentError):
             w.activate()
 
+    def test_first_missing_required_attribute_is_named(self):
+        class Pair(Component):
+            ATTRIBUTES = {
+                "first": AttributeSpec(str, required=True),
+                "rate": AttributeSpec(float, default=1.0),
+                "second": AttributeSpec(str, required=True),
+            }
+
+        container = make_container()
+        pair = Pair("p")
+        container.install(pair)
+        with pytest.raises(AttributeConfigError, match="'first'"):
+            pair.activate()
+        pair.set_attribute("first", "x")
+        with pytest.raises(AttributeConfigError, match="'second'"):
+            pair.activate()
+
+    def test_copy_configuration_takes_checked_values(self):
+        source = Widget("a")
+        source.set_configuration({"rate": 2.5, "label": "x"})
+        replica = Widget("b")
+        replica.copy_configuration(source)
+        assert replica.get_attribute("rate") is source.get_attribute("rate")
+        assert replica.get_attribute("label") == "x"
+        replica.set_attribute("count", 3)  # the copy is the replica's own
+        assert source.get_attribute("count") == 0
+
+    def test_copy_configuration_refuses_other_class_or_activated(self):
+        class Other(Widget):
+            pass
+
+        source = Widget("a")
+        source.set_attribute("label", "x")
+        with pytest.raises(AttributeConfigError):
+            Other("b").copy_configuration(source)
+        container = make_container()
+        activated = Widget("c")
+        activated.set_attribute("label", "y")
+        container.install(activated)
+        activated.activate()
+        with pytest.raises(AttributeConfigError):
+            activated.copy_configuration(source)
+
 
 # ----------------------------------------------------------------------
 # Container

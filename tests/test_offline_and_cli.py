@@ -141,8 +141,37 @@ class TestCli:
         assert main(["ablation", "--sets", "1", "--duration", "20"]) == 0
         assert "Deferrable Server" in capsys.readouterr().out
 
-    def test_bad_answers_rejected(self, tmp_path):
-        from repro.errors import ReproError
+    def test_bad_answers_rejected(self, tmp_path, capsys):
+        assert main(
+            ["configure", self.spec_file(tmp_path), "--answers", "Y,Y"]
+        ) != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: --answers")
 
-        with pytest.raises(ReproError):
-            main(["configure", self.spec_file(tmp_path), "--answers", "Y,Y"])
+
+class TestCliErrors:
+    """Bad input is one stderr line and a non-zero exit, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["scenario", "run"], ["metrics"], ["analyze"], ["configure"], ["run"]],
+        ids="_".join,
+    )
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+    def test_bad_input_file(self, tmp_path, capsys, command, content):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(command + [str(path)]) != 0
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: "), captured.err
+        assert "Traceback" not in captured.out
+
+    @pytest.mark.parametrize("command", ["figure5", "figure6", "ablation"])
+    def test_zero_sets_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--sets", "0"])
+        assert exit_info.value.code != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--sets" in err[0], err
