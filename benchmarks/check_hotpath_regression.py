@@ -4,13 +4,13 @@ Compares a freshly measured ``BENCH_hotpath.json`` with the baseline
 committed at the repo root (saved aside before the benchmark overwrote
 it).  Every gated metric carries a *direction* resolved from its name
 suffix through :data:`DIRECTION_BY_SUFFIX`: throughputs (``_per_sec``)
-and protocol savings (``_reduction``) are higher-is-better and fail when
-they fall more than ``--tolerance`` (default 30%) below the baseline;
-latency quantiles (``.p99_s`` et al.) are lower-is-better and fail when
-they *rise* more than the tolerance.  A gated metric whose suffix is not
-registered is a hard error (exit 2) — a new metric must declare its
-direction before the gate will compare it, so a latency series can never
-be silently gated in the throughput direction or vice versa.
+are higher-is-better and fail when they fall more than ``--tolerance``
+(default 30%) below the baseline; latency quantiles (``.p99_s`` et al.)
+are lower-is-better and fail when they *rise* more than the tolerance.
+A gated metric whose suffix is not registered is a hard error (exit 2)
+— a new metric must declare its direction before the gate will compare
+it, so a latency series can never be silently gated in the throughput
+direction or vice versa.
 
 *Scales* absent from either file — e.g. rows dropped by
 ``REPRO_BENCH_HOTPATH_SCALES`` on the reduced CI grid — are skipped, so
@@ -26,9 +26,8 @@ rate as a proxy (the kernel benchmark is pure interpreter + heap work
 that none of this repo's hot-path changes target): throughputs are
 *divided* by their file's kernel rate, latencies are *multiplied* by it
 (a slower machine has a lower kernel rate and proportionally higher
-latencies, so the product is machine-neutral).  Deterministic counters
-(``_reduction``) are never normalized.  Without the flag the comparison
-is absolute (right for same-machine A/B runs).
+latencies, so the product is machine-neutral).  Without the flag the
+comparison is absolute (right for same-machine A/B runs).
 
 Usage::
 
@@ -60,7 +59,6 @@ REQUIRED_SECTIONS = (
     "admission_latency",
     "lb_placement_batch",
     "ledger_sharded",
-    "distributed_round",
 )
 
 HIGHER_IS_BETTER = "higher"
@@ -75,7 +73,6 @@ LOWER_IS_BETTER = "lower"
 #: missing here make the gate exit 2 rather than guess a direction.
 DIRECTION_BY_SUFFIX: Dict[str, Tuple[str, bool]] = {
     "_per_sec": (HIGHER_IS_BETTER, True),
-    "_reduction": (HIGHER_IS_BETTER, False),
     ".p50_s": (LOWER_IS_BETTER, True),
     ".p95_s": (LOWER_IS_BETTER, True),
     ".p99_s": (LOWER_IS_BETTER, True),
@@ -122,12 +119,6 @@ def gated_metrics(data: dict) -> Iterator[Tuple[str, float]]:
         )
     ledger = data.get("ledger_sharded", {})
     yield "ledger_sharded.batch_ops_per_sec", ledger.get("batch_ops_per_sec")
-    # Deterministic protocol counters: rounds saved by piggybacking a
-    # burst's reservations (not wall-clock, so never normalized away).
-    distributed = data.get("distributed_round", {})
-    yield "distributed_round.round_reduction", distributed.get(
-        "round_reduction"
-    )
 
 
 def _fmt(value: float) -> str:

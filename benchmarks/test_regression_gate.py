@@ -34,7 +34,6 @@ def _record(rate=100_000.0, p99=2e-5, kernel=1_000_000.0):
         },
         "lb_placement_batch": {"100": {"batch_placements_per_sec": rate}},
         "ledger_sharded": {"batch_ops_per_sec": rate},
-        "distributed_round": {"round_reduction": 10.0},
     }
 
 
@@ -158,10 +157,6 @@ def test_metric_direction_registry():
     assert metric_direction("admission[100].incremental_tests_per_sec") == (
         HIGHER_IS_BETTER,
         True,
-    )
-    assert metric_direction("distributed_round.round_reduction") == (
-        HIGHER_IS_BETTER,
-        False,
     )
     assert metric_direction("admission_latency[1000].p99_s") == (
         LOWER_IS_BETTER,

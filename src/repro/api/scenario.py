@@ -663,12 +663,12 @@ class Scenario:
     aperiodic_interarrival_factor: float = 2.0
     arrival_stream: str = "arrivals"
     #: Batched hot path: deliver simultaneous arrivals as kernel batches
-    #: and let the admission layer drain its arrival queue through one
-    #: batched decision pass per burst (Burst disturbances exercise it).
-    #: Composes with every strategy combo — load-balanced combos plan
-    #: placements through a batch session, and the distributed engine
-    #: piggybacks the burst onto one coordination round — and with both
-    #: engines that have an admission controller.
+    #: and let the admission controller drain its arrival queue through
+    #: one batched decision pass per burst (Burst disturbances exercise
+    #: it).  Composes with every strategy combo — load-balanced combos
+    #: plan placements through a batch session — on the middleware
+    #: engine; the distributed engine (one two-phase round per job) and
+    #: the replay engine refuse it.
     arrival_batching: bool = False
     disturbances: Tuple[Disturbance, ...] = ()
     trace: bool = False
@@ -760,6 +760,12 @@ class Scenario:
             if self.trace:
                 raise ConfigurationError(
                     "tracing is not supported by the distributed engine"
+                )
+            if self.arrival_batching:
+                raise ConfigurationError(
+                    "distributed scenarios coordinate one two-phase round "
+                    "per job: arrival_batching conflicts with the "
+                    "distributed engine"
                 )
         if self.engine == ENGINE_MIDDLEWARE:
             # The centralized accept/reject round trip has no timeout: a

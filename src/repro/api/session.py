@@ -365,7 +365,6 @@ class Session:
                 aperiodic_interarrival_factor=(
                     scenario.aperiodic_interarrival_factor
                 ),
-                arrival_batching=scenario.arrival_batching,
                 metrics_registry=self.metrics,
             )
             self._install_faults(self._system)

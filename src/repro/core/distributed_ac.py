@@ -30,13 +30,12 @@ matter what other coordinators admit — at the price of conservatism
 per admission.  The ablation benchmark quantifies both penalties against
 the paper's centralized design.
 
-Under arrival batching (``Scenario.arrival_batching``), a coordinator
-drains its queued burst into one **piggybacked** round: a single
-multi-reservation transaction whose participants vote on every
-reservation of the burst against one local snapshot (per-item votes,
-per-reservation locks/expiry/abort).  A burst then costs one two-phase
-round instead of one per reservation, with decisions bit-identical to
-the one-round-per-reservation path (property-tested).
+Each admission is one two-phase transaction: the job's coordinator (the
+controller on its arrival node) sends one reserve request per visited
+processor and, once every vote is in, one commit or abort outcome to
+each.  Under an armed fault injector a coordinator retries the missing
+participants after :data:`VOTE_TIMEOUT` seconds, doubling the wait per
+attempt, and aborts after :data:`MAX_RETRIES` retries (docs/CHAOS.md).
 
 Scope: this extension prototype supports AC-per-job with no idle
 resetting and no load balancing (home assignments), the configuration
@@ -80,12 +79,12 @@ from repro.sim.kernel import EventHandle
 TOPIC_RESERVE = "dac_reserve"
 TOPIC_VOTE = "dac_vote"
 TOPIC_COMMIT = "dac_commit"
-TOPIC_ABORT = "dac_abort"
-#: Piggybacked (multi-reservation) variants: one message per participant
-#: per *round* instead of per reservation (arrival batching only).
-TOPIC_RESERVE_BATCH = "dac_reserve_batch"
-TOPIC_VOTE_BATCH = "dac_vote_batch"
-TOPIC_COMMIT_BATCH = "dac_commit_batch"
+#: Seconds a coordinator waits for a round's votes before retrying the
+#: missing participants; retry ``n`` waits ``VOTE_TIMEOUT * 2.0 ** n``.
+VOTE_TIMEOUT = 0.25
+#: Reserve retries per transaction after the first vote timeout; when
+#: they run out, the round aborts, releasing every granted reservation.
+MAX_RETRIES = 2
 
 # The protocol's messages are immutable NamedTuples: one C-level tuple per
 # message.
@@ -119,42 +118,6 @@ class Outcome(NamedTuple):
     expiry: float = 0.0
 
 
-class ReserveItem(NamedTuple):
-    """One reservation inside a piggybacked multi-reservation round."""
-
-    index: int
-    job_key: Tuple[str, int]
-    delta: float
-    expiry: float
-
-
-class BatchReserveRequest(NamedTuple):
-    """Phase 1 of a piggybacked round: every reservation of the burst
-    that involves this participant, in burst order."""
-
-    txn: int
-    coordinator: str
-    items: Tuple[ReserveItem, ...]
-
-
-class BatchVote(NamedTuple):
-    """Participant reply: one grant (with post-lock utilization) per
-    item, aligned with the request's ``items``."""
-
-    txn: int
-    node: str
-    granted: Tuple[bool, ...]
-    post_utilization: Tuple[float, ...]
-
-
-class BatchOutcome(NamedTuple):
-    """Phase 2 of a piggybacked round: per-reservation commit/abort
-    outcomes for this participant, aligned with its request ``items``."""
-
-    txn: int
-    items: Tuple[Outcome, ...]
-
-
 class _HomePlan(NamedTuple):
     """How every job of one task is coordinated under home placement."""
 
@@ -184,64 +147,12 @@ class _Transaction:
     started: float = 0.0
 
 
-class _BatchItem(NamedTuple):
-    """One burst arrival inside a coordinator's piggybacked round."""
-
-    job: Job
-    event: TaskArriveEvent
-    plan: _HomePlan
-
-
-@dataclass
-class _BatchTransaction:
-    """Coordinator-side state of one in-flight piggybacked round."""
-
-    items: List[_BatchItem]
-    participants: List[str]
-    #: participant -> the burst indices sent to it, in burst order.
-    sent: Dict[str, List[int]]
-    votes: Dict[str, BatchVote] = field(default_factory=dict)
-    #: Vote-timeout event handle (chaos runs only; None when disarmed).
-    timeout_handle: Optional[object] = None
-    #: Reserve rounds already retried after a vote timeout.
-    attempt: int = 0
-    #: Simulated time the round's reserves went out (observability).
-    started: float = 0.0
-
-
 class DistributedAdmissionControllerComponent(Component):
     """Per-processor admission controller with two-phase coordination."""
 
     ATTRIBUTES = {
         "processor_id": AttributeSpec(
             str, required=True, doc="Application processor this AC guards."
-        ),
-        "batching": AttributeSpec(
-            bool,
-            default=False,
-            doc="Drain queued simultaneous arrivals in one dispatch pass "
-            "and piggyback them onto a single multi-reservation "
-            "coordination round: participants vote on the whole burst "
-            "against one local snapshot (per-item votes, per-reservation "
-            "expiry/abort), so a burst costs one two-phase round instead "
-            "of one per reservation.",
-        ),
-        "vote_timeout": AttributeSpec(
-            float,
-            default=0.25,
-            doc="Seconds a coordinator waits for the round's votes before "
-            "retrying the missing participants (exponential backoff) and "
-            "ultimately aborting.  Timeouts are armed only while the "
-            "network carries an armed fault injector — on fault-free "
-            "runs every vote arrives and the protocol is byte-for-byte "
-            "the original.  <= 0 disables timeouts even under faults.",
-        ),
-        "max_retries": AttributeSpec(
-            int,
-            default=2,
-            doc="Reserve retries per transaction after the first vote "
-            "timeout; the round aborts (releasing every granted "
-            "reservation) when they are exhausted.",
         ),
     }
 
@@ -250,13 +161,10 @@ class DistributedAdmissionControllerComponent(Component):
     def __init__(self, name: str, env: RuntimeEnv) -> None:
         super().__init__(name)
         self.env = env
-        #: Arrivals awaiting a batched coordination pass (batching only).
-        self._arrival_queue: List[TaskArriveEvent] = []
         #: Live local contributions: job key -> utilization on this node.
         self._contribs: Dict[Tuple[str, int], float] = {}
-        #: Pending phase-1 locks: txn (scalar rounds) or (txn, job key)
-        #: (piggybacked rounds) -> locked utilization.
-        self._locks: Dict[object, float] = {}
+        #: Pending phase-1 locks: txn -> locked utilization.
+        self._locks: Dict[int, float] = {}
         #: Running committed + locked total, maintained incrementally so
         #: the hot admission path never re-sums the contribution maps.
         self._total: float = 0.0
@@ -269,24 +177,20 @@ class DistributedAdmissionControllerComponent(Component):
         #: Task id -> its home plan, computed at the task's first arrival.
         self._plans: Dict[str, _HomePlan] = {}
         self._transactions: Dict[int, _Transaction] = {}
-        self._batch_transactions: Dict[int, _BatchTransaction] = {}
         self._source: Optional[EventSourcePort] = None
         self._thread = None
         self.admitted_jobs = 0
         self.rejected_jobs = 0
         self.reserve_messages = 0
-        #: Two-phase rounds initiated: one per transaction on the scalar
-        #: path, one per drained burst on the piggybacked path.
+        #: Two-phase rounds initiated: one per coordinated job.
         self.coordination_rounds = 0
-        self.batch_calls = 0
-        self.batched_arrivals = 0
         # -- fault tolerance (active only under an armed fault injector) --
         #: Recorded granted votes per txn, resent verbatim on duplicate
         #: reserves so a retry after a lost vote never double-locks.
-        self._granted_votes: Dict[int, object] = {}
-        #: Expiry-backstop event handles for phase-1 locks, keyed like
-        #: ``_locks``; cancelled when the round's outcome arrives.
-        self._lock_expiry: Dict[object, object] = {}
+        self._granted_votes: Dict[int, Vote] = {}
+        #: Expiry-backstop event handles for phase-1 locks, keyed by txn
+        #: like ``_locks``; cancelled when the round's outcome arrives.
+        self._lock_expiry: Dict[int, object] = {}
         #: Fail-silent crash flag (see :meth:`crash`/:meth:`recover`).
         self._crashed = False
         self.vote_timeouts = 0
@@ -294,10 +198,6 @@ class DistributedAdmissionControllerComponent(Component):
         self.aborted_transactions = 0
         self.crash_count = 0
         self.recovery_count = 0
-        # Re-read from attributes at activation.
-        self._vote_timeout = 0.25
-        self._max_retries = 2
-        self._batching = False
         #: Recovery machinery armed for this run (see :meth:`arm_recovery`).
         self._chaos = False
         # Pre-bound metric children (armed runs only; see on_activate).
@@ -345,15 +245,6 @@ class DistributedAdmissionControllerComponent(Component):
         EventSinkPort(self, "reserve", self._on_reserve).subscribe(TOPIC_RESERVE)
         EventSinkPort(self, "vote", self._on_vote).subscribe(TOPIC_VOTE)
         EventSinkPort(self, "outcome", self._on_outcome).subscribe(TOPIC_COMMIT)
-        EventSinkPort(self, "reserve_batch", self._on_batch_reserve).subscribe(
-            TOPIC_RESERVE_BATCH
-        )
-        EventSinkPort(self, "vote_batch", self._on_batch_vote).subscribe(
-            TOPIC_VOTE_BATCH
-        )
-        EventSinkPort(self, "outcome_batch", self._on_batch_outcome).subscribe(
-            TOPIC_COMMIT_BATCH
-        )
 
     def on_activate(self) -> None:
         if self.get_attribute("processor_id") != self.node:
@@ -361,9 +252,6 @@ class DistributedAdmissionControllerComponent(Component):
                 f"distributed AC {self.name!r}: processor_id mismatch"
             )
         self._thread = self.processor.new_thread(f"{self.name}.dispatch", 0.0)
-        self._vote_timeout = float(self.get_attribute("vote_timeout"))
-        self._max_retries = int(self.get_attribute("max_retries"))
-        self._batching = self.get_attribute("batching")
         registry = self.env.metrics_registry
         if registry is not None:
             decisions = registry.counter(
@@ -390,7 +278,7 @@ class DistributedAdmissionControllerComponent(Component):
     def arm_recovery(self, chaos: bool) -> None:
         """Arm vote timeouts, retries and lock-expiry backstops for the
         coming run if ``chaos`` (the network carries an armed fault
-        injector) and vote timeouts are enabled.
+        injector).
 
         On a fault-free network every vote and outcome arrives, so the
         recovery machinery would only schedule events it always cancels.
@@ -398,11 +286,7 @@ class DistributedAdmissionControllerComponent(Component):
         :class:`DistributedMiddlewareSystem` works ``chaos`` out once per
         run and hands it to every controller; both modes are deterministic.
         """
-        self._chaos = chaos and self._vote_timeout > 0
-
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
+        self._chaos = chaos
 
     def crash(self) -> None:
         """Fail-silent crash: resolve and quarantine all local AC state.
@@ -429,18 +313,8 @@ class DistributedAdmissionControllerComponent(Component):
             self.aborted_transactions += 1
             self._reject(transaction.event, "coordinator crashed")
         self._transactions.clear()
-        for txn in sorted(self._batch_transactions):
-            transaction = self._batch_transactions[txn]
-            self._cancel_vote_timeout(transaction)
-            self.aborted_transactions += 1
-            for item in transaction.items:
-                self._reject(item.event, "coordinator crashed")
-        self._batch_transactions.clear()
-        for event in self._arrival_queue:
-            self._reject(event, "node crashed")
-        self._arrival_queue = []
-        for key in list(self._lock_expiry):
-            self._cancel_lock_expiry(key)
+        for txn in list(self._lock_expiry):
+            self._cancel_lock_expiry(txn)
         self._locks.clear()
         self._granted_votes.clear()
         if self._shadow is not None:
@@ -478,22 +352,21 @@ class DistributedAdmissionControllerComponent(Component):
                 f"locked+committed sum {locked + committed!r}"
             )
 
-    def _arm_vote_timeout(self, txn: int, attempt: int, batch: bool):
+    def _arm_vote_timeout(self, txn: int, attempt: int):
         """Schedule the vote-timeout event for one round (chaos only)."""
         if not self._chaos:
             return None
-        callback = self._on_batch_vote_timeout if batch else self._on_vote_timeout
         return self.sim.schedule(
-            self._vote_timeout * (2.0 ** attempt), callback, txn
+            VOTE_TIMEOUT * (2.0 ** attempt), self._on_vote_timeout, txn
         )
 
     @staticmethod
-    def _cancel_vote_timeout(transaction) -> None:
+    def _cancel_vote_timeout(transaction: _Transaction) -> None:
         if transaction.timeout_handle is not None:
             EventHandle.cancel(transaction.timeout_handle)
             transaction.timeout_handle = None
 
-    def _arm_lock_expiry(self, key: object, expiry: float) -> None:
+    def _arm_lock_expiry(self, txn: int, expiry: float) -> None:
         """Backstop: free an orphaned phase-1 lock at its job's deadline.
 
         Armed only under chaos; cancelled when the round's outcome
@@ -503,18 +376,18 @@ class DistributedAdmissionControllerComponent(Component):
         """
         if not self._chaos:
             return
-        self._lock_expiry[key] = self.sim.schedule_at(
-            max(self.sim.now, expiry), self._expire_lock, key
+        self._lock_expiry[txn] = self.sim.schedule_at(
+            max(self.sim.now, expiry), self._expire_lock, txn
         )
 
-    def _cancel_lock_expiry(self, key: object) -> None:
-        handle = self._lock_expiry.pop(key, None)
+    def _cancel_lock_expiry(self, txn: int) -> None:
+        handle = self._lock_expiry.pop(txn, None)
         if handle is not None:
             EventHandle.cancel(handle)
 
-    def _expire_lock(self, key: object) -> None:
-        self._lock_expiry.pop(key, None)
-        locked = self._locks.pop(key, None)
+    def _expire_lock(self, txn: int) -> None:
+        self._lock_expiry.pop(txn, None)
+        locked = self._locks.pop(txn, None)
         if locked is None:
             return
         self._total -= locked
@@ -522,7 +395,6 @@ class DistributedAdmissionControllerComponent(Component):
             self._total = 0.0
         # The recorded vote claims this lock; a later duplicate reserve
         # must re-evaluate instead of resending it.
-        txn = key[0] if isinstance(key, tuple) else key
         self._granted_votes.pop(txn, None)
 
     # ------------------------------------------------------------------
@@ -554,81 +426,9 @@ class DistributedAdmissionControllerComponent(Component):
             self._reject(event, "node crashed")
             return
         cost = self.env.cost_model.sample(OP_ADMISSION_TEST, self.env.cost_rng)
-        if self._batching:
-            # Queue the arrival; the first work item to complete drains
-            # every queued arrival in one pass (each still pays its own
-            # sampled admission cost on the dispatch thread).
-            self._arrival_queue.append(event)
-            self.processor.submit(
-                self._thread, WorkItem(cost, self._drain_arrivals)
-            )
-            return
         self.processor.submit(
             self._thread, WorkItem(cost, self._coordinate, event)
         )
-
-    def _drain_arrivals(self, _payload=None) -> None:
-        """Pack the queued burst into one piggybacked coordination round.
-
-        One multi-reservation transaction replaces one two-phase round
-        per reservation: each participant receives a single
-        :class:`BatchReserveRequest` carrying every reservation of the
-        burst that involves it (in burst order) and votes on the batch
-        against one local snapshot.  Per-reservation semantics —
-        expiry, abort, caps — are unchanged; decisions are bit-identical
-        to running one round per reservation, because the sequential
-        rounds' reserve requests all land before any outcome returns (so
-        each vote already sees the locks of the reservations ahead of
-        it, exactly as the packed vote loop does).
-        """
-        events = self._arrival_queue
-        if not events or self._crashed:
-            # crash() already rejected and flushed the queue.
-            return
-        self._arrival_queue = []
-        self.batch_calls += 1
-        self.batched_arrivals += len(events)
-        now = self.sim.now
-        items: List[_BatchItem] = []
-        for event in events:
-            job = event.job
-            if job.absolute_deadline <= now:
-                self._reject(event, "deadline expired before admission")
-                continue
-            items.append(_BatchItem(job, event, self._home_plan(job.task)))
-        if not items:
-            return
-        txn = next(self._txn_counter)
-        sent: Dict[str, List[int]] = {}
-        for index, item in enumerate(items):
-            for node in item.plan.participants:
-                sent.setdefault(node, []).append(index)
-        participants = sorted(sent)
-        transaction = _BatchTransaction(
-            items=items, participants=participants, sent=sent, started=now
-        )
-        self._batch_transactions[txn] = transaction
-        self.coordination_rounds += 1
-        # Armed before the reserves go out: local participants vote
-        # synchronously during the push loop and may complete (and
-        # cancel) the round before the loop ends.
-        transaction.timeout_handle = self._arm_vote_timeout(txn, 0, batch=True)
-        for node in participants:
-            request = BatchReserveRequest(
-                txn=txn,
-                coordinator=self.node,
-                items=tuple(
-                    ReserveItem(
-                        index=i,
-                        job_key=items[i].job.key,
-                        delta=items[i].plan.deltas[node],
-                        expiry=items[i].job.absolute_deadline,
-                    )
-                    for i in sent[node]
-                ),
-            )
-            self.reserve_messages += 1
-            self._source.push(node, TOPIC_RESERVE_BATCH, request)
 
     def _coordinate(self, event: TaskArriveEvent) -> None:
         if self._crashed:
@@ -645,8 +445,10 @@ class DistributedAdmissionControllerComponent(Component):
         transaction = _Transaction(job=job, event=event, plan=plan, started=now)
         self._transactions[txn] = transaction
         self.coordination_rounds += 1
-        # Armed before the reserves go out (see _drain_arrivals).
-        transaction.timeout_handle = self._arm_vote_timeout(txn, 0, batch=False)
+        # Armed before the reserves go out: local participants vote
+        # synchronously during the push loop and may complete (and
+        # cancel) the round before the loop ends.
+        transaction.timeout_handle = self._arm_vote_timeout(txn, 0)
         deltas = plan.deltas
         for node in plan.participants:
             request = ReserveRequest(
@@ -673,13 +475,13 @@ class DistributedAdmissionControllerComponent(Component):
         self._finish_transaction(vote.txn, transaction)
 
     def _on_vote_timeout(self, txn: int) -> None:
-        """The scalar round ``txn`` is missing votes past the deadline."""
+        """The round ``txn`` is missing votes past its timeout."""
         transaction = self._transactions.get(txn)
         if transaction is None:
             return
         self.vote_timeouts += 1
         transaction.timeout_handle = None
-        if transaction.attempt < self._max_retries:
+        if transaction.attempt < MAX_RETRIES:
             transaction.attempt += 1
             job = transaction.job
             for node in transaction.plan.participants:
@@ -701,7 +503,7 @@ class DistributedAdmissionControllerComponent(Component):
                     ),
                 )
             transaction.timeout_handle = self._arm_vote_timeout(
-                txn, transaction.attempt, batch=False
+                txn, transaction.attempt
             )
             return
         # Out of retries: abort, releasing every granted reservation.
@@ -787,161 +589,6 @@ class DistributedAdmissionControllerComponent(Component):
             ),
         )
 
-    def _on_batch_vote(self, vote: BatchVote) -> None:
-        if self._crashed:
-            return
-        transaction = self._batch_transactions.get(vote.txn)
-        if transaction is None:
-            return
-        transaction.votes[vote.node] = vote
-        if len(transaction.votes) < len(transaction.participants):
-            return
-        self._cancel_vote_timeout(transaction)
-        del self._batch_transactions[vote.txn]
-        self._finish_batch_transaction(vote.txn, transaction)
-
-    def _on_batch_vote_timeout(self, txn: int) -> None:
-        """The piggybacked round ``txn`` is missing votes past the
-        deadline; same retry/abort ladder as the scalar rounds."""
-        transaction = self._batch_transactions.get(txn)
-        if transaction is None:
-            return
-        self.vote_timeouts += 1
-        transaction.timeout_handle = None
-        if transaction.attempt < self._max_retries:
-            transaction.attempt += 1
-            items = transaction.items
-            for node in transaction.participants:
-                if node in transaction.votes:
-                    continue
-                self.retries_sent += 1
-                self.reserve_messages += 1
-                self._source.push(
-                    node,
-                    TOPIC_RESERVE_BATCH,
-                    BatchReserveRequest(
-                        txn=txn,
-                        coordinator=self.node,
-                        items=tuple(
-                            ReserveItem(
-                                index=i,
-                                job_key=items[i].job.key,
-                                delta=items[i].plan.deltas[node],
-                                expiry=items[i].job.absolute_deadline,
-                            )
-                            for i in transaction.sent[node]
-                        ),
-                    ),
-                )
-            transaction.timeout_handle = self._arm_vote_timeout(
-                txn, transaction.attempt, batch=True
-            )
-            return
-        del self._batch_transactions[txn]
-        self.aborted_transactions += 1
-        for node in transaction.participants:
-            self._source.push(
-                node,
-                TOPIC_COMMIT_BATCH,
-                BatchOutcome(
-                    txn=txn,
-                    items=tuple(
-                        Outcome(
-                            txn=txn,
-                            job_key=transaction.items[i].job.key,
-                            commit=False,
-                        )
-                        for i in transaction.sent[node]
-                    ),
-                ),
-            )
-        for item in transaction.items:
-            self._reject(item.event, "coordination timed out")
-
-    def _finish_batch_transaction(
-        self, txn: int, transaction: _BatchTransaction
-    ) -> None:
-        """Decide every reservation of the round in burst order; the math
-        per item is the scalar :meth:`_finish_transaction` verbatim."""
-        if self._m_round_trip is not None:
-            self._m_round_trip.observe(self.sim.now - transaction.started)
-        n_items = len(transaction.items)
-        # Re-key the per-participant vote vectors by burst index.
-        grants: List[Dict[str, bool]] = [{} for _ in range(n_items)]
-        posts: List[Dict[str, float]] = [{} for _ in range(n_items)]
-        for node, vote in transaction.votes.items():
-            for pos, index in enumerate(transaction.sent[node]):
-                grants[index][node] = vote.granted[pos]
-                posts[index][node] = vote.post_utilization[pos]
-        outcomes: Dict[str, List[Outcome]] = {
-            node: [] for node in transaction.participants
-        }
-        # See _finish_transaction: retried rounds can outlast deadlines.
-        check_expiry = transaction.attempt > 0 or self._chaos
-        for index, item in enumerate(transaction.items):
-            job = item.job
-            plan = item.plan
-            all_granted = all(
-                grants[index].get(node, False) for node in plan.participants
-            )
-            expired = check_expiry and job.absolute_deadline <= self.sim.now
-            condition_sum = 0.0
-            if all_granted and not expired:
-                post = posts[index]
-                condition_sum = ordered_sum(
-                    aub_term(post[node]) for node in plan.visits
-                )
-                all_granted = condition_sum <= 1.0 + EPSILON
-            if not all_granted or expired:
-                for node in plan.participants:
-                    outcomes[node].append(
-                        Outcome(txn=txn, job_key=job.key, commit=False)
-                    )
-                self._reject(
-                    item.event,
-                    "deadline expired during coordination"
-                    if expired
-                    else "reserve phase refused",
-                )
-                continue
-            # Partition the residual slack equally among visited
-            # processors, exactly as the scalar round does.
-            k = len(plan.participants)
-            slack_share = (1.0 - condition_sum) / k
-            for node in plan.participants:
-                post_u = posts[index][node]
-                cap = aub_term_inverse(aub_term(post_u) + max(0.0, slack_share))
-                outcomes[node].append(
-                    Outcome(
-                        txn=txn,
-                        job_key=job.key,
-                        commit=True,
-                        cap=cap,
-                        expiry=job.absolute_deadline,
-                    )
-                )
-            self.admitted_jobs += 1
-            if self._m_decisions_accept is not None:
-                self._m_decisions_accept.inc()
-                self._m_decision_latency.observe(self.sim.now - job.arrival_time)
-            release_node = plan.visits[0]
-            self._source.push(
-                release_node,
-                accept_topic(release_node),
-                AcceptEvent(
-                    job=job,
-                    assignment=plan.assignment,
-                    arrival_node=item.event.arrival_node,
-                    release_node=release_node,
-                ),
-            )
-        for node in transaction.participants:
-            self._source.push(
-                node,
-                TOPIC_COMMIT_BATCH,
-                BatchOutcome(txn=txn, items=tuple(outcomes[node])),
-            )
-
     def _reject(self, event: TaskArriveEvent, reason: str) -> None:
         self.rejected_jobs += 1
         if self._m_decisions_reject is not None:
@@ -993,60 +640,6 @@ class DistributedAdmissionControllerComponent(Component):
             self._granted_votes[request.txn] = vote
         self._source.push(request.coordinator, TOPIC_VOTE, vote)
 
-    def _on_batch_reserve(self, request: BatchReserveRequest) -> None:
-        if self._crashed:
-            return
-        # One admission-test cost per reservation, as the scalar rounds
-        # charge — piggybacking saves messages, not admission math.
-        cost = ordered_sum(
-            self.env.cost_model.sample(OP_ADMISSION_TEST, self.env.cost_rng)
-            for _ in request.items
-        )
-        self.processor.submit(
-            self._thread, WorkItem(cost, self._vote_on_batch, request)
-        )
-
-    def _vote_on_batch(self, request: BatchReserveRequest) -> None:
-        """Per-item votes against one local snapshot: each granted item's
-        lock is visible to the items after it, exactly as the sequential
-        one-round-per-reservation path (whose reserve requests all land
-        before any outcome returns) evaluates them."""
-        if self._crashed:
-            return
-        recorded = self._granted_votes.get(request.txn)
-        if recorded is not None:
-            # Duplicate reserve after a lost vote: resend verbatim (the
-            # granted items' locks are already held).
-            self._source.push(request.coordinator, TOPIC_VOTE_BATCH, recorded)
-            return
-        granted: List[bool] = []
-        post: List[float] = []
-        for item in request.items:
-            key = (request.txn, item.job_key)
-            if key in self._locks:
-                # Held from an earlier attempt whose recorded vote was
-                # dropped when a sibling item's lock expired: grant
-                # without re-locking.
-                granted.append(True)
-                post.append(self.utilization)
-                continue
-            ok = self._locally_admissible(item.delta)
-            if ok:
-                self._locks[key] = item.delta
-                self._total += item.delta
-                self._arm_lock_expiry(key, item.expiry)
-            granted.append(ok)
-            post.append(self.utilization if ok else 0.0)
-        vote = BatchVote(
-            txn=request.txn,
-            node=self.node,
-            granted=tuple(granted),
-            post_utilization=tuple(post),
-        )
-        if any(granted):
-            self._granted_votes[request.txn] = vote
-        self._source.push(request.coordinator, TOPIC_VOTE_BATCH, vote)
-
     def _on_outcome(self, outcome: Outcome) -> None:
         if self._crashed:
             return
@@ -1056,18 +649,6 @@ class DistributedAdmissionControllerComponent(Component):
             return
         self._cancel_lock_expiry(outcome.txn)
         self._apply_outcome(outcome, locked)
-
-    def _on_batch_outcome(self, batch: BatchOutcome) -> None:
-        if self._crashed:
-            return
-        self._granted_votes.pop(batch.txn, None)
-        for outcome in batch.items:
-            key = (batch.txn, outcome.job_key)
-            locked = self._locks.pop(key, None)
-            if locked is None:
-                continue
-            self._cancel_lock_expiry(key)
-            self._apply_outcome(outcome, locked)
 
     def _apply_outcome(self, outcome: Outcome, locked: float) -> None:
         if not outcome.commit:
@@ -1114,14 +695,8 @@ class DistributedMiddlewareSystem(MiddlewareSystem):
 
     def __init__(self, workload, seed: int = 0, cost_model=None,
                  delay_model=None, aperiodic_interarrival_factor: float = 2.0,
-                 arrival_batching: bool = False, vote_timeout: float = 0.25,
-                 max_retries: int = 2, metrics_registry=None):
-        # Read by _deploy, which the base constructor calls.  Arrivals
-        # reach the task effectors one kernel event each (the base's
-        # arrival_batching stays off); a controller batches its own queue.
-        self._dac_batching = arrival_batching
-        self._vote_timeout = vote_timeout
-        self._max_retries = max_retries
+                 metrics_registry=None):
+        # Filled by _deploy, which the base constructor calls.
         self.acs: Dict[str, DistributedAdmissionControllerComponent] = {}
         super().__init__(
             workload,
@@ -1150,14 +725,7 @@ class DistributedMiddlewareSystem(MiddlewareSystem):
             containers[node].install(te)
         for node in workload.app_nodes:
             ac = DistributedAdmissionControllerComponent(f"DAC-{node}", env)
-            ac.set_configuration(
-                {
-                    "processor_id": node,
-                    "batching": self._dac_batching,
-                    "vote_timeout": self._vote_timeout,
-                    "max_retries": self._max_retries,
-                }
-            )
+            ac.set_configuration({"processor_id": node})
             containers[node].install(ac)
             self.acs[node] = ac
         for task in workload.tasks:
@@ -1185,10 +753,6 @@ class DistributedMiddlewareSystem(MiddlewareSystem):
     # ------------------------------------------------------------------
     # Chaos hooks (see repro.net.fault and docs/CHAOS.md)
     # ------------------------------------------------------------------
-    def install_fault_injector(self, injector) -> None:
-        """Install the fault injector consulted on every remote send."""
-        self.network.install_fault_injector(injector)
-
     def crash_node(self, node: str) -> None:
         """Fail-silent crash of ``node``'s admission controller now."""
         self.acs[node].crash()
@@ -1205,12 +769,12 @@ class DistributedMiddlewareSystem(MiddlewareSystem):
         for ac in self.acs.values():
             ac.arm_recovery(chaos)
         end = super()._prepare_run(horizon, drain)
-        if drain and chaos and self._vote_timeout > 0:
+        if drain and chaos:
             # A transaction started just before the horizon can climb
             # the whole retry/backoff ladder before aborting; give
             # timed-out rounds room to resolve inside the drain so
             # every arrival still ends accepted or rejected.
-            end += self._vote_timeout * (2.0 ** (self._max_retries + 1))
+            end += VOTE_TIMEOUT * (2.0 ** (MAX_RETRIES + 1))
         return end
 
     def _results(self, end: float, arrived: int):
@@ -1295,8 +859,8 @@ class DistributedRunResults:
     reserve_messages: int
     messages_sent: int
     final_utilization: Dict[str, float]
-    #: Two-phase rounds initiated across all coordinators (piggybacked
-    #: rounds count once per burst, not once per reservation).
+    #: Two-phase rounds initiated across all coordinators: one per job
+    #: that reached coordination (retries reuse their job's round).
     coordination_rounds: int = 0
     #: Chaos layer: remote sends suppressed / delay-stretched by the
     #: fault injector (zero on fault-free runs).

@@ -3,8 +3,9 @@
 The batching flag must (a) actually engage — arrivals drain through the
 AC's batched decision pass — (b) respect every strategy's semantics,
 (c) decide exactly as the sequential path wherever no drain decides more
-than one arrival, and (d) refuse engines that have no admission
-controller.
+than one arrival, and (d) be refused by the engines that do not batch:
+replay (no admission controller) and distributed (one two-phase round
+per job).
 """
 
 import random
@@ -154,21 +155,6 @@ class TestMiddlewareBatching:
                     f"batching={batching}: residue on {node}"
                 )
 
-    def test_distributed_engine_supports_batching(self):
-        scenario = (
-            Scenario.builder()
-            .random_workload(seed=17, params=PARAMS)
-            .distributed()
-            .duration(10.0)
-            .seed(5)
-            .arrival_batching()
-            .build()
-        )
-        session = Session(scenario)
-        result = session.run()
-        assert sum(ac.batch_calls for ac in session.system.acs.values()) > 0
-        assert result.released_jobs > 0
-
 
 def _generated_scenario(rng, combo):
     """A fault-free centralized scenario builder drawn from ``rng``: a
@@ -225,15 +211,15 @@ class TestBatchedEqualsSequential:
 
 
 class TestBatchingValidation:
-    def test_replay_engine_rejects_arrival_batching(self):
+    @pytest.mark.parametrize("engine", ["replay", "distributed"])
+    def test_rejects_arrival_batching(self, engine):
+        builder = Scenario.builder().random_workload(seed=1, params=PARAMS)
+        if engine == "replay":
+            builder = builder.replay("aub")
+        else:
+            builder = builder.distributed()
         with pytest.raises(ConfigurationError, match="arrival_batching"):
-            (
-                Scenario.builder()
-                .random_workload(seed=1, params=PARAMS)
-                .replay("aub")
-                .arrival_batching()
-                .build()
-            )
+            builder.arrival_batching().build()
 
     def test_round_trip_preserves_flag(self):
         scenario = _scenario()

@@ -4,12 +4,8 @@ import pytest
 
 from repro.core.cost_model import CostModel
 from repro.core.distributed_ac import (
-    BatchOutcome,
-    BatchReserveRequest,
-    BatchVote,
     DistributedMiddlewareSystem,
     Outcome,
-    ReserveItem,
     ReserveRequest,
     Vote,
 )
@@ -135,104 +131,30 @@ class TestDistributedAdmission:
             == results.metrics.arrived_jobs
         )
 
-class TestPiggybackedRounds:
-    """Arrival batching packs a drained burst into one multi-reservation
-    coordination round; decisions and caps must stay bit-identical to
-    one-round-per-reservation sequential coordination."""
-
-    # CostModel.zero() never coalesces (zero-cost work completes before
-    # the next network delivery queues an arrival); deterministic nonzero
-    # costs make the first dispatch pass drain the whole burst.
-    COSTS = CostModel(jitter=0.0)
-
-    def _run_burst(self, task, workload, n_jobs, batching):
-        system = build_distributed(
-            workload,
-            seed=1,
-            cost_model=self.COSTS,
-            arrival_batching=batching,
-        )
-        for i in range(n_jobs):
-            system.sim.schedule_at(0.0, system._arrive, task, i, 0.0)
-        system.sim.run(until=0.5)
-        return system
-
-    def test_burst_coalesces_into_one_round(self):
+    def test_burst_coordinates_one_round_per_job(self):
+        """Ten same-instant arrivals of a two-stage task: one two-phase
+        round per job, one reserve message per participant per round.
+        The burst saturates, so the later jobs are refused."""
         task = make_task(
             "A", TaskKind.APERIODIC, deadline=1.0, execs=(0.1, 0.1),
             homes=("app1", "app2"),
         )
         workload = Workload(tasks=(task,), app_nodes=("app1", "app2"))
-        stats = {}
-        for batching in (False, True):
-            system = self._run_burst(task, workload, 10, batching)
-            rounds = sum(ac.coordination_rounds for ac in system.acs.values())
-            messages = sum(ac.reserve_messages for ac in system.acs.values())
-            coordinator = system.acs["app1"]
-            stats[batching] = (
-                rounds,
-                messages,
-                coordinator.admitted_jobs,
-                coordinator.rejected_jobs,
-            )
-        seq_rounds, seq_msgs, admitted, rejected = stats[False]
-        bat_rounds, bat_msgs, bat_admitted, bat_rejected = stats[True]
-        # O(burst) two-phase rounds collapse to O(1): one round, one
-        # reserve message per participant.
-        assert seq_rounds == 10 and seq_msgs == 20
-        assert bat_rounds == 1 and bat_msgs == 2
-        # Mid-batch aborts: the burst saturates, so later items abort
-        # while earlier ones commit — decisions identical either way.
-        assert (bat_admitted, bat_rejected) == (admitted, rejected)
-        assert admitted > 0 and rejected > 0
-
-    def test_piggybacked_caps_and_totals_bit_identical(self):
-        task = make_task(
-            "A", TaskKind.APERIODIC, deadline=5.0, execs=(0.2, 0.2),
-            homes=("app1", "app2"),
+        system = build_distributed(
+            workload, seed=1, cost_model=CostModel(jitter=0.0)
         )
-        workload = Workload(tasks=(task,), app_nodes=("app1", "app2"))
-        views = []
-        for batching in (False, True):
-            system = self._run_burst(task, workload, 3, batching)
-            views.append(
-                {
-                    node: (ac.utilization, dict(ac._caps))
-                    for node, ac in system.acs.items()
-                }
-            )
-        assert views[0] == views[1]
-        # Caps actually exist (multi-node commits partition their slack).
-        assert any(caps for _, caps in views[0].values())
+        for i in range(10):
+            system.sim.schedule_at(0.0, system._arrive, task, i, 0.0)
+        system.sim.run(until=0.5)
+        rounds = sum(ac.coordination_rounds for ac in system.acs.values())
+        messages = sum(ac.reserve_messages for ac in system.acs.values())
+        coordinator = system.acs["app1"]
+        assert (rounds, messages) == (10, 20)
+        assert (coordinator.admitted_jobs, coordinator.rejected_jobs) == (3, 7)
 
-    def test_piggybacking_matches_sequential_on_random_workload(self):
-        import random
-        from repro.workloads.generator import generate_random_workload
-
-        workload = generate_random_workload(random.Random(4))
-        outcomes = []
-        for batching in (False, True):
-            system = DistributedMiddlewareSystem(
-                workload,
-                seed=9,
-                cost_model=self.COSTS,
-                arrival_batching=batching,
-            )
-            results = system.run(duration=40.0)
-            outcomes.append(
-                (
-                    results.metrics.released_jobs,
-                    results.metrics.rejected_jobs,
-                    results.metrics.arrived_jobs,
-                    results.deadline_misses,
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] > 0 and outcomes[0][1] > 0
-
-    def test_expired_deadline_rejected_inline_before_packing(self):
-        """A queued arrival whose deadline already passed is rejected
-        without joining the piggybacked round."""
+    def test_expired_deadline_rejected_before_round(self):
+        """An arrival whose deadline passes while its admission cost
+        elapses is rejected without opening a round."""
         task = make_task(
             "A", TaskKind.APERIODIC, deadline=0.25, execs=(0.1, 0.1),
             homes=("app1", "app2"),
@@ -242,21 +164,19 @@ class TestPiggybackedRounds:
             workload,
             seed=1,
             cost_model=CostModel(jitter=0.0, admission_test=0.3),
-            arrival_batching=True,
         )
         for i in range(4):
             system.sim.schedule_at(0.0, system._arrive, task, i, 0.0)
-        system.sim.run(until=1.0)
+        system.sim.run(until=1.5)
         coordinator = system.acs["app1"]
-        # The first arrival's admission-test work item completes at
-        # ~0.301, past every queued job's 0.25 absolute deadline: the
-        # whole burst is rejected inline, no round is coordinated.
+        # The dispatch thread runs one 0.3 s admission test per arrival,
+        # ending at ~0.3, 0.6, 0.9 and 1.2 s: each is past the jobs'
+        # 0.25 s absolute deadline, so no round is coordinated.
         assert coordinator.admitted_jobs == 0
         assert coordinator.rejected_jobs == 4
         assert coordinator.coordination_rounds == 0
         assert coordinator.reserve_messages == 0
         assert all(ac.utilization == 0.0 for ac in system.acs.values())
-
 
 class TestDistributedComparisons:
     def test_more_conservative_than_centralized(self):
@@ -288,13 +208,6 @@ MESSAGES = [
     ),
     (Vote, dict(txn=1, node="app2", granted=True, post_utilization=0.4)),
     (Outcome, dict(txn=1, job_key=("T", 0), commit=True, cap=0.7, expiry=2.0)),
-    (ReserveItem, dict(index=0, job_key=("T", 0), delta=0.1, expiry=2.0)),
-    (
-        BatchReserveRequest,
-        dict(txn=2, coordinator="app1", items=(ReserveItem(0, ("T", 0), 0.1, 2.0),)),
-    ),
-    (BatchVote, dict(txn=2, node="app2", granted=(True,), post_utilization=(0.4,))),
-    (BatchOutcome, dict(txn=2, items=(Outcome(2, ("T", 0), False),))),
 ]
 
 

@@ -9,6 +9,8 @@ builder.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import (
@@ -691,6 +693,17 @@ class TestScenarioJsonErrors:
             ConfigurationError, match="invalid scenario JSON"
         ):
             Scenario.from_json_str("{not json")
+
+    def test_saved_batched_distributed_refused(self):
+        # A distributed scenario saved with the flag on is refused, not
+        # run unbatched.
+        saved = _scenario(engine="distributed", combo="J_N_N").to_json()
+        saved["arrival_batching"] = True
+        with pytest.raises(
+            ConfigurationError,
+            match="arrival_batching conflicts with the distributed engine",
+        ):
+            Scenario.from_json_str(json.dumps(saved))
 
 
 # ----------------------------------------------------------------------
