@@ -42,13 +42,6 @@ from repro.api.scenario import (
     ScenarioBuilder,
     Slowdown,
     WorkloadSource,
-    disturbance_from_json,
-    cost_model_from_json,
-    cost_model_to_json,
-    delay_model_from_json,
-    delay_model_to_json,
-    workload_from_json,
-    workload_to_json,
 )
 from repro.api.session import RunResult, Session, StatSnapshot, run_scenario
 from repro.metrics.histogram import (
@@ -84,7 +77,6 @@ __all__ = [
     "DelaySpike",
     "MessageLoss",
     "Disturbance",
-    "disturbance_from_json",
     "ExperimentSuite",
     "MappingCell",
     "combo_grid",
@@ -95,10 +87,4 @@ __all__ = [
     "ENGINE_MIDDLEWARE",
     "ENGINE_DISTRIBUTED",
     "ENGINE_REPLAY",
-    "workload_to_json",
-    "workload_from_json",
-    "cost_model_to_json",
-    "cost_model_from_json",
-    "delay_model_to_json",
-    "delay_model_from_json",
 ]

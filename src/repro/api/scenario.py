@@ -17,10 +17,10 @@ describes a runnable deployment or refuses to exist.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -28,15 +28,8 @@ from repro.api.registry import default_registry
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
 from repro.errors import ConfigurationError
-from repro.json_checks import reject_unknown
-from repro.net.latency import (
-    ConstantDelay,
-    DelayModel,
-    NormalDelay,
-    TriangularDelay,
-    UniformDelay,
-)
-from repro.sched.task import SubtaskSpec, TaskKind, TaskSpec
+from repro.json_checks import decode, encode
+from repro.net.latency import DelayModel
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
 from repro.workloads.imbalanced import (
@@ -56,132 +49,6 @@ SOURCE_EXPLICIT = "explicit"
 SOURCE_RANDOM = "random"
 SOURCE_IMBALANCED = "imbalanced"
 SOURCE_KINDS = (SOURCE_EXPLICIT, SOURCE_RANDOM, SOURCE_IMBALANCED)
-
-
-# ----------------------------------------------------------------------
-# JSON codecs for the embedded value objects
-# ----------------------------------------------------------------------
-def workload_to_json(workload: Workload) -> Dict[str, Any]:
-    """Serialize an explicit :class:`Workload` (tasks + topology)."""
-    return {
-        "manager_node": workload.manager_node,
-        "app_nodes": list(workload.app_nodes),
-        "tasks": [
-            {
-                "task_id": task.task_id,
-                "kind": task.kind.value,
-                "deadline": task.deadline,
-                "period": task.period,
-                "phase": task.phase,
-                "subtasks": [
-                    {
-                        "index": s.index,
-                        "execution_time": s.execution_time,
-                        "home": s.home,
-                        "replicas": list(s.replicas),
-                    }
-                    for s in task.subtasks
-                ],
-            }
-            for task in workload.tasks
-        ],
-    }
-
-
-def workload_from_json(data: Dict[str, Any]) -> Workload:
-    """Rebuild a :class:`Workload` from :func:`workload_to_json` output."""
-    reject_unknown(data, ("manager_node", "app_nodes", "tasks"), "workload")
-    tasks: List[TaskSpec] = []
-    for t in data.get("tasks", ()):
-        reject_unknown(
-            t,
-            ("task_id", "kind", "deadline", "period", "phase", "subtasks"),
-            "task",
-        )
-        subtasks: List[SubtaskSpec] = []
-        for s in t.get("subtasks", ()):
-            reject_unknown(
-                s, ("index", "execution_time", "home", "replicas"), "subtask"
-            )
-            subtasks.append(
-                SubtaskSpec(
-                    index=s["index"],
-                    execution_time=s["execution_time"],
-                    home=s["home"],
-                    replicas=tuple(s.get("replicas", ())),
-                )
-            )
-        tasks.append(
-            TaskSpec(
-                task_id=t["task_id"],
-                kind=TaskKind(t["kind"]),
-                deadline=t["deadline"],
-                subtasks=tuple(subtasks),
-                period=t.get("period"),
-                phase=t.get("phase", 0.0),
-            )
-        )
-    return Workload(
-        tasks=tuple(tasks),
-        app_nodes=tuple(data["app_nodes"]),
-        manager_node=data.get("manager_node", "task_manager"),
-    )
-
-
-def cost_model_to_json(model: Optional[CostModel]) -> Optional[Dict[str, Any]]:
-    if model is None:
-        return None
-    return dataclasses.asdict(model)
-
-
-def cost_model_from_json(data: Optional[Dict[str, Any]]) -> Optional[CostModel]:
-    if data is None:
-        return None
-    allowed = {f.name for f in fields(CostModel)}
-    reject_unknown(data, allowed, "cost model")
-    return CostModel(**data)
-
-
-#: Delay-model type tag -> (class, constructor-argument attribute names).
-_DELAY_TYPES: Dict[str, Tuple[Any, Tuple[str, ...]]] = {
-    "constant": (ConstantDelay, ("delay",)),
-    "uniform": (UniformDelay, ("low", "high")),
-    "triangular": (TriangularDelay, ("low", "mode", "high")),
-    "normal": (NormalDelay, ("mu", "sigma", "floor")),
-}
-
-
-def delay_model_to_json(model: Optional[DelayModel]) -> Optional[Dict[str, Any]]:
-    if model is None:
-        return None
-    for tag, (cls, attrs) in _DELAY_TYPES.items():
-        if type(model) is cls:
-            spec: Dict[str, Any] = {"type": tag}
-            spec.update({a: getattr(model, a) for a in attrs})
-            return spec
-    raise ConfigurationError(
-        f"delay model {model!r} has no JSON representation; use one of "
-        f"{', '.join(sorted(_DELAY_TYPES))}"
-    )
-
-
-def delay_model_from_json(data: Optional[Dict[str, Any]]) -> Optional[DelayModel]:
-    if data is None:
-        return None
-    tag = data.get("type")
-    if tag not in _DELAY_TYPES:
-        raise ConfigurationError(
-            f"unknown delay model type {tag!r}; known types: "
-            f"{', '.join(sorted(_DELAY_TYPES))}"
-        )
-    cls, attrs = _DELAY_TYPES[tag]
-    reject_unknown(data, ("type",) + attrs, "delay model")
-    try:
-        return cls(**{a: data[a] for a in attrs if a in data})
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"incomplete {tag} delay model: {exc}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +72,11 @@ class WorkloadSource:
     index: int = 0
     stream: str = "task_sets"
     params: Optional[Union[RandomWorkloadParams, ImbalancedWorkloadParams]] = None
+
+    #: JSON form: the unused half of the source is left out, and the
+    #: params class is the one tagged with the source's ``kind``.
+    JSON_OMIT_DEFAULT = ("workload", "seed", "params")
+    JSON_TAG_FROM = {"params": "kind"}
 
     def __post_init__(self) -> None:
         if self.kind not in SOURCE_KINDS:
@@ -307,55 +179,6 @@ class WorkloadSource:
             generate(rng, self.params)
         return generate(rng, self.params)
 
-    # -- JSON ------------------------------------------------------------
-    def to_json(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.kind == SOURCE_EXPLICIT:
-            assert self.workload is not None  # enforced by __post_init__
-            data["workload"] = workload_to_json(self.workload)
-        else:
-            data["seed"] = self.seed
-            data["index"] = self.index
-            data["stream"] = self.stream
-            if self.params is not None:
-                data["params"] = dataclasses.asdict(self.params)
-        return data
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "WorkloadSource":
-        reject_unknown(
-            data,
-            ("kind", "workload", "seed", "index", "stream", "params"),
-            "workload source",
-        )
-        kind = data.get("kind")
-        if kind == SOURCE_EXPLICIT:
-            if "workload" not in data:
-                raise ConfigurationError("explicit workload source needs a workload")
-            return cls.explicit(workload_from_json(data["workload"]))
-        if kind not in SOURCE_KINDS:
-            raise ConfigurationError(
-                f"unknown workload source kind {kind!r}; "
-                f"expected one of {', '.join(SOURCE_KINDS)}"
-            )
-        params = None
-        if data.get("params") is not None:
-            params_cls = (
-                RandomWorkloadParams
-                if kind == SOURCE_RANDOM
-                else ImbalancedWorkloadParams
-            )
-            allowed = {f.name for f in fields(params_cls)}
-            reject_unknown(data["params"], allowed, "workload params")
-            params = params_cls(**data["params"])
-        return cls(
-            kind=kind,
-            seed=data.get("seed"),
-            index=data.get("index", 0),
-            stream=data.get("stream", "task_sets"),
-            params=params,
-        )
-
 
 # ----------------------------------------------------------------------
 # Disturbances
@@ -368,6 +191,8 @@ class Burst:
     aperiodic task); job indices start at ``base_index`` to stay clear of
     the generated arrival plan's numbering.
     """
+
+    JSON_TAG = "burst"
 
     time: float
     jobs: int
@@ -383,16 +208,6 @@ class Burst:
         if self.spacing <= 0:
             raise ConfigurationError("burst spacing must be > 0")
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "type": "burst",
-            "time": self.time,
-            "jobs": self.jobs,
-            "task_id": self.task_id,
-            "spacing": self.spacing,
-            "base_index": self.base_index,
-        }
-
 
 @dataclass(frozen=True)
 class Slowdown:
@@ -401,6 +216,8 @@ class Slowdown:
     An empty ``nodes`` tuple means every application processor — the
     paper's known-WCET-assumption violation.
     """
+
+    JSON_TAG = "slowdown"
 
     time: float
     factor: float
@@ -411,14 +228,6 @@ class Slowdown:
             raise ConfigurationError("slowdown time must be >= 0")
         if self.factor <= 0:
             raise ConfigurationError("slowdown factor must be > 0")
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "type": "slowdown",
-            "time": self.time,
-            "factor": self.factor,
-            "nodes": list(self.nodes),
-        }
 
 
 @dataclass(frozen=True)
@@ -432,6 +241,8 @@ class NodeCrash:
     expiry backstop).  ``recovery`` (``None`` = never) re-admits the node
     with an empty ledger shard.
     """
+
+    JSON_TAG = "node_crash"
 
     node: str
     time: float
@@ -447,14 +258,6 @@ class NodeCrash:
                 "node crash recovery must be after the crash time"
             )
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "type": "node_crash",
-            "node": self.node,
-            "time": self.time,
-            "recovery": self.recovery,
-        }
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -466,6 +269,8 @@ class Partition:
     sent before the partition started still deliver (the fault model
     decides at send time, matching a LAN switch losing a segment).
     """
+
+    JSON_TAG = "partition"
 
     time: float
     heal: float
@@ -490,15 +295,6 @@ class Partition:
                 f"{sorted(overlap)}"
             )
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "type": "partition",
-            "time": self.time,
-            "heal": self.heal,
-            "group_a": list(self.group_a),
-            "group_b": list(self.group_b),
-        }
-
 
 @dataclass(frozen=True)
 class DelaySpike:
@@ -508,6 +304,8 @@ class DelaySpike:
     scenario's delay model's samples, so relative link jitter is
     preserved — it models congestion, not a different network.
     """
+
+    JSON_TAG = "delay_spike"
 
     time: float
     until: float
@@ -523,14 +321,6 @@ class DelaySpike:
         if self.factor <= 0:
             raise ConfigurationError("delay spike factor must be > 0")
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "type": "delay_spike",
-            "time": self.time,
-            "until": self.until,
-            "factor": self.factor,
-        }
-
 
 @dataclass(frozen=True)
 class MessageLoss:
@@ -542,6 +332,8 @@ class MessageLoss:
     runs stay bit-identical for a fixed seed.  ``until`` ``None`` means
     the window never closes.
     """
+
+    JSON_TAG = "message_loss"
 
     probability: float
     time: float = 0.0
@@ -563,85 +355,13 @@ class MessageLoss:
         if not self.stream:
             raise ConfigurationError("message loss needs an RNG stream name")
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "type": "message_loss",
-            "probability": self.probability,
-            "time": self.time,
-            "until": self.until,
-            "stream": self.stream,
-        }
 
-
+#: A scenario's disturbance; in JSON, tagged by its class's ``JSON_TAG``.
 Disturbance = Union[Burst, Slowdown, NodeCrash, Partition, DelaySpike, MessageLoss]
 
 #: Disturbances that inject faults through the network layer (the
 #: chaos-engineering set, as opposed to the workload-shaping set).
 FAULT_DISTURBANCE_TYPES = (NodeCrash, Partition, DelaySpike, MessageLoss)
-
-
-def disturbance_from_json(data: Dict[str, Any]) -> Disturbance:
-    tag = data.get("type")
-    if tag == "burst":
-        reject_unknown(
-            data,
-            ("type", "time", "jobs", "task_id", "spacing", "base_index"),
-            "burst",
-        )
-        return Burst(
-            time=data["time"],
-            jobs=data["jobs"],
-            task_id=data.get("task_id"),
-            spacing=data.get("spacing", 1e-3),
-            base_index=data.get("base_index", 100_000),
-        )
-    if tag == "slowdown":
-        reject_unknown(data, ("type", "time", "factor", "nodes"), "slowdown")
-        return Slowdown(
-            time=data["time"],
-            factor=data["factor"],
-            nodes=tuple(data.get("nodes", ())),
-        )
-    if tag == "node_crash":
-        reject_unknown(data, ("type", "node", "time", "recovery"), "node crash")
-        return NodeCrash(
-            node=data["node"],
-            time=data["time"],
-            recovery=data.get("recovery"),
-        )
-    if tag == "partition":
-        reject_unknown(
-            data, ("type", "time", "heal", "group_a", "group_b"), "partition"
-        )
-        return Partition(
-            time=data["time"],
-            heal=data["heal"],
-            group_a=tuple(data.get("group_a", ())),
-            group_b=tuple(data.get("group_b", ())),
-        )
-    if tag == "delay_spike":
-        reject_unknown(data, ("type", "time", "until", "factor"), "delay spike")
-        return DelaySpike(
-            time=data["time"],
-            until=data["until"],
-            factor=data["factor"],
-        )
-    if tag == "message_loss":
-        reject_unknown(
-            data,
-            ("type", "probability", "time", "until", "stream"),
-            "message loss",
-        )
-        return MessageLoss(
-            probability=data["probability"],
-            time=data.get("time", 0.0),
-            until=data.get("until"),
-            stream=data.get("stream", "message_loss"),
-        )
-    raise ConfigurationError(
-        f"unknown disturbance type {tag!r}; expected one of 'burst', "
-        "'slowdown', 'node_crash', 'partition', 'delay_spike', 'message_loss'"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -675,19 +395,32 @@ class Scenario:
     drain: bool = True
     label: Optional[str] = None
 
+    #: JSON form: a suite cell's tag, and the fields a saved scenario
+    #: leaves out while they hold their defaults.
+    JSON_TAG = "scenario"
+    JSON_OMIT_DEFAULT = (
+        "policy",
+        "policy_params",
+        "cost_model",
+        "delay_model",
+        "arrival_batching",
+        "disturbances",
+        "label",
+    )
+
     def __post_init__(self) -> None:
         if not isinstance(self.workload, WorkloadSource):
             raise ConfigurationError(
                 "scenario workload must be a WorkloadSource "
                 "(use WorkloadSource.explicit/random/imbalanced)"
             )
-        if self.duration <= 0:
+        if not 0 < self.duration < math.inf:  # NaN fails too
             raise ConfigurationError(
-                f"scenario duration must be > 0, got {self.duration}"
+                f"scenario duration must be finite and > 0, got {self.duration}"
             )
-        if self.aperiodic_interarrival_factor <= 0:
+        if not 0 < self.aperiodic_interarrival_factor < math.inf:
             raise ConfigurationError(
-                "aperiodic_interarrival_factor must be > 0, got "
+                "aperiodic_interarrival_factor must be finite and > 0, got "
                 f"{self.aperiodic_interarrival_factor}"
             )
         if self.engine not in ENGINES:
@@ -839,84 +572,24 @@ class Scenario:
 
     # -- JSON -------------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "workload": self.workload.to_json(),
-            "combo": self.combo,
-            "duration": self.duration,
-            "seed": self.seed,
-            "engine": self.engine,
-            "aperiodic_interarrival_factor": self.aperiodic_interarrival_factor,
-            "arrival_stream": self.arrival_stream,
-            "trace": self.trace,
-            "drain": self.drain,
-        }
-        if self.policy is not None:
-            data["policy"] = self.policy
-        if self.policy_params:
-            data["policy_params"] = dict(self.policy_params)
-        if self.arrival_batching:
-            data["arrival_batching"] = True
-        if self.cost_model is not None:
-            data["cost_model"] = cost_model_to_json(self.cost_model)
-        if self.delay_model is not None:
-            data["delay_model"] = delay_model_to_json(self.delay_model)
-        if self.disturbances:
-            data["disturbances"] = [d.to_json() for d in self.disturbances]
-        if self.label is not None:
-            data["label"] = self.label
+        data: Dict[str, Any] = encode(self, Scenario)
         return data
 
     def to_json_str(self, indent: int = 2) -> str:
         return json.dumps(self.to_json(), indent=indent, sort_keys=True)
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"scenario JSON must be an object, got {type(data).__name__}"
-            )
-        allowed = {f.name for f in fields(cls)}
-        reject_unknown(data, allowed, "scenario")
-        if "workload" not in data:
-            raise ConfigurationError("scenario JSON needs a workload source")
-        kwargs: Dict[str, Any] = {
-            "workload": WorkloadSource.from_json(data["workload"])
-        }
-        for name in (
-            "combo",
-            "duration",
-            "seed",
-            "engine",
-            "policy",
-            "aperiodic_interarrival_factor",
-            "arrival_stream",
-            "arrival_batching",
-            "trace",
-            "drain",
-            "label",
-        ):
-            if name in data:
-                kwargs[name] = data[name]
-        if "policy_params" in data:
-            params = data["policy_params"]
-            if not isinstance(params, dict):
-                raise ConfigurationError("policy_params must be an object")
-            kwargs["policy_params"] = tuple(sorted(params.items()))
-        if "cost_model" in data:
-            kwargs["cost_model"] = cost_model_from_json(data["cost_model"])
-        if "delay_model" in data:
-            kwargs["delay_model"] = delay_model_from_json(data["delay_model"])
-        if "disturbances" in data:
-            kwargs["disturbances"] = tuple(
-                disturbance_from_json(d) for d in data["disturbances"]
-            )
-        return cls(**kwargs)
+    def from_json(cls, data: Any) -> "Scenario":
+        """Raises ConfigurationError, naming the JSON path, on any
+        malformed ``data``."""
+        scenario: Scenario = decode(cls, data)
+        return scenario
 
     @classmethod
     def from_json_str(cls, text: str) -> "Scenario":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # or nested too deep
             raise ConfigurationError(f"invalid scenario JSON: {exc}") from None
         return cls.from_json(data)
 
@@ -925,7 +598,11 @@ class Scenario:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Scenario":
-        return cls.from_json_str(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"scenario file {path} is not text: {exc}") from None
+        return cls.from_json_str(text)
 
 
 # ----------------------------------------------------------------------

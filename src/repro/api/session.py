@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.registry import default_registry
@@ -34,7 +34,7 @@ from repro.api.scenario import (
     Slowdown,
 )
 from repro.errors import ConfigurationError
-from repro.json_checks import json_field, reject_unknown
+from repro.json_checks import decode, encode
 from repro.metrics.overhead import ALL_ROWS, OverheadRow
 from repro.metrics.registry import MetricsRegistry, MetricsSnapshot
 from repro.sim.kernel import USEC
@@ -44,15 +44,6 @@ from repro.sim.monitor import StatSeries
 # ----------------------------------------------------------------------
 # Serializable statistics
 # ----------------------------------------------------------------------
-#: JSON types of the scalar fields the ``from_json`` methods below read,
-#: by annotation (a float field takes any JSON number).
-_JSON_SCALARS: Dict[str, Tuple[type, ...]] = {
-    "str": (str,),
-    "int": (int,),
-    "float": (int, float),
-}
-
-
 @dataclass(frozen=True)
 class StatSnapshot:
     """Frozen, mergeable snapshot of a :class:`StatSeries`.
@@ -67,6 +58,10 @@ class StatSnapshot:
     total_sq: float = 0.0
     minimum: float = math.inf
     maximum: float = -math.inf
+
+    #: +-inf sentinels are not strict JSON: an empty snapshot leaves
+    #: them out.
+    JSON_OMIT_DEFAULT = ("minimum", "maximum")
 
     @classmethod
     def from_series(cls, series: StatSeries) -> "StatSnapshot":
@@ -90,35 +85,6 @@ class StatSnapshot:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def to_json(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "count": self.count,
-            "total": self.total,
-            "total_sq": self.total_sq,
-        }
-        if self.count:  # +-inf sentinels are not strict JSON
-            data["minimum"] = self.minimum
-            data["maximum"] = self.maximum
-        return data
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "StatSnapshot":
-        """Raises ConfigurationError on a malformed ``data``; an absent
-        field takes its default."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"stat snapshot must be a JSON object, got {type(data).__name__}"
-            )
-        what = "stat snapshot"
-        try:
-            return cls(**{
-                f.name: json_field(data, f.name, _JSON_SCALARS[str(f.type)], what)
-                for f in fields(cls)
-                if f.name in data
-            })
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +113,8 @@ class RunResult:
     final_synthetic_utilization: Dict[str, float] = field(default_factory=dict)
     overhead: Dict[str, StatSnapshot] = field(default_factory=dict)
     comm_delay: StatSnapshot = StatSnapshot()
-    # Chaos layer (all zero on fault-free runs; serialized only when
-    # nonzero so fault-free JSON stays byte-identical to the seed).
+    # Chaos layer (all zero on fault-free runs; left out of the JSON
+    # while zero, so fault-free JSON stays byte-identical to the seed).
     messages_dropped: int = 0
     messages_delay_spiked: int = 0
     vote_timeouts: int = 0
@@ -158,6 +124,15 @@ class RunResult:
     # MetricsRegistry; serialized only then, so legacy JSON stays
     # byte-identical — see docs/OBSERVABILITY.md).
     metrics_snapshot: Optional[MetricsSnapshot] = None
+
+    JSON_OMIT_DEFAULT = (
+        "messages_dropped",
+        "messages_delay_spiked",
+        "vote_timeouts",
+        "retries_sent",
+        "transactions_aborted",
+        "metrics_snapshot",
+    )
 
     # -- derived views ----------------------------------------------------
     def overhead_rows(self) -> List[OverheadRow]:
@@ -191,85 +166,19 @@ class RunResult:
 
     # -- JSON -------------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "scenario_label": self.scenario_label,
-            "combo_label": self.combo_label,
-            "engine": self.engine,
-            "seed": self.seed,
-            "duration": self.duration,
-            "arrived_jobs": self.arrived_jobs,
-            "released_jobs": self.released_jobs,
-            "rejected_jobs": self.rejected_jobs,
-            "completed_jobs": self.completed_jobs,
-            "deadline_misses": self.deadline_misses,
-            "accepted_utilization_ratio": self.accepted_utilization_ratio,
-            "mean_response_time": self.mean_response_time,
-            "events_executed": self.events_executed,
-            "messages_sent": self.messages_sent,
-            "reserve_messages": self.reserve_messages,
-            "cpu_utilization": dict(self.cpu_utilization),
-            "final_synthetic_utilization": dict(self.final_synthetic_utilization),
-            "overhead": {k: v.to_json() for k, v in self.overhead.items()},
-            "comm_delay": self.comm_delay.to_json(),
-        }
-        for name in (
-            "messages_dropped",
-            "messages_delay_spiked",
-            "vote_timeouts",
-            "retries_sent",
-            "transactions_aborted",
-        ):
-            value = getattr(self, name)
-            if value:
-                data[name] = value
-        if self.metrics_snapshot is not None:
-            data["metrics_snapshot"] = self.metrics_snapshot.to_json()
+        data: Dict[str, Any] = encode(self, RunResult)
         return data
 
     def to_json_str(self, indent: int = 2) -> str:
         return json.dumps(self.to_json(), indent=indent, sort_keys=True)
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "RunResult":
+    def from_json(cls, data: Any) -> "RunResult":
         """Raises ConfigurationError on any malformed ``data``: an unknown
         or missing required field, or a value of the wrong type at any
         depth."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"run result must be a JSON object, got {type(data).__name__}"
-            )
-        reject_unknown(data, (f.name for f in fields(cls)), "run-result")
-        what = "run result"
-        kwargs: Dict[str, Any] = {}
-        try:
-            for f in fields(cls):
-                name = f.name
-                if name not in data:
-                    if f.default is MISSING and f.default_factory is MISSING:
-                        raise ValueError(f"{what} lacks {name!r}")
-                    continue
-                value = data[name]
-                if name == "comm_delay":
-                    value = StatSnapshot.from_json(value)
-                elif name == "overhead":
-                    value = {
-                        row: StatSnapshot.from_json(snap)
-                        for row, snap in json_field(data, name, dict, what).items()
-                    }
-                elif name in ("cpu_utilization", "final_synthetic_utilization"):
-                    value = {
-                        node: json_field(value, node, (int, float), name)
-                        for node in json_field(data, name, dict, what)
-                    }
-                elif name == "metrics_snapshot":
-                    if value is not None:
-                        value = MetricsSnapshot.from_json(value)
-                else:
-                    value = json_field(data, name, _JSON_SCALARS[str(f.type)], what)
-                kwargs[name] = value
-        except ValueError as exc:
-            raise ConfigurationError(f"malformed run result: {exc}") from exc
-        return cls(**kwargs)
+        result: RunResult = decode(cls, data)
+        return result
 
 
 # ----------------------------------------------------------------------

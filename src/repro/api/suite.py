@@ -17,7 +17,7 @@ worker count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.scenario import Scenario, WorkloadSource
@@ -25,7 +25,7 @@ from repro.api.session import RunResult, Session
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
 from repro.errors import ConfigurationError
-from repro.json_checks import reject_unknown
+from repro.json_checks import decode, encode
 from repro.workloads.model import Workload
 
 
@@ -39,24 +39,22 @@ class MappingCell:
     state_persistence: bool
     overhead_tolerance: str  # OverheadTolerance value, e.g. "PT"/"PJ"
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "type": "mapping",
-            "category": self.category,
-            "job_skipping": self.job_skipping,
-            "replicated_components": self.replicated_components,
-            "state_persistence": self.state_persistence,
-            "overhead_tolerance": self.overhead_tolerance,
-        }
+    JSON_TAG = "mapping"
 
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "MappingCell":
-        allowed = tuple(f.name for f in fields(cls)) + ("type",)
-        reject_unknown(data, allowed, "mapping cell")
-        kwargs = {k: v for k, v in data.items() if k != "type"}
-        return cls(**kwargs)
+    def __post_init__(self) -> None:
+        # Imported here, as in execute_cell, so that importing the api
+        # does not load repro.config.
+        from repro.config.characteristics import OverheadTolerance
+
+        values = [t.value for t in OverheadTolerance]
+        if self.overhead_tolerance not in values:
+            raise ConfigurationError(
+                f"mapping cell overhead_tolerance must be one of "
+                f"{', '.join(values)}, got {self.overhead_tolerance!r}"
+            )
 
 
+#: A suite cell; in JSON, tagged by its class's ``JSON_TAG``.
 Cell = Union[Scenario, MappingCell]
 
 
@@ -143,41 +141,18 @@ class ExperimentSuite:
 
     # -- JSON -------------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
-        cells: List[Dict[str, Any]] = []
-        for cell in self.cells:
-            if isinstance(cell, Scenario):
-                data = cell.to_json()
-                data["type"] = "scenario"
-                cells.append(data)
-            else:
-                cells.append(cell.to_json())
-        return {
-            "name": self.name,
-            "description": self.description,
-            "cells": cells,
-        }
+        data: Dict[str, Any] = encode(self, ExperimentSuite)
+        return data
 
     def to_json_str(self, indent: int = 2) -> str:
         return json.dumps(self.to_json(), indent=indent, sort_keys=True)
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ExperimentSuite":
-        reject_unknown(data, ("name", "description", "cells"), "suite")
-        cells: List[Cell] = []
-        for entry in data.get("cells", ()):
-            tag = entry.get("type", "scenario")
-            if tag == "scenario":
-                payload = {k: v for k, v in entry.items() if k != "type"}
-                cells.append(Scenario.from_json(payload))
-            elif tag == "mapping":
-                cells.append(MappingCell.from_json(entry))
-            else:
-                raise ConfigurationError(f"unknown suite cell type {tag!r}")
-        return cls(
-            name=data["name"],
-            cells=tuple(cells),
-            description=data.get("description", ""),
-        )
+    def from_json(cls, data: Any) -> "ExperimentSuite":
+        """Raises ConfigurationError, naming the JSON path, on any
+        malformed ``data``."""
+        suite: ExperimentSuite = decode(cls, data)
+        return suite
 
 
 # ----------------------------------------------------------------------

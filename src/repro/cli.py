@@ -44,6 +44,8 @@ from repro.config.workload_spec import load_workload
 from repro.core.strategies import valid_combinations
 from repro.errors import ReproError
 from repro.experiments import (
+    ChaosResult,
+    DisturbanceResult,
     run_aub_vs_deferrable,
     run_chaos_suite,
     run_disturbance_suite,
@@ -55,7 +57,9 @@ from repro.experiments import (
     sweep_network_delay,
     sweep_overhead,
 )
+from repro.experiments.sensitivity import DelaySweepPoint
 from repro.experiments.table1 import format_rows, rows_to_json
+from repro.json_checks import encode
 from repro.sched.offline import analyze_workload, format_report
 
 
@@ -377,7 +381,7 @@ def _run_command(args: argparse.Namespace) -> None:
                 "experiment": "sensitivity",
                 "load": load.to_json(),
                 "overhead": overhead.to_json(),
-                "delay": [p.to_json() for p in delay],
+                "delay": encode(delay, List[DelaySweepPoint]),
             },
         )
     elif command == "disturbance":
@@ -394,7 +398,7 @@ def _run_command(args: argparse.Namespace) -> None:
             args.json,
             {
                 "experiment": "disturbance",
-                "results": [r.to_json() for r in results],
+                "results": encode(results, List[DisturbanceResult]),
             },
         )
     elif command == "chaos":
@@ -414,7 +418,7 @@ def _run_command(args: argparse.Namespace) -> None:
             args.json,
             {
                 "experiment": "chaos",
-                "results": [r.to_json() for r in results],
+                "results": encode(results, List[ChaosResult]),
             },
         )
     elif command == "scenario":

@@ -82,7 +82,7 @@ def parse_workload_json(text: str) -> Workload:
     on any malformed input."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # or nested too deep
         raise WorkloadSpecError(f"invalid JSON workload spec: {exc}") from None
     what = "workload spec"
     try:
@@ -291,7 +291,10 @@ def load_workload(path: Union[str, Path]) -> Workload:
     format.
     """
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise WorkloadSpecError(f"workload spec {path} is not text: {exc}") from None
     if path.suffix.lower() == ".json":
         return parse_workload_json(text)
     return parse_workload_text(text)

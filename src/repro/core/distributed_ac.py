@@ -196,8 +196,6 @@ class DistributedAdmissionControllerComponent(Component):
         self.vote_timeouts = 0
         self.retries_sent = 0
         self.aborted_transactions = 0
-        self.crash_count = 0
-        self.recovery_count = 0
         #: Recovery machinery armed for this run (see :meth:`arm_recovery`).
         self._chaos = False
         # Pre-bound metric children (armed runs only; see on_activate).
@@ -306,7 +304,6 @@ class DistributedAdmissionControllerComponent(Component):
         if self._crashed:
             return
         self._crashed = True
-        self.crash_count += 1
         for txn in sorted(self._transactions):
             transaction = self._transactions[txn]
             self._cancel_vote_timeout(transaction)
@@ -327,10 +324,7 @@ class DistributedAdmissionControllerComponent(Component):
 
     def recover(self) -> None:
         """Re-admit a crashed node with an empty ledger shard."""
-        if not self._crashed:
-            return
         self._crashed = False
-        self.recovery_count += 1
 
     def verify_ledger(self) -> None:
         """Cross-check the incremental ledger bookkeeping from scratch.

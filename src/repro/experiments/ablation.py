@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional
 from repro.api.scenario import Scenario, WorkloadSource
 from repro.api.suite import ExperimentSuite
 from repro.experiments.report import format_table
+from repro.json_checks import encode
 from repro.numeric import ordered_sum
 from repro.sched.replay import jobs_from_plan
 from repro.sim.rng import RngRegistry
@@ -56,8 +57,7 @@ class AblationResult:
     def to_json(self) -> Dict[str, Any]:
         return {
             "experiment": "ablation",
-            "aub_ratios": list(self.aub_ratios),
-            "ds_ratios": list(self.ds_ratios),
+            **encode(self, AblationResult),
             "aub_mean": self.aub_mean,
             "ds_mean": self.ds_mean,
         }

@@ -16,7 +16,7 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.api.scenario import (
     DelaySpike,
@@ -45,20 +45,6 @@ class ChaosResult:
     vote_timeouts: int
     retries_sent: int
     transactions_aborted: int
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "availability": self.availability,
-            "arrived_jobs": self.arrived_jobs,
-            "released_jobs": self.released_jobs,
-            "rejected_jobs": self.rejected_jobs,
-            "deadline_misses": self.deadline_misses,
-            "messages_dropped": self.messages_dropped,
-            "vote_timeouts": self.vote_timeouts,
-            "retries_sent": self.retries_sent,
-            "transactions_aborted": self.transactions_aborted,
-        }
 
 
 def _cell(

@@ -46,16 +46,6 @@ class DisturbanceResult:
     rejected_jobs: int
     detail: Dict[str, float]
 
-    def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "accepted_utilization_ratio": self.accepted_utilization_ratio,
-            "deadline_misses": self.deadline_misses,
-            "released_jobs": self.released_jobs,
-            "rejected_jobs": self.rejected_jobs,
-            "detail": dict(self.detail),
-        }
-
 
 def _source(
     seed: int,

@@ -21,6 +21,7 @@ from repro.api.suite import ExperimentSuite, combo_grid, fold_combo_grid
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo, valid_combinations
 from repro.experiments.report import bar_chart
+from repro.json_checks import encode
 from repro.numeric import ordered_sum
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
@@ -62,11 +63,7 @@ class Figure5Result:
     def to_json(self) -> Dict[str, Any]:
         return {
             "experiment": "figure5",
-            "duration": self.duration,
-            "n_sets": self.n_sets,
-            "per_combo": dict(self.per_combo),
-            "per_combo_sets": {k: list(v) for k, v in self.per_combo_sets.items()},
-            "deadline_misses": self.deadline_misses,
+            **encode(self, Figure5Result),
             "by_ir_strategy": self.by_ir_strategy(),
         }
 

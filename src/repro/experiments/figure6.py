@@ -17,6 +17,7 @@ from repro.api.suite import ExperimentSuite, combo_grid, fold_combo_grid
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo, valid_combinations
 from repro.experiments.report import bar_chart
+from repro.json_checks import encode
 from repro.numeric import ordered_sum
 from repro.sim.rng import RngRegistry
 from repro.workloads.imbalanced import (
@@ -72,11 +73,7 @@ class Figure6Result:
     def to_json(self) -> Dict[str, Any]:
         return {
             "experiment": "figure6",
-            "duration": self.duration,
-            "n_sets": self.n_sets,
-            "per_combo": dict(self.per_combo),
-            "per_combo_sets": {k: list(v) for k, v in self.per_combo_sets.items()},
-            "deadline_misses": self.deadline_misses,
+            **encode(self, Figure6Result),
             "lb_means": self.lb_means(),
         }
 

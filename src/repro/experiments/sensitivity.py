@@ -150,14 +150,6 @@ class DelaySweepPoint:
     mean_response: float
     deadline_misses: int
 
-    def to_json(self) -> dict:
-        return {
-            "delay": self.delay,
-            "accepted_utilization_ratio": self.accepted_utilization_ratio,
-            "mean_response": self.mean_response,
-            "deadline_misses": self.deadline_misses,
-        }
-
 
 def build_delay_suite(
     delays: Sequence[float] = (0.0003, 0.001, 0.01, 0.05),

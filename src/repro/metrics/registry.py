@@ -311,6 +311,10 @@ class MetricsSnapshot:
 
     families: Tuple[MetricFamilySnapshot, ...] = ()
 
+    #: Keeps its own wire shape (``to_json``/``from_json``) inside the
+    #: JSON of a :class:`~repro.api.RunResult`.
+    JSON_LEAF = True
+
     def family(self, name: str) -> MetricFamilySnapshot:
         for fam in self.families:
             if fam.name == name:

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.metrics.faults import FaultMetrics
 from repro.sim.rng import RngRegistry
 
-#: Drop causes recorded into :class:`FaultMetrics.dropped_by_cause`.
+#: Drop causes :meth:`FaultInjector.on_send` returns.
 DROP_CRASH = "crash"
 DROP_PARTITION = "partition"
 DROP_LOSS = "loss"
@@ -171,11 +171,11 @@ class FaultInjector:
         links consume no RNG draws.
         """
         if self.node_crashed(source, now) or self.node_crashed(destination, now):
-            self.metrics.record_drop(DROP_CRASH)
+            self.metrics.record_drop()
             return DROP_CRASH, 1.0
         for window in self._partitions:
             if window.severs(source, destination, now):
-                self.metrics.record_drop(DROP_PARTITION)
+                self.metrics.record_drop()
                 return DROP_PARTITION, 1.0
         for loss in self._losses:
             if not loss.start <= now < loss.end:
@@ -183,7 +183,7 @@ class FaultInjector:
             if self._link_rng(loss.stream, source, destination).random() < (
                 loss.probability
             ):
-                self.metrics.record_drop(DROP_LOSS)
+                self.metrics.record_drop()
                 return DROP_LOSS, 1.0
         factor = self.delay_factor(now)
         if factor != 1.0:  # repro-lint: disable=RL004

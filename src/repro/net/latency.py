@@ -19,7 +19,11 @@ from repro.sim.kernel import USEC
 
 
 class DelayModel(ABC):
-    """A distribution of one-way message delays, in seconds."""
+    """A distribution of one-way message delays, in seconds.
+
+    In JSON a model is its constructor's arguments, tagged with its
+    class's ``JSON_TAG``; a subclass without one has no JSON form.
+    """
 
     @abstractmethod
     def sample(self, rng: random.Random) -> float:
@@ -41,6 +45,8 @@ class DelayModel(ABC):
 class ConstantDelay(DelayModel):
     """Always the same delay."""
 
+    JSON_TAG = "constant"
+
     def __init__(self, delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
@@ -58,6 +64,8 @@ class ConstantDelay(DelayModel):
 
 class UniformDelay(DelayModel):
     """Uniform on ``[low, high]``."""
+
+    JSON_TAG = "uniform"
 
     def __init__(self, low: float, high: float) -> None:
         if not 0 <= low <= high:
@@ -82,6 +90,8 @@ class TriangularDelay(DelayModel):
     :func:`~repro.numeric.triangular_constants` worked out from them at
     construction.
     """
+
+    JSON_TAG = "triangular"
 
     def __init__(self, low: float, mode: float, high: float) -> None:
         if not 0 <= low <= mode <= high:
@@ -123,6 +133,8 @@ class TriangularDelay(DelayModel):
 
 class NormalDelay(DelayModel):
     """Normal(mu, sigma) truncated below at ``floor`` (default 0)."""
+
+    JSON_TAG = "normal"
 
     def __init__(self, mu: float, sigma: float, floor: float = 0.0) -> None:
         if sigma < 0:

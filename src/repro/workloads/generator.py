@@ -30,6 +30,9 @@ from repro.workloads.model import DEFAULT_MANAGER_NODE, Workload
 class RandomWorkloadParams:
     """Knobs of the section 7.1 generator (defaults = the paper's)."""
 
+    #: The workload source kind these params go with (its JSON ``kind``).
+    JSON_TAG = "random"
+
     n_periodic: int = 5
     n_aperiodic: int = 4
     n_processors: int = 5

@@ -33,6 +33,9 @@ from repro.sched.task import SubtaskSpec, TaskSpec
 class ImbalancedWorkloadParams:
     """Knobs of the section 7.2 generator (defaults = the paper's)."""
 
+    #: The workload source kind these params go with (its JSON ``kind``).
+    JSON_TAG = "imbalanced"
+
     n_periodic: int = 5
     n_aperiodic: int = 4
     n_loaded_processors: int = 3

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.experiments.chaos import build_chaos_suite, run_chaos_suite
+from typing import List
+
+from repro.experiments.chaos import ChaosResult, build_chaos_suite, run_chaos_suite
+from repro.json_checks import encode
 
 EXPECTED_CELLS = (
     "baseline",
@@ -23,7 +26,7 @@ def test_suite_shape():
 def test_grid_results_and_worker_count_determinism():
     serial = run_chaos_suite(duration=10.0, n_workers=1)
     parallel = run_chaos_suite(duration=10.0, n_workers=3)
-    assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+    assert encode(serial, List[ChaosResult]) == encode(parallel, List[ChaosResult])
 
     by_label = {r.scenario: r for r in serial}
     assert set(by_label) == set(EXPECTED_CELLS)

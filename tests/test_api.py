@@ -8,6 +8,7 @@ serialization, and the ExperimentSuite fan-out.
 """
 
 import copy
+import json
 import math
 
 import pytest
@@ -25,18 +26,17 @@ from repro.api import (
     StatSnapshot,
     WorkloadSource,
     default_registry,
-    delay_model_from_json,
-    delay_model_to_json,
-    workload_from_json,
-    workload_to_json,
 )
+from repro import experiments
 from repro.core.cost_model import CostModel
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo, valid_combinations
 from repro.errors import AttributeConfigError, ConfigurationError
+from repro.json_checks import decode, encode
 from repro.metrics.registry import MetricsRegistry
 from repro.net.latency import (
     ConstantDelay,
+    DelayModel,
     NormalDelay,
     TriangularDelay,
     UniformDelay,
@@ -44,9 +44,10 @@ from repro.net.latency import (
 from repro.sched.task import TaskKind
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
+from repro.workloads.imbalanced import ImbalancedWorkloadParams
 from repro.workloads.model import Workload
 
-from tests.jsonutil import WRONG_VALUES, json_kind, json_paths
+from tests.jsonutil import may_parse, mutate
 from tests.taskutil import make_task
 
 
@@ -199,22 +200,31 @@ class TestScenarioValidation:
         scenario = Scenario.builder().random_workload(seed=1).build()
         data = scenario.to_json()
         data["speed_hack"] = True
-        with pytest.raises(ConfigurationError, match="unknown scenario field"):
+        with pytest.raises(
+            ConfigurationError, match=r"\$\.speed_hack: unknown key of Scenario"
+        ):
             Scenario.from_json(data)
 
     def test_unknown_workload_json_fields_rejected(self):
-        data = workload_to_json(_workload())
+        data = encode(_workload(), Workload)
         data["tasks"][0]["surprise"] = 1
-        with pytest.raises(ConfigurationError, match="unknown task field"):
-            workload_from_json(data)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"\$\.tasks\[0\]\.surprise: unknown key of TaskSpec",
+        ):
+            decode(Workload, data)
 
     def test_unknown_delay_type_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown delay model"):
-            delay_model_from_json({"type": "wormhole", "delay": 1.0})
+        with pytest.raises(
+            ConfigurationError, match=r"\$\.type: unknown tag 'wormhole'"
+        ):
+            decode(DelayModel, {"type": "wormhole", "delay": 1.0})
 
     def test_incomplete_delay_model_rejected(self):
-        with pytest.raises(ConfigurationError, match="incomplete uniform"):
-            delay_model_from_json({"type": "uniform"})
+        with pytest.raises(
+            ConfigurationError, match=r"\$\.low: missing key of UniformDelay"
+        ):
+            decode(DelayModel, {"type": "uniform"})
 
     def test_policy_params_normalized_for_round_trip(self):
         unsorted = Scenario(
@@ -255,7 +265,7 @@ class TestScenarioValidation:
 class TestJsonRoundTrip:
     def test_workload_round_trip(self):
         workload = _workload()
-        assert workload_from_json(workload_to_json(workload)) == workload
+        assert decode(Workload, encode(workload, Workload)) == workload
 
     @pytest.mark.parametrize(
         "model",
@@ -267,7 +277,7 @@ class TestJsonRoundTrip:
         ],
     )
     def test_delay_model_round_trip(self, model):
-        restored = delay_model_from_json(delay_model_to_json(model))
+        restored = decode(DelayModel, encode(model, DelayModel))
         assert repr(restored) == repr(model)
 
     def test_full_scenario_round_trip(self):
@@ -348,9 +358,14 @@ class TestJsonRoundTrip:
 
     def test_stat_snapshot_empty_round_trip(self):
         empty = StatSnapshot()
-        restored = StatSnapshot.from_json(empty.to_json())
+        restored = decode(StatSnapshot, encode(empty, StatSnapshot))
         assert restored.count == 0
         assert math.isinf(restored.minimum)
+
+
+#: Number replacements besides the wrong-typed ones: no JSON number the
+#: codec reads may be NaN or infinite.
+_NON_FINITE = (math.inf, -math.inf, math.nan)
 
 
 class TestRunResultBoundary:
@@ -383,32 +398,137 @@ class TestRunResultBoundary:
         self, payload, data
     ):
         mutated = copy.deepcopy(payload)
-        path = data.draw(st.sampled_from(json_paths(mutated)))
-        parent = mutated
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
-        drop = isinstance(parent, dict) and data.draw(st.booleans())
-        if drop:
-            del parent[key]
-        else:
-            kind = json_kind(parent[key])
-            parent[key] = data.draw(st.sampled_from(
-                [v for v in WRONG_VALUES if json_kind(v) != kind]
-            ))
+        path, dropped, new = mutate(mutated, data, numbers=_NON_FINITE)
         try:
             RunResult.from_json(mutated)
         except ConfigurationError:
             return
         # Only a dropped optional field or an absent snapshot parses.
-        assert drop or (path == ("metrics_snapshot",) and parent[key] is None)
+        assert dropped or (path == ("metrics_snapshot",) and new is None)
 
     @pytest.mark.parametrize("data", [None, [], "x", 7])
     def test_non_object_payload_rejected(self, data):
         with pytest.raises(ConfigurationError):
             RunResult.from_json(data)
         with pytest.raises(ConfigurationError):
-            StatSnapshot.from_json(data)
+            decode(StatSnapshot, data)
+
+
+def _boundary_scenarios():
+    """A centralized, a distributed and a replay scenario that between
+    them set every optional field of a saved scenario.  Their one null
+    is an aperiodic task's period: a mutator replaces a null with a value
+    of another type, which a field such as a burst's ``task_id`` takes."""
+    workload = generate_random_workload(
+        RngRegistry(5).stream("wl"),
+        RandomWorkloadParams(n_periodic=2, n_aperiodic=2, n_processors=3),
+    )
+    nodes = workload.app_nodes
+    return {
+        "centralized": (
+            Scenario.builder()
+            .random_workload(seed=3, index=1, params=RandomWorkloadParams(
+                n_periodic=3, n_aperiodic=2, n_processors=3))
+            .combo("J_J_J").duration(10.0).seed(4)
+            .cost_model(CostModel())
+            .delay_model(UniformDelay(0.0001, 0.0004))
+            .burst(time=2.0, jobs=5, task_id="A1")
+            .slowdown(time=4.0, factor=0.5, nodes=("app1",))
+            .label("centralized")
+            .build()
+        ),
+        "distributed": (
+            Scenario.builder().workload(workload).distributed()
+            .duration(10.0).seed(5)
+            .delay_model(TriangularDelay(0.0001, 0.0002, 0.0004))
+            .node_crash(nodes[0], time=2.0, recovery=5.0)
+            .partition(time=3.0, heal=6.0, group_a=nodes[:1], group_b=nodes[1:])
+            .delay_spike(time=1.0, until=4.0, factor=3.0)
+            .message_loss(0.1, time=0.0, until=8.0)
+            .build()
+        ),
+        "replay": (
+            Scenario.builder()
+            .imbalanced_workload(seed=6, params=ImbalancedWorkloadParams(
+                n_periodic=2, n_aperiodic=3))
+            .replay("deferrable_server", server_utilization=0.25,
+                    server_period=0.2)
+            .duration(10.0).seed(7).arrival_stream("arrivals:3")
+            .build()
+        ),
+    }
+
+
+class TestScenarioBoundary:
+    """Malformed Scenario JSON fails with ConfigurationError, at any depth;
+    a mutation parses only where a default or a null may stand."""
+
+    @pytest.fixture(scope="class", params=["centralized", "distributed", "replay"])
+    def scenario(self, request):
+        return _boundary_scenarios()[request.param]
+
+    def test_unmutated_scenario_round_trips(self, scenario):
+        assert Scenario.from_json(scenario.to_json()) == scenario
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_scenario_fails_only_with_configuration_error(
+        self, scenario, data
+    ):
+        mutated = scenario.to_json()
+        path, dropped, new = mutate(mutated, data, numbers=_NON_FINITE)
+        try:
+            Scenario.from_json(mutated)
+        except ConfigurationError:
+            return
+        assert may_parse(scenario, path, dropped, new), (path, dropped, new)
+
+    @pytest.mark.parametrize("data", [None, [], "x", 7, {"workload": 3}])
+    def test_non_object_scenario_rejected(self, data):
+        with pytest.raises(ConfigurationError, match=r"^\$"):
+            Scenario.from_json(data)
+
+
+class TestSuiteBoundary:
+    """Malformed ExperimentSuite JSON fails with ConfigurationError."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return ExperimentSuite(
+            name="mixed",
+            description="scenario and mapping cells",
+            cells=(
+                *_boundary_scenarios().values(),
+                MappingCell(
+                    category="demo",
+                    job_skipping=True,
+                    replicated_components=False,
+                    state_persistence=True,
+                    overhead_tolerance="PJ",
+                ),
+            ),
+        )
+
+    def test_unknown_overhead_tolerance_refused(self, suite):
+        data = suite.to_json()
+        data["cells"][3]["overhead_tolerance"] = "bogus"
+        with pytest.raises(
+            ConfigurationError,
+            match=r"\$\.cells\[3\]: mapping cell overhead_tolerance must be "
+            r"one of N, PT, PJ, got 'bogus'",
+        ):
+            ExperimentSuite.from_json(data)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_suite_fails_only_with_configuration_error(self, suite, data):
+        mutated = suite.to_json()
+        path, dropped, new = mutate(mutated, data, numbers=_NON_FINITE)
+        try:
+            ExperimentSuite.from_json(mutated)
+        except ConfigurationError:
+            return
+        assert may_parse(suite, path, dropped, new), (path, dropped, new)
 
 
 class TestSession:
@@ -539,6 +659,30 @@ class TestExperimentSuite:
         )
         restored = ExperimentSuite.from_json(suite.to_json())
         assert restored == suite
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: experiments.build_figure5_suite(n_sets=2, duration=10.0),
+            lambda: experiments.build_figure6_suite(n_sets=2, duration=10.0),
+            lambda: experiments.build_figure8_suite(duration=10.0),
+            lambda: experiments.build_ablation_suite(n_sets=2, duration=10.0),
+            lambda: experiments.build_chaos_suite(duration=10.0),
+            lambda: experiments.build_disturbance_suite(duration=10.0),
+            lambda: experiments.build_load_suite(duration=10.0),
+            lambda: experiments.build_overhead_suite(duration=10.0),
+            lambda: experiments.build_delay_suite(duration=10.0),
+            experiments.build_table1_suite,
+        ],
+        ids=[
+            "figure5", "figure6", "figure8", "ablation", "chaos",
+            "disturbance", "load", "overhead", "delay", "table1",
+        ],
+    )
+    def test_built_suite_json_round_trip(self, build):
+        suite = build()
+        assert ExperimentSuite.from_json(suite.to_json()) == suite
+        assert ExperimentSuite.from_json(json.loads(suite.to_json_str())) == suite
 
 
 class TestGeneratedWorkloadMemo:

@@ -19,6 +19,7 @@ from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo, valid_combinations
 from repro.experiments.ablation import run_aub_vs_deferrable
 from repro.experiments.disturbance import (
+    DisturbanceResult,
     run_burst_scenario,
     run_disturbance_suite,
     run_slowdown_scenario,
@@ -37,6 +38,7 @@ from repro.experiments.sensitivity import (
     sweep_network_delay,
     sweep_overhead,
 )
+from repro.json_checks import encode
 from repro.metrics.overhead import ALL_ROWS, OverheadAccounting
 from repro.net.latency import ConstantDelay
 from repro.sim.rng import RngRegistry
@@ -201,14 +203,14 @@ class TestDisturbanceParity:
 
     def test_suite_matches_single_runs(self):
         singles = [
-            run_burst_scenario(duration=30.0, seed=3).to_json(),
-            run_slowdown_scenario(duration=30.0, seed=3).to_json(),
+            encode(run_burst_scenario(duration=30.0, seed=3), DisturbanceResult),
+            encode(run_slowdown_scenario(duration=30.0, seed=3), DisturbanceResult),
         ]
         for workers in (1, 2):
             suite = run_disturbance_suite(
                 duration=30.0, seed=3, n_workers=workers
             )
-            assert [r.to_json() for r in suite] == singles
+            assert [encode(r, DisturbanceResult) for r in suite] == singles
 
     def test_burst_matches_direct_construction(self):
         # The old run_burst_scenario body, inline.

@@ -3,6 +3,7 @@ assembler (:class:`~repro.core.middleware.MiddlewareSystem`)."""
 
 import copy
 import json
+import math
 import random
 import xml.etree.ElementTree as ET
 
@@ -23,7 +24,11 @@ from repro.config.plan import (
     IMPL_TE,
     build_deployment_plan,
 )
-from repro.config.workload_spec import parse_workload_text
+from repro.config.workload_spec import (
+    parse_workload_json,
+    parse_workload_text,
+    workload_to_json,
+)
 from repro.config.xml_io import parse_xml, to_xml
 from repro.core.admission_controller import AdmissionControllerComponent
 from repro.core.cost_model import CostModel
@@ -37,7 +42,7 @@ from repro.errors import ConfigurationError, WorkloadSpecError
 from repro.net.latency import ConstantDelay
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
 
-from tests.jsonutil import WRONG_VALUES, json_kind, json_paths
+from tests.jsonutil import json_paths, mutate
 from tests.taskutil import make_two_node_workload
 
 
@@ -220,6 +225,10 @@ def _mutate_xml(xml, data):
         + [("json", None, path) for path in json_paths(doc)]
     )
     kind, parent, target = data.draw(st.sampled_from(sites))
+    if kind == "json":
+        mutate(doc, data, numbers=(0, -1, 1e308, 10**400), path=target)
+        workload_el.text = json.dumps(doc)
+        return ET.tostring(root, encoding="unicode")
     drop = data.draw(st.booleans())
     if kind == "element":
         if drop:
@@ -232,22 +241,8 @@ def _mutate_xml(xml, data):
             del parent.attrib[target]
         else:
             parent.set(target, data.draw(st.sampled_from(_TEXTS)))
-    elif kind == "text":
-        parent.text = None if drop else data.draw(st.sampled_from(_TEXTS))
     else:
-        holder = doc
-        for key in target[:-1]:
-            holder = holder[key]
-        key = target[-1]
-        if drop and isinstance(holder, dict):
-            del holder[key]
-        else:
-            kind = json_kind(holder[key])
-            choices = [v for v in WRONG_VALUES if json_kind(v) != kind]
-            if kind == "number":
-                choices += [0, -1, 1e308, 10**400]
-            holder[key] = data.draw(st.sampled_from(choices))
-        workload_el.text = json.dumps(doc)
+        parent.text = None if drop else data.draw(st.sampled_from(_TEXTS))
     return ET.tostring(root, encoding="unicode")
 
 
@@ -277,6 +272,31 @@ class TestPlanBoundary:
         assert _canonical(parse_xml(mutated)) == _canonical(
             build_deployment_plan(system.workload, system.combo)
         )
+
+
+class TestWorkloadJsonBoundary:
+    """A one-value mutation of a JSON workload spec parses or fails with
+    WorkloadSpecError; it parses only where the format has a default."""
+
+    #: Keys the format lets a document leave out; only a period may be null.
+    OPTIONAL = ("manager", "period", "phase", "replicas")
+
+    def test_unmutated_spec_parses(self):
+        workload = make_two_node_workload()
+        assert parse_workload_json(workload_to_json(workload)) == workload
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_spec_fails_only_with_workload_spec_error(self, data):
+        doc = json.loads(workload_to_json(make_two_node_workload()))
+        path, dropped, new = mutate(doc, data, numbers=(math.inf, math.nan))
+        try:
+            parse_workload_json(json.dumps(doc))
+        except WorkloadSpecError:
+            return
+        assert path[-1] in self.OPTIONAL and (
+            dropped or (new is None and path[-1] == "period")
+        ), (path, dropped, new)
 
 
 _SPEC = """\

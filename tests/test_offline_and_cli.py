@@ -157,11 +157,15 @@ class TestCliErrors:
         [["scenario", "run"], ["metrics"], ["analyze"], ["configure"], ["run"]],
         ids="_".join,
     )
-    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"{not json", b'{"workload": 3}', b"[" * 100_000, b"\xff\xfe{}"],
+        ids=["missing", "malformed", "wrong_type", "too_deep", "not_text"],
+    )
     def test_bad_input_file(self, tmp_path, capsys, command, content):
         path = tmp_path / "input.json"
         if content is not None:
-            path.write_text(content)
+            path.write_bytes(content)
         assert main(command + [str(path)]) != 0
         captured = capsys.readouterr()
         err = captured.err.splitlines()

@@ -2,14 +2,15 @@
 
 One test per raise site, each asserting on the message so a future
 reword (or a branch silently becoming unreachable) fails loudly.  The
-sections mirror the module: JSON codecs, :class:`WorkloadSource`,
-disturbances, :class:`Scenario` validation, JSON loading, and the
-builder.
+sections mirror the module: the JSON codec on its value types,
+:class:`WorkloadSource`, disturbances, :class:`Scenario` validation,
+JSON loading, and the builder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -23,14 +24,10 @@ from repro.api import (
     Slowdown,
     WorkloadSource,
 )
-from repro.api.scenario import (
-    cost_model_from_json,
-    delay_model_from_json,
-    delay_model_to_json,
-    disturbance_from_json,
-    workload_from_json,
-)
+from repro.api.scenario import Disturbance
+from repro.core.cost_model import CostModel
 from repro.errors import ConfigurationError
+from repro.json_checks import decode, encode
 from repro.net.latency import DelayModel
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import (
@@ -38,6 +35,7 @@ from repro.workloads.generator import (
     generate_random_workload,
 )
 from repro.workloads.imbalanced import ImbalancedWorkloadParams
+from repro.workloads.model import Workload
 
 
 def _workload(seed=2008):
@@ -51,14 +49,14 @@ def _scenario(**overrides):
 
 
 # ----------------------------------------------------------------------
-# JSON codecs
+# The JSON codec on the embedded value types
 # ----------------------------------------------------------------------
 class TestCodecErrors:
     def test_workload_unknown_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown workload field\\(s\\): bogus"
+            ConfigurationError, match=r"\$\.bogus: unknown key of Workload"
         ):
-            workload_from_json({"app_nodes": ["n1"], "bogus": 1})
+            decode(Workload, {"app_nodes": ["n1"], "bogus": 1})
 
     def test_task_unknown_field(self):
         data = {
@@ -66,9 +64,10 @@ class TestCodecErrors:
             "tasks": [{"task_id": "t", "wcet": 1}],
         }
         with pytest.raises(
-            ConfigurationError, match="unknown task field\\(s\\): wcet"
+            ConfigurationError,
+            match=r"\$\.tasks\[0\]\.wcet: unknown key of TaskSpec",
         ):
-            workload_from_json(data)
+            decode(Workload, data)
 
     def test_subtask_unknown_field(self):
         data = {
@@ -83,15 +82,16 @@ class TestCodecErrors:
             ],
         }
         with pytest.raises(
-            ConfigurationError, match="unknown subtask field\\(s\\): nope"
+            ConfigurationError,
+            match=r"\$\.tasks\[0\]\.subtasks\[0\]\.nope: unknown key of SubtaskSpec",
         ):
-            workload_from_json(data)
+            decode(Workload, data)
 
     def test_cost_model_unknown_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown cost model field\\(s\\): warp"
+            ConfigurationError, match=r"\$\.warp: unknown key of CostModel"
         ):
-            cost_model_from_json({"warp": 9})
+            decode(CostModel, {"warp": 9})
 
     def test_delay_model_without_json_form(self):
         class Opaque(DelayModel):  # pragma: no cover - sample() never runs
@@ -99,27 +99,31 @@ class TestCodecErrors:
                 return 0.0
 
         with pytest.raises(
-            ConfigurationError, match="no JSON representation"
+            ConfigurationError, match="Opaque has no JSON representation"
         ):
-            delay_model_to_json(Opaque())
+            encode(Opaque(), DelayModel)
+        with pytest.raises(
+            ConfigurationError, match="Opaque has no JSON representation"
+        ):
+            _scenario(delay_model=Opaque()).to_json()
 
     def test_delay_model_unknown_type(self):
         with pytest.raises(
-            ConfigurationError, match="unknown delay model type 'gamma'"
+            ConfigurationError, match=r"\$\.type: unknown tag 'gamma'"
         ):
-            delay_model_from_json({"type": "gamma"})
+            decode(DelayModel, {"type": "gamma"})
 
     def test_delay_model_unknown_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown delay model field\\(s\\): skew"
+            ConfigurationError, match=r"\$\.skew: unknown key of ConstantDelay"
         ):
-            delay_model_from_json({"type": "constant", "delay": 1.0, "skew": 2})
+            decode(DelayModel, {"type": "constant", "delay": 1.0, "skew": 2})
 
     def test_delay_model_incomplete(self):
         with pytest.raises(
-            ConfigurationError, match="incomplete uniform delay model"
+            ConfigurationError, match=r"\$\.high: missing key of UniformDelay"
         ):
-            delay_model_from_json({"type": "uniform", "low": 0.1})
+            decode(DelayModel, {"type": "uniform", "low": 0.1})
 
 
 # ----------------------------------------------------------------------
@@ -178,29 +182,43 @@ class TestWorkloadSourceErrors:
 
     def test_from_json_unknown_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown workload source field\\(s\\): extra"
+            ConfigurationError, match=r"\$\.extra: unknown key of WorkloadSource"
         ):
-            WorkloadSource.from_json({"kind": "random", "seed": 1, "extra": 2})
+            decode(WorkloadSource, {"kind": "random", "seed": 1, "extra": 2})
 
     def test_from_json_explicit_without_workload(self):
         with pytest.raises(
-            ConfigurationError, match="explicit workload source needs a workload"
+            ConfigurationError,
+            match=r"\$: explicit workload source needs a workload",
         ):
-            WorkloadSource.from_json({"kind": "explicit"})
+            decode(WorkloadSource, {"kind": "explicit"})
 
     def test_from_json_unknown_kind(self):
         with pytest.raises(
-            ConfigurationError, match="unknown workload source kind 'psychic'"
+            ConfigurationError,
+            match=r"\$: unknown workload source kind 'psychic'",
         ):
-            WorkloadSource.from_json({"kind": "psychic"})
+            decode(WorkloadSource, {"kind": "psychic"})
 
     def test_from_json_unknown_params_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown workload params field\\(s\\): n_moons"
+            ConfigurationError,
+            match=r"\$\.params\.n_moons: unknown key of RandomWorkloadParams",
         ):
-            WorkloadSource.from_json(
-                {"kind": "random", "seed": 1, "params": {"n_moons": 4}}
+            decode(
+                WorkloadSource,
+                {"kind": "random", "seed": 1, "params": {"n_moons": 4}},
             )
+
+    def test_from_json_params_follow_the_kind(self):
+        data = {"kind": "imbalanced", "seed": 1, "params": {"n_periodic": 2}}
+        source = decode(WorkloadSource, data)
+        assert source.params == ImbalancedWorkloadParams(n_periodic=2)
+        data["kind"] = "psychic"
+        with pytest.raises(
+            ConfigurationError, match=r"\$\.params: no params for kind 'psychic'"
+        ):
+            decode(WorkloadSource, data)
 
 
 # ----------------------------------------------------------------------
@@ -235,30 +253,32 @@ class TestDisturbanceErrors:
 
     def test_from_json_unknown_burst_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown burst field\\(s\\): volume"
+            ConfigurationError, match=r"\$\.volume: unknown key of Burst"
         ):
-            disturbance_from_json(
-                {"type": "burst", "time": 1.0, "jobs": 2, "volume": 11}
+            decode(
+                Disturbance,
+                {"type": "burst", "time": 1.0, "jobs": 2, "volume": 11},
             )
 
     def test_from_json_unknown_slowdown_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown slowdown field\\(s\\): why"
+            ConfigurationError, match=r"\$\.why: unknown key of Slowdown"
         ):
-            disturbance_from_json(
-                {"type": "slowdown", "time": 1.0, "factor": 0.5, "why": "x"}
+            decode(
+                Disturbance,
+                {"type": "slowdown", "time": 1.0, "factor": 0.5, "why": "x"},
             )
 
     def test_from_json_unknown_type(self):
         with pytest.raises(
             ConfigurationError,
             match=(
-                "unknown disturbance type 'quake'; expected one of 'burst', "
+                r"\$\.type: unknown tag 'quake'; expected one of 'burst', "
                 "'slowdown', 'node_crash', 'partition', 'delay_spike', "
                 "'message_loss'"
             ),
         ):
-            disturbance_from_json({"type": "quake"})
+            decode(Disturbance, {"type": "quake"})
 
 
 # ----------------------------------------------------------------------
@@ -362,17 +382,19 @@ class TestFaultDisturbanceErrors:
 
     def test_from_json_unknown_node_crash_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown node crash field\\(s\\): blast"
+            ConfigurationError, match=r"\$\.blast: unknown key of NodeCrash"
         ):
-            disturbance_from_json(
-                {"type": "node_crash", "node": "n1", "time": 1.0, "blast": 2}
+            decode(
+                Disturbance,
+                {"type": "node_crash", "node": "n1", "time": 1.0, "blast": 2},
             )
 
     def test_from_json_unknown_partition_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown partition field\\(s\\): depth"
+            ConfigurationError, match=r"\$\.depth: unknown key of Partition"
         ):
-            disturbance_from_json(
+            decode(
+                Disturbance,
                 {
                     "type": "partition",
                     "time": 1.0,
@@ -385,9 +407,10 @@ class TestFaultDisturbanceErrors:
 
     def test_from_json_unknown_delay_spike_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown delay spike field\\(s\\): shape"
+            ConfigurationError, match=r"\$\.shape: unknown key of DelaySpike"
         ):
-            disturbance_from_json(
+            decode(
+                Disturbance,
                 {
                     "type": "delay_spike",
                     "time": 1.0,
@@ -399,10 +422,12 @@ class TestFaultDisturbanceErrors:
 
     def test_from_json_unknown_message_loss_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown message loss field\\(s\\): burstiness"
+            ConfigurationError,
+            match=r"\$\.burstiness: unknown key of MessageLoss",
         ):
-            disturbance_from_json(
-                {"type": "message_loss", "probability": 0.5, "burstiness": 2}
+            decode(
+                Disturbance,
+                {"type": "message_loss", "probability": 0.5, "burstiness": 2},
             )
 
     def test_middleware_rejects_fault_disturbances(self):
@@ -511,16 +536,33 @@ class TestScenarioErrors:
 
     def test_nonpositive_duration(self):
         with pytest.raises(
-            ConfigurationError, match="scenario duration must be > 0, got 0.0"
+            ConfigurationError,
+            match="scenario duration must be finite and > 0, got 0.0",
         ):
             _scenario(duration=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_duration(self, value):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"scenario duration must be finite and > 0, got {value}",
+        ):
+            _scenario(duration=value)
 
     def test_nonpositive_interarrival_factor(self):
         with pytest.raises(
             ConfigurationError,
-            match="aperiodic_interarrival_factor must be > 0, got -2.0",
+            match="aperiodic_interarrival_factor must be finite and > 0, got -2.0",
         ):
             _scenario(aperiodic_interarrival_factor=-2.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_interarrival_factor(self, value):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"aperiodic_interarrival_factor must be finite and > 0, got {value}",
+        ):
+            _scenario(aperiodic_interarrival_factor=value)
 
     def test_unknown_engine(self):
         with pytest.raises(
@@ -657,13 +699,13 @@ class TestScenarioErrors:
 class TestScenarioJsonErrors:
     def test_from_json_rejects_non_object(self):
         with pytest.raises(
-            ConfigurationError, match="scenario JSON must be an object, got list"
+            ConfigurationError, match=r"\$: expected an object, got list"
         ):
             Scenario.from_json([1, 2, 3])
 
     def test_from_json_unknown_field(self):
         with pytest.raises(
-            ConfigurationError, match="unknown scenario field\\(s\\): turbo"
+            ConfigurationError, match=r"\$\.turbo: unknown key of Scenario"
         ):
             Scenario.from_json(
                 {"workload": {"kind": "random", "seed": 1}, "turbo": True}
@@ -671,13 +713,14 @@ class TestScenarioJsonErrors:
 
     def test_from_json_needs_workload(self):
         with pytest.raises(
-            ConfigurationError, match="scenario JSON needs a workload source"
+            ConfigurationError, match=r"\$\.workload: missing key of Scenario"
         ):
             Scenario.from_json({"duration": 5.0})
 
     def test_from_json_policy_params_must_be_object(self):
         with pytest.raises(
-            ConfigurationError, match="policy_params must be an object"
+            ConfigurationError,
+            match=r"\$\.policy_params: expected an object, got list",
         ):
             Scenario.from_json(
                 {
@@ -687,6 +730,30 @@ class TestScenarioJsonErrors:
                     "policy_params": [1, 2],
                 }
             )
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1e999"])
+    @pytest.mark.parametrize(
+        "key", ["duration", "aperiodic_interarrival_factor", "seed"]
+    )
+    def test_from_json_str_refuses_non_finite_numbers(self, key, text):
+        saved = _scenario().to_json_str()
+        doc = saved.replace(f'"{key}": {json.loads(saved)[key]!r}', f'"{key}": {text}')
+        assert doc != saved
+        with pytest.raises(
+            ConfigurationError, match=rf"\$\.{key}: (non-finite number|expected an int)"
+        ):
+            Scenario.from_json_str(doc)
+
+    def test_from_json_refuses_non_finite_numbers_at_any_depth(self):
+        data = _scenario(
+            disturbances=(Slowdown(time=1.0, factor=0.5),)
+        ).to_json()
+        data["disturbances"][0]["factor"] = math.inf
+        with pytest.raises(
+            ConfigurationError,
+            match=r"\$\.disturbances\[0\]\.factor: non-finite number inf",
+        ):
+            Scenario.from_json(data)
 
     def test_from_json_str_rejects_invalid_json(self):
         with pytest.raises(
