@@ -65,22 +65,21 @@ HIGHER_IS_BETTER = "higher"
 LOWER_IS_BETTER = "lower"
 
 #: Metric-direction registry, keyed by name suffix *including* the
-#: boundary character before it ("_" or ".").  Each entry is
-#: ``(direction, normalized)``: direction picks which side of the
-#: tolerance band fails, ``normalized`` marks wall-clock metrics that
-#: ``--normalize`` may rescale by the kernel rate — deterministic
-#: counters stay absolute on any machine.  Gated metrics whose suffix is
-#: missing here make the gate exit 2 rather than guess a direction.
-DIRECTION_BY_SUFFIX: Dict[str, Tuple[str, bool]] = {
-    "_per_sec": (HIGHER_IS_BETTER, True),
-    ".p50_s": (LOWER_IS_BETTER, True),
-    ".p95_s": (LOWER_IS_BETTER, True),
-    ".p99_s": (LOWER_IS_BETTER, True),
+#: boundary character before it ("_" or ".").  The direction picks which
+#: side of the tolerance band fails.  Every gated metric is a wall-clock
+#: measurement, which ``--normalize`` rescales by the kernel rate.  Gated
+#: metrics whose suffix is missing here make the gate exit 2 rather than
+#: guess a direction.
+DIRECTION_BY_SUFFIX: Dict[str, str] = {
+    "_per_sec": HIGHER_IS_BETTER,
+    ".p50_s": LOWER_IS_BETTER,
+    ".p95_s": LOWER_IS_BETTER,
+    ".p99_s": LOWER_IS_BETTER,
 }
 
 
-def metric_direction(name: str) -> Optional[Tuple[str, bool]]:
-    """``(direction, normalized)`` for a gated metric, None if unknown."""
+def metric_direction(name: str) -> Optional[str]:
+    """The direction of a gated metric, None if unknown."""
     for suffix in sorted(DIRECTION_BY_SUFFIX, key=len, reverse=True):
         if name.endswith(suffix):
             return DIRECTION_BY_SUFFIX[suffix]
@@ -144,8 +143,8 @@ def compare(
     failures = 0
     checked = 0
     for name, value in gated_metrics(fresh):
-        spec = metric_direction(name)
-        if spec is None:
+        direction = metric_direction(name)
+        if direction is None:
             print(
                 f"gated metric {name!r} has no registered direction; add "
                 "its suffix to DIRECTION_BY_SUFFIX in "
@@ -153,7 +152,6 @@ def compare(
                 file=sys.stderr,
             )
             return 2
-        direction, normalizable = spec
         reference = base_metrics.get(name)
         if value is None or reference is None or reference <= 0:
             continue
@@ -161,7 +159,7 @@ def compare(
             # The normalizer itself cannot gate its own comparison.
             continue
         checked += 1
-        if normalize and normalizable:
+        if normalize:
             if direction == HIGHER_IS_BETTER:
                 ratio = (value / fresh_scale) / (reference / base_scale)
             else:

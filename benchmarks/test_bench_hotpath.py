@@ -530,7 +530,7 @@ def _time_sends(idle_injector: bool, n_sends: int) -> float:
     if idle_injector:
         network.install_fault_injector(FaultInjector(RngRegistry(2008)))
 
-    def on_deliver(message):
+    def on_deliver(payload):
         pass
 
     gc_enabled = gc.isenabled()
@@ -538,7 +538,7 @@ def _time_sends(idle_injector: bool, n_sends: int) -> float:
     try:
         start = time.perf_counter()
         for i in range(n_sends):
-            network.send("P0", "P1", "bench", i, on_deliver)
+            network.send("P0", "P1", i, on_deliver)
         elapsed = time.perf_counter() - start
     finally:
         if gc_enabled:

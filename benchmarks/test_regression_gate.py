@@ -154,14 +154,11 @@ def test_unknown_suffix_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_metric_direction_registry():
-    assert metric_direction("admission[100].incremental_tests_per_sec") == (
-        HIGHER_IS_BETTER,
-        True,
+    assert (
+        metric_direction("admission[100].incremental_tests_per_sec")
+        == HIGHER_IS_BETTER
     )
-    assert metric_direction("admission_latency[1000].p99_s") == (
-        LOWER_IS_BETTER,
-        True,
-    )
+    assert metric_direction("admission_latency[1000].p99_s") == LOWER_IS_BETTER
     assert metric_direction("something.p99_seconds") is None
 
 

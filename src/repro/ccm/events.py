@@ -8,7 +8,9 @@ implicit.
 
 Payloads are immutable ``NamedTuple``s: one C-level tuple per event.
 Topic-name constants are defined here so publishers and subscribers cannot
-drift apart.
+drift apart.  A push addresses a (node, topic) pair, so a topic names a
+port on its node: each TE listens to ``accept`` and ``reject`` on its own
+processor.
 """
 
 from __future__ import annotations
@@ -98,13 +100,3 @@ def trigger_topic(task_id: str, next_index: int) -> str:
     the job's assignment plan.
     """
     return f"{TOPIC_TRIGGER}/{task_id}/{next_index}"
-
-
-def accept_topic(node: str) -> str:
-    """Topic the task effector on ``node`` listens to for Accept events."""
-    return f"{TOPIC_ACCEPT}/{node}"
-
-
-def reject_topic(node: str) -> str:
-    """Topic the task effector on ``node`` listens to for Reject events."""
-    return f"{TOPIC_REJECT}/{node}"

@@ -3,9 +3,10 @@
 Event ports ride on the federated event channel
 (:class:`repro.net.federation.FederatedEventChannel`): a source pushes a
 payload to a topic, point-to-point to a destination node; a sink subscribes
-a handler on its own node.  Facet/receptacle ports model the synchronous
-method collaborations in the paper's Figure 3 (AC -> LB "Location" calls,
-subtask -> IR "Complete" calls), which are always node-local in the paper's
+its handler on its own node, and each push reaches that handler with the
+bare payload.  Facet/receptacle ports model the synchronous method
+collaborations in the paper's Figure 3 (AC -> LB "Location" calls, subtask
+-> IR "Complete" calls), which are always node-local in the paper's
 deployment.
 """
 
@@ -25,7 +26,6 @@ class EventSourcePort:
     def __init__(self, owner: "Component", name: str) -> None:
         self.owner = owner
         self.name = name
-        self.pushed = 0
 
     def push(self, destination: str, topic: str, payload: Any) -> None:
         """Push ``payload`` point-to-point to ``topic`` on ``destination``."""
@@ -34,7 +34,6 @@ class EventSourcePort:
             raise PortError(
                 f"event source {self.name!r} of {self.owner.name!r}: not installed"
             )
-        self.pushed += 1
         container.federation.send(container.node, destination, topic, payload)
 
     def broadcast(self, topic: str, payload: Any) -> None:
@@ -44,7 +43,6 @@ class EventSourcePort:
             raise PortError(
                 f"event source {self.name!r} of {self.owner.name!r}: not installed"
             )
-        self.pushed += 1
         container.federation.publish(container.node, topic, payload)
 
 
@@ -55,8 +53,6 @@ class EventSinkPort:
         self.owner = owner
         self.name = name
         self.handler = handler
-        self.received = 0
-        self._subscribed_topic: Optional[str] = None
 
     def subscribe(self, topic: str) -> None:
         container = self.owner.container
@@ -64,16 +60,7 @@ class EventSinkPort:
             raise PortError(
                 f"event sink {self.name!r} of {self.owner.name!r}: not installed"
             )
-        self._subscribed_topic = topic
-        container.federation.subscribe(container.node, topic, self._on_event)
-
-    @property
-    def topic(self) -> Optional[str]:
-        return self._subscribed_topic
-
-    def _on_event(self, payload: Any) -> None:
-        self.received += 1
-        self.handler(payload)
+        container.federation.subscribe(container.node, topic, self.handler)
 
 
 class Facet:

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ccm.events import (
+    TOPIC_ACCEPT,
     TOPIC_IDLE_RESETTING,
+    TOPIC_REJECT,
     TOPIC_TASK_ARRIVE,
-    accept_topic,
-    reject_topic,
     trigger_topic,
 )
 from repro.config.workload_spec import workload_to_json
@@ -231,7 +231,7 @@ def build_deployment_plan(
                 source_instance="Central-AC",
                 source_port="decisions",
                 target_instance=te_id,
-                target_port=accept_topic(node),
+                target_port=TOPIC_ACCEPT,
             )
         )
         connections.append(
@@ -241,7 +241,7 @@ def build_deployment_plan(
                 source_instance="Central-AC",
                 source_port="decisions",
                 target_instance=te_id,
-                target_port=reject_topic(node),
+                target_port=TOPIC_REJECT,
             )
         )
         connections.append(

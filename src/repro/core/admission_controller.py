@@ -58,11 +58,11 @@ from repro.ccm.events import (
     AcceptEvent,
     IdleResettingEvent,
     RejectEvent,
+    TOPIC_ACCEPT,
     TOPIC_IDLE_RESETTING,
+    TOPIC_REJECT,
     TOPIC_TASK_ARRIVE,
     TaskArriveEvent,
-    accept_topic,
-    reject_topic,
 )
 from repro.ccm.ports import EventSinkPort, EventSourcePort, Facet, Receptacle
 from repro.core.cost_model import OP_ADMISSION_TEST, OP_IR_UPDATE, OP_LB_PLAN
@@ -262,15 +262,9 @@ class AdmissionControllerComponent(Component):
                 self._m_queue_depth.set(
                     max(self._m_queue_depth.value, len(self._arrival_queue))
                 )
-            self.processor.submit(
-                self._thread,
-                WorkItem(cost, self._drain_arrivals, label="admit:batch"),
-            )
+            self.processor.submit(self._thread, WorkItem(cost, self._drain_arrivals))
             return
-        self.processor.submit(
-            self._thread,
-            WorkItem(cost, self._decide, event, label=f"admit:{event.job.task.task_id}"),
-        )
+        self.processor.submit(self._thread, WorkItem(cost, self._decide, event))
 
     def _decide(self, event: TaskArriveEvent) -> None:
         """Sequential path: plan, one test against the live ledger, and a
@@ -558,7 +552,7 @@ class AdmissionControllerComponent(Component):
             )
         self._source.push(
             release_node,
-            accept_topic(release_node),
+            TOPIC_ACCEPT,
             AcceptEvent(
                 job=job,
                 # Receivers (task effectors) copy on receipt; the decision
@@ -586,7 +580,7 @@ class AdmissionControllerComponent(Component):
             )
         self._source.push(
             event.arrival_node,
-            reject_topic(event.arrival_node),
+            TOPIC_REJECT,
             RejectEvent(job=job, arrival_node=event.arrival_node, reason=reason),
         )
 
@@ -598,7 +592,7 @@ class AdmissionControllerComponent(Component):
         self.env.overhead.record_ir_ac_side(cost)
         self.processor.submit(
             self._thread,
-            WorkItem(cost, self._apply_idle_reset, event, label="idle_reset"),
+            WorkItem(cost, self._apply_idle_reset, event),
         )
 
     def _apply_idle_reset(self, event: IdleResettingEvent) -> None:

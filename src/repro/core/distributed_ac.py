@@ -55,10 +55,10 @@ from repro.ccm.component import AttributeSpec, Component
 from repro.ccm.events import (
     AcceptEvent,
     RejectEvent,
+    TOPIC_ACCEPT,
+    TOPIC_REJECT,
     TOPIC_TASK_ARRIVE,
     TaskArriveEvent,
-    accept_topic,
-    reject_topic,
 )
 from repro.ccm.ports import EventSinkPort, EventSourcePort
 from repro.core.cost_model import OP_ADMISSION_TEST
@@ -574,7 +574,7 @@ class DistributedAdmissionControllerComponent(Component):
         release_node = plan.visits[0]
         self._source.push(
             release_node,
-            accept_topic(release_node),
+            TOPIC_ACCEPT,
             AcceptEvent(
                 job=job,
                 assignment=plan.assignment,
@@ -590,7 +590,7 @@ class DistributedAdmissionControllerComponent(Component):
             self._m_decision_latency.observe(self.sim.now - event.job.arrival_time)
         self._source.push(
             event.arrival_node,
-            reject_topic(event.arrival_node),
+            TOPIC_REJECT,
             RejectEvent(
                 job=event.job, arrival_node=event.arrival_node, reason=reason
             ),

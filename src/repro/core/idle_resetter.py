@@ -124,11 +124,9 @@ class IdleResetterComponent(Component):
             return
         self._report_queued = True
         cost = self.env.cost_model.sample(OP_IR_REPORT, self.env.cost_rng)
-        item = WorkItem(cost, label=f"{self.name}.report")
-        item.on_complete = lambda _payload, _item=item: self._flush(_item)
-        self.processor.submit(self._thread, item)
+        self.processor.submit(self._thread, WorkItem(cost, self._flush, cost))
 
-    def _flush(self, item: WorkItem) -> None:
+    def _flush(self, cost: float) -> None:
         """The idle-detector work ran: report still-live completions."""
         self._report_queued = False
         now = self.sim.now
@@ -148,7 +146,7 @@ class IdleResetterComponent(Component):
         # not middleware overhead) plus the communication hop; the AC-side
         # op8 is recorded by the AC.
         self._source.push(self.env.manager_node, TOPIC_IDLE_RESETTING, event)
-        self.env.overhead.record_ir_other(item.cost + self._expected_comm_delay())
+        self.env.overhead.record_ir_other(cost + self._expected_comm_delay())
 
     def _expected_comm_delay(self) -> float:
         """Mean one-way delay for the overhead decomposition row.

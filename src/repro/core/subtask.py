@@ -92,13 +92,7 @@ class _SubtaskComponentBase(Component):
             )
         cost = attributes["execution_time"]
         self.processor.submit(
-            self._thread,
-            WorkItem(
-                cost,
-                self._subjob_finished,
-                payload=(job, assignment),
-                label=f"{self.name}.subjob",
-            ),
+            self._thread, WorkItem(cost, self._subjob_finished, (job, assignment))
         )
 
     def _on_trigger(self, event: TriggerEvent) -> None:
@@ -136,16 +130,24 @@ class FISubtaskComponent(_SubtaskComponentBase):
     def __init__(self, name: str, env: RuntimeEnv) -> None:
         super().__init__(name, env)
         self._trigger_out: Optional[EventSourcePort] = None
+        #: The successor stage's topic, formatted once at activation.
+        self._next_topic = ""
 
     def on_install(self, container) -> None:
         self._trigger_out = EventSourcePort(self, "trigger_out")
 
+    def on_activate(self) -> None:
+        super().on_activate()
+        attributes = self._attributes
+        self._next_topic = trigger_topic(
+            attributes["task_id"], attributes["subtask_index"] + 1
+        )
+
     def _after_subjob(self, job: Job, assignment: Dict[int, str], index: int) -> None:
         next_index = index + 1
-        next_node = assignment[next_index]
         self._trigger_out.push(
-            next_node,
-            trigger_topic(job.task.task_id, next_index),
+            assignment[next_index],
+            self._next_topic,
             TriggerEvent(job=job, next_index=next_index, assignment=assignment),
         )
 

@@ -22,10 +22,10 @@ from repro.ccm.component import AttributeSpec, Component
 from repro.ccm.events import (
     AcceptEvent,
     RejectEvent,
+    TOPIC_ACCEPT,
+    TOPIC_REJECT,
     TOPIC_TASK_ARRIVE,
     TaskArriveEvent,
-    accept_topic,
-    reject_topic,
 )
 from repro.ccm.ports import EventSinkPort, EventSourcePort
 from repro.core.cost_model import (
@@ -83,9 +83,9 @@ class TaskEffectorComponent(Component):
     def on_install(self, container) -> None:
         self._source = EventSourcePort(self, "decision_request")
         accept_sink = EventSinkPort(self, "accept", self._on_accept)
-        accept_sink.subscribe(accept_topic(container.node))
+        accept_sink.subscribe(TOPIC_ACCEPT)
         reject_sink = EventSinkPort(self, "reject", self._on_reject)
-        reject_sink.subscribe(reject_topic(container.node))
+        reject_sink.subscribe(TOPIC_REJECT)
 
     def on_activate(self) -> None:
         if self.get_attribute("processor_id") != self.node:
@@ -155,13 +155,12 @@ class TaskEffectorComponent(Component):
             self.env.network.send(
                 self.node,
                 release_node,
-                "te_forward_release",
-                (job, assignment),
-                lambda message: remote._forwarded_release(message.payload, cost),
+                (job, assignment, cost),
+                remote._forwarded_release,
             )
 
-    def _forwarded_release(self, payload, cost: float) -> None:
-        job, assignment = payload
+    def _forwarded_release(self, payload) -> None:
+        job, assignment, cost = payload
         self.sim.schedule(cost, self._do_release, job, assignment)
 
     # ------------------------------------------------------------------

@@ -26,33 +26,30 @@ class WorkItem:
         Callback invoked (with ``payload``) when the item finishes.
     payload:
         Opaque data passed through to ``on_complete``.
-    label:
-        Human-readable label for traces.
     remaining:
         CPU seconds still owed; decreases across preemptions.
     """
 
-    __slots__ = ("cost", "on_complete", "payload", "label", "remaining", "enqueued_at", "started_at")
+    __slots__ = ("cost", "on_complete", "payload", "remaining", "enqueued_at", "started_at")
 
     def __init__(
         self,
         cost: float,
         on_complete: Optional[Callable[[Any], None]] = None,
         payload: Any = None,
-        label: str = "",
     ) -> None:
         if cost < 0:
             raise SimulationError(f"work item cost must be >= 0, got {cost}")
         self.cost = cost
         self.on_complete = on_complete
         self.payload = payload
-        self.label = label
         self.remaining = cost
         self.enqueued_at: Optional[float] = None
         self.started_at: Optional[float] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WorkItem {self.label or 'anon'} cost={self.cost} remaining={self.remaining}>"
+        name = getattr(self.on_complete, "__qualname__", "anon")
+        return f"<WorkItem {name} cost={self.cost} remaining={self.remaining}>"
 
 
 class DispatchThread:

@@ -16,7 +16,7 @@ from repro.net.latency import (
     UniformDelay,
     paper_calibrated_delay,
 )
-from repro.net.network import Message, Network
+from repro.net.network import Network
 
 __all__ = [
     "LocalEventChannel",
@@ -27,6 +27,5 @@ __all__ = [
     "TriangularDelay",
     "UniformDelay",
     "paper_calibrated_delay",
-    "Message",
     "Network",
 ]

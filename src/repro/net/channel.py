@@ -8,37 +8,38 @@ an event to another node).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.network import Message
+from typing import Any, Callable, Dict, Optional, Tuple
 
 Subscriber = Callable[[Any], None]
+#: (node, topic) -> the one callable a push to that pair reaches.
+Routes = Dict[Tuple[str, str], Subscriber]
 
 
 class LocalEventChannel:
     """Topic-based pub/sub within a single node.
 
-    Each topic's subscribers are an immutable tuple that subscribe and
-    unsubscribe replace (copy-on-write), so a push iterates the tuple it
-    started with without copying it: a consumer that subscribes or
-    unsubscribes during a push changes later pushes, not that one.
+    :meth:`subscribe` also binds the route ``(node, topic)`` in ``routes``,
+    the table the federation shares among its channels: the consumer
+    itself, or, once a topic has several, a fan-out that pushes to all of
+    them in registration order.  Each topic's subscribers are a tuple that
+    :meth:`subscribe` replaces, so a consumer subscribed during a push
+    starts with the next push.
     """
 
-    def __init__(self, node: str) -> None:
+    def __init__(self, node: str, routes: Optional[Routes] = None) -> None:
         self.node = node
         self._subscribers: Dict[str, Tuple[Subscriber, ...]] = {}
-        self.events_delivered = 0
+        self._routes: Routes = {} if routes is None else routes
 
     def subscribe(self, topic: str, consumer: Subscriber) -> None:
         """Register ``consumer`` for all events pushed to ``topic``."""
-        self._subscribers[topic] = self._subscribers.get(topic, ()) + (consumer,)
-
-    def unsubscribe(self, topic: str, consumer: Subscriber) -> None:
-        consumers = self._subscribers.get(topic, ())
-        if consumer in consumers:
-            i = consumers.index(consumer)
-            self._subscribers[topic] = consumers[:i] + consumers[i + 1:]
+        consumers = self._subscribers.get(topic, ()) + (consumer,)
+        self._subscribers[topic] = consumers
+        self._routes[self.node, topic] = (
+            consumer
+            if len(consumers) == 1
+            else lambda payload: self.push(topic, payload)
+        )
 
     def subscriber_count(self, topic: str) -> int:
         return len(self._subscribers.get(topic, ()))
@@ -50,11 +51,5 @@ class LocalEventChannel:
         """
         consumers = self._subscribers.get(topic, ())
         for consumer in consumers:
-            self.events_delivered += 1
             consumer(payload)
         return len(consumers)
-
-    def deliver(self, message: "Message") -> None:
-        """Network delivery callback for events the federation forwards
-        here: push the message's payload to its topic."""
-        self.push(message.topic, message.payload)

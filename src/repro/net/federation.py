@@ -11,6 +11,11 @@ local channels over the network.  Two delivery modes are offered:
   of a topic on one destination node.  The paper's control events
   ("Task Arrive", "Accept", "Trigger", "Idle Resetting") are all
   point-to-point, so this is the mode the middleware services use.
+
+The wiring is bound once, when a consumer subscribes, as the paper's
+configuration engine wires ports at deployment: a push looks up its
+``(destination, topic)`` route and calls it with the bare payload, on the
+same node at once, on another node through :meth:`Network.send`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict
 
 from repro.errors import SimulationError
-from repro.net.channel import LocalEventChannel
+from repro.net.channel import LocalEventChannel, Routes
 from repro.net.network import Network
 
 
@@ -28,7 +33,8 @@ class FederatedEventChannel:
     def __init__(self, network: Network) -> None:
         self.network = network
         self._channels: Dict[str, LocalEventChannel] = {}
-        self.remote_forwards = 0
+        #: Bound by the channels' ``subscribe``; read by every push.
+        self._routes: Routes = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -39,7 +45,7 @@ class FederatedEventChannel:
             raise SimulationError(f"node {node!r} already federated")
         if not self.network.has_node(node):
             self.network.add_node(node)
-        channel = LocalEventChannel(node)
+        channel = LocalEventChannel(node, self._routes)
         self._channels[node] = channel
         return channel
 
@@ -65,21 +71,31 @@ class FederatedEventChannel:
     # ------------------------------------------------------------------
     def send(self, source: str, destination: str, topic: str, payload: Any) -> None:
         """Point-to-point push: deliver to ``topic`` subscribers on
-        ``destination`` only, after one network hop from ``source``."""
-        channel = self.channel(destination)
+        ``destination`` only, after one network hop from ``source``.
+
+        A push nobody subscribed to is a wiring fault and raises
+        :class:`SimulationError`.
+        """
+        try:
+            route = self._routes[destination, topic]
+        except KeyError:
+            self.channel(destination)  # an unknown node fails as such
+            raise SimulationError(
+                f"no subscriber to topic {topic!r} on node {destination!r}"
+            ) from None
         if source == destination:
-            channel.push(topic, payload)
-            return
-        self.remote_forwards += 1
-        self.network.send(source, destination, topic, payload, channel.deliver)
+            route(payload)
+        else:
+            self.network.send(source, destination, payload, route)
 
     def publish(self, source: str, topic: str, payload: Any) -> None:
         """Broadcast push: deliver to ``topic`` subscribers on every node."""
-        for node, channel in self._channels.items():
-            if channel.subscriber_count(topic) == 0:
+        routes = self._routes
+        for node in self._channels:
+            route = routes.get((node, topic))
+            if route is None:
                 continue
             if node == source:
-                channel.push(topic, payload)
+                route(payload)
             else:
-                self.remote_forwards += 1
-                self.network.send(source, node, topic, payload, channel.deliver)
+                self.network.send(source, node, payload, route)

@@ -9,9 +9,8 @@ latency (e.g. fault-injection tests).
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Any, Callable, Dict, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.net.fault import FaultInjector
@@ -23,21 +22,6 @@ from repro.sim.monitor import StatSeries
 #: before default events (100), so a completion at time t is visible to a
 #: message arriving at the same instant.
 _DELIVERY_EVENT_PRIORITY = 75
-
-
-class Message(NamedTuple):
-    """An in-flight network message (exposed to delivery callbacks)."""
-
-    source: str
-    destination: str
-    topic: str
-    payload: Any
-    sent_at: float
-    delay: float
-
-    @property
-    def delivered_at(self) -> float:
-        return self.sent_at + self.delay
 
 
 class Network:
@@ -111,13 +95,12 @@ class Network:
         self,
         source: str,
         destination: str,
-        topic: str,
         payload: Any,
-        on_deliver: Callable[[Message], None],
-    ) -> Message:
+        on_deliver: Callable[[Any], None],
+    ) -> None:
         """Send ``payload`` from ``source`` to ``destination``.
 
-        ``on_deliver(message)`` fires after the sampled one-way delay.
+        ``on_deliver(payload)`` fires after the sampled one-way delay.
         Sending to the local node delivers after zero delay (the paper's
         local event channel does not traverse the gateway) and never
         consults the fault injector.
@@ -125,9 +108,8 @@ class Network:
         With an armed fault injector installed, a remote send inside a
         crash/partition/loss window is *suppressed*: it still counts in
         ``messages_sent`` (the sender paid for it) but samples no delay,
-        records no delay statistic, and never delivers — the returned
-        message carries an infinite delay as the dropped marker.  An
-        idle injector (``armed`` is a plain ``False`` attribute) costs a
+        records no delay statistic, and never delivers.  An idle
+        injector (``armed`` is a plain ``False`` attribute) costs a
         remote send two attribute loads and a truth test.
         """
         nodes = self._nodes
@@ -144,15 +126,13 @@ class Network:
                 cause, factor = injector.on_send(source, destination, now)
                 if cause is not None:
                     self.messages_sent += 1
-                    return Message(source, destination, topic, payload, now, math.inf)
+                    return
                 delay = self._model_for(source, destination).sample(self.rng)
                 delay *= factor
             else:
                 delay = self._model_for(source, destination).sample(self.rng)
             self.delay_stats.add(delay)
-        message = Message(source, destination, topic, payload, now, delay)
         self.messages_sent += 1
         sim.schedule_at(
-            now + delay, on_deliver, message, priority=_DELIVERY_EVENT_PRIORITY
+            now + delay, on_deliver, payload, priority=_DELIVERY_EVENT_PRIORITY
         )
-        return message

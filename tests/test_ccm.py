@@ -293,7 +293,6 @@ class TestPorts:
         source = EventSourcePort(w, "out")
         source.push("n1", "topic", 99)
         assert got == [99]
-        assert sink.received == 1 and source.pushed == 1
 
     def test_uninstalled_source_push_fails(self):
         w = Widget("w")

@@ -7,11 +7,11 @@ import pytest
 from repro.ccm.events import (
     AcceptEvent,
     IdleResettingEvent,
+    TOPIC_ACCEPT,
     TOPIC_IDLE_RESETTING,
+    TOPIC_REJECT,
     TOPIC_TASK_ARRIVE,
     TaskArriveEvent,
-    accept_topic,
-    reject_topic,
 )
 from repro.core.admission_controller import AUB_REJECT, AdmissionControllerComponent
 from repro.core.idle_resetter import IdleResetterComponent
@@ -122,14 +122,18 @@ class TestTaskEffector:
         task = make_task("A", TaskKind.APERIODIC, deadline=1.0, execs=(0.1,))
         install_subtask(env, containers, task, 0, "app1", is_last=True)
         job = Job(task, 0, 0.0, "app1")
+        # No AC is installed: a recorder takes the TE's Task Arrive push.
+        arrivals = []
+        env.federation.subscribe(env.manager_node, TOPIC_TASK_ARRIVE, arrivals.append)
         te.task_arrived(job)
         env.federation.send(
             env.manager_node,
             "app1",
-            accept_topic("app1"),
+            TOPIC_ACCEPT,
             AcceptEvent(job, {0: "app1"}, "app1", "app1"),
         )
         env.sim.run()
+        assert [event.job for event in arrivals] == [job]
         assert te.jobs_released == 1
         assert job.key not in te.waiting
         assert job.completed_at is not None
@@ -257,7 +261,7 @@ class TestLoadBalancer:
         # The LB plans whether or not the plan is admissible...
         assert lb.location(job, ac.ledger) == {0: "app1"}
         rejects = []
-        env.federation.subscribe("app1", reject_topic("app1"), rejects.append)
+        env.federation.subscribe("app1", TOPIC_REJECT, rejects.append)
         env.federation.send(
             "app1",
             env.manager_node,
@@ -437,10 +441,14 @@ class TestSubtaskComponents:
         comp = install_subtask(
             env, containers, task, 0, "app1", is_last=True, ir=ir
         )
+        # No AC is installed: a recorder takes the IR's report.
+        reports = []
+        env.federation.subscribe(env.manager_node, TOPIC_IDLE_RESETTING, reports.append)
         job = Job(task, 0, 0.0, "app1")
         comp.release(job, {0: "app1"})
         env.sim.run()
         assert ir.completions_recorded == 1
+        assert [report.entries for report in reports] == [(("T", 0, 0),)]
 
     def test_ir_mode_none_suppresses_notification(self):
         env, containers = make_env(combo_label="J_N_N")

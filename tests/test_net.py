@@ -116,26 +116,26 @@ class TestNetwork:
     def test_delivery_after_delay(self):
         sim, net = self.make()
         got = []
-        net.send("a", "b", "topic", "payload", lambda m: got.append((sim.now, m.payload)))
+        net.send("a", "b", "payload", lambda p: got.append((sim.now, p)))
         sim.run()
         assert got == [(0.001, "payload")]
 
     def test_local_delivery_is_immediate(self):
         sim, net = self.make()
         got = []
-        net.send("a", "a", "topic", 1, lambda m: got.append(sim.now))
+        net.send("a", "a", 1, lambda p: got.append(sim.now))
         sim.run()
         assert got == [0.0]
 
     def test_local_delivery_not_counted_in_delay_stats(self):
         sim, net = self.make()
-        net.send("a", "a", "t", 1, lambda m: None)
+        net.send("a", "a", 1, lambda p: None)
         sim.run()
         assert net.delay_stats.count == 0
 
     def test_remote_delay_recorded(self):
         sim, net = self.make()
-        net.send("a", "b", "t", 1, lambda m: None)
+        net.send("a", "b", 1, lambda p: None)
         sim.run()
         assert net.delay_stats.count == 1
         assert net.delay_stats.mean == pytest.approx(0.001)
@@ -143,7 +143,7 @@ class TestNetwork:
     def test_unknown_node_rejected(self):
         _sim, net = self.make()
         with pytest.raises(SimulationError):
-            net.send("a", "zz", "t", 1, lambda m: None)
+            net.send("a", "zz", 1, lambda p: None)
 
     def test_duplicate_node_rejected(self):
         _sim, net = self.make()
@@ -154,26 +154,15 @@ class TestNetwork:
         sim, net = self.make()
         net.set_link_delay("a", "b", ConstantDelay(0.5))
         got = []
-        net.send("a", "b", "t", 1, lambda m: got.append(sim.now))
-        net.send("b", "a", "t", 1, lambda m: got.append(sim.now))
+        net.send("a", "b", 1, lambda p: got.append(sim.now))
+        net.send("b", "a", 1, lambda p: got.append(sim.now))
         sim.run()
         assert got == [0.001, 0.5]
-
-    def test_message_metadata(self):
-        sim, net = self.make()
-        captured = []
-        net.send("a", "b", "topic-x", {"k": 1}, captured.append)
-        sim.run()
-        msg = captured[0]
-        assert msg.source == "a"
-        assert msg.destination == "b"
-        assert msg.topic == "topic-x"
-        assert msg.delivered_at == pytest.approx(0.001)
 
     def test_messages_sent_counter(self):
         sim, net = self.make()
         for _ in range(3):
-            net.send("a", "b", "t", 1, lambda m: None)
+            net.send("a", "b", 1, lambda p: None)
         assert net.messages_sent == 3
 
 
@@ -200,14 +189,6 @@ class TestLocalEventChannel:
         ch.push("t", 1)
         assert a == [1] and b == [1]
 
-    def test_unsubscribe(self):
-        ch = LocalEventChannel("n")
-        got = []
-        ch.subscribe("t", got.append)
-        ch.unsubscribe("t", got.append)
-        ch.push("t", 1)
-        assert got == []
-
     def test_topics_are_isolated(self):
         ch = LocalEventChannel("n")
         got = []
@@ -232,30 +213,6 @@ class TestLocalEventChannel:
         assert ch.push("t", 2) == 2
         assert got == [("first", 1), ("first", 2), ("late", 2)]
 
-    def test_unsubscribe_during_push_keeps_that_push(self):
-        ch = LocalEventChannel("n")
-        got = []
-
-        def once(payload):
-            got.append(("once", payload))
-            ch.unsubscribe("t", once)
-
-        def always(payload):
-            got.append(("always", payload))
-
-        ch.subscribe("t", once)
-        ch.subscribe("t", always)
-        assert ch.push("t", 1) == 2
-        assert ch.push("t", 2) == 1
-        assert got == [("once", 1), ("always", 1), ("always", 2)]
-
-    def test_events_delivered_counter(self):
-        ch = LocalEventChannel("n")
-        ch.subscribe("t", lambda p: None)
-        ch.push("t", 1)
-        ch.push("t", 2)
-        assert ch.events_delivered == 2
-
 
 # ----------------------------------------------------------------------
 # Federated event channel
@@ -272,10 +229,15 @@ class TestFederation:
 
     def test_local_send_is_synchronous(self):
         sim, fed = self.make()
+        payload = object()
         got = []
-        fed.subscribe("a", "t", lambda p: got.append(sim.now))
-        fed.send("a", "a", "t", 1)
-        assert got == [0.0]
+        fed.subscribe("a", "t", lambda p: got.append((sim.now, p)))
+        fed.send("a", "a", "t", payload)
+        # ``object()`` compares by identity: the handler got this payload.
+        assert got == [(0.0, payload)]
+        # The handler ran inside the send: nothing scheduled, nothing sent.
+        assert sim.pending_events == 0
+        assert fed.network.messages_sent == 0
 
     def test_remote_send_incurs_one_hop(self):
         sim, fed = self.make()
@@ -307,16 +269,18 @@ class TestFederation:
         sim, fed = self.make()
         fed.subscribe("b", "t", lambda p: None)
         fed.publish("a", "t", 1)
-        assert fed.remote_forwards == 1
+        assert fed.network.messages_sent == 1
 
-    def test_send_and_publish_deliver_through_the_channel(self, monkeypatch):
+    def test_send_and_publish_hand_the_network_the_subscribed_handler(
+        self, monkeypatch
+    ):
         sim, fed = self.make()
         handed = []
         send = fed.network.send
 
-        def spy(source, destination, topic, payload, on_deliver):
+        def spy(source, destination, payload, on_deliver):
             handed.append(on_deliver)
-            return send(source, destination, topic, payload, on_deliver)
+            return send(source, destination, payload, on_deliver)
 
         monkeypatch.setattr(fed.network, "send", spy)
         got = []
@@ -325,9 +289,52 @@ class TestFederation:
         fed.publish("a", "t", "all")
         sim.run()
         assert got == ["p2p", "all"]
-        # Both hand the network the destination channel's deliver method.
-        assert handed == [fed.channel("b").deliver] * 2
-        assert all(cb.__func__ is LocalEventChannel.deliver for cb in handed)
+        # The route is the consumer itself: one hop, no channel in between.
+        assert handed == [got.append] * 2
+
+    def test_remote_send_fires_after_the_sampled_delay_at_delivery_priority(self):
+        sim = Simulator()
+        model = UniformDelay(0.001, 0.002)
+        net = Network(sim, random.Random(7), model)
+        fed = FederatedEventChannel(net)
+        fed.add_node("a")
+        fed.add_node("b")
+        delay = model.sample(random.Random(7))
+        at = 0.25 + delay
+        order = []
+        fed.subscribe("b", "t", lambda p: order.append(("delivery", p, sim.now)))
+        # At the same instant, priority 74 and an earlier-scheduled 75 fire
+        # before the delivery and 76 after it: the delivery runs at 75.
+        for priority in (74, 75, 76):
+            sim.schedule_at(at, order.append, (priority, None, at), priority=priority)
+        sim.schedule_at(0.25, fed.send, "a", "b", "t", "x")
+        sim.run()
+        assert order == [
+            (74, None, at), (75, None, at), ("delivery", "x", at), (76, None, at)
+        ]
+        assert net.delay_stats.count == 1
+        assert net.delay_stats.mean == delay
+
+    @pytest.mark.parametrize("source", ["a", "b"], ids=["local", "remote"])
+    def test_send_without_subscriber_raises(self, source):
+        sim, fed = self.make()
+        fed.subscribe("b", "other", lambda p: None)
+        fed.subscribe("c", "t", lambda p: None)
+        with pytest.raises(SimulationError, match="'t'.*'a'"):
+            fed.send(source, "a", "t", 1)
+        assert fed.network.messages_sent == 0
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("source", ["b", "a"], ids=["local", "remote"])
+    def test_several_subscribers_are_reached_in_registration_order(self, source):
+        sim, fed = self.make()
+        got = []
+        for name in ("first", "second", "third"):
+            fed.subscribe("b", "t", lambda p, n=name: got.append((n, p)))
+        fed.send(source, "b", "t", 1)
+        sim.run()
+        assert got == [("first", 1), ("second", 1), ("third", 1)]
+        assert fed.network.messages_sent == (source != "b")
 
     def test_unknown_node_rejected(self):
         _sim, fed = self.make()

@@ -6,6 +6,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Scenario, Session, WorkloadSource
 from repro.core.cost_model import CostModel
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import valid_combinations
@@ -16,16 +17,17 @@ NODES = ("app1", "app2", "app3")
 
 
 @st.composite
-def small_workloads(draw):
+def small_workloads(draw, utilizations=(0.1, 0.2, 0.35)):
     """Random 2-4 task workloads over three processors, light enough to
-    finish fast but heavy enough to trigger occasional rejections."""
+    finish fast but heavy enough to trigger occasional rejections.  Each
+    task's utilization is one of ``utilizations``."""
     n_tasks = draw(st.integers(min_value=2, max_value=4))
     tasks = []
     for i in range(n_tasks):
         kind = draw(st.sampled_from(list(TaskKind)))
         deadline = draw(st.sampled_from([0.5, 1.0, 2.0]))
         n_sub = draw(st.integers(min_value=1, max_value=3))
-        util = draw(st.sampled_from([0.1, 0.2, 0.35]))
+        util = draw(st.sampled_from(utilizations))
         subtasks = []
         for j in range(n_sub):
             home = draw(st.sampled_from(NODES))
@@ -92,3 +94,98 @@ def test_middleware_invariants(workload, combo, seed):
     # No job left held inside any task effector.
     for te in system.env.task_effectors.values():
         assert not te.waiting
+
+
+# ----------------------------------------------------------------------
+# The paper's guarantee on both engines, through Session
+# ----------------------------------------------------------------------
+COMBO_LABELS = [combo.label for combo in valid_combinations()]
+
+#: Heavy enough that admitting every arrival misses deadlines.
+loaded_workloads = small_workloads(utilizations=(0.2, 0.35, 0.6, 0.9))
+
+
+def assert_guarantee(scenario):
+    """Run a fault-free ``scenario``: every arrival of each task kind is
+    released or rejected, every released job completes, and none misses
+    its end-to-end deadline."""
+    session = Session(scenario)
+    result = session.run()
+    for kind, counters in session.system.metrics.per_kind.items():
+        assert counters.arrived_jobs == (
+            counters.released_jobs + counters.rejected_jobs
+        ), kind
+    assert result.completed_jobs == result.released_jobs
+    assert result.deadline_misses == 0
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    loaded_workloads,
+    st.sampled_from(COMBO_LABELS),
+    st.booleans(),
+    st.integers(min_value=0, max_value=100),
+)
+def test_guarantee_centralized(workload, combo, batching, seed):
+    assert_guarantee(
+        Scenario(
+            workload=WorkloadSource.explicit(workload),
+            combo=combo,
+            duration=8.0,
+            seed=seed,
+            arrival_batching=batching,
+        )
+    )
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(loaded_workloads, st.integers(min_value=0, max_value=100))
+def test_guarantee_distributed(workload, seed):
+    assert_guarantee(
+        Scenario(
+            workload=WorkloadSource.explicit(workload),
+            engine="distributed",
+            combo="J_N_N",
+            duration=8.0,
+            seed=seed,
+        )
+    )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.sampled_from([WorkloadSource.random, WorkloadSource.imbalanced]),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(COMBO_LABELS + ["distributed"]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=100),
+)
+def test_guarantee_generated_sources(
+    source, source_seed, index, combo, batching, seed
+):
+    engine = "middleware"
+    if combo == "distributed":
+        engine, combo, batching = "distributed", "J_N_N", False
+    assert_guarantee(
+        Scenario(
+            workload=source(seed=source_seed, index=index),
+            engine=engine,
+            combo=combo,
+            duration=10.0,
+            seed=seed,
+            arrival_batching=batching,
+        )
+    )

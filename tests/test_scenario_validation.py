@@ -24,7 +24,8 @@ from repro.api import (
     Slowdown,
     WorkloadSource,
 )
-from repro.api.scenario import Disturbance
+from repro.api.scenario import MAX_WORKLOAD_INDEX, Disturbance
+from repro.cli import main
 from repro.core.cost_model import CostModel
 from repro.errors import ConfigurationError
 from repro.json_checks import decode, encode
@@ -163,6 +164,32 @@ class TestWorkloadSourceErrors:
             ConfigurationError, match="workload index must be >= 0"
         ):
             WorkloadSource(kind="random", seed=1, index=-1)
+
+    def test_index_past_the_maximum(self):
+        # Only constructed, never drawn: unbounded, this source would
+        # draw 10 million task sets before its own.
+        WorkloadSource(kind="random", seed=1, index=MAX_WORKLOAD_INDEX)
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"workload index must be <= {MAX_WORKLOAD_INDEX}, got 10000000",
+        ):
+            WorkloadSource(kind="random", seed=1, index=10_000_000)
+        with pytest.raises(ConfigurationError, match="got 100$"):
+            WorkloadSource(kind="imbalanced", seed=1, index=MAX_WORKLOAD_INDEX + 1)
+
+    def test_saved_index_past_the_maximum(self, tmp_path, capsys):
+        saved = _scenario().to_json()
+        saved["workload"]["index"] = 10_000_000
+        with pytest.raises(
+            ConfigurationError, match=r"\$\.workload: workload index must be <= 99"
+        ):
+            Scenario.from_json(saved)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(saved))
+        assert main(["scenario", "run", str(path)]) != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: "), err
+        assert "workload index must be <=" in err[0]
 
     def test_params_type_mismatch(self):
         with pytest.raises(
