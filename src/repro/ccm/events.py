@@ -10,7 +10,9 @@ Payloads are immutable ``NamedTuple``s: one C-level tuple per event.
 Topic-name constants are defined here so publishers and subscribers cannot
 drift apart.  A push addresses a (node, topic) pair, so a topic names a
 port on its node: each TE listens to ``accept`` and ``reject`` on its own
-processor.
+processor, and each application node has one ``trigger`` route, which
+finds the stage a :class:`TriggerEvent` names by (task, stage, node)
+(:func:`repro.core.subtask.bind_trigger_routes`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ TOPIC_ACCEPT = "accept"
 #: Topic: admission controller refuses a held job.
 TOPIC_REJECT = "reject"
 
-#: Topic: a subtask component triggers its successor subtask.
+#: Topic: a subtask component triggers its successor subtask (one route
+#: per application node, whatever the number of stages deployed there).
 TOPIC_TRIGGER = "trigger"
 
 #: Topic: idle resetter reports completed subjobs to the admission controller.
@@ -93,10 +96,12 @@ class IdleResettingEvent(NamedTuple):
 
 
 def trigger_topic(task_id: str, next_index: int) -> str:
-    """The point-to-point topic a subtask instance listens on.
+    """The port name a deployment plan gives the target of a Trigger
+    connection: ``trigger/<task>/<position>``.
 
-    Each deployed subtask component instance subscribes on its own node to
-    ``trigger/<task>/<position>``; the sender addresses the node chosen by
-    the job's assignment plan.
+    :func:`repro.config.plan.build_deployment_plan` names each connection
+    from an F/I stage to a replica of its successor with it.  Nothing
+    routes by it at run time: a Trigger goes to ``TOPIC_TRIGGER`` on the
+    node the job's assignment names, whose one route finds the stage.
     """
     return f"{TOPIC_TRIGGER}/{task_id}/{next_index}"

@@ -4,10 +4,11 @@ Event ports ride on the federated event channel
 (:class:`repro.net.federation.FederatedEventChannel`): a source pushes a
 payload to a topic, point-to-point to a destination node; a sink subscribes
 its handler on its own node, and each push reaches that handler with the
-bare payload.  Facet/receptacle ports model the synchronous method
-collaborations in the paper's Figure 3 (AC -> LB "Location" calls, subtask
--> IR "Complete" calls), which are always node-local in the paper's
-deployment.
+bare payload.  Facets model the synchronous method collaborations in the
+paper's Figure 3 (AC -> LB "Location" calls, subtask -> IR "Complete"
+calls), which are always node-local in the paper's deployment; the AC and
+LB reach theirs through receptacles, while a subtask, deployed once per
+replica, holds the IR's facet itself.
 """
 
 from __future__ import annotations

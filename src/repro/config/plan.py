@@ -71,8 +71,11 @@ class Connection:
     """A port connection between two instances.
 
     ``kind`` is ``"facet"`` (synchronous receptacle -> facet) or
-    ``"event"`` (event source -> topic consumed by the target's sink).
-    For event connections ``target_port`` holds the topic name.
+    ``"event"`` (event source -> topic consumed on the target's node).
+    For event connections ``target_port`` holds the topic name, except
+    that a Trigger connection names its target stage with
+    :func:`~repro.ccm.events.trigger_topic`; the target's node receives
+    it on its one ``TOPIC_TRIGGER`` route.
     """
 
     name: str

@@ -65,7 +65,11 @@ from repro.core.cost_model import OP_ADMISSION_TEST
 from repro.core.middleware import MiddlewareSystem
 from repro.core.runtime import RuntimeEnv
 from repro.core.strategies import StrategyCombo
-from repro.core.subtask import FISubtaskComponent, LastSubtaskComponent
+from repro.core.subtask import (
+    FISubtaskComponent,
+    LastSubtaskComponent,
+    bind_trigger_routes,
+)
 from repro.core.task_effector import TaskEffectorComponent
 from repro.cpu.thread import WorkItem
 from repro.errors import ComponentError
@@ -722,6 +726,7 @@ class DistributedMiddlewareSystem(MiddlewareSystem):
             ac.set_configuration({"processor_id": node})
             containers[node].install(ac)
             self.acs[node] = ac
+        bind_trigger_routes(env)
         for task in workload.tasks:
             priority = edms_priority(task)
             last_index = task.n_subtasks - 1

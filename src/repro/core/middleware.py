@@ -28,7 +28,11 @@ from repro.core.idle_resetter import IdleResetterComponent
 from repro.core.load_balancer import LoadBalancerComponent
 from repro.core.runtime import RuntimeEnv
 from repro.core.strategies import ACStrategy, LBStrategy, StrategyCombo
-from repro.core.subtask import FISubtaskComponent, LastSubtaskComponent
+from repro.core.subtask import (
+    FISubtaskComponent,
+    LastSubtaskComponent,
+    bind_trigger_routes,
+)
 from repro.core.task_effector import TaskEffectorComponent
 from repro.cpu.processor import Processor
 from repro.errors import ConfigurationError
@@ -188,6 +192,7 @@ class MiddlewareSystem:
             container.install(ir)
 
     def _deploy_application(self) -> None:
+        bind_trigger_routes(self.env)
         ir_facets = {
             node: self.containers[node].lookup(f"IR-{node}").provide_complete_facet()
             for node in self.workload.app_nodes

@@ -6,18 +6,24 @@ priority (the task's end-to-end deadline — EDMS).  The F/I component has
 an extra "Trigger" event source that initiates the next subtask; the Last
 Subtask component instead records job completion.  Both call the local IR
 component's "Complete" facet when a subjob finishes.
+
+A Trigger goes to ``TOPIC_TRIGGER`` on the node the job's assignment
+names for the next stage.  Each application node has one route for that
+topic (:func:`bind_trigger_routes`), which finds the stage the Trigger
+names as the task effector finds stage 0: by ``(task, stage, node)`` in
+``RuntimeEnv.subtask_instances``.  A replica subscribes nothing itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.ccm.component import AttributeSpec, Component
-from repro.ccm.events import TriggerEvent, trigger_topic
-from repro.ccm.ports import EventSinkPort, EventSourcePort, Facet, Receptacle
+from repro.ccm.events import TOPIC_TRIGGER, TriggerEvent
+from repro.ccm.ports import EventSourcePort, Facet
 from repro.core.runtime import RuntimeEnv
 from repro.cpu.thread import WorkItem
-from repro.errors import ComponentError
+from repro.errors import ComponentError, PortError, SimulationError
 from repro.sched.task import Job, JobStatus
 
 
@@ -55,26 +61,27 @@ class _SubtaskComponentBase(Component):
         super().__init__(name)
         self.env = env
         self._thread = None
-        self._complete_port = Receptacle(self, "ir_complete")
+        #: The local IR's "Complete" facet: the plan's ``ir_complete``
+        #: connection, held without a receptacle object per replica.
+        self._ir_complete: Optional[Facet] = None
         self.subjobs_executed = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def connect_ir(self, facet: Facet) -> None:
-        """Wire the receptacle for Complete calls on the local IR."""
-        self._complete_port.connect(facet)
+        """Connect the local IR's "Complete" facet."""
+        if self._ir_complete is not None:
+            raise PortError(f"IR link of {self.name!r} already connected")
+        self._ir_complete = facet
 
     def on_activate(self) -> None:
-        task_id = self.get_attribute("task_id")
-        index = self.get_attribute("subtask_index")
+        attributes = self._attributes
         self._thread = self.processor.new_thread(
-            f"{self.name}.dispatch", self.get_attribute("priority")
+            f"{self.name}.dispatch", attributes["priority"]
         )
-        if index > 0:
-            sink = EventSinkPort(self, "trigger_in", self._on_trigger)
-            sink.subscribe(trigger_topic(task_id, index))
-        self.env.subtask_instances[(task_id, index, self.node)] = self
+        key = (attributes["task_id"], attributes["subtask_index"], self.node)
+        self.env.subtask_instances[key] = self
 
     # ------------------------------------------------------------------
     # Subjob execution
@@ -95,9 +102,6 @@ class _SubtaskComponentBase(Component):
             self._thread, WorkItem(cost, self._subjob_finished, (job, assignment))
         )
 
-    def _on_trigger(self, event: TriggerEvent) -> None:
-        self.release(event.job, event.assignment)
-
     def _subjob_finished(self, payload) -> None:
         job, assignment = payload
         now = self.sim.now
@@ -114,8 +118,9 @@ class _SubtaskComponentBase(Component):
                 job=job.index,
                 stage=index,
             )
-        if self._complete_port.connected and attributes["ir_mode"] != "N":
-            self._complete_port().complete(job, index)
+        ir_complete = self._ir_complete
+        if ir_complete is not None and attributes["ir_mode"] != "N":
+            ir_complete.obj.complete(job, index)
         self._after_subjob(job, assignment, index)
 
     def _after_subjob(self, job: Job, assignment: Dict[int, str], index: int) -> None:
@@ -130,24 +135,15 @@ class FISubtaskComponent(_SubtaskComponentBase):
     def __init__(self, name: str, env: RuntimeEnv) -> None:
         super().__init__(name, env)
         self._trigger_out: Optional[EventSourcePort] = None
-        #: The successor stage's topic, formatted once at activation.
-        self._next_topic = ""
 
     def on_install(self, container) -> None:
         self._trigger_out = EventSourcePort(self, "trigger_out")
-
-    def on_activate(self) -> None:
-        super().on_activate()
-        attributes = self._attributes
-        self._next_topic = trigger_topic(
-            attributes["task_id"], attributes["subtask_index"] + 1
-        )
 
     def _after_subjob(self, job: Job, assignment: Dict[int, str], index: int) -> None:
         next_index = index + 1
         self._trigger_out.push(
             assignment[next_index],
-            self._next_topic,
+            TOPIC_TRIGGER,
             TriggerEvent(job=job, next_index=next_index, assignment=assignment),
         )
 
@@ -170,3 +166,40 @@ class LastSubtaskComponent(_SubtaskComponentBase):
                 job=job.index,
                 response=job.response_time,
             )
+
+
+def bind_trigger_routes(env: RuntimeEnv) -> None:
+    """Subscribe one ``TOPIC_TRIGGER`` route on each application node.
+
+    A deployment binds one route per node however many replicas it
+    installs: the route finds the stage a Trigger names when the Trigger
+    arrives (:func:`_trigger_route`).
+    """
+    for node in env.app_nodes:
+        env.federation.subscribe(
+            node, TOPIC_TRIGGER, _trigger_route(env.subtask_instances, node)
+        )
+
+
+def _trigger_route(
+    instances: Dict[Tuple[str, int, str], _SubtaskComponentBase], node: str
+) -> Callable[[TriggerEvent], None]:
+    """The handler of ``node``'s Trigger route: release the stage the
+    Trigger names, found by ``(task, stage, node)`` in ``instances``.
+
+    A Trigger for a stage not deployed on ``node`` raises
+    :class:`SimulationError` naming the task, the stage and the node.
+    """
+
+    def deliver(event: TriggerEvent) -> None:
+        job = event.job
+        try:
+            stage = instances[job.task.task_id, event.next_index, node]
+        except KeyError:
+            raise SimulationError(
+                f"Trigger for task {job.task.task_id!r} stage "
+                f"{event.next_index}: no stage deployed on node {node!r}"
+            ) from None
+        stage.release(job, event.assignment)
+
+    return deliver

@@ -3,11 +3,12 @@
 The :class:`FaultInjector` is the single point where chaos disturbances
 (:class:`~repro.api.scenario.NodeCrash`, ``Partition``, ``DelaySpike``,
 ``MessageLoss``) touch the message layer.  :meth:`Network.send
-<repro.net.network.Network.send>` consults it for every *remote* send and
-either suppresses the message (crash / partition / loss) or stretches its
-sampled delay (spike).  Local deliveries (source == destination) never
-traverse the injector, matching the paper's local event channel that
-bypasses the gateway.
+<repro.net.network.Network.send>` consults it for every send and either
+suppresses the message (crash / partition / loss) or stretches its
+sampled delay (spike).  Every send is remote: a push to a consumer on its
+own node is the federation's direct call, as the paper's local event
+channel bypasses the gateway, and never reaches the network or the
+injector.
 
 Determinism contract
 --------------------

@@ -52,7 +52,7 @@ class Network:
         #: One-way delay samples, for the Figure 8 "communication delay" row.
         self.delay_stats = StatSeries()
         self.messages_sent = 0
-        #: Chaos layer: consulted on every remote send when installed and
+        #: Chaos layer: consulted on every send when installed and
         #: armed (see repro.net.fault).  None on ordinary runs.
         self.fault_injector: Optional[FaultInjector] = None
 
@@ -98,40 +98,38 @@ class Network:
         payload: Any,
         on_deliver: Callable[[Any], None],
     ) -> None:
-        """Send ``payload`` from ``source`` to ``destination``.
+        """Send ``payload`` from ``source`` to another node, ``destination``.
 
-        ``on_deliver(payload)`` fires after the sampled one-way delay.
-        Sending to the local node delivers after zero delay (the paper's
-        local event channel does not traverse the gateway) and never
-        consults the fault injector.
+        ``on_deliver(payload)`` fires after the sampled one-way delay.  A
+        send from a node to itself raises :class:`SimulationError`: a
+        message always crosses the network.
 
-        With an armed fault injector installed, a remote send inside a
+        With an armed fault injector installed, a send inside a
         crash/partition/loss window is *suppressed*: it still counts in
         ``messages_sent`` (the sender paid for it) but samples no delay,
         records no delay statistic, and never delivers.  An idle
-        injector (``armed`` is a plain ``False`` attribute) costs a
-        remote send two attribute loads and a truth test.
+        injector (``armed`` is a plain ``False`` attribute) costs a send
+        two attribute loads and a truth test.
         """
         nodes = self._nodes
         if source not in nodes or destination not in nodes:
             self._check(source)
             self._check(destination)
+        if source == destination:
+            raise SimulationError(f"node {source!r} cannot send a message to itself")
         sim = self.sim
         now = sim.now
-        if source == destination:
-            delay = 0.0
+        injector = self.fault_injector
+        if injector is not None and injector.armed:
+            cause, factor = injector.on_send(source, destination, now)
+            if cause is not None:
+                self.messages_sent += 1
+                return
+            delay = self._model_for(source, destination).sample(self.rng)
+            delay *= factor
         else:
-            injector = self.fault_injector
-            if injector is not None and injector.armed:
-                cause, factor = injector.on_send(source, destination, now)
-                if cause is not None:
-                    self.messages_sent += 1
-                    return
-                delay = self._model_for(source, destination).sample(self.rng)
-                delay *= factor
-            else:
-                delay = self._model_for(source, destination).sample(self.rng)
-            self.delay_stats.add(delay)
+            delay = self._model_for(source, destination).sample(self.rng)
+        self.delay_stats.add(delay)
         self.messages_sent += 1
         sim.schedule_at(
             now + delay, on_deliver, payload, priority=_DELIVERY_EVENT_PRIORITY

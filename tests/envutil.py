@@ -3,7 +3,9 @@
 ``make_env`` wires the full infrastructure (sim, network, federation,
 processors, containers) for a given node list without deploying any
 components, so tests can install and probe individual service components
-in isolation.
+in isolation.  Like a deployment, it binds each application node's one
+Trigger route, so subtask components installed by hand trigger each
+other.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from repro.ccm.container import Container
 from repro.core.cost_model import CostModel
 from repro.core.runtime import RuntimeEnv
 from repro.core.strategies import StrategyCombo
+from repro.core.subtask import bind_trigger_routes
 from repro.cpu.processor import Processor
 from repro.metrics.overhead import OverheadAccounting
 from repro.metrics.ratio import MetricsCollector
@@ -55,4 +58,5 @@ def make_env(
         manager_node=manager,
         app_nodes=list(app_nodes),
     )
+    bind_trigger_routes(env)
     return env, containers

@@ -11,14 +11,21 @@ from repro.ccm.events import (
     TOPIC_IDLE_RESETTING,
     TOPIC_REJECT,
     TOPIC_TASK_ARRIVE,
+    TOPIC_TRIGGER,
     TaskArriveEvent,
+    TriggerEvent,
 )
 from repro.core.admission_controller import AUB_REJECT, AdmissionControllerComponent
 from repro.core.idle_resetter import IdleResetterComponent
 from repro.core.load_balancer import LoadBalancerComponent
 from repro.core.subtask import FISubtaskComponent, LastSubtaskComponent
 from repro.core.task_effector import TaskEffectorComponent
-from repro.errors import AttributeConfigError, ComponentError
+from repro.errors import (
+    AttributeConfigError,
+    ComponentError,
+    PortError,
+    SimulationError,
+)
 from repro.sched.aub import RESERVED
 from repro.sched.task import Job, TaskKind
 
@@ -450,6 +457,16 @@ class TestSubtaskComponents:
         assert ir.completions_recorded == 1
         assert [report.entries for report in reports] == [(("T", 0, 0),)]
 
+    def test_ir_link_connects_once(self):
+        env, containers = make_env(combo_label="J_J_N")
+        ir = install_ir(env, containers, strategy="J")
+        task = make_task("T", TaskKind.PERIODIC, deadline=1.0, execs=(0.1,))
+        comp = install_subtask(
+            env, containers, task, 0, "app1", is_last=True, ir=ir
+        )
+        with pytest.raises(PortError):
+            comp.connect_ir(ir.provide_complete_facet())
+
     def test_ir_mode_none_suppresses_notification(self):
         env, containers = make_env(combo_label="J_N_N")
         ir = install_ir(env, containers, strategy="N")
@@ -471,3 +488,68 @@ class TestSubtaskComponents:
             comp.set_attribute("subtask_index", -2)
         with pytest.raises(AttributeConfigError):
             comp.set_attribute("ir_mode", "X")
+
+
+
+# ----------------------------------------------------------------------
+# The Trigger route: one per node, finding the stage by (task, stage, node)
+# ----------------------------------------------------------------------
+class TestTriggerRoute:
+    def two_stage(self, delay=0.001):
+        env, containers = make_env(combo_label="J_N_N", delay=delay)
+        task = make_task(
+            "T", TaskKind.APERIODIC, deadline=1.0, execs=(0.1, 0.1),
+            homes=("app1", "app2"), replicas=[(), ("app1",)],
+        )
+        stages = {
+            node: install_subtask(env, containers, task, 1, node, is_last=True)
+            for node in ("app1", "app2")
+        }
+        released = []
+        for node, stage in stages.items():
+            stage.release = (
+                lambda job, assignment, node=node:
+                released.append((node, job.index, env.sim.now))
+            )
+        return env, task, released
+
+    def test_local_trigger_reaches_its_stage_synchronously(self):
+        env, task, released = self.two_stage()
+        job = Job(task, 0, 0.0, "app1")
+        env.federation.send(
+            "app1", "app1", TOPIC_TRIGGER, TriggerEvent(job, 1, {0: "app1", 1: "app1"})
+        )
+        assert released == [("app1", 0, 0.0)]
+        assert env.network.messages_sent == 0
+
+    def test_remote_trigger_arrives_after_the_delay_at_delivery_priority(self):
+        env, task, released = self.two_stage(delay=0.003)
+        sim = env.sim
+        job = Job(task, 0, 0.0, "app1")
+        at = 0.25 + 0.003
+        # At the same instant, priority 74 and an earlier-scheduled 75 fire
+        # before the delivery and 76 after it: the delivery runs at 75.
+        for priority in (74, 75, 76):
+            sim.schedule_at(at, released.append, priority, priority=priority)
+        sim.schedule_at(
+            0.25, env.federation.send, "app1", "app2", TOPIC_TRIGGER,
+            TriggerEvent(job, 1, {0: "app1", 1: "app2"}),
+        )
+        sim.run()
+        assert released == [74, 75, ("app2", 0, at), 76]
+        assert env.network.delay_stats.count == 1
+
+    @pytest.mark.parametrize("source", ["app2", "app1"], ids=["local", "remote"])
+    def test_trigger_for_a_stage_not_on_its_node_raises(self, source):
+        env, containers = make_env(combo_label="J_N_N")
+        task = make_task(
+            "T", TaskKind.APERIODIC, deadline=1.0, execs=(0.1, 0.1),
+            homes=("app1", "app1"),
+        )
+        install_subtask(env, containers, task, 1, "app1", is_last=True)
+        job = Job(task, 0, 0.0, "app1")
+        with pytest.raises(SimulationError, match="task 'T' stage 1.*node 'app2'"):
+            env.federation.send(
+                source, "app2", TOPIC_TRIGGER, TriggerEvent(job, 1, {1: "app2"})
+            )
+            env.sim.run()

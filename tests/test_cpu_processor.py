@@ -3,11 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.processor import Processor
 from repro.cpu.thread import DispatchThread, WorkItem
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
+
+from tests.processor_oracle import ReschedulingProcessor
 
 
 def make_cpu():
@@ -246,3 +250,67 @@ def test_work_item_timestamps():
     sim.run()
     assert first.enqueued_at == 0.0 and first.started_at == 0.0
     assert second.enqueued_at == 0.0 and second.started_at == 2.0
+
+
+# ----------------------------------------------------------------------
+# The submission fast paths decide as the always-rescheduling processor
+# ----------------------------------------------------------------------
+#: Few distinct values, so that priorities tie and events coincide.
+_PRIORITIES = st.sampled_from([1.0, 2.0, 3.0, math.inf])
+_TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.5])
+_COSTS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+
+#: A work item: (thread index, cost, the items its completion submits).
+_ITEMS = st.recursive(
+    st.tuples(st.integers(0, 3), _COSTS, st.just(())),
+    lambda children: st.tuples(
+        st.integers(0, 3), _COSTS, st.lists(children, max_size=3).map(tuple)
+    ),
+    max_leaves=8,
+)
+
+
+def _run_script(cls, priorities, arrivals, speeds):
+    """Run one submission script on a fresh ``cls`` processor; return the
+    completion log (idle transitions included), utilization and count."""
+    sim = Simulator()
+    cpu = cls(sim, "p")
+    threads = [cpu.new_thread(f"t{i}", p) for i, p in enumerate(priorities)]
+    log = []
+    cpu.on_idle(lambda now: log.append(("idle", now)))
+
+    def submit(label, spec):
+        index, cost, children = spec
+
+        def done(_payload):
+            log.append((label, sim.now))
+            for k, child in enumerate(children):
+                submit(f"{label}.{k}", child)
+
+        cpu.submit(threads[index % len(threads)], WorkItem(cost, done))
+
+    for n, (time, spec) in enumerate(arrivals):
+        sim.schedule_at(time, submit, str(n), spec)
+    for time, speed in speeds:
+        sim.schedule_at(time, cpu.set_speed, speed)
+    sim.run()
+    return log, cpu.utilization(), cpu.items_completed
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_PRIORITIES, min_size=1, max_size=4),
+    st.lists(st.tuples(_TIMES, _ITEMS), min_size=1, max_size=8),
+    st.lists(st.tuples(_TIMES, st.sampled_from([0.5, 1.0, 2.0, 3.0])), max_size=3),
+)
+def test_submission_fast_paths_match_the_rescheduling_processor(
+    priorities, arrivals, speeds
+):
+    """Random submissions, from outside and from completion callbacks,
+    across speed changes: bit-identical completion order, completion and
+    idle times, utilization and item count."""
+    expected = _run_script(ReschedulingProcessor, priorities, arrivals, speeds)
+    assert _run_script(Processor, priorities, arrivals, speeds) == expected
+    assert expected[2] == len(expected[0]) - sum(
+        1 for label, _time in expected[0] if label == "idle"
+    )

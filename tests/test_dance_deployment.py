@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ccm.events import TOPIC_TRIGGER, TriggerEvent
 from repro.ccm.ports import Receptacle
 from repro.config.characteristics import ApplicationCharacteristics
 from repro.config.dance import deploy_plan
@@ -32,6 +33,7 @@ from repro.config.workload_spec import (
 from repro.config.xml_io import parse_xml, to_xml
 from repro.core.admission_controller import AdmissionControllerComponent
 from repro.core.cost_model import CostModel
+from repro.core.distributed_ac import DistributedMiddlewareSystem
 from repro.core.idle_resetter import IdleResetterComponent
 from repro.core.load_balancer import LoadBalancerComponent
 from repro.core.middleware import MiddlewareSystem
@@ -40,6 +42,7 @@ from repro.core.subtask import FISubtaskComponent, LastSubtaskComponent
 from repro.core.task_effector import TaskEffectorComponent
 from repro.errors import ConfigurationError, WorkloadSpecError
 from repro.net.latency import ConstantDelay
+from repro.sched.task import Job
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
 
 from tests.jsonutil import json_paths, mutate
@@ -171,6 +174,14 @@ class TestPlanDescribesAssembly:
             for port in vars(component).values()
             if isinstance(port, Receptacle) and port.connected
         }
+        # A subtask holds its IR link as the connected facet itself.
+        stages = [
+            component for component in installed.values()
+            if isinstance(component, (FISubtaskComponent, LastSubtaskComponent))
+        ]
+        for stage in stages:
+            link = stage._ir_complete
+            wired.add((stage.name, "ir_complete", link.owner.name, link.name))
         facets = {
             (c.source_instance, c.source_port, c.target_instance, c.target_port)
             for c in plan.connections
@@ -181,7 +192,75 @@ class TestPlanDescribesAssembly:
             i for i in plan.instances
             if i.implementation in (IMPL_FI_SUBTASK, IMPL_LAST_SUBTASK)
         ]
+        assert len(stages) == len(subtasks)
         assert len(facets) == len(subtasks) + (2 if system.lb else 0)
+
+    @pytest.mark.parametrize(
+        "combo", valid_combinations(), ids=lambda combo: combo.label
+    )
+    def test_every_event_connection_can_be_delivered(self, workload, combo):
+        """A Trigger connection's target is reached through its node's one
+        Trigger route; every other connection's topic is a route on the
+        target's node."""
+        plan = build_deployment_plan(workload, combo)
+        system = MiddlewareSystem(workload, combo)
+        routes = system.federation._routes
+        reached = []
+        for stage in system.env.subtask_instances.values():
+            stage.release = lambda job, assignment, name=stage.name: reached.append(name)
+        nodes = {inst.instance_id: inst.node for inst in plan.instances}
+        triggers = 0
+        for connection in plan.connections:
+            if connection.kind != "event":
+                continue
+            node = nodes[connection.target_instance]
+            if not connection.target_port.startswith(TOPIC_TRIGGER + "/"):
+                assert (node, connection.target_port) in routes, connection.name
+                continue
+            target = plan.instance(connection.target_instance).property_dict()
+            task = system.env.tasks[target["task_id"]]
+            index = target["subtask_index"]
+            reached.clear()
+            system.federation.send(
+                nodes[connection.source_instance],
+                node,
+                TOPIC_TRIGGER,
+                TriggerEvent(Job(task, 0, 0.0, task.subtasks[0].home), index, {index: node}),
+            )
+            system.sim.run()
+            assert reached == [connection.target_instance], connection.name
+            triggers += 1
+        assert triggers > 0
+
+
+class TestTriggerRoutesPerNode:
+    """A deployment binds one Trigger route per application node, on both
+    engines, however many replicas each stage has."""
+
+    @pytest.mark.parametrize("replicas", [0, 1, 3])
+    @pytest.mark.parametrize("engine", ["centralized", "distributed"])
+    def test_one_trigger_route_per_application_node(self, engine, replicas):
+        workload = generate_random_workload(
+            random.Random(5),
+            RandomWorkloadParams(
+                n_periodic=4, n_aperiodic=4, n_processors=4,
+                replicas_per_subtask=replicas,
+            ),
+        )
+        if engine == "centralized":
+            system = MiddlewareSystem(workload, StrategyCombo.from_label("J_J_T"))
+            deployed = sum(len(s.eligible) for t in workload.tasks for s in t.subtasks)
+        else:
+            system = DistributedMiddlewareSystem(workload)
+            deployed = sum(t.n_subtasks for t in workload.tasks)
+        assert len(system.env.subtask_instances) == deployed
+        trigger_routes = [
+            (node, topic) for node, topic in system.federation._routes
+            if topic.startswith(TOPIC_TRIGGER)
+        ]
+        assert sorted(trigger_routes) == [
+            (node, TOPIC_TRIGGER) for node in sorted(workload.app_nodes)
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -120,18 +120,21 @@ class TestNetwork:
         sim.run()
         assert got == [(0.001, "payload")]
 
-    def test_local_delivery_is_immediate(self):
+    def test_local_send_is_refused(self):
         sim, net = self.make()
         got = []
-        net.send("a", "a", 1, lambda p: got.append(sim.now))
+        with pytest.raises(SimulationError, match="'a' cannot send a message to itself"):
+            net.send("a", "a", 1, got.append)
         sim.run()
-        assert got == [0.0]
+        assert got == []
 
-    def test_local_delivery_not_counted_in_delay_stats(self):
+    def test_refused_local_send_leaves_no_trace(self):
         sim, net = self.make()
-        net.send("a", "a", 1, lambda p: None)
-        sim.run()
+        with pytest.raises(SimulationError):
+            net.send("a", "a", 1, lambda p: None)
+        assert net.messages_sent == 0
         assert net.delay_stats.count == 0
+        assert sim.pending_events == 0
 
     def test_remote_delay_recorded(self):
         sim, net = self.make()

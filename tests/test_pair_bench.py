@@ -2,6 +2,7 @@
 runs: no benchmark is run."""
 
 import importlib.util
+import json
 import statistics
 from pathlib import Path
 
@@ -116,3 +117,56 @@ def test_verdict_lines_name_every_metric_in_order():
 def test_verdict_rejects_an_unknown_direction():
     with pytest.raises(ValueError):
         pair_bench.verdict(PARENT, PARENT, {**JOBS, "better": "sideways"})
+
+
+def test_identical_digest_pairs_compare_each_pair_cell_for_cell():
+    digests = {
+        "parent": [["a", "b"], ["a", "b"], ["a", "b"]],
+        "change": [["a", "b"], ["a", "x"], ["a"]],
+    }
+    assert pair_bench.identical_digest_pairs(digests) == 1
+
+
+#: A stand-in for ``bench_e2e/run.py``: it reports fixed metrics and
+#: writes the checkout's ``digests.json`` to ``--out DIR/result.json``.
+FAKE_RUN = '''
+import json, sys
+from pathlib import Path
+out = Path(sys.argv[sys.argv.index("--out") + 1])
+digests = json.loads(Path("digests.json").read_text())
+(out / "result.json").write_text(json.dumps({"digests": digests}))
+print(json.dumps({"correct": True, "metrics": {
+    "jobs_per_s": {"value": 100.0, "unit": "jobs/s"},
+    "wall_s": {"value": 1.0, "unit": "s"},
+}}))
+'''
+
+
+def fake_checkout(root, name, digests):
+    checkout = root / name
+    (checkout / "bench_e2e").mkdir(parents=True)
+    (checkout / "bench_e2e" / "run.py").write_text(FAKE_RUN)
+    (checkout / "digests.json").write_text(json.dumps(digests))
+    (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [JOBS, WALL]}))
+    return checkout
+
+
+@pytest.mark.parametrize(
+    "change_digests, identical", [(["d0", "d1"], 2), (["d0", "dX"], 0)]
+)
+def test_main_reports_the_pairs_with_identical_digests(
+    tmp_path, capsys, change_digests, identical
+):
+    parent = fake_checkout(tmp_path, "parent", ["d0", "d1"])
+    change = fake_checkout(tmp_path, "change", change_digests)
+    status = pair_bench.main([
+        "--parent", str(parent), "--change", str(change),
+        "--workload", "w", "--seconds", "0", "--pairs", "2",
+    ])
+    lines = capsys.readouterr().out.strip().splitlines()
+    # Different digests do not change the exit status.
+    assert status == 0
+    assert f"digests: identical in {identical}/2 pairs" in lines
+    block = json.loads(lines[-1])
+    assert block["identical_digest_pairs"] == identical
+    assert block["pairs"] == 2

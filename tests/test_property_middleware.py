@@ -189,3 +189,61 @@ def test_guarantee_generated_sources(
             arrival_batching=batching,
         )
     )
+
+
+# ----------------------------------------------------------------------
+# Triggers reach the stage the assignment names, on both engines
+# ----------------------------------------------------------------------
+def assert_stages_ran_where_assigned(scenario):
+    """Every completed job ran each stage ``i`` on the component deployed
+    at ``(task, i, assignment[i])``, and no component ran anything else."""
+    session = Session(scenario)
+    system = session.deploy()
+    completed = []
+    on_completion = system.metrics.on_completion
+
+    def record(job):
+        completed.append(job)
+        on_completion(job)
+
+    system.metrics.on_completion = record
+    result = session.run()
+    assert len(completed) == result.completed_jobs == result.released_jobs
+    expected = dict.fromkeys(system.env.subtask_instances, 0)
+    for job in completed:
+        task_id = job.task.task_id
+        assert sorted(job.subjob_finish_times) == sorted(job.assignment)
+        for index, node in job.assignment.items():
+            expected[task_id, index, node] += 1
+    ran = {
+        key: stage.subjobs_executed
+        for key, stage in system.env.subtask_instances.items()
+    }
+    assert ran == expected
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    small_workloads(),
+    st.sampled_from(COMBO_LABELS + ["distributed"]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=100),
+)
+def test_triggers_reach_the_assigned_stage(workload, combo, batching, seed):
+    engine = "middleware"
+    if combo == "distributed":
+        engine, combo, batching = "distributed", "J_N_N", False
+    assert_stages_ran_where_assigned(
+        Scenario(
+            workload=WorkloadSource.explicit(workload),
+            engine=engine,
+            combo=combo,
+            duration=8.0,
+            seed=seed,
+            arrival_batching=batching,
+        )
+    )

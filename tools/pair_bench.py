@@ -19,6 +19,13 @@ better by the metric's ``better`` direction (a tie counts for neither).
 Before it, one line per metric gives its verdict (:func:`verdict`):
 ``gain``, ``worse``, ``unresolved`` or ``within bound``.
 
+Each run also writes its ``result.json`` (``--out``) into a temporary
+directory, and the tool compares both sides' per-cell ``digests`` pair
+by pair: one line says in how many pairs they were identical, and the
+JSON block holds that count as ``identical_digest_pairs``.  At a seed
+without committed reference digests this is what shows that the change
+still simulates the same thing.
+
 Exit status: 0 every run reported ``"correct": true``, 1 some run did
 not, 2 a run's output was unreadable.  Standard library only.
 """
@@ -30,8 +37,9 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: The two checkouts, in the order an even pair runs them.
 SIDES = ("parent", "change")
@@ -128,22 +136,32 @@ def end_to_end_block(
     return block
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, Any]:
-    """One benchmark run in ``checkout``; the report of its last line."""
-    command = [
-        sys.executable, "bench_e2e/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds),
-    ]
-    completed = subprocess.run(
-        command, cwd=checkout, capture_output=True, text=True, check=False
-    )
-    lines = completed.stdout.strip().splitlines()
-    if completed.returncode != 0 or not lines:
-        raise ValueError(
-            f"{checkout}: exit {completed.returncode}: {completed.stderr[-2000:]}"
+def identical_digest_pairs(digests: Dict[str, List[List[str]]]) -> int:
+    """Pairs in which both sides' per-cell digests were identical."""
+    return sum(p == c for p, c in zip(digests["parent"], digests["change"]))
+
+
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float
+) -> Tuple[Dict[str, Any], List[str]]:
+    """One benchmark run in ``checkout``: the report of its last line and
+    the per-cell digests of its ``result.json``."""
+    with tempfile.TemporaryDirectory() as out:
+        command = [
+            sys.executable, "bench_e2e/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--out", out,
+        ]
+        completed = subprocess.run(
+            command, cwd=checkout, capture_output=True, text=True, check=False
         )
-    report: Dict[str, Any] = json.loads(lines[-1])
-    return report
+        lines = completed.stdout.strip().splitlines()
+        if completed.returncode != 0 or not lines:
+            raise ValueError(
+                f"{checkout}: exit {completed.returncode}: {completed.stderr[-2000:]}"
+            )
+        report: Dict[str, Any] = json.loads(lines[-1])
+        result = json.loads((Path(out) / "result.json").read_text())
+    return report, list(result["digests"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -160,29 +178,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     checkouts = {"parent": args.parent, "change": args.change}
     runs: Dict[str, List[Dict[str, float]]] = {side: [] for side in SIDES}
+    digests: Dict[str, List[List[str]]] = {side: [] for side in SIDES}
     all_correct = True
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             try:
-                report = run_once(
+                report, cells = run_once(
                     checkouts[side], args.workload, args.seed, args.seconds
                 )
                 values = {
                     m["name"]: float(report["metrics"][m["name"]]["value"])
                     for m in metrics
                 }
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OSError) as exc:
                 print(f"pair_bench: unreadable run: {exc}", file=sys.stderr)
                 return 2
             correct = report.get("correct") is True
             all_correct = all_correct and correct
             runs[side].append(values)
+            digests[side].append(cells)
             shown = " ".join(f"{name}={value:.6g}" for name, value in values.items())
             print(f"pair {pair} {side:6s} correct={correct} {shown}", flush=True)
     for line in verdict_lines(runs, metrics):
         print(line)
-    print(json.dumps(end_to_end_block(runs, metrics)))
+    same = identical_digest_pairs(digests)
+    print(f"digests: identical in {same}/{args.pairs} pairs")
+    block = end_to_end_block(runs, metrics)
+    block["identical_digest_pairs"] = same
+    print(json.dumps(block))
     return 0 if all_correct else 1
 
 
