@@ -12,7 +12,7 @@ bottleneck.
 
 import os
 
-from repro.api import ExperimentSuite, Scenario
+from repro.api import ExperimentSuite, Scenario, WorkloadSource
 from repro.experiments.report import format_table
 
 DURATION = float(os.environ.get("REPRO_EXAMPLE_DURATION", "90.0"))
@@ -22,22 +22,14 @@ SEEDS = range(4)
 def main() -> None:
     cells = []
     for seed in SEEDS:
-        base = (
-            Scenario.builder()
-            .random_workload(seed=300 + seed, stream="wl")
-            .combo("J_N_N")
-            .duration(DURATION)
-            .seed(seed)
+        central = Scenario(
+            workload=WorkloadSource.random(seed=300 + seed, stream="wl"),
+            combo="J_N_N",
+            duration=DURATION,
+            seed=seed,
         )
-        cells.append(base.build())
-        cells.append(
-            Scenario.builder()
-            .random_workload(seed=300 + seed, stream="wl")
-            .distributed()
-            .duration(DURATION)
-            .seed(seed)
-            .build()
-        )
+        cells.append(central)
+        cells.append(central.with_changes(engine="distributed"))
     suite = ExperimentSuite(name="central-vs-distributed", cells=tuple(cells))
     outcomes = iter(suite.run_results())
 

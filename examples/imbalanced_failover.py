@@ -17,7 +17,7 @@ raises the accepted utilization ratio.
 import os
 import random
 
-from repro.api import ExperimentSuite, Scenario
+from repro.api import ExperimentSuite, Scenario, WorkloadSource
 from repro.experiments.report import bar_chart, format_table
 from repro.workloads.imbalanced import generate_imbalanced_workload
 
@@ -34,13 +34,13 @@ def main() -> None:
     suite = ExperimentSuite(
         name="valve-blockage",
         cells=tuple(
-            Scenario.builder()
-            .workload(workload)
-            .combo(label)
-            .duration(DURATION)
-            .seed(7)
-            .interarrival_factor(1.5)
-            .build()
+            Scenario(
+                workload=WorkloadSource.explicit(workload),
+                combo=label,
+                duration=DURATION,
+                seed=7,
+                aperiodic_interarrival_factor=1.5,
+            )
             for label in ("J_J_N", "J_J_T", "J_J_J")
         ),
     )

@@ -3,9 +3,9 @@
 
 Two application processors host a periodic sensor-processing chain and an
 aperiodic operator-command task.  The run is described declaratively: a
-frozen, JSON-serializable :class:`repro.api.Scenario` built with the
-fluent builder, deployed and executed by a :class:`repro.api.Session`,
-returning a typed :class:`RunResult`.  The middleware is configured
+frozen, JSON-serializable :class:`repro.api.Scenario`, deployed and
+executed by a :class:`repro.api.Session`, returning a typed
+:class:`RunResult`.  The middleware is configured
 J_J_T: per-job admission control, per-job idle resetting, per-task load
 balancing.
 """
@@ -13,7 +13,7 @@ balancing.
 import os
 
 from repro import SubtaskSpec, TaskKind, TaskSpec, Workload
-from repro.api import Scenario, Session
+from repro.api import Scenario, Session, WorkloadSource
 
 DURATION = float(os.environ.get("REPRO_EXAMPLE_DURATION", "60.0"))
 
@@ -43,14 +43,12 @@ def main() -> None:
         tasks=(sensor_chain, operator_cmd), app_nodes=("app1", "app2")
     )
 
-    scenario = (
-        Scenario.builder()
-        .workload(workload)
-        .combo("J_J_T")
-        .duration(DURATION)
-        .seed(42)
-        .label("quickstart")
-        .build()
+    scenario = Scenario(
+        workload=WorkloadSource.explicit(workload),
+        combo="J_J_T",
+        duration=DURATION,
+        seed=42,
+        label="quickstart",
     )
     # Scenarios round-trip through JSON — export one, run it anywhere:
     #   python -m repro scenario run quickstart.json

@@ -13,7 +13,7 @@ by the shared parallel runner.
 import os
 
 from repro import valid_combinations
-from repro.api import ExperimentSuite, Scenario
+from repro.api import ExperimentSuite, Scenario, WorkloadSource
 from repro.experiments.report import bar_chart, format_table
 
 DURATION = float(os.environ.get("REPRO_EXAMPLE_DURATION", "90.0"))
@@ -23,12 +23,12 @@ def main() -> None:
     suite = ExperimentSuite(
         name="strategy-explorer",
         cells=tuple(
-            Scenario.builder()
-            .random_workload(seed=11, stream="wl")
-            .combo(combo)
-            .duration(DURATION)
-            .seed(3)
-            .build()
+            Scenario(
+                workload=WorkloadSource.random(seed=11, stream="wl"),
+                combo=combo.label,
+                duration=DURATION,
+                seed=3,
+            )
             for combo in valid_combinations()
         ),
     )

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Trace a run and render per-processor execution timelines.
 
-Runs a small plant workload with tracing enabled (``.trace()`` on the
-scenario builder), then prints the first events chronologically, the full
+Runs a small plant workload with tracing enabled (``trace=True`` on the
+scenario), then prints the first events chronologically, the full
 history of one hazard-alert job, and an ASCII lane chart of the first two
 seconds — the kind of visibility the paper's authors got from KURT-Linux
 timestamp instrumentation.  The live system (and its tracer) stays
@@ -12,7 +12,7 @@ reachable through ``Session.system``.
 import os
 
 from repro import SubtaskSpec, TaskKind, TaskSpec, Workload
-from repro.api import Scenario, Session
+from repro.api import Scenario, Session, WorkloadSource
 from repro.sim.timeline import build_timeline, format_lanes, format_timeline
 
 DURATION = float(os.environ.get("REPRO_EXAMPLE_DURATION", "10.0"))
@@ -40,14 +40,12 @@ def main() -> None:
     )
     workload = Workload(tasks=(scan, alert), app_nodes=("floor1", "floor2"))
 
-    scenario = (
-        Scenario.builder()
-        .workload(workload)
-        .combo("J_J_T")
-        .duration(DURATION)
-        .seed(5)
-        .trace()
-        .build()
+    scenario = Scenario(
+        workload=WorkloadSource.explicit(workload),
+        combo="J_J_T",
+        duration=DURATION,
+        seed=5,
+        trace=True,
     )
     session = Session(scenario)
     result = session.run()

@@ -6,21 +6,17 @@ Systems with Aperiodic Events" (WUCSE-2008-5 / ICDCS 2008).
 
 Quickstart — the ``repro.api`` declarative surface
 --------------------------------------------------
->>> from repro.api import Scenario, Session
->>> scenario = (
-...     Scenario.builder()
-...     .random_workload(seed=1)
-...     .combo("J_J_J")
-...     .duration(20.0)
-...     .build()
+>>> from repro.api import Scenario, Session, WorkloadSource
+>>> scenario = Scenario(
+...     workload=WorkloadSource.random(seed=1), combo="J_J_J", duration=20.0
 ... )
 >>> result = Session(scenario).run()
 >>> 0.0 <= result.accepted_utilization_ratio <= 1.0
 True
 
 Scenarios are frozen, validated, and JSON-round-trip serializable
-(``scenario.to_json_str()``), strategies resolve by name through
-``repro.api.default_registry()``, and grids of scenarios fan out over
+(``scenario.to_json_str()``), strategy combos resolve by name through
+``repro.api.resolve_combo()``, and grids of scenarios fan out over
 all cores via ``repro.api.ExperimentSuite`` with bit-identical results
 for any worker count.
 
@@ -38,7 +34,7 @@ from repro.api import (
     Scenario,
     Session,
     WorkloadSource,
-    default_registry,
+    resolve_combo,
     run_scenario,
 )
 from repro.core.cost_model import CostModel
@@ -63,7 +59,7 @@ __all__ = [
     "RunResult",
     "ExperimentSuite",
     "WorkloadSource",
-    "default_registry",
+    "resolve_combo",
     "run_scenario",
     # Building blocks
     "CostModel",

@@ -1,24 +1,22 @@
 """repro.api — the single public surface for building and running deployments.
 
-Build a :class:`Scenario` (declaratively, or with the fluent builder),
-hand it to a :class:`Session`, get a typed :class:`RunResult` back::
+Build a :class:`Scenario`, hand it to a :class:`Session`, get a typed
+:class:`RunResult` back::
 
-    from repro.api import Scenario, Session
+    from repro.api import Scenario, Session, WorkloadSource
 
-    scenario = (
-        Scenario.builder()
-        .random_workload(seed=2008)
-        .combo("J_J_J")
-        .duration(60.0)
-        .seed(7)
-        .build()
+    scenario = Scenario(
+        workload=WorkloadSource.random(seed=2008),
+        combo="J_J_J",
+        duration=60.0,
+        seed=7,
     )
     result = Session(scenario).run()
     print(result.accepted_utilization_ratio)
 
 Scenarios are frozen, validated and JSON-round-trip serializable
-(``scenario.to_json_str()`` / ``Scenario.from_json_str``), strategies are
-resolved by name through the :func:`default_registry`, and grids of
+(``scenario.to_json_str()`` / ``Scenario.from_json_str``), strategy
+combos are resolved by name through :func:`resolve_combo`, and grids of
 scenarios fan out over all cores through :class:`ExperimentSuite` with
 results bit-identical to a serial run.
 
@@ -27,11 +25,10 @@ returns loosely-shaped results — see ``docs/API.md`` for how they map
 onto :class:`RunResult`.
 """
 
-from repro.api.registry import REGISTRY, StrategyRegistry, default_registry
+from repro.api.registry import resolve_combo
 from repro.api.scenario import (
     ENGINE_DISTRIBUTED,
     ENGINE_MIDDLEWARE,
-    ENGINE_REPLAY,
     Burst,
     DelaySpike,
     Disturbance,
@@ -39,7 +36,6 @@ from repro.api.scenario import (
     NodeCrash,
     Partition,
     Scenario,
-    ScenarioBuilder,
     Slowdown,
     WorkloadSource,
 )
@@ -59,7 +55,6 @@ from repro.api.suite import (
 
 __all__ = [
     "Scenario",
-    "ScenarioBuilder",
     "Session",
     "RunResult",
     "StatSnapshot",
@@ -81,10 +76,7 @@ __all__ = [
     "MappingCell",
     "combo_grid",
     "execute_cell",
-    "StrategyRegistry",
-    "default_registry",
-    "REGISTRY",
+    "resolve_combo",
     "ENGINE_MIDDLEWARE",
     "ENGINE_DISTRIBUTED",
-    "ENGINE_REPLAY",
 ]

@@ -1,19 +1,10 @@
-"""Strategy registry: AC/IR/LB combinations and admission policies by name.
+"""Strategy combos by name.
 
-The rest of the codebase historically imported strategy classes
-concretely (``StrategyCombo.from_label`` scattered over call sites,
-``DeferrableServerPolicy`` imported by the ablation).  The registry makes
-strategy selection a *data* decision: scenarios carry strategy **names**,
-and the registry resolves them at run time — which is what lets a JSON
-scenario file select any strategy without touching Python imports.
-
-Two namespaces are registered:
-
-* **combos** — the paper's 15 valid ``AC_IR_LB`` labels plus semantic
-  aliases (``default``, ``paper-best``, ``distributed``).
-* **policies** — analytic admission policies for trace replay: the AUB
-  core (``aub``) and the Deferrable Server baseline
-  (``deferrable_server``).
+Scenarios carry a combo **name**, and :func:`resolve_combo` turns it into
+a :class:`~repro.core.strategies.StrategyCombo` at run time — which is
+what lets a JSON scenario file select any strategy without touching
+Python imports.  The names are the paper's 15 valid ``AC_IR_LB`` labels
+plus three aliases (``default``, ``paper-best``, ``distributed``).
 
 Unknown names raise :class:`~repro.errors.ConfigurationError` listing
 what is available, so typos fail loudly instead of silently defaulting.
@@ -21,124 +12,33 @@ what is available, so typos fail loudly instead of silently defaulting.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Dict
 
 from repro.core.strategies import StrategyCombo, valid_combinations
 from repro.errors import ConfigurationError
 
-#: Factory signature: ``factory(nodes, **params) -> AdmissionPolicy``.
-PolicyFactory = Callable[..., object]
-
-
-class StrategyRegistry:
-    """Name -> strategy lookup for combos and replay admission policies."""
-
-    def __init__(self) -> None:
-        self._combos: Dict[str, StrategyCombo] = {}
-        self._policies: Dict[str, PolicyFactory] = {}
-
-    # ------------------------------------------------------------------
-    # Strategy combinations
-    # ------------------------------------------------------------------
-    def register_combo(
-        self, name: str, combo: StrategyCombo, overwrite: bool = False
-    ) -> None:
-        key = name.strip()
-        if not key:
-            raise ConfigurationError("combo name must be non-empty")
-        if key in self._combos and not overwrite:
-            raise ConfigurationError(f"combo {key!r} is already registered")
-        self._combos[key] = combo.validate()
-
-    def combo(self, name: str) -> StrategyCombo:
-        """Resolve a combo by registered name or raw ``AC_IR_LB`` label."""
-        if not isinstance(name, str):
-            raise ConfigurationError(
-                f"strategy combo must be a name string, got {type(name).__name__}"
-            )
-        key = name.strip()
-        if key in self._combos:
-            return self._combos[key]
-        normalized = key.upper()
-        if normalized in self._combos:
-            return self._combos[normalized]
-        try:
-            return StrategyCombo.from_label(key).validate()
-        except ConfigurationError:
-            raise ConfigurationError(
-                f"unknown strategy combo {name!r}; known names: "
-                f"{', '.join(self.combo_names())}"
-            ) from None
-
-    def combo_names(self) -> List[str]:
-        return sorted(self._combos)
-
-    # ------------------------------------------------------------------
-    # Replay admission policies
-    # ------------------------------------------------------------------
-    def register_policy(
-        self, name: str, factory: PolicyFactory, overwrite: bool = False
-    ) -> None:
-        key = name.strip()
-        if not key:
-            raise ConfigurationError("policy name must be non-empty")
-        if key in self._policies and not overwrite:
-            raise ConfigurationError(f"policy {key!r} is already registered")
-        self._policies[key] = factory
-
-    def policy(self, name: str, nodes: Sequence[str], **params: Any) -> object:
-        """Instantiate the named admission policy over ``nodes``."""
-        factory = self._policies.get(name.strip() if isinstance(name, str) else name)
-        if factory is None:
-            raise ConfigurationError(
-                f"unknown admission policy {name!r}; known policies: "
-                f"{', '.join(self.policy_names())}"
-            )
-        try:
-            return factory(nodes, **params)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad parameters for policy {name!r}: {exc}"
-            ) from None
-
-    def policy_names(self) -> List[str]:
-        return sorted(self._policies)
-
-
-def _aub_policy(nodes: Sequence[str], **params: Any) -> object:
-    from repro.sched.replay import AubReplayPolicy
-
-    if params:
-        raise ConfigurationError(
-            f"policy 'aub' takes no parameters, got {sorted(params)}"
-        )
-    return AubReplayPolicy(nodes)
-
-
-def _deferrable_policy(nodes: Sequence[str], **params: Any) -> object:
-    from repro.sched.deferrable import DeferrableServerPolicy
-
-    return DeferrableServerPolicy(nodes, **params)
-
-
-def _build_default_registry() -> StrategyRegistry:
-    registry = StrategyRegistry()
-    for combo in valid_combinations():
-        registry.register_combo(combo.label, combo)
-    # Semantic aliases used by scenarios and the CLI.
-    registry.register_combo("default", StrategyCombo.from_label("T_T_T"))
-    registry.register_combo("paper-best", StrategyCombo.from_label("J_J_J"))
+#: Every name a scenario may give its combo: the 15 labels and the aliases.
+_COMBOS: Dict[str, StrategyCombo] = {
+    **{combo.label: combo for combo in valid_combinations()},
+    "default": StrategyCombo.from_label("T_T_T"),
+    "paper-best": StrategyCombo.from_label("J_J_J"),
     # The distributed-AC prototype supports exactly this configuration.
-    registry.register_combo("distributed", StrategyCombo.from_label("J_N_N"))
-    registry.register_policy("aub", _aub_policy)
-    registry.register_policy("deferrable_server", _deferrable_policy)
-    return registry
+    "distributed": StrategyCombo.from_label("J_N_N"),
+}
 
 
-#: Process-wide default registry; scenarios resolve against this.
-REGISTRY = _build_default_registry()
-
-
-def default_registry() -> StrategyRegistry:
-    """The process-wide registry (all valid combos + replay policies)."""
-    return REGISTRY
+def resolve_combo(name: str) -> StrategyCombo:
+    """The combo a name denotes: a label in any case, or an alias, with
+    surrounding spaces ignored."""
+    if not isinstance(name, str):
+        raise ConfigurationError(
+            f"strategy combo must be a name string, got {type(name).__name__}"
+        )
+    key = name.strip()
+    combo = _COMBOS.get(key) or _COMBOS.get(key.upper())
+    if combo is None:
+        raise ConfigurationError(
+            f"unknown strategy combo {name!r}; known names: "
+            f"{', '.join(sorted(_COMBOS))}"
+        )
+    return combo

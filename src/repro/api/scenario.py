@@ -3,9 +3,9 @@
 A scenario captures *everything* that previously lived in divergent
 ``MiddlewareSystem(...)`` keyword arguments spread over examples and
 experiment modules: the workload (explicit or generated-by-recipe), the
-strategy combination (by registry name), duration, seed, cost model,
-delay model, disturbance hooks, and the execution engine (centralized
-middleware, distributed-AC prototype, or analytic trace replay).
+strategy combination (by name), duration, seed, cost model, delay
+model, disturbance hooks, and the execution engine (the centralized
+middleware or the distributed-AC prototype).
 
 Scenarios are frozen, validated on construction, picklable (so the
 multiprocessing experiment runner can fan them out), and JSON-round-trip
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.api.registry import default_registry
+from repro.api.registry import resolve_combo
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
 from repro.errors import ConfigurationError
@@ -41,8 +41,7 @@ from repro.workloads.model import Workload
 #: Execution engines a scenario can target.
 ENGINE_MIDDLEWARE = "middleware"
 ENGINE_DISTRIBUTED = "distributed"
-ENGINE_REPLAY = "replay"
-ENGINES = (ENGINE_MIDDLEWARE, ENGINE_DISTRIBUTED, ENGINE_REPLAY)
+ENGINES = (ENGINE_MIDDLEWARE, ENGINE_DISTRIBUTED)
 
 #: Workload source kinds.
 SOURCE_EXPLICIT = "explicit"
@@ -390,19 +389,16 @@ class Scenario:
     duration: float = 60.0
     seed: int = 0
     engine: str = ENGINE_MIDDLEWARE
-    policy: Optional[str] = None
-    policy_params: Tuple[Tuple[str, float], ...] = ()
     cost_model: Optional[CostModel] = None
     delay_model: Optional[DelayModel] = None
     aperiodic_interarrival_factor: float = 2.0
-    arrival_stream: str = "arrivals"
     #: Batched hot path: deliver simultaneous arrivals as kernel batches
     #: and let the admission controller drain its arrival queue through
     #: one batched decision pass per burst (Burst disturbances exercise
     #: it).  Composes with every strategy combo — load-balanced combos
     #: plan placements through a batch session — on the middleware
-    #: engine; the distributed engine (one two-phase round per job) and
-    #: the replay engine refuse it.
+    #: engine; the distributed engine (one two-phase round per job)
+    #: refuses it.
     arrival_batching: bool = False
     disturbances: Tuple[Disturbance, ...] = ()
     trace: bool = False
@@ -413,8 +409,6 @@ class Scenario:
     #: leaves out while they hold their defaults.
     JSON_TAG = "scenario"
     JSON_OMIT_DEFAULT = (
-        "policy",
-        "policy_params",
         "cost_model",
         "delay_model",
         "arrival_batching",
@@ -442,57 +436,8 @@ class Scenario:
                 f"unknown engine {self.engine!r}; expected one of "
                 f"{', '.join(ENGINES)}"
             )
-        # Normalize policy params to a canonical sorted tuple so equal
-        # scenarios compare (and JSON-round-trip) equal regardless of the
-        # order the caller supplied; duplicate names are ambiguous.
-        params = tuple(tuple(p) for p in self.policy_params)
-        names = [name for name, _value in params]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(
-                f"duplicate policy parameter name(s): "
-                f"{sorted(n for n in names if names.count(n) > 1)}"
-            )
-        object.__setattr__(self, "policy_params", tuple(sorted(params)))
         # Resolving eagerly surfaces unknown-combo errors at build time.
-        combo = default_registry().combo(self.combo)
-        if self.engine == ENGINE_REPLAY:
-            if self.policy is None:
-                raise ConfigurationError(
-                    "replay scenarios need an admission policy name "
-                    "(e.g. 'aub' or 'deferrable_server')"
-                )
-            if self.disturbances:
-                raise ConfigurationError(
-                    "replay scenarios are analytic: disturbances conflict "
-                    "with the replay engine"
-                )
-            if self.trace:
-                raise ConfigurationError(
-                    "replay scenarios have no tracer: trace=True conflicts "
-                    "with the replay engine"
-                )
-            if self.cost_model is not None or self.delay_model is not None:
-                raise ConfigurationError(
-                    "replay scenarios are overhead-free: cost/delay models "
-                    "conflict with the replay engine"
-                )
-            if self.arrival_batching:
-                raise ConfigurationError(
-                    "replay scenarios have no admission controller: "
-                    "arrival_batching conflicts with the replay engine"
-                )
-        else:
-            if self.policy is not None or self.policy_params:
-                raise ConfigurationError(
-                    f"admission policies only apply to the replay engine, "
-                    f"not {self.engine!r} (conflicting fields)"
-                )
-            if self.arrival_stream != "arrivals":
-                raise ConfigurationError(
-                    f"the {self.engine} engine draws arrivals from the "
-                    "fixed 'arrivals' RNG stream; a custom arrival_stream "
-                    "only applies to the replay engine (conflicting fields)"
-                )
+        combo = resolve_combo(self.combo)
         if self.engine == ENGINE_DISTRIBUTED:
             if combo.label != "J_N_N":
                 raise ConfigurationError(
@@ -563,7 +508,7 @@ class Scenario:
     @property
     def strategy_combo(self) -> StrategyCombo:
         """The resolved :class:`StrategyCombo` for this scenario."""
-        return default_registry().combo(self.combo)
+        return resolve_combo(self.combo)
 
     @property
     def effective_label(self) -> str:
@@ -571,14 +516,7 @@ class Scenario:
         if self.label:
             return self.label
         suffix = "" if self.engine == ENGINE_MIDDLEWARE else f"@{self.engine}"
-        core = self.policy if self.engine == ENGINE_REPLAY else (
-            self.strategy_combo.label
-        )
-        return f"{core}{suffix}"
-
-    @classmethod
-    def builder(cls) -> "ScenarioBuilder":
-        return ScenarioBuilder()
+        return f"{self.strategy_combo.label}{suffix}"
 
     def with_changes(self, **changes: Any) -> "Scenario":
         """A copy with the given fields replaced (re-validated)."""
@@ -617,172 +555,3 @@ class Scenario:
         except UnicodeDecodeError as exc:
             raise ConfigurationError(f"scenario file {path} is not text: {exc}") from None
         return cls.from_json_str(text)
-
-
-# ----------------------------------------------------------------------
-# Builder
-# ----------------------------------------------------------------------
-class ScenarioBuilder:
-    """Fluent construction: ``Scenario.builder().workload(w)...build()``.
-
-    Every setter returns the builder; :meth:`build` validates and returns
-    the frozen :class:`Scenario`.  Conflicting settings (two workload
-    sources, a policy on a non-replay engine, ...) fail at build time with
-    :class:`~repro.errors.ConfigurationError`.
-    """
-
-    def __init__(self) -> None:
-        self._fields: Dict[str, Any] = {}
-
-    def _set(self, name: str, value: Any) -> "ScenarioBuilder":
-        self._fields[name] = value
-        return self
-
-    # -- workload sources -------------------------------------------------
-    def workload(self, workload: Workload) -> "ScenarioBuilder":
-        return self._source(WorkloadSource.explicit(workload))
-
-    def random_workload(
-        self,
-        seed: int,
-        index: int = 0,
-        params: Optional[RandomWorkloadParams] = None,
-        stream: str = "task_sets",
-    ) -> "ScenarioBuilder":
-        return self._source(WorkloadSource.random(seed, index, params, stream))
-
-    def imbalanced_workload(
-        self,
-        seed: int,
-        index: int = 0,
-        params: Optional[ImbalancedWorkloadParams] = None,
-        stream: str = "task_sets",
-    ) -> "ScenarioBuilder":
-        return self._source(WorkloadSource.imbalanced(seed, index, params, stream))
-
-    def workload_source(self, source: WorkloadSource) -> "ScenarioBuilder":
-        return self._source(source)
-
-    def _source(self, source: WorkloadSource) -> "ScenarioBuilder":
-        if "workload" in self._fields:
-            raise ConfigurationError(
-                "scenario already has a workload source (conflicting fields)"
-            )
-        return self._set("workload", source)
-
-    # -- knobs ------------------------------------------------------------
-    def combo(self, name: Union[str, StrategyCombo]) -> "ScenarioBuilder":
-        if isinstance(name, StrategyCombo):
-            name = name.label
-        return self._set("combo", name)
-
-    def duration(self, seconds: float) -> "ScenarioBuilder":
-        return self._set("duration", seconds)
-
-    def seed(self, seed: int) -> "ScenarioBuilder":
-        return self._set("seed", seed)
-
-    def cost_model(self, model: Optional[CostModel]) -> "ScenarioBuilder":
-        return self._set("cost_model", model)
-
-    def delay_model(self, model: Optional[DelayModel]) -> "ScenarioBuilder":
-        return self._set("delay_model", model)
-
-    def interarrival_factor(self, factor: float) -> "ScenarioBuilder":
-        return self._set("aperiodic_interarrival_factor", factor)
-
-    def arrival_stream(self, name: str) -> "ScenarioBuilder":
-        return self._set("arrival_stream", name)
-
-    def arrival_batching(self, enabled: bool = True) -> "ScenarioBuilder":
-        return self._set("arrival_batching", enabled)
-
-    def trace(self, enabled: bool = True) -> "ScenarioBuilder":
-        return self._set("trace", enabled)
-
-    def drain(self, enabled: bool = True) -> "ScenarioBuilder":
-        return self._set("drain", enabled)
-
-    def label(self, text: str) -> "ScenarioBuilder":
-        return self._set("label", text)
-
-    # -- engines ----------------------------------------------------------
-    def distributed(self) -> "ScenarioBuilder":
-        self._fields.setdefault("combo", "J_N_N")
-        return self._set("engine", ENGINE_DISTRIBUTED)
-
-    def replay(self, policy: str, **params: float) -> "ScenarioBuilder":
-        self._set("engine", ENGINE_REPLAY)
-        self._set("policy", policy)
-        if params:
-            self._set("policy_params", tuple(sorted(params.items())))
-        return self
-
-    # -- disturbances -----------------------------------------------------
-    def burst(
-        self,
-        time: float,
-        jobs: int,
-        task_id: Optional[str] = None,
-        spacing: float = 1e-3,
-        base_index: int = 100_000,
-    ) -> "ScenarioBuilder":
-        return self._disturb(Burst(time=time, jobs=jobs, task_id=task_id,
-                                   spacing=spacing, base_index=base_index))
-
-    def slowdown(
-        self, time: float, factor: float, nodes: Tuple[str, ...] = ()
-    ) -> "ScenarioBuilder":
-        return self._disturb(Slowdown(time=time, factor=factor, nodes=tuple(nodes)))
-
-    def node_crash(
-        self, node: str, time: float, recovery: Optional[float] = None
-    ) -> "ScenarioBuilder":
-        return self._disturb(NodeCrash(node=node, time=time, recovery=recovery))
-
-    def partition(
-        self,
-        time: float,
-        heal: float,
-        group_a: Tuple[str, ...],
-        group_b: Tuple[str, ...],
-    ) -> "ScenarioBuilder":
-        return self._disturb(
-            Partition(
-                time=time,
-                heal=heal,
-                group_a=tuple(group_a),
-                group_b=tuple(group_b),
-            )
-        )
-
-    def delay_spike(
-        self, time: float, until: float, factor: float
-    ) -> "ScenarioBuilder":
-        return self._disturb(DelaySpike(time=time, until=until, factor=factor))
-
-    def message_loss(
-        self,
-        probability: float,
-        time: float = 0.0,
-        until: Optional[float] = None,
-        stream: str = "message_loss",
-    ) -> "ScenarioBuilder":
-        return self._disturb(
-            MessageLoss(
-                probability=probability, time=time, until=until, stream=stream
-            )
-        )
-
-    def _disturb(self, disturbance: Disturbance) -> "ScenarioBuilder":
-        existing = self._fields.get("disturbances", ())
-        return self._set("disturbances", existing + (disturbance,))
-
-    # -- terminal ---------------------------------------------------------
-    def build(self) -> Scenario:
-        if "workload" not in self._fields:
-            raise ConfigurationError(
-                "scenario needs a workload source; call .workload(), "
-                ".random_workload() or .imbalanced_workload() first"
-            )
-        return Scenario(**self._fields)

@@ -6,8 +6,7 @@ example, and CLI command.  It dispatches on the scenario's engine:
 * ``middleware`` — the paper's Figure 1 deployment via
   :class:`~repro.core.middleware.MiddlewareSystem`, the one assembler that
   a checked deployment plan is also built by;
-* ``distributed`` — the per-processor two-phase admission prototype;
-* ``replay`` — analytic trace replay through a registry admission policy.
+* ``distributed`` — the per-processor two-phase admission prototype.
 
 :class:`RunResult` replaces the loosely-shaped ``SystemResults`` at the
 public surface: a frozen, typed, JSON-serializable record of metrics,
@@ -23,10 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.registry import default_registry
 from repro.api.scenario import (
     ENGINE_DISTRIBUTED,
-    ENGINE_REPLAY,
     Burst,
     NodeCrash,
     Partition,
@@ -257,11 +254,6 @@ class Session:
         if self._system is not None:
             return self._system
         scenario = self.scenario
-        if scenario.engine == ENGINE_REPLAY:
-            raise ConfigurationError(
-                "replay scenarios are analytic and have no deployment; "
-                "call Session.run() directly"
-            )
         workload = scenario.workload.materialize()
         if scenario.engine == ENGINE_DISTRIBUTED:
             from repro.core.distributed_ac import DistributedMiddlewareSystem
@@ -406,10 +398,7 @@ class Session:
         """Deploy (if needed), run to completion, and summarize."""
         if self._result is not None:
             raise ConfigurationError("this session already ran")
-        scenario = self.scenario
-        if scenario.engine == ENGINE_REPLAY:
-            self._result = self._run_replay()
-        elif scenario.engine == ENGINE_DISTRIBUTED:
+        if self.scenario.engine == ENGINE_DISTRIBUTED:
             self._result = self._run_distributed()
         else:
             self._result = self._run_middleware()
@@ -491,41 +480,6 @@ class Session:
             vote_timeouts=results.vote_timeouts,
             retries_sent=results.retries_sent,
             transactions_aborted=results.transactions_aborted,
-            metrics_snapshot=self._snapshot_metrics(),
-        )
-
-    def _run_replay(self) -> RunResult:
-        from repro.sched.replay import jobs_from_plan, replay
-        from repro.sim.rng import RngRegistry
-        from repro.workloads.arrivals import build_arrival_plan
-
-        scenario = self.scenario
-        workload = scenario.workload.materialize()
-        rngs = RngRegistry(scenario.seed)
-        plan = build_arrival_plan(
-            workload,
-            scenario.duration,
-            rngs.stream(scenario.arrival_stream),
-            scenario.aperiodic_interarrival_factor,
-        )
-        policy = default_registry().policy(
-            scenario.policy,
-            list(workload.app_nodes),
-            **dict(scenario.policy_params),
-        )
-        outcome = replay(jobs_from_plan(workload, plan), policy)
-        return RunResult(
-            scenario_label=scenario.effective_label,
-            combo_label=scenario.strategy_combo.label,
-            engine=scenario.engine,
-            seed=scenario.seed,
-            duration=scenario.duration,
-            arrived_jobs=outcome.arrived_jobs,
-            released_jobs=outcome.admitted_jobs,
-            rejected_jobs=outcome.arrived_jobs - outcome.admitted_jobs,
-            completed_jobs=outcome.admitted_jobs,
-            deadline_misses=0,
-            accepted_utilization_ratio=outcome.accepted_utilization_ratio,
             metrics_snapshot=self._snapshot_metrics(),
         )
 

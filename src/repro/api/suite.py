@@ -3,7 +3,7 @@
 A suite is a named, ordered tuple of cells.  Two cell kinds cover every
 experiment in the repository:
 
-* :class:`~repro.api.scenario.Scenario` — one simulation/replay run; and
+* :class:`~repro.api.scenario.Scenario` — one simulated run; and
 * :class:`MappingCell` — one constant-time Table-1 characteristics
   mapping (no simulation).
 

@@ -24,7 +24,7 @@ metrics <scenario.json> [--out PATH] [--json OUT]
     Run a scenario armed with the metrics registry and dump the
     Prometheus text exposition (see docs/OBSERVABILITY.md).
 combos
-    List the 15 valid strategy combinations (the registry's names).
+    List the 15 valid strategy combinations by label.
 
 All experiment and run commands construct their runs through the
 ``repro.api`` scenario surface.
@@ -37,7 +37,15 @@ import json
 import sys
 from typing import Any, List, NoReturn, Optional
 
-from repro.api import Scenario, Session, default_registry
+from repro.api import (
+    Burst,
+    Disturbance,
+    Scenario,
+    Session,
+    Slowdown,
+    WorkloadSource,
+    resolve_combo,
+)
 from repro.config.characteristics import ApplicationCharacteristics
 from repro.config.engine import ConfigurationEngine
 from repro.config.workload_spec import load_workload
@@ -246,33 +254,35 @@ def _parse_pair(raw: str, flag: str, int_value: bool = False) -> tuple:
 
 
 def _scenario_export(args) -> None:
-    builder = Scenario.builder()
     if args.workload is not None:
         if args.imbalanced:
             raise ReproError(
                 "--imbalanced selects a generator recipe and conflicts "
                 "with an explicit --workload spec file"
             )
-        builder.workload(load_workload(args.workload))
+        source = WorkloadSource.explicit(load_workload(args.workload))
     elif args.imbalanced:
-        builder.imbalanced_workload(seed=args.random_seed)
+        source = WorkloadSource.imbalanced(seed=args.random_seed)
     else:
-        builder.random_workload(seed=args.random_seed)
-    builder.duration(args.duration).seed(args.seed)
-    builder.interarrival_factor(args.factor)
-    if args.distributed:
-        builder.distributed()  # defaults the combo to J_N_N
-    if args.combo is not None:
-        builder.combo(args.combo)
+        source = WorkloadSource.random(seed=args.random_seed)
+    disturbances: List[Disturbance] = []
     if args.burst is not None:
         time, jobs = _parse_pair(args.burst, "--burst", int_value=True)
-        builder.burst(time=time, jobs=jobs)
+        disturbances.append(Burst(time=time, jobs=jobs))
     if args.slowdown is not None:
         time, factor = _parse_pair(args.slowdown, "--slowdown")
-        builder.slowdown(time=time, factor=factor)
-    if args.label is not None:
-        builder.label(args.label)
-    scenario = builder.build()
+        disturbances.append(Slowdown(time=time, factor=factor))
+    default_combo = "J_N_N" if args.distributed else "default"
+    scenario = Scenario(
+        workload=source,
+        combo=args.combo if args.combo is not None else default_combo,
+        duration=args.duration,
+        seed=args.seed,
+        engine="distributed" if args.distributed else "middleware",
+        aperiodic_interarrival_factor=args.factor,
+        disturbances=tuple(disturbances),
+        label=args.label,
+    )
     if args.path == "-":
         print(scenario.to_json_str())
     else:
@@ -350,7 +360,7 @@ def _run_command(args: argparse.Namespace) -> None:
         print(result.format())
         _write_json(args.json, result.to_json())
     elif command == "sensitivity":
-        combo = default_registry().combo(args.combo)
+        combo = resolve_combo(args.combo)
         load = sweep_load(
             combo=combo, duration=args.duration, seed=args.seed,
             n_workers=args.workers,
@@ -450,7 +460,7 @@ def _run_command(args: argparse.Namespace) -> None:
         engine = ConfigurationEngine()
         result = engine.configure(
             load_workload(args.workload),
-            combo=default_registry().combo(args.combo),
+            combo=resolve_combo(args.combo),
         )
         scenario = engine.scenario(
             result, duration=args.duration, seed=args.seed

@@ -288,7 +288,6 @@ class AdmissionControllerComponent(Component):
                     assignment[subtask.index],
                     (task.task_id, job_index, subtask.index),
                     task.subtask_utilization(subtask.index),
-                    now,
                 )
         self._record(record, task, per_task_ac, assignment, admitted)
         self._publish(event, assignment, per_task_ac, admitted, visits)
@@ -485,17 +484,16 @@ class AdmissionControllerComponent(Component):
             self._record(record, task, per_task_ac, assignment, admitted)
             decided.append((event, assignment, per_task_ac, admitted, visits))
         if entries:
-            self.ledger.add_batch(entries, now)
+            self.ledger.add_batch(entries)
         for decision in decided:
             self._publish(*decision)
 
     def _expire_job(self, job: Job, assignment: Dict[int, str]) -> None:
         """Deadline expiry: the job leaves the current task set."""
-        now = self.sim.now
         task = job.task
         for subtask in task.subtasks:
             node = assignment[subtask.index]
-            self.ledger.remove(node, (task.task_id, job.index, subtask.index), now)
+            self.ledger.remove(node, (task.task_id, job.index, subtask.index))
         self.analyzer.unregister((task.task_id, job.index))
 
     def _try_relocate_reserved(self, task: TaskSpec, record: TaskRecord) -> None:
@@ -519,14 +517,13 @@ class AdmissionControllerComponent(Component):
             return
         for subtask in task.subtasks:
             self.ledger.remove(
-                current[subtask.index], (task.task_id, RESERVED, subtask.index), now
+                current[subtask.index], (task.task_id, RESERVED, subtask.index)
             )
         for subtask in task.subtasks:
             self.ledger.add(
                 proposed[subtask.index],
                 (task.task_id, RESERVED, subtask.index),
                 task.subtask_utilization(subtask.index),
-                now,
             )
         self.analyzer.register(key, visits, None)
         record.assignment = proposed
@@ -596,15 +593,15 @@ class AdmissionControllerComponent(Component):
         )
 
     def _apply_idle_reset(self, event: IdleResettingEvent) -> None:
-        now = self.sim.now
         # One batch-remove per idle period: a single AUB cache refresh no
         # matter how many subjobs the idle processor reclaimed.
         self.idle_resets_applied += self.ledger.remove_batch(
-            ((event.node, key) for key in event.entries), now
+            (event.node, key) for key in event.entries
         )
         if self._m_reclaim_size is not None and event.entries:
             self._m_reclaim_size.observe(float(len(event.entries)))
         if self.tracer.enabled:
             self.tracer.record(
-                now, "ac.idle_reset", self.node, entries=len(event.entries)
+                self.sim.now, "ac.idle_reset", self.node,
+                entries=len(event.entries),
             )

@@ -17,11 +17,13 @@ run scaled-down versions while benchmarks run paper-scale ones, plus an
 controlling the parallel fan-out; results are bit-identical for every
 worker count.
 
-Every experiment module also exposes a ``build_*_suite`` constructor
-returning its grid as a declarative
+Every experiment module but the ablation also exposes a
+``build_*_suite`` constructor returning its grid as a declarative
 :class:`~repro.api.suite.ExperimentSuite` of
 :class:`~repro.api.scenario.Scenario` cells — the ``run_*`` entry points
-are thin folds over ``suite.run_results(n_workers)``.
+are thin folds over ``suite.run_results(n_workers)``.  The ablation
+simulates nothing: it fans its own analytic replay cells out through
+:func:`~repro.experiments.runner.run_cells`.
 """
 
 from repro.experiments.figure5 import (
@@ -41,11 +43,7 @@ from repro.experiments.figure8 import (
 )
 from repro.experiments.runner import resolve_workers, run_cells
 from repro.experiments.table1 import Table1Row, build_table1_suite, run_table1
-from repro.experiments.ablation import (
-    AblationResult,
-    build_ablation_suite,
-    run_aub_vs_deferrable,
-)
+from repro.experiments.ablation import AblationResult, run_aub_vs_deferrable
 from repro.experiments.chaos import (
     ChaosResult,
     build_chaos_suite,
@@ -83,7 +81,6 @@ __all__ = [
     "build_table1_suite",
     "AblationResult",
     "run_aub_vs_deferrable",
-    "build_ablation_suite",
     "ChaosResult",
     "run_chaos_suite",
     "build_chaos_suite",

@@ -11,20 +11,18 @@ the difference is purely the admission mathematics).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.scenario import Scenario, WorkloadSource
-from repro.api.suite import ExperimentSuite
 from repro.experiments.report import format_table
+from repro.experiments.runner import run_cells
 from repro.json_checks import encode
 from repro.numeric import ordered_sum
-from repro.sched.replay import jobs_from_plan
+from repro.sched.deferrable import DeferrableServerPolicy
+from repro.sched.replay import AubReplayPolicy, jobs_from_plan, replay
 from repro.sim.rng import RngRegistry
+from repro.workloads.arrivals import build_arrival_plan
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
 from repro.workloads.model import Workload
-
-#: Back-compat alias — the canonical helper lives in repro.sched.replay.
-_jobs_from_plan = jobs_from_plan
 
 
 @dataclass
@@ -63,51 +61,39 @@ class AblationResult:
         }
 
 
-def build_ablation_suite(
-    n_sets: int = 10,
-    duration: float = 120.0,
-    seed: int = 2008,
-    params: Optional[RandomWorkloadParams] = None,
-    aperiodic_interarrival_factor: float = 2.0,
-    server_utilization: float = 0.3,
-    server_period: float = 0.1,
-) -> ExperimentSuite:
-    """The ablation as a declarative replay-scenario grid.
+def replay_cell(
+    workload: Workload,
+    set_index: int,
+    seed: int,
+    duration: float,
+    aperiodic_interarrival_factor: float,
+    server_utilization: float,
+    server_period: float,
+) -> Tuple[float, float]:
+    """One task set replayed through AUB and the Deferrable Server; returns
+    their accepted utilization ratios.
 
-    Task sets are generated up front from the shared stream (preserving
-    the serial draw order); each set becomes *two* replay scenarios (AUB
-    and Deferrable Server) whose per-set arrival streams are keyed by set
-    index, so both replay exactly the same trace no matter which worker
-    runs them.
+    The trace comes from stream ``arrivals:<set_index>`` of a fresh
+    ``RngRegistry(seed)``: streams are keyed by name, so every cell
+    draws the same trace whichever worker runs it.
     """
-    gen_rng = RngRegistry(seed).stream("task_sets")
-    workloads = [generate_random_workload(gen_rng, params) for _ in range(n_sets)]
-    cells = []
-    for set_index, workload in enumerate(workloads):
-        source = WorkloadSource.explicit(workload)
-        common = dict(
-            workload=source,
-            duration=duration,
-            seed=seed,
-            aperiodic_interarrival_factor=aperiodic_interarrival_factor,
-            arrival_stream=f"arrivals:{set_index}",
-            engine="replay",
-        )
-        cells.append(
-            Scenario(policy="aub", label=f"aub/set{set_index}", **common)
-        )
-        cells.append(
-            Scenario(
-                policy="deferrable_server",
-                policy_params=(
-                    ("server_period", server_period),
-                    ("server_utilization", server_utilization),
-                ),
-                label=f"ds/set{set_index}",
-                **common,
-            )
-        )
-    return ExperimentSuite(name="ablation", cells=tuple(cells))
+    plan = build_arrival_plan(
+        workload,
+        duration,
+        RngRegistry(seed).stream(f"arrivals:{set_index}"),
+        aperiodic_interarrival_factor,
+    )
+    nodes = list(workload.app_nodes)
+    aub = replay(jobs_from_plan(workload, plan), AubReplayPolicy(nodes))
+    ds = replay(
+        jobs_from_plan(workload, plan),
+        DeferrableServerPolicy(
+            nodes,
+            server_utilization=server_utilization,
+            server_period=server_period,
+        ),
+    )
+    return aub.accepted_utilization_ratio, ds.accepted_utilization_ratio
 
 
 def run_aub_vs_deferrable(
@@ -122,30 +108,34 @@ def run_aub_vs_deferrable(
 ) -> AblationResult:
     """Replay identical traces through AUB and DS admission policies.
 
-    Note the comparison's asymmetry (documented in DESIGN.md): AUB
-    admission *guarantees* end-to-end deadlines for admitted jobs, while
-    the DS utilization/budget tests are necessary-but-looser conditions —
+    The comparison is asymmetric: AUB admission *guarantees* the
+    end-to-end deadlines of the jobs it admits, while the DS
+    utilization and budget tests are necessary but looser conditions, so
     DS can show a higher acceptance ratio precisely because it promises
     less.  The paper's claim is that AUB is comparable while requiring
     simpler middleware mechanisms.
 
-    Task sets are generated up front from the shared stream (preserving
-    the serial draw order) and then replayed as independent parallel
-    scenario cells; per-set arrival streams are keyed by set index, so
-    each cell reproduces exactly the serial trace.
+    Task sets are generated up front from the shared ``task_sets``
+    stream (preserving the serial draw order); each set is then one
+    :func:`replay_cell` fanned out through
+    :func:`~repro.experiments.runner.run_cells`.
     """
-    suite = build_ablation_suite(
-        n_sets=n_sets,
-        duration=duration,
-        seed=seed,
-        params=params,
-        aperiodic_interarrival_factor=aperiodic_interarrival_factor,
-        server_utilization=server_utilization,
-        server_period=server_period,
-    )
-    outcomes = iter(suite.run_results(n_workers))
+    gen_rng = RngRegistry(seed).stream("task_sets")
+    workloads = [generate_random_workload(gen_rng, params) for _ in range(n_sets)]
+    cells = [
+        (
+            workload,
+            set_index,
+            seed,
+            duration,
+            aperiodic_interarrival_factor,
+            server_utilization,
+            server_period,
+        )
+        for set_index, workload in enumerate(workloads)
+    ]
     result = AblationResult()
-    for aub_run, ds_run in zip(outcomes, outcomes):
-        result.aub_ratios.append(aub_run.accepted_utilization_ratio)
-        result.ds_ratios.append(ds_run.accepted_utilization_ratio)
+    for aub_ratio, ds_ratio in run_cells(replay_cell, cells, n_workers):
+        result.aub_ratios.append(aub_ratio)
+        result.ds_ratios.append(ds_ratio)
     return result

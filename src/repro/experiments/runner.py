@@ -29,15 +29,11 @@ The expensive cells start first instead of last, so the grid stops
 tail-waiting on one slow straggler, while the returned list (and hence
 every fold) stays bit-identical to the serial loop.
 
-Since the ``repro.api`` redesign, experiments submit declarative
-:class:`~repro.api.scenario.Scenario` cells through
-:meth:`repro.api.suite.ExperimentSuite.run`, which dispatches to
-:func:`run_cells` here.  The legacy cell functions below
-(``middleware_cell``, ``overhead_cell``, ``replay_cell``,
-``table1_cell``) and :func:`run_combo_grid` are retained as the
-**pre-refactor reference path**: they construct systems directly, which
-is what the API parity tests compare scenario execution against.  New
-code should build scenarios instead.
+Experiments submit declarative :class:`~repro.api.scenario.Scenario`
+cells through :meth:`repro.api.suite.ExperimentSuite.run`, which
+dispatches to :func:`run_cells` here; the ablation, which simulates
+nothing, submits its own replay cells
+(:func:`repro.experiments.ablation.replay_cell`) directly.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.env import WORKERS_VAR, sanitize_enabled, workers_override
 from repro.sanitize import pickle_canary
@@ -79,10 +75,10 @@ def estimate_cell_cost(cell: Tuple) -> float:
 
     Recognizes the two argument shapes that dominate grid runtime —
     declarative :class:`~repro.api.scenario.Scenario` cells (simulated
-    duration x workload size) and legacy direct-construction cells
-    carrying a :class:`~repro.workloads.model.Workload` — and returns a
-    neutral constant otherwise, which keeps submission order for
-    homogeneous grids (descending sort is stable).
+    duration x workload size) and the ablation's direct replay cells,
+    which carry a bare :class:`~repro.workloads.model.Workload` — and
+    returns a neutral constant otherwise, which keeps submission order
+    for homogeneous grids (descending sort is stable).
     """
     cost = 1.0
     recognized = False
@@ -107,7 +103,7 @@ def estimate_cell_cost(cell: Tuple) -> float:
             cost *= max(arg.duration, 1e-9) * size
             recognized = True
         elif hasattr(arg, "tasks") and hasattr(arg, "app_nodes"):
-            # A bare Workload in a legacy cell.
+            # A bare Workload in a direct cell.
             cost *= max(1, len(arg.tasks))
             recognized = True
     return cost if recognized else 1.0
@@ -171,165 +167,3 @@ def run_cells(
     finally:
         pool.close()
         pool.join()
-
-
-def run_combo_grid(
-    workloads: Sequence,
-    combos: Sequence,
-    seed: int,
-    duration: float,
-    cost_model,
-    aperiodic_interarrival_factor: float,
-    n_workers: Optional[int] = None,
-):
-    """Fan a (combo x task-set) grid out and fold it like the serial loops.
-
-    Deprecated: Figures 5 and 6 now build this grid declaratively via
-    :func:`repro.api.suite.combo_grid`; this function remains as the
-    direct-construction reference (bit-identical by the parity tests).
-    Every combo runs every workload with the serial per-cell seed
-    ``seed + 1000 * set_index``, and results fold in combo-major order.
-    Returns ``(per_combo_sets, total_deadline_misses)`` where
-    ``per_combo_sets`` maps each combo label to its per-set ratio list.
-    """
-    cells = [
-        (
-            workload,
-            combo.label,
-            seed + 1000 * set_index,
-            duration,
-            cost_model,
-            aperiodic_interarrival_factor,
-        )
-        for combo in combos
-        for set_index, workload in enumerate(workloads)
-    ]
-    outcomes = iter(run_cells(middleware_cell, cells, n_workers))
-    per_combo_sets = {}
-    deadline_misses = 0
-    for combo in combos:
-        ratios = []
-        for _workload in workloads:
-            ratio, misses = next(outcomes)
-            ratios.append(ratio)
-            deadline_misses += misses
-        per_combo_sets[combo.label] = ratios
-    return per_combo_sets, deadline_misses
-
-
-# ----------------------------------------------------------------------
-# Cell functions (module-level so they pickle under any start method)
-# ----------------------------------------------------------------------
-def middleware_cell(
-    workload,
-    combo_label: str,
-    seed: int,
-    duration: float,
-    cost_model,
-    aperiodic_interarrival_factor: float,
-) -> Tuple[float, int]:
-    """One (combo, task set) simulation; returns (ratio, deadline misses)."""
-    from repro.core.middleware import MiddlewareSystem
-    from repro.core.strategies import StrategyCombo
-
-    system = MiddlewareSystem(
-        workload,
-        StrategyCombo.from_label(combo_label),
-        cost_model=cost_model,
-        seed=seed,
-        aperiodic_interarrival_factor=aperiodic_interarrival_factor,
-    )
-    run = system.run(duration)
-    return run.accepted_utilization_ratio, run.deadline_misses
-
-
-def overhead_cell(
-    workload,
-    combo_label: str,
-    seed: int,
-    duration: float,
-    cost_model,
-    aperiodic_interarrival_factor: float,
-):
-    """One overhead-measurement run; returns (accounting, comm-delay stats)."""
-    from repro.core.middleware import MiddlewareSystem
-    from repro.core.strategies import StrategyCombo
-
-    system = MiddlewareSystem(
-        workload,
-        StrategyCombo.from_label(combo_label),
-        cost_model=cost_model,
-        seed=seed,
-        aperiodic_interarrival_factor=aperiodic_interarrival_factor,
-    )
-    result = system.run(duration)
-    return result.overhead, system.network.delay_stats
-
-
-def replay_cell(
-    workload,
-    set_index: int,
-    seed: int,
-    duration: float,
-    aperiodic_interarrival_factor: float,
-    server_utilization: float,
-    server_period: float,
-) -> Tuple[float, float]:
-    """One ablation task set replayed through AUB and Deferrable Server."""
-    from repro.sched.deferrable import DeferrableServerPolicy
-    from repro.sched.replay import AubReplayPolicy, replay
-    from repro.sim.rng import RngRegistry
-    from repro.workloads.arrivals import build_arrival_plan
-
-    # Streams are keyed by name, so a fresh registry reproduces exactly
-    # the per-set stream the serial loop drew from its shared registry.
-    rngs = RngRegistry(seed)
-    plan = build_arrival_plan(
-        workload,
-        duration,
-        rngs.stream(f"arrivals:{set_index}"),
-        aperiodic_interarrival_factor,
-    )
-    from repro.experiments.ablation import _jobs_from_plan
-
-    nodes = list(workload.app_nodes)
-    aub = replay(_jobs_from_plan(workload, plan), AubReplayPolicy(nodes))
-    ds = replay(
-        _jobs_from_plan(workload, plan),
-        DeferrableServerPolicy(
-            nodes,
-            server_utilization=server_utilization,
-            server_period=server_period,
-        ),
-    )
-    return aub.accepted_utilization_ratio, ds.accepted_utilization_ratio
-
-
-def table1_cell(
-    category: str,
-    job_skipping: bool,
-    replicated: bool,
-    stateful: bool,
-    tolerance_value: str,
-):
-    """Map one application category through the configuration engine."""
-    from repro.config.characteristics import (
-        ApplicationCharacteristics,
-        OverheadTolerance,
-    )
-    from repro.config.mapping import map_characteristics
-    from repro.experiments.table1 import Table1Row
-
-    chars = ApplicationCharacteristics(
-        job_skipping=job_skipping,
-        replicated_components=replicated,
-        state_persistence=stateful,
-        overhead_tolerance=OverheadTolerance(tolerance_value),
-    )
-    combo, notes = map_characteristics(chars)
-    return Table1Row(
-        category=category,
-        characteristics=chars,
-        combo_label=combo.label,
-        notes=tuple(notes),
-    )

@@ -135,12 +135,3 @@ class OverheadAccounting:
                 out.append(row)
         return out
 
-    def max_service_delay_usec(self) -> float:
-        """The largest mean across admission paths — the paper's headline
-        "all delays induced by our components are less than 2 ms"."""
-        candidates = [
-            row.max_usec
-            for row in self.rows()
-            if row.name not in (ROW_IR_OTHER, ROW_COMM, ROW_IR_AC_SIDE)
-        ]
-        return max(candidates) if candidates else 0.0

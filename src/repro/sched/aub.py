@@ -17,8 +17,8 @@ Implements the schedulability machinery from Abdelzaher, Thaker & Lardieri
   the mechanism behind the paper's Idle Resetting service.
 
 The ledger is **sharded per processor**: each node owns an independent
-:class:`_LedgerShard` (its own contribution map, cached total, optional
-time-weighted statistic), so contributions on one processor never touch
+:class:`_LedgerShard` (its own contribution map and cached total), so
+contributions on one processor never touch
 another processor's structures and 1000-processor deployments stop
 serializing on one shared dict.  :meth:`SyntheticUtilizationLedger.add_batch`
 and :meth:`~SyntheticUtilizationLedger.remove_batch` apply a group of
@@ -70,7 +70,6 @@ from typing import (
 from repro.env import pure_python_forced, sanitize_enabled
 from repro.errors import SchedulingError
 from repro.sanitize import LedgerShadow, SanitizeViolation
-from repro.sim.monitor import TimeWeightedStat
 
 # numpy is an optional accelerator (the ``fast`` extra): the burst screen
 # becomes one matrix-vector product.  Setting REPRO_PURE_PYTHON forces the
@@ -159,19 +158,17 @@ def task_condition_holds(visit_utils: Sequence[float]) -> bool:
 class _LedgerShard:
     """One processor's slice of the ledger.
 
-    Each shard owns its contribution map, its cached total, and (when time
-    tracking is on) its time-weighted statistic.  A mutation on one node
-    therefore touches only that node's shard — no shared structure is
-    written on the hot path, which is what lets 1000-processor deployments
-    scale without serializing on one dict.
+    Each shard owns its contribution map and its cached total.  A mutation
+    on one node therefore touches only that node's shard — no shared
+    structure is written on the hot path, which is what lets
+    1000-processor deployments scale without serializing on one dict.
     """
 
-    __slots__ = ("contribs", "total", "stat")
+    __slots__ = ("contribs", "total")
 
-    def __init__(self, stat: Optional[TimeWeightedStat] = None) -> None:
+    def __init__(self) -> None:
         self.contribs: Dict[ContributionKey, float] = {}
         self.total: float = 0.0
-        self.stat = stat
 
 
 class SyntheticUtilizationLedger:
@@ -192,16 +189,12 @@ class SyntheticUtilizationLedger:
     refresh instead of one per subjob.
     """
 
-    def __init__(self, nodes: Iterable[str], track_time: bool = False) -> None:
+    def __init__(self, nodes: Iterable[str]) -> None:
         node_list = list(nodes)
         if not node_list:
             raise SchedulingError("ledger needs at least one processor")
-        self._shards: Dict[str, _LedgerShard] = {
-            n: _LedgerShard(TimeWeightedStat() if track_time else None)
-            for n in node_list
-        }
+        self._shards: Dict[str, _LedgerShard] = {n: _LedgerShard() for n in node_list}
         self._observers: List[Callable[[str], None]] = []
-        self._track_time = track_time
         # REPRO_SANITIZE=1 (checked once, at construction): mirror every
         # mutation into an unsharded shadow and cross-check each touched
         # shard against it — identical keys, identical values, total
@@ -230,15 +223,13 @@ class SyntheticUtilizationLedger:
     # ------------------------------------------------------------------
     # Contribution lifecycle
     # ------------------------------------------------------------------
-    def add(self, node: str, key: ContributionKey, value: float, now: float = 0.0) -> None:
+    def add(self, node: str, key: ContributionKey, value: float) -> None:
         """Accrue a contribution.  Re-adding an existing key is an error."""
         shard = self._shard(node)
         self._add_to_shard(shard, node, key, value)
         if self._shadow is not None:
             self._shadow.add(node, key, value)
             self._shadow.verify_shard(node, shard.contribs, shard.total)
-        if shard.stat is not None:
-            shard.stat.update(now, shard.total)
         for observer in self._observers:
             observer(node)
 
@@ -256,7 +247,7 @@ class SyntheticUtilizationLedger:
         contribs[key] = value
         shard.total += value
 
-    def remove(self, node: str, key: ContributionKey, now: float = 0.0) -> bool:
+    def remove(self, node: str, key: ContributionKey) -> bool:
         """Remove a contribution if present; returns whether it existed.
 
         Removal is tolerant of absent keys because deadline expiry and idle
@@ -268,8 +259,6 @@ class SyntheticUtilizationLedger:
         if self._shadow is not None:
             self._shadow.remove(node, key)
             self._shadow.verify_shard(node, shard.contribs, shard.total)
-        if shard.stat is not None:
-            shard.stat.update(now, shard.total)
         for observer in self._observers:
             observer(node)
         return True
@@ -301,16 +290,13 @@ class SyntheticUtilizationLedger:
     # Batched lifecycle (one notification per touched node)
     # ------------------------------------------------------------------
     def add_batch(
-        self,
-        entries: Iterable[Tuple[str, ContributionKey, float]],
-        now: float = 0.0,
+        self, entries: Iterable[Tuple[str, ContributionKey, float]]
     ) -> None:
         """Accrue many contributions at once.
 
         ``entries`` is applied **in order** (per-stage float accumulation
         is kept bit-identical to a loop of :meth:`add` calls); observers
-        and time statistics see one update per touched node instead of one
-        per contribution.
+        see one update per touched node instead of one per contribution.
         """
         touched: Dict[str, _LedgerShard] = {}
         try:
@@ -323,13 +309,9 @@ class SyntheticUtilizationLedger:
                 if self._shadow is not None:
                     self._shadow.add(node, key, value)
         finally:
-            self._notify_touched(touched, now)
+            self._notify_touched(touched)
 
-    def remove_batch(
-        self,
-        entries: Iterable[Tuple[str, ContributionKey]],
-        now: float = 0.0,
-    ) -> int:
+    def remove_batch(self, entries: Iterable[Tuple[str, ContributionKey]]) -> int:
         """Remove many contributions at once; returns how many existed.
 
         Tolerant of absent keys like :meth:`remove`; nodes where nothing
@@ -350,17 +332,13 @@ class SyntheticUtilizationLedger:
                     if not known:
                         touched[node] = shard
         finally:
-            self._notify_touched(touched, now)
+            self._notify_touched(touched)
         return removed
 
-    def _notify_touched(
-        self, touched: Dict[str, _LedgerShard], now: float
-    ) -> None:
+    def _notify_touched(self, touched: Dict[str, _LedgerShard]) -> None:
         for node, shard in touched.items():
             if self._shadow is not None:
                 self._shadow.verify_shard(node, shard.contribs, shard.total)
-            if shard.stat is not None:
-                shard.stat.update(now, shard.total)
             for observer in self._observers:
                 observer(node)
 
@@ -383,12 +361,6 @@ class SyntheticUtilizationLedger:
 
     def contribution_count(self, node: str) -> int:
         return len(self._shard(node).contribs)
-
-    def average_utilization(self, node: str, until: float) -> float:
-        """Time-weighted average of U_j (requires ``track_time=True``)."""
-        if not self._track_time:
-            raise SchedulingError("ledger was not created with track_time=True")
-        return self._shard(node).stat.average(until)
 
 
 class AubAnalyzer:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.sched.admission import AdmissionDecision, AdmissionPolicy
-from repro.sched.aub import RESERVED, AubAnalyzer, SyntheticUtilizationLedger
-from repro.sched.task import Job, TaskKind
+from repro.sched.aub import AubAnalyzer, SyntheticUtilizationLedger
+from repro.sched.task import Job
 
 
 @dataclass
@@ -103,7 +103,6 @@ class AubReplayPolicy(AdmissionPolicy):
                     node,
                     (task.task_id, job.index, subtask.index),
                     task.subtask_utilization(subtask.index),
-                    now,
                 )
             self.analyzer.register(job.key, visits, job.absolute_deadline)
         return AdmissionDecision(
@@ -118,7 +117,7 @@ class AubReplayPolicy(AdmissionPolicy):
         task = job.task
         for subtask in task.subtasks:
             node = job.assignment.get(subtask.index, subtask.home)
-            self.ledger.remove(node, (task.task_id, job.index, subtask.index), now)
+            self.ledger.remove(node, (task.task_id, job.index, subtask.index))
         self.analyzer.unregister(job.key)
         self.analyzer.prune(now)
 

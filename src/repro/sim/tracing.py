@@ -2,9 +2,11 @@
 
 The paper instruments KURT-Linux with CPU timestamp counters to attribute
 delay to individual middleware operations (Figure 7/8).  Our substitute is a
-:class:`Tracer` that records ``TraceRecord`` tuples at exact virtual times.
-Experiments and the overhead accounting in :mod:`repro.metrics.overhead`
-consume these records.
+:class:`Tracer` that records ``TraceRecord`` tuples at exact virtual times
+when a scenario sets ``trace=True``.  :mod:`repro.sim.timeline` reads the
+records back as per-node and per-job views; nothing in the package
+subscribes to a tracer, and :mod:`repro.metrics.overhead` records its
+samples directly rather than from these records.
 """
 
 from __future__ import annotations

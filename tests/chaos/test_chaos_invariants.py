@@ -24,7 +24,15 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Scenario, Session
+from repro.api import (
+    DelaySpike,
+    MessageLoss,
+    NodeCrash,
+    Partition,
+    Scenario,
+    Session,
+    WorkloadSource,
+)
 
 #: Node names materialized by ``WorkloadSource.random(seed=3)``; pinned
 #: so schedules can reference nodes without re-materializing per example.
@@ -33,21 +41,19 @@ DURATION = 20.0
 
 
 def _build(faults, seed: int = 11, duration: float = DURATION) -> Scenario:
-    builder = (
-        Scenario.builder()
-        .random_workload(seed=3)
-        .distributed()
-        .duration(duration)
-        .seed(seed)
+    return Scenario(
+        workload=WorkloadSource.random(seed=3),
+        engine="distributed",
+        combo="J_N_N",
+        duration=duration,
+        seed=seed,
+        disturbances=tuple(faults),
     )
-    for add in faults:
-        add(builder)
-    return builder.build()
 
 
 @st.composite
 def fault_schedules(draw):
-    """A list of builder closures, each appending one fault disturbance."""
+    """A list of fault disturbances."""
     faults = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(
@@ -58,31 +64,24 @@ def fault_schedules(draw):
         if kind == "crash":
             node = draw(st.sampled_from(NODES))
             recovery = start + span if draw(st.booleans()) else None
-            faults.append(
-                lambda b, n=node, t=start, r=recovery: b.node_crash(
-                    n, time=t, recovery=r
-                )
-            )
+            faults.append(NodeCrash(node, time=start, recovery=recovery))
         elif kind == "partition":
             split = draw(st.integers(1, len(NODES) - 1))
             faults.append(
-                lambda b, t=start, h=start + span, s=split: b.partition(
-                    time=t, heal=h, group_a=NODES[:s], group_b=NODES[s:]
+                Partition(
+                    time=start,
+                    heal=start + span,
+                    group_a=NODES[:split],
+                    group_b=NODES[split:],
                 )
             )
         elif kind == "spike":
             factor = draw(st.floats(1.5, 20.0, allow_nan=False))
-            faults.append(
-                lambda b, t=start, u=start + span, f=factor: b.delay_spike(
-                    time=t, until=u, factor=f
-                )
-            )
+            faults.append(DelaySpike(time=start, until=start + span, factor=factor))
         else:
             probability = draw(st.floats(0.05, 0.9, allow_nan=False))
             faults.append(
-                lambda b, p=probability, t=start, u=start + span: (
-                    b.message_loss(p, time=t, until=u)
-                )
+                MessageLoss(probability, time=start, until=start + span)
             )
     return faults
 
@@ -127,11 +126,7 @@ def test_partitioned_transactions_terminate_after_heal():
     # A partition covering most of the run: transactions started across
     # the cut must all retry through or abort by the end of the drain.
     scenario = _build(
-        [
-            lambda b: b.partition(
-                time=2.0, heal=15.0, group_a=NODES[:2], group_b=NODES[2:]
-            )
-        ]
+        [Partition(time=2.0, heal=15.0, group_a=NODES[:2], group_b=NODES[2:])]
     )
     result = _run_and_check_invariants(scenario)
     assert result.messages_dropped > 0
@@ -139,19 +134,17 @@ def test_partitioned_transactions_terminate_after_heal():
 
 
 def test_crash_without_recovery_rejects_but_conserves():
-    scenario = _build(
-        [lambda b: b.node_crash(NODES[0], time=1.0, recovery=None)]
-    )
+    scenario = _build([NodeCrash(NODES[0], time=1.0, recovery=None)])
     result = _run_and_check_invariants(scenario)
     assert result.rejected_jobs > 0
 
 
 def test_crashed_node_readmits_after_recovery():
-    crash = _build([lambda b: b.node_crash(NODES[0], time=1.0, recovery=2.0)])
+    crash = _build([NodeCrash(NODES[0], time=1.0, recovery=2.0)])
     result = _run_and_check_invariants(crash)
     # The recovered node serves arrivals again: the run accepts more jobs
     # than one where the node never comes back.
-    dead = _build([lambda b: b.node_crash(NODES[0], time=1.0, recovery=None)])
+    dead = _build([NodeCrash(NODES[0], time=1.0, recovery=None)])
     assert result.released_jobs >= Session(dead).run().released_jobs
 
 
@@ -160,9 +153,7 @@ def test_fault_free_run_is_bit_identical_to_seed_behavior():
     # session installs no injector and the result matches a build of the
     # identical scenario byte for byte (including serialized JSON, which
     # omits the chaos counters when zero).
-    plain = Scenario.builder().random_workload(seed=3).distributed()
-    plain = plain.duration(DURATION).seed(11).build()
-    session = Session(plain)
+    session = Session(_build([]))
     result = session.run()
     assert session.system.network.fault_injector is None
     assert result.messages_dropped == 0
@@ -181,24 +172,9 @@ def test_fault_free_run_is_bit_identical_to_seed_behavior():
 def test_idle_injector_is_bit_identical_to_no_injector():
     from repro.net.fault import FaultInjector
 
-    plain = Session(
-        Scenario.builder()
-        .random_workload(seed=3)
-        .distributed()
-        .duration(DURATION)
-        .seed(11)
-        .build()
-    )
-    baseline = plain.run()
+    baseline = Session(_build([])).run()
 
-    idle = Session(
-        Scenario.builder()
-        .random_workload(seed=3)
-        .distributed()
-        .duration(DURATION)
-        .seed(11)
-        .build()
-    )
+    idle = Session(_build([]))
     system = idle.deploy()
     system.network.install_fault_injector(FaultInjector(system.rngs))
     assert baseline.to_json_str() == idle.run().to_json_str()

@@ -1,7 +1,7 @@
 """Tests for the ``repro.api`` public surface.
 
-Covers the strategy registry (name resolution + unknown-name errors),
-Scenario validation (unknown/conflicting fields fail with
+Covers combo name resolution (+ unknown-name errors), Scenario
+validation (unknown/conflicting fields fail with
 ConfigurationError), the JSON round trip (Scenario -> JSON -> Scenario ->
 Session reproduces the direct-construction result exactly), RunResult
 serialization, and the ExperimentSuite fan-out.
@@ -17,15 +17,19 @@ from hypothesis import strategies as st
 
 from repro.api import (
     Burst,
+    DelaySpike,
     ExperimentSuite,
     MappingCell,
+    MessageLoss,
+    NodeCrash,
+    Partition,
     RunResult,
     Scenario,
     Session,
     Slowdown,
     StatSnapshot,
     WorkloadSource,
-    default_registry,
+    resolve_combo,
 )
 from repro import experiments
 from repro.core.cost_model import CostModel
@@ -55,47 +59,98 @@ def _workload(seed=2008):
     return generate_random_workload(RngRegistry(seed).stream("wl"))
 
 
+#: The names ``resolve_combo`` lists after an unknown one.
+_KNOWN_NAMES = (
+    "J_J_J, J_J_N, J_J_T, J_N_J, J_N_N, J_N_T, J_T_J, J_T_N, J_T_T, "
+    "T_N_J, T_N_N, T_N_T, T_T_J, T_T_N, T_T_T, default, distributed, "
+    "paper-best"
+)
+
+
 class TestRegistry:
     def test_all_valid_combos_resolve(self):
-        registry = default_registry()
         for combo in valid_combinations():
-            assert registry.combo(combo.label) == combo
+            assert resolve_combo(combo.label) == combo
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            str.lower,
+            lambda label: label[0].lower() + label[1:],
+            lambda label: f"  {label.lower()}\t\n",
+        ],
+        ids=["lower", "mixed", "spaces"],
+    )
+    def test_labels_resolve_in_any_case_and_spacing(self, spelling):
+        for combo in valid_combinations():
+            assert resolve_combo(spelling(combo.label)) == combo
 
     def test_aliases(self):
-        registry = default_registry()
-        assert registry.combo("default").label == "T_T_T"
-        assert registry.combo("paper-best").label == "J_J_J"
-        assert registry.combo("distributed").label == "J_N_N"
+        assert resolve_combo("default").label == "T_T_T"
+        assert resolve_combo("paper-best").label == "J_J_J"
+        assert resolve_combo(" distributed ").label == "J_N_N"
 
     def test_unknown_combo_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown strategy combo"):
-            default_registry().combo("X_Y_Z")
+        with pytest.raises(ConfigurationError) as refused:
+            resolve_combo("X_Y_Z")
+        assert str(refused.value) == (
+            f"unknown strategy combo 'X_Y_Z'; known names: {_KNOWN_NAMES}"
+        )
 
     def test_invalid_combo_label_raises(self):
         # T_J_* is the paper's contradictory combination.
-        with pytest.raises(ConfigurationError):
-            default_registry().combo("T_J_N")
+        with pytest.raises(ConfigurationError) as refused:
+            resolve_combo("T_J_N")
+        assert str(refused.value) == (
+            f"unknown strategy combo 'T_J_N'; known names: {_KNOWN_NAMES}"
+        )
 
-    def test_policies_resolve(self):
-        registry = default_registry()
-        assert registry.policy("aub", ["a", "b"]) is not None
-        assert registry.policy(
-            "deferrable_server", ["a"], server_utilization=0.2
-        ) is not None
+    @pytest.mark.parametrize("name", [None, 7, StrategyCombo.from_label("J_J_J")])
+    def test_non_string_raises(self, name):
+        with pytest.raises(
+            ConfigurationError, match="strategy combo must be a name string, got"
+        ):
+            resolve_combo(name)
 
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown admission policy"):
-            default_registry().policy("nope", ["a"])
 
-    def test_bad_policy_params_raise(self):
-        with pytest.raises(ConfigurationError, match="bad parameters"):
-            default_registry().policy("deferrable_server", ["a"], bogus=1)
+class TestPackageSurface:
+    def test_resolve_combo_is_exported_by_both_packages(self):
+        import repro
+        import repro.api
+        from repro.api import registry
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            default_registry().register_combo(
-                "default", StrategyCombo.from_label("J_J_J")
-            )
+        assert repro.resolve_combo is registry.resolve_combo
+        assert repro.api.resolve_combo is registry.resolve_combo
+        assert "resolve_combo" in repro.__all__
+        assert "resolve_combo" in repro.api.__all__
+
+    def test_one_way_to_build_a_scenario_and_name_a_combo(self):
+        import repro
+        import repro.api
+        from repro.api import registry, scenario
+
+        removed = (
+            "ENGINE_REPLAY",
+            "REGISTRY",
+            "ScenarioBuilder",
+            "StrategyRegistry",
+            "default_registry",
+            "register_combo",
+            "register_policy",
+        )
+        for module in (repro, repro.api, registry, scenario):
+            for name in removed:
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(Scenario, "builder")
+        assert scenario.ENGINES == ("middleware", "distributed")
+
+    def test_package_quickstart_doctest_passes(self):
+        import doctest
+
+        import repro
+
+        failed, attempted = doctest.testmod(repro, report=False)
+        assert (failed, attempted) == (0, 4)
 
 
 class TestScenarioValidation:
@@ -103,43 +158,13 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match="WorkloadSource"):
             Scenario(workload=_workload())
 
-    def test_builder_requires_workload(self):
-        with pytest.raises(ConfigurationError, match="workload source"):
-            Scenario.builder().combo("J_J_J").build()
-
-    def test_builder_rejects_two_sources(self):
-        builder = Scenario.builder().workload(_workload())
-        with pytest.raises(ConfigurationError, match="conflicting"):
-            builder.random_workload(seed=1)
-
     def test_unknown_combo_rejected_at_build(self):
         with pytest.raises(ConfigurationError, match="unknown strategy combo"):
-            Scenario.builder().workload(_workload()).combo("WAT").build()
+            Scenario(workload=WorkloadSource.explicit(_workload()), combo="WAT")
 
     def test_bad_duration(self):
         with pytest.raises(ConfigurationError, match="duration"):
-            Scenario.builder().workload(_workload()).duration(0).build()
-
-    def test_policy_conflicts_with_middleware_engine(self):
-        with pytest.raises(ConfigurationError, match="replay engine"):
-            Scenario(
-                workload=WorkloadSource.explicit(_workload()), policy="aub"
-            )
-
-    def test_replay_requires_policy(self):
-        with pytest.raises(ConfigurationError, match="admission policy"):
-            Scenario(
-                workload=WorkloadSource.explicit(_workload()), engine="replay"
-            )
-
-    def test_replay_rejects_disturbances(self):
-        with pytest.raises(ConfigurationError, match="disturbances"):
-            Scenario(
-                workload=WorkloadSource.explicit(_workload()),
-                engine="replay",
-                policy="aub",
-                disturbances=(Burst(time=1.0, jobs=5),),
-            )
+            Scenario(workload=WorkloadSource.explicit(_workload()), duration=0)
 
     def test_distributed_requires_jnn(self):
         with pytest.raises(ConfigurationError, match="J_N_N"):
@@ -174,19 +199,20 @@ class TestScenarioValidation:
             Slowdown(time=1.0, factor=0.0)
 
     def test_overlapping_burst_indices_rejected(self):
-        builder = (
-            Scenario.builder().workload(_workload())
-            .burst(time=5.0, jobs=10).burst(time=6.0, jobs=10)
-        )
+        bursts = (Burst(time=5.0, jobs=10), Burst(time=6.0, jobs=10))
         with pytest.raises(ConfigurationError, match="overlapping"):
-            builder.build()
+            Scenario(
+                workload=WorkloadSource.explicit(_workload()),
+                disturbances=bursts,
+            )
 
     def test_disjoint_burst_indices_accepted(self):
-        scenario = (
-            Scenario.builder().workload(_workload())
-            .burst(time=5.0, jobs=10)
-            .burst(time=6.0, jobs=10, base_index=200_000)
-            .build()
+        scenario = Scenario(
+            workload=WorkloadSource.explicit(_workload()),
+            disturbances=(
+                Burst(time=5.0, jobs=10),
+                Burst(time=6.0, jobs=10, base_index=200_000),
+            ),
         )
         assert len(scenario.disturbances) == 2
 
@@ -197,7 +223,7 @@ class TestScenarioValidation:
             WorkloadSource(kind="explicit", workload=_workload(), stream="x")
 
     def test_unknown_json_fields_rejected(self):
-        scenario = Scenario.builder().random_workload(seed=1).build()
+        scenario = Scenario(workload=WorkloadSource.random(seed=1))
         data = scenario.to_json()
         data["speed_hack"] = True
         with pytest.raises(
@@ -226,41 +252,6 @@ class TestScenarioValidation:
         ):
             decode(DelayModel, {"type": "uniform"})
 
-    def test_policy_params_normalized_for_round_trip(self):
-        unsorted = Scenario(
-            workload=WorkloadSource.explicit(_workload()),
-            engine="replay",
-            policy="deferrable_server",
-            policy_params=(
-                ("server_utilization", 0.3),
-                ("server_period", 0.1),
-            ),
-        )
-        assert unsorted.policy_params == (
-            ("server_period", 0.1),
-            ("server_utilization", 0.3),
-        )
-        assert Scenario.from_json_str(unsorted.to_json_str()) == unsorted
-
-    def test_duplicate_policy_params_rejected(self):
-        with pytest.raises(ConfigurationError, match="duplicate policy"):
-            Scenario(
-                workload=WorkloadSource.explicit(_workload()),
-                engine="replay",
-                policy="deferrable_server",
-                policy_params=(
-                    ("server_period", 0.1),
-                    ("server_period", 0.2),
-                ),
-            )
-
-    def test_custom_arrival_stream_rejected_off_replay(self):
-        with pytest.raises(ConfigurationError, match="arrival_stream"):
-            Scenario(
-                workload=WorkloadSource.explicit(_workload()),
-                arrival_stream="custom",
-            )
-
 
 class TestJsonRoundTrip:
     def test_workload_round_trip(self):
@@ -281,33 +272,25 @@ class TestJsonRoundTrip:
         assert repr(restored) == repr(model)
 
     def test_full_scenario_round_trip(self):
-        scenario = (
-            Scenario.builder()
-            .random_workload(seed=5, index=2, params=RandomWorkloadParams(
-                n_processors=3, min_subtasks=1, max_subtasks=3))
-            .combo("J_T_N")
-            .duration(42.0)
-            .seed(9)
-            .cost_model(CostModel().scaled(2.0))
-            .delay_model(ConstantDelay(0.002))
-            .interarrival_factor(1.5)
-            .burst(time=10.0, jobs=7)
-            .slowdown(time=20.0, factor=0.5)
-            .label("everything")
-            .build()
-        )
-        assert Scenario.from_json_str(scenario.to_json_str()) == scenario
-
-    def test_replay_scenario_round_trip(self):
-        scenario = (
-            Scenario.builder()
-            .workload(_workload())
-            .replay("deferrable_server", server_utilization=0.25,
-                    server_period=0.2)
-            .duration(30.0)
-            .seed(4)
-            .arrival_stream("arrivals:3")
-            .build()
+        scenario = Scenario(
+            workload=WorkloadSource.random(
+                seed=5,
+                index=2,
+                params=RandomWorkloadParams(
+                    n_processors=3, min_subtasks=1, max_subtasks=3
+                ),
+            ),
+            combo="J_T_N",
+            duration=42.0,
+            seed=9,
+            cost_model=CostModel().scaled(2.0),
+            delay_model=ConstantDelay(0.002),
+            aperiodic_interarrival_factor=1.5,
+            disturbances=(
+                Burst(time=10.0, jobs=7),
+                Slowdown(time=20.0, factor=0.5),
+            ),
+            label="everything",
         )
         assert Scenario.from_json_str(scenario.to_json_str()) == scenario
 
@@ -316,13 +299,11 @@ class TestJsonRoundTrip:
         """Scenario -> JSON -> Scenario -> Session == direct
         MiddlewareSystem construction, bit for bit."""
         workload = _workload(seed=31)
-        scenario = (
-            Scenario.builder()
-            .workload(workload)
-            .combo(label)
-            .duration(20.0)
-            .seed(13)
-            .build()
+        scenario = Scenario(
+            workload=WorkloadSource.explicit(workload),
+            combo=label,
+            duration=20.0,
+            seed=13,
         )
         restored = Scenario.from_json_str(scenario.to_json_str())
         api_result = Session(restored).run()
@@ -347,9 +328,11 @@ class TestJsonRoundTrip:
             assert source.materialize() == expected
 
     def test_run_result_round_trip(self):
-        scenario = (
-            Scenario.builder().workload(_workload()).combo("J_J_J")
-            .duration(10.0).seed(2).build()
+        scenario = Scenario(
+            workload=WorkloadSource.explicit(_workload()),
+            combo="J_J_J",
+            duration=10.0,
+            seed=2,
         )
         result = Session(scenario).run()
         restored = RunResult.from_json(result.to_json())
@@ -375,15 +358,18 @@ class TestRunResultBoundary:
     def payload(self):
         # Armed and under message loss: the chaos counters, the overhead
         # and delay snapshots and the metrics snapshot are all present.
-        scenario = (
-            Scenario.builder()
-            .random_workload(seed=3, params=RandomWorkloadParams(
-                n_periodic=4, n_aperiodic=4, n_processors=3))
-            .distributed()
-            .duration(5.0)
-            .seed(11)
-            .message_loss(0.2)
-            .build()
+        scenario = Scenario(
+            workload=WorkloadSource.random(
+                seed=3,
+                params=RandomWorkloadParams(
+                    n_periodic=4, n_aperiodic=4, n_processors=3
+                ),
+            ),
+            engine="distributed",
+            combo="J_N_N",
+            duration=5.0,
+            seed=11,
+            disturbances=(MessageLoss(0.2),),
         )
         data = Session(scenario, metrics=MetricsRegistry()).run().to_json()
         assert data["messages_dropped"] and data["metrics_snapshot"]["families"]
@@ -415,46 +401,65 @@ class TestRunResultBoundary:
 
 
 def _boundary_scenarios():
-    """A centralized, a distributed and a replay scenario that between
-    them set every optional field of a saved scenario.  Their one null
-    is an aperiodic task's period: a mutator replaces a null with a value
-    of another type, which a field such as a burst's ``task_id`` takes."""
+    """A centralized, a distributed and an imbalanced-workload scenario
+    that between them set every field a saved scenario leaves out at its
+    default, and reach all three workload sources' JSON forms.  Their one
+    null is an aperiodic task's period: a mutator replaces a null with a
+    value of another type, which a field such as a burst's ``task_id``
+    takes."""
     workload = generate_random_workload(
         RngRegistry(5).stream("wl"),
         RandomWorkloadParams(n_periodic=2, n_aperiodic=2, n_processors=3),
     )
     nodes = workload.app_nodes
     return {
-        "centralized": (
-            Scenario.builder()
-            .random_workload(seed=3, index=1, params=RandomWorkloadParams(
-                n_periodic=3, n_aperiodic=2, n_processors=3))
-            .combo("J_J_J").duration(10.0).seed(4)
-            .cost_model(CostModel())
-            .delay_model(UniformDelay(0.0001, 0.0004))
-            .burst(time=2.0, jobs=5, task_id="A1")
-            .slowdown(time=4.0, factor=0.5, nodes=("app1",))
-            .label("centralized")
-            .build()
+        "centralized": Scenario(
+            workload=WorkloadSource.random(
+                seed=3,
+                index=1,
+                params=RandomWorkloadParams(
+                    n_periodic=3, n_aperiodic=2, n_processors=3
+                ),
+            ),
+            combo="J_J_J",
+            duration=10.0,
+            seed=4,
+            cost_model=CostModel(),
+            delay_model=UniformDelay(0.0001, 0.0004),
+            disturbances=(
+                Burst(time=2.0, jobs=5, task_id="A1"),
+                Slowdown(time=4.0, factor=0.5, nodes=("app1",)),
+            ),
+            label="centralized",
         ),
-        "distributed": (
-            Scenario.builder().workload(workload).distributed()
-            .duration(10.0).seed(5)
-            .delay_model(TriangularDelay(0.0001, 0.0002, 0.0004))
-            .node_crash(nodes[0], time=2.0, recovery=5.0)
-            .partition(time=3.0, heal=6.0, group_a=nodes[:1], group_b=nodes[1:])
-            .delay_spike(time=1.0, until=4.0, factor=3.0)
-            .message_loss(0.1, time=0.0, until=8.0)
-            .build()
+        "distributed": Scenario(
+            workload=WorkloadSource.explicit(workload),
+            engine="distributed",
+            combo="J_N_N",
+            duration=10.0,
+            seed=5,
+            delay_model=TriangularDelay(0.0001, 0.0002, 0.0004),
+            disturbances=(
+                NodeCrash(nodes[0], time=2.0, recovery=5.0),
+                Partition(time=3.0, heal=6.0, group_a=nodes[:1], group_b=nodes[1:]),
+                DelaySpike(time=1.0, until=4.0, factor=3.0),
+                MessageLoss(0.1, time=0.0, until=8.0),
+            ),
         ),
-        "replay": (
-            Scenario.builder()
-            .imbalanced_workload(seed=6, params=ImbalancedWorkloadParams(
-                n_periodic=2, n_aperiodic=3))
-            .replay("deferrable_server", server_utilization=0.25,
-                    server_period=0.2)
-            .duration(10.0).seed(7).arrival_stream("arrivals:3")
-            .build()
+        "imbalanced": Scenario(
+            workload=WorkloadSource.imbalanced(
+                seed=6,
+                index=2,
+                params=ImbalancedWorkloadParams(n_periodic=2, n_aperiodic=3),
+                stream="sets",
+            ),
+            combo="J_N_J",
+            duration=10.0,
+            seed=7,
+            aperiodic_interarrival_factor=3.0,
+            arrival_batching=True,
+            trace=True,
+            drain=False,
         ),
     }
 
@@ -463,7 +468,9 @@ class TestScenarioBoundary:
     """Malformed Scenario JSON fails with ConfigurationError, at any depth;
     a mutation parses only where a default or a null may stand."""
 
-    @pytest.fixture(scope="class", params=["centralized", "distributed", "replay"])
+    @pytest.fixture(
+        scope="class", params=["centralized", "distributed", "imbalanced"]
+    )
     def scenario(self, request):
         return _boundary_scenarios()[request.param]
 
@@ -533,26 +540,21 @@ class TestSuiteBoundary:
 
 class TestSession:
     def test_session_runs_once(self):
-        scenario = (
-            Scenario.builder().workload(_workload()).duration(5.0).build()
+        scenario = Scenario(
+            workload=WorkloadSource.explicit(_workload()), duration=5.0
         )
         session = Session(scenario)
         session.run()
         with pytest.raises(ConfigurationError, match="already ran"):
             session.run()
 
-    def test_replay_has_no_deployment(self):
-        scenario = (
-            Scenario.builder().workload(_workload())
-            .replay("aub").duration(5.0).build()
-        )
-        with pytest.raises(ConfigurationError, match="no deployment"):
-            Session(scenario).deploy()
-
     def test_distributed_scenario_runs(self):
-        scenario = (
-            Scenario.builder().workload(_workload(seed=3))
-            .distributed().duration(10.0).seed(1).build()
+        scenario = Scenario(
+            workload=WorkloadSource.explicit(_workload(seed=3)),
+            engine="distributed",
+            combo="J_N_N",
+            duration=10.0,
+            seed=1,
         )
         result = Session(scenario).run()
         assert result.engine == "distributed"
@@ -560,9 +562,10 @@ class TestSession:
         assert result.reserve_messages > 0
 
     def test_burst_disturbance_unknown_task_rejected(self):
-        scenario = (
-            Scenario.builder().workload(_workload())
-            .burst(time=1.0, jobs=3, task_id="ghost").duration(5.0).build()
+        scenario = Scenario(
+            workload=WorkloadSource.explicit(_workload()),
+            disturbances=(Burst(time=1.0, jobs=3, task_id="ghost"),),
+            duration=5.0,
         )
         with pytest.raises(Exception):
             Session(scenario).run()
@@ -573,12 +576,13 @@ class TestSession:
         # even though literal task_id fields differ.
         workload = _workload()
         first_aperiodic = workload.aperiodic_tasks[0].task_id
-        scenario = (
-            Scenario.builder().workload(workload)
-            .burst(time=1.0, jobs=5)
-            .burst(time=2.0, jobs=5, task_id=first_aperiodic)
-            .duration(5.0)
-            .build()
+        scenario = Scenario(
+            workload=WorkloadSource.explicit(workload),
+            disturbances=(
+                Burst(time=1.0, jobs=5),
+                Burst(time=2.0, jobs=5, task_id=first_aperiodic),
+            ),
+            duration=5.0,
         )
         with pytest.raises(ConfigurationError, match="overlapping"):
             Session(scenario).deploy()
@@ -590,8 +594,12 @@ class TestExperimentSuite:
         suite = ExperimentSuite(
             name="order",
             cells=tuple(
-                Scenario.builder().workload(workload).combo(label)
-                .duration(8.0).seed(5).build()
+                Scenario(
+                    workload=WorkloadSource.explicit(workload),
+                    combo=label,
+                    duration=8.0,
+                    seed=5,
+                )
                 for label in ("T_N_N", "J_N_N", "J_J_J")
             ),
         )
@@ -604,7 +612,7 @@ class TestExperimentSuite:
         suite = ExperimentSuite(
             name="mixed",
             cells=(
-                Scenario.builder().workload(_workload()).duration(5.0).build(),
+                Scenario(workload=WorkloadSource.explicit(_workload()), duration=5.0),
                 MappingCell(
                     category="demo",
                     job_skipping=True,
@@ -623,7 +631,7 @@ class TestExperimentSuite:
         suite = ExperimentSuite(
             name="mapped",
             cells=(
-                Scenario.builder().workload(_workload()).duration(5.0).build(),
+                Scenario(workload=WorkloadSource.explicit(_workload()), duration=5.0),
                 MappingCell(
                     category="demo",
                     job_skipping=True,
@@ -647,7 +655,7 @@ class TestExperimentSuite:
             name="round",
             description="both cell kinds",
             cells=(
-                Scenario.builder().random_workload(seed=3).duration(6.0).build(),
+                Scenario(workload=WorkloadSource.random(seed=3), duration=6.0),
                 MappingCell(
                     category="demo",
                     job_skipping=False,
@@ -666,7 +674,6 @@ class TestExperimentSuite:
             lambda: experiments.build_figure5_suite(n_sets=2, duration=10.0),
             lambda: experiments.build_figure6_suite(n_sets=2, duration=10.0),
             lambda: experiments.build_figure8_suite(duration=10.0),
-            lambda: experiments.build_ablation_suite(n_sets=2, duration=10.0),
             lambda: experiments.build_chaos_suite(duration=10.0),
             lambda: experiments.build_disturbance_suite(duration=10.0),
             lambda: experiments.build_load_suite(duration=10.0),
@@ -675,7 +682,7 @@ class TestExperimentSuite:
             experiments.build_table1_suite,
         ],
         ids=[
-            "figure5", "figure6", "figure8", "ablation", "chaos",
+            "figure5", "figure6", "figure8", "chaos",
             "disturbance", "load", "overhead", "delay", "table1",
         ],
     )
@@ -751,9 +758,16 @@ class TestDeployRefusesBadValues:
     )
     @pytest.mark.parametrize("distributed", [False, True], ids=["central", "J_N_N"])
     def test_home_replica_refuses(self, execution_time, deadline, attribute, distributed):
-        builder = Scenario.builder().workload(self._workload(execution_time, deadline))
-        builder = builder.distributed() if distributed else builder.combo("J_J_J")
-        session = Session(builder.duration(5.0).build())
+        session = Session(
+            Scenario(
+                workload=WorkloadSource.explicit(
+                    self._workload(execution_time, deadline)
+                ),
+                engine="distributed" if distributed else "middleware",
+                combo="J_N_N" if distributed else "J_J_J",
+                duration=5.0,
+            )
+        )
         with pytest.raises(AttributeConfigError, match=attribute) as refused:
             session.deploy()
         assert "'P1.s0@app1'" in str(refused.value)

@@ -6,10 +6,11 @@ refactor down: at fixed seeds the new path must produce **identical**
 outputs (exact float equality, not approx) to the direct-construction
 serial code it replaced — per figure, and for any worker count.
 
-The reference implementations are the legacy cell functions retained in
-:mod:`repro.experiments.runner` (``middleware_cell``, ``overhead_cell``,
-``replay_cell``) plus inline serial loops that mirror the old module
-bodies line for line.
+The reference implementations are the direct-construction cells in
+``tests/parity_reference.py`` (``middleware_cell``, ``overhead_cell``,
+``run_combo_grid``) plus inline serial loops that mirror the old module
+bodies line for line.  The ablation, which runs its own replay cells, is
+pinned to its exact ratios and to an inline serial replay of every set.
 """
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from repro.core.cost_model import CostModel
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo, valid_combinations
-from repro.experiments.ablation import run_aub_vs_deferrable
+from repro.experiments.ablation import replay_cell, run_aub_vs_deferrable
 from repro.experiments.disturbance import (
     DisturbanceResult,
     run_burst_scenario,
@@ -27,12 +28,6 @@ from repro.experiments.disturbance import (
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure8 import run_figure8
-from repro.experiments.runner import (
-    middleware_cell,
-    overhead_cell,
-    replay_cell,
-    run_combo_grid,
-)
 from repro.experiments.sensitivity import (
     sweep_load,
     sweep_network_delay,
@@ -41,9 +36,14 @@ from repro.experiments.sensitivity import (
 from repro.json_checks import encode
 from repro.metrics.overhead import ALL_ROWS, OverheadAccounting
 from repro.net.latency import ConstantDelay
+from repro.sched.deferrable import DeferrableServerPolicy
+from repro.sched.replay import AubReplayPolicy, jobs_from_plan, replay
 from repro.sim.rng import RngRegistry
+from repro.workloads.arrivals import build_arrival_plan
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
 from repro.workloads.imbalanced import generate_imbalanced_workload
+
+from tests.parity_reference import overhead_cell, run_combo_grid
 
 SEED = 7
 DURATION = 20.0
@@ -117,18 +117,73 @@ class TestFigure8Parity:
         ]
 
 
+#: What ``run_aub_vs_deferrable(n_sets=3, duration=40.0, seed=11)`` read
+#: when the ablation ran as replay scenarios.
+PINNED_AUB = [0.6455917292849239, 0.5363595773692236, 0.20902129872855746]
+PINNED_DS = [0.8210901362956371, 0.7876801717294304, 0.9131067466940365]
+
+
 class TestAblationParity:
-    def test_identical_to_serial_reference(self):
-        workloads = _random_sets(11, 3)
-        reference = [
-            replay_cell(w, i, 11, 40.0, 2.0, 0.3, 0.1)
-            for i, w in enumerate(workloads)
-        ]
+    """The ratios the ablation read when it ran as replay scenarios, for
+    any worker count; a serial inline replay of every set; and a set
+    replayed on its own."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_identical_to_pinned_ratios(self, workers):
         result = run_aub_vs_deferrable(
-            n_sets=3, duration=40.0, seed=11, n_workers=3
+            n_sets=3, duration=40.0, seed=11, n_workers=workers
         )
-        assert result.aub_ratios == [r[0] for r in reference]
-        assert result.ds_ratios == [r[1] for r in reference]
+        assert result.aub_ratios == PINNED_AUB
+        assert result.ds_ratios == PINNED_DS
+
+    def test_identical_to_serial_reference(self):
+        # Every parameter off its default, so one a cell drops shows.
+        seed, duration, factor, server_u, server_t = 5, 30.0, 1.5, 0.2, 1.0
+        params = RandomWorkloadParams(n_periodic=3, n_aperiodic=4)
+        sets = RngRegistry(seed).stream("task_sets")
+        workloads = [generate_random_workload(sets, params) for _ in range(4)]
+        aub_ratios, ds_ratios = [], []
+        for set_index, workload in enumerate(workloads):
+            plan = build_arrival_plan(
+                workload,
+                duration,
+                RngRegistry(seed).stream(f"arrivals:{set_index}"),
+                factor,
+            )
+            nodes = list(workload.app_nodes)
+            aub_ratios.append(
+                replay(
+                    jobs_from_plan(workload, plan), AubReplayPolicy(nodes)
+                ).accepted_utilization_ratio
+            )
+            ds_ratios.append(
+                replay(
+                    jobs_from_plan(workload, plan),
+                    DeferrableServerPolicy(
+                        nodes, server_utilization=server_u, server_period=server_t
+                    ),
+                ).accepted_utilization_ratio
+            )
+        result = run_aub_vs_deferrable(
+            n_sets=4,
+            duration=duration,
+            seed=seed,
+            params=params,
+            aperiodic_interarrival_factor=factor,
+            server_utilization=server_u,
+            server_period=server_t,
+            n_workers=2,
+        )
+        assert result.aub_ratios == aub_ratios
+        assert result.ds_ratios == ds_ratios
+
+    def test_one_set_alone_matches_the_full_run(self):
+        # A set's trace is keyed by its index, not drawn after the others'.
+        workload = _random_sets(11, 3)[2]
+        assert replay_cell(workload, 2, 11, 40.0, 2.0, 0.3, 0.1) == (
+            PINNED_AUB[2],
+            PINNED_DS[2],
+        )
 
 
 class TestSensitivityParity:

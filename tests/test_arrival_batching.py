@@ -3,16 +3,15 @@
 The batching flag must (a) actually engage — arrivals drain through the
 AC's batched decision pass — (b) respect every strategy's semantics,
 (c) decide exactly as the sequential path wherever no drain decides more
-than one arrival, and (d) be refused by the engines that do not batch:
-replay (no admission controller) and distributed (one two-phase round
-per job).
+than one arrival, and (d) be refused by the distributed engine, which
+does not batch (one two-phase round per job).
 """
 
 import random
 
 import pytest
 
-from repro.api import Scenario, Session
+from repro.api import Burst, Scenario, Session, WorkloadSource
 from repro.core.admission_controller import AUB_REJECT
 from repro.core.strategies import valid_combinations
 from repro.errors import ConfigurationError
@@ -23,18 +22,16 @@ PARAMS = RandomWorkloadParams(n_periodic=4, n_aperiodic=4)
 COMBOS = [combo.label for combo in valid_combinations()]
 
 
-def _scenario(combo="J_J_N", batching=True, **kwargs):
-    builder = (
-        Scenario.builder()
-        .random_workload(seed=17, params=PARAMS)
-        .combo(combo)
-        .duration(15.0)
-        .seed(5)
-        .arrival_batching(batching)
+def _scenario(combo="J_J_N", batching=True, burst=None, trace=False):
+    return Scenario(
+        workload=WorkloadSource.random(seed=17, params=PARAMS),
+        combo=combo,
+        duration=15.0,
+        seed=5,
+        arrival_batching=batching,
+        disturbances=() if burst is None else (Burst(*burst),),
+        trace=trace,
     )
-    for name, value in kwargs.items():
-        builder = getattr(builder, name)(*value if isinstance(value, tuple) else (value,))
-    return builder.build()
 
 
 class TestMiddlewareBatching:
@@ -71,15 +68,15 @@ class TestMiddlewareBatching:
         job's cached decision, as the sequential path would."""
         workload = Session(_scenario()).deploy().workload  # reuse generator
         periodic = next(t for t in workload.tasks if t.is_periodic)
-        scenario = (
-            Scenario.builder()
-            .random_workload(seed=17, params=PARAMS)
-            .combo("T_N_N")
-            .duration(10.0)
-            .seed(5)
-            .arrival_batching()
-            .burst(0.0, 5, task_id=periodic.task_id, spacing=1e-9)
-            .build()
+        scenario = Scenario(
+            workload=WorkloadSource.random(seed=17, params=PARAMS),
+            combo="T_N_N",
+            duration=10.0,
+            seed=5,
+            arrival_batching=True,
+            disturbances=(
+                Burst(0.0, 5, task_id=periodic.task_id, spacing=1e-9),
+            ),
         )
         session = Session(scenario)
         result = session.run()  # used to raise SchedulingError
@@ -157,7 +154,7 @@ class TestMiddlewareBatching:
 
 
 def _generated_scenario(rng, combo):
-    """A fault-free centralized scenario builder drawn from ``rng``: a
+    """A fault-free, unbatched centralized scenario drawn from ``rng``: a
     small random workload with short deadlines, so drains are frequent."""
     params = RandomWorkloadParams(
         n_periodic=rng.randint(2, 5),
@@ -167,12 +164,11 @@ def _generated_scenario(rng, combo):
         max_deadline=2.0,
         target_utilization=rng.uniform(0.3, 0.9),
     )
-    return (
-        Scenario.builder()
-        .random_workload(seed=rng.randrange(10**6), params=params)
-        .combo(combo)
-        .duration(20.0)
-        .seed(rng.randrange(10**6))
+    return Scenario(
+        workload=WorkloadSource.random(seed=rng.randrange(10**6), params=params),
+        combo=combo,
+        duration=20.0,
+        seed=rng.randrange(10**6),
     )
 
 
@@ -194,9 +190,9 @@ class TestBatchedEqualsSequential:
         compared = 0
         for k in range(self.EXAMPLES):
             rng = random.Random(COMBOS.index(combo) * 1000 + k)
-            builder = _generated_scenario(rng, combo)
-            sequential = Session(builder.arrival_batching(False).build()).run()
-            session = Session(builder.arrival_batching(True).build())
+            scenario = _generated_scenario(rng, combo)
+            sequential = Session(scenario).run()
+            session = Session(scenario.with_changes(arrival_batching=True))
             batched = session.run()
             ac = session.system.ac
             assert ac.batch_calls > 0
@@ -211,15 +207,14 @@ class TestBatchedEqualsSequential:
 
 
 class TestBatchingValidation:
-    @pytest.mark.parametrize("engine", ["replay", "distributed"])
-    def test_rejects_arrival_batching(self, engine):
-        builder = Scenario.builder().random_workload(seed=1, params=PARAMS)
-        if engine == "replay":
-            builder = builder.replay("aub")
-        else:
-            builder = builder.distributed()
+    def test_distributed_rejects_arrival_batching(self):
         with pytest.raises(ConfigurationError, match="arrival_batching"):
-            builder.arrival_batching().build()
+            Scenario(
+                workload=WorkloadSource.random(seed=1, params=PARAMS),
+                engine="distributed",
+                combo="J_N_N",
+                arrival_batching=True,
+            )
 
     def test_round_trip_preserves_flag(self):
         scenario = _scenario()

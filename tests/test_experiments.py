@@ -228,6 +228,26 @@ class TestParallelRunner:
         # Unrecognized cells get a neutral constant (stable order).
         assert estimate_cell_cost((1, "x", None)) == 1.0
 
+    def test_estimate_cell_cost_orders_replay_cells_by_task_count(self):
+        # The ablation's direct replay cells carry a bare Workload.
+        from repro.experiments.runner import estimate_cell_cost
+        from repro.sim.rng import RngRegistry
+        from repro.workloads.generator import (
+            RandomWorkloadParams,
+            generate_random_workload,
+        )
+
+        def replay_cell_args(n_per_kind):
+            workload = generate_random_workload(
+                RngRegistry(1).stream("wl"),
+                RandomWorkloadParams(n_periodic=n_per_kind, n_aperiodic=n_per_kind),
+            )
+            return (workload, 0, 11, 40.0, 2.0, 0.3, 0.1)
+
+        small, large = replay_cell_args(2), replay_cell_args(9)
+        assert estimate_cell_cost(small) == len(small[0].tasks) == 4
+        assert estimate_cell_cost(large) == len(large[0].tasks) == 18
+
     def test_figure5_parallel_bit_identical_to_serial(self):
         combos = [StrategyCombo.from_label(l) for l in ("J_N_N", "J_J_J", "T_T_T")]
         serial = run_figure5(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.figure8 import Figure8Result
 from repro.metrics.latency import LatencyMetrics
 from repro.metrics.overhead import (
     OverheadAccounting,
@@ -161,10 +162,17 @@ class TestOverheadAccounting:
         assert names == {"ir_ac_side", "ir_other_part", "communication_delay"}
 
     def test_max_service_delay_excludes_ir_and_comm(self):
+        # Figure 8's headline maximum reads the admission-path rows only.
         acc = OverheadAccounting()
         acc.record_admission_path(1000 * USEC, lb_enabled=False, reallocated=False)
+        acc.record_admission_path(1500 * USEC, lb_enabled=True, reallocated=True)
+        acc.record_ir_ac_side(3000 * USEC)
         acc.record_ir_other(5000 * USEC)
-        assert acc.max_service_delay_usec() == pytest.approx(1000.0)
+        acc.record_communication(4000 * USEC)
+        result = Figure8Result(duration=1.0, rows=acc.rows())
+        assert result.max_service_delay_usec() == pytest.approx(1500.0)
+        empty = Figure8Result(duration=1.0)
+        assert empty.max_service_delay_usec() == pytest.approx(0.0)
 
     def test_paper_reference_table_complete(self):
         assert set(PAPER_FIGURE8_USEC) == {

@@ -31,6 +31,7 @@ from repro.api import (
     RunResult,
     Scenario,
     Session,
+    WorkloadSource,
     run_scenario,
 )
 from repro.cli import main as cli_main
@@ -38,12 +39,13 @@ from repro.experiments import run_cells
 
 
 def _scenario(seed=7, distributed=False, duration=15.0):
-    builder = (
-        Scenario.builder().random_workload(seed=2008)
-        .duration(duration).seed(seed)
+    return Scenario(
+        workload=WorkloadSource.random(seed=2008),
+        engine="distributed" if distributed else "middleware",
+        combo="J_N_N" if distributed else "J_J_J",
+        duration=duration,
+        seed=seed,
     )
-    builder = builder.distributed() if distributed else builder.combo("J_J_J")
-    return builder.build()
 
 
 def _metrics_exposition_cell(seed: int, distributed: bool) -> str:

@@ -11,6 +11,76 @@ from repro.workloads.model import Workload
 from tests.taskutil import make_task, make_two_node_workload
 
 
+#: ``repro scenario export`` output, byte for byte.
+EXPORTED_BURST_SLOWDOWN = """{
+  "aperiodic_interarrival_factor": 2.0,
+  "combo": "J_J_T",
+  "disturbances": [
+    {
+      "base_index": 100000,
+      "jobs": 10,
+      "spacing": 0.001,
+      "task_id": null,
+      "time": 5.0,
+      "type": "burst"
+    },
+    {
+      "factor": 0.5,
+      "nodes": [],
+      "time": 7.0,
+      "type": "slowdown"
+    }
+  ],
+  "drain": true,
+  "duration": 60.0,
+  "engine": "middleware",
+  "label": "x",
+  "seed": 0,
+  "trace": false,
+  "workload": {
+    "index": 0,
+    "kind": "random",
+    "seed": 3,
+    "stream": "task_sets"
+  }
+}
+"""
+EXPORTED_DISTRIBUTED = """{
+  "aperiodic_interarrival_factor": 2.0,
+  "combo": "J_N_N",
+  "drain": true,
+  "duration": 60.0,
+  "engine": "distributed",
+  "seed": 0,
+  "trace": false,
+  "workload": {
+    "index": 0,
+    "kind": "random",
+    "seed": 3,
+    "stream": "task_sets"
+  }
+}
+"""
+#: ``repro ablation --sets 3 --duration 40 --seed 11 --json PATH`` output,
+#: byte for byte, for any worker count.
+ABLATION_JSON = """{
+  "aub_mean": 0.4636575351275683,
+  "aub_ratios": [
+    0.6455917292849239,
+    0.5363595773692236,
+    0.20902129872855746
+  ],
+  "ds_mean": 0.8406256849063679,
+  "ds_ratios": [
+    0.8210901362956371,
+    0.7876801717294304,
+    0.9131067466940365
+  ],
+  "experiment": "ablation"
+}
+"""
+
+
 # ----------------------------------------------------------------------
 # Offline analysis
 # ----------------------------------------------------------------------
@@ -140,6 +210,34 @@ class TestCli:
     def test_ablation_command_small(self, capsys):
         assert main(["ablation", "--sets", "1", "--duration", "20"]) == 0
         assert "Deferrable Server" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ablation_json_is_the_same_for_any_workers(
+        self, tmp_path, capsys, workers
+    ):
+        path = tmp_path / "ablation.json"
+        assert main(
+            ["ablation", "--sets", "3", "--duration", "40", "--seed", "11",
+             "--workers", workers, "--json", str(path)]
+        ) == 0
+        assert path.read_text() == ABLATION_JSON
+        assert capsys.readouterr().out.endswith(f"JSON written to {path}\n")
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (
+                ["--combo", "J_J_T", "--burst", "5:10", "--slowdown", "7:0.5",
+                 "--label", "x"],
+                EXPORTED_BURST_SLOWDOWN,
+            ),
+            (["--distributed"], EXPORTED_DISTRIBUTED),
+        ],
+        ids=["burst-slowdown", "distributed"],
+    )
+    def test_scenario_export(self, capsys, flags, expected):
+        assert main(["scenario", "export", "-", "--random-seed", "3", *flags]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_bad_answers_rejected(self, tmp_path, capsys):
         assert main(

@@ -184,8 +184,8 @@ class _MirroredSystem:
     # -- helpers -------------------------------------------------------
     def _commit(self, key, visits, stage_utils, expiry):
         for j, (node, u) in enumerate(zip(visits, stage_utils)):
-            self.ledger_inc.add(node, (key[0], key[1], j), u, self.now)
-            self.ledger_nai.add(node, (key[0], key[1], j), u, self.now)
+            self.ledger_inc.add(node, (key[0], key[1], j), u)
+            self.ledger_nai.add(node, (key[0], key[1], j), u)
         self.inc.register(key, list(visits), expiry)
         self.nai.register(key, list(visits), expiry)
         self.live[key] = (list(visits), list(stage_utils), expiry)
@@ -198,8 +198,8 @@ class _MirroredSystem:
         for key, visits, stage_utils, _expiry in accepted:
             for j, (node, u) in enumerate(zip(visits, stage_utils)):
                 entries.append((node, (key[0], key[1], j), u))
-                self.ledger_nai.add(node, (key[0], key[1], j), u, self.now)
-        self.ledger_inc.add_batch(entries, self.now)
+                self.ledger_nai.add(node, (key[0], key[1], j), u)
+        self.ledger_inc.add_batch(entries)
         for key, visits, stage_utils, expiry in accepted:
             self.inc.register(key, list(visits), expiry)
             self.nai.register(key, list(visits), expiry)
@@ -237,8 +237,8 @@ class _MirroredSystem:
     def _evict(self, key):
         visits, stage_utils, _expiry = self.live.pop(key)
         for j, node in enumerate(visits):
-            self.ledger_inc.remove(node, (key[0], key[1], j), self.now)
-            self.ledger_nai.remove(node, (key[0], key[1], j), self.now)
+            self.ledger_inc.remove(node, (key[0], key[1], j))
+            self.ledger_nai.remove(node, (key[0], key[1], j))
         self.inc.unregister(key)
         self.nai.unregister(key)
 
@@ -363,8 +363,8 @@ class _MirroredSystem:
         visits, stage_utils, expiry = self.live[key]
         node = visits[stage]
         ck = (key[0], key[1], stage)
-        self.ledger_inc.remove(node, ck, self.now)
-        self.ledger_nai.remove(node, ck, self.now)
+        self.ledger_inc.remove(node, ck)
+        self.ledger_nai.remove(node, ck)
         stage_utils[stage] = 0.0
 
     def check_final_state(self):

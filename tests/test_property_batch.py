@@ -502,13 +502,6 @@ class TestLedgerShardInvariants:
         assert removed == 3
         assert notified == ["a", "b"]
 
-    def test_time_tracking_through_batches(self):
-        ledger = SyntheticUtilizationLedger(["a"], track_time=True)
-        ledger.add_batch([("a", ("T", 0, 0), 0.4)], now=0.0)
-        ledger.remove_batch([("a", ("T", 0, 0))], now=2.0)
-        # 0.4 for two seconds, then 0 for two seconds.
-        assert abs(ledger.average_utilization("a", 4.0) - 0.2) < 1e-12
-
 
 # ----------------------------------------------------------------------
 # Expiry-heap compaction

@@ -1,8 +1,8 @@
-"""Property test: builder-produced Scenarios survive process boundaries.
+"""Property test: Scenarios survive process boundaries.
 
 Scenarios are the unit of work handed to worker processes (suite runs
-pickle them into cells), so *every* value the fluent builder can produce
-must (a) pickle-round-trip to an equal value and (b) re-serialize to
+pickle them into cells), so *every* value a scenario can hold on either
+engine must (a) pickle-round-trip to an equal value and (b) re-serialize to
 byte-identical pickle and JSON forms — otherwise which process built the
 scenario would become observable.
 """
@@ -14,12 +14,20 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Scenario
+from repro.api import (
+    Burst,
+    DelaySpike,
+    MessageLoss,
+    NodeCrash,
+    Partition,
+    Scenario,
+    Slowdown,
+    WorkloadSource,
+)
 from repro.core.cost_model import CostModel
 from repro.net.latency import ConstantDelay, NormalDelay, TriangularDelay, UniformDelay
 
 COMBOS = ("T_T_T", "T_N_N", "J_J_J", "J_N_N", "default", "paper-best")
-POLICIES = ("aub", "deferrable_server")
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 durations = st.floats(
@@ -51,96 +59,94 @@ delay_models = st.one_of(
 )
 
 
-def _draw_fault(draw, builder) -> None:
-    """Append one random fault disturbance via its builder method."""
+def _draw_fault(draw):
+    """One random fault disturbance."""
     kind = draw(st.sampled_from(
         ("node_crash", "partition", "delay_spike", "message_loss")
     ))
     start = draw(st.floats(0.0, 100.0, allow_nan=False))
     span = draw(st.floats(0.1, 50.0, allow_nan=False))
     if kind == "node_crash":
-        builder.node_crash(
+        return NodeCrash(
             node=draw(node_names),
             time=start,
             recovery=start + span if draw(st.booleans()) else None,
         )
-    elif kind == "partition":
-        builder.partition(
+    if kind == "partition":
+        return Partition(
             time=start,
             heal=start + span,
             group_a=("n1",),
             group_b=draw(st.sampled_from((("n2",), ("n2", "n3")))),
         )
-    elif kind == "delay_spike":
-        builder.delay_spike(
+    if kind == "delay_spike":
+        return DelaySpike(
             time=start,
             until=start + span,
             factor=draw(st.floats(0.1, 10.0, allow_nan=False)),
         )
-    else:
-        builder.message_loss(
-            probability=draw(st.floats(0.01, 1.0, allow_nan=False)),
-            time=start,
-            until=start + span if draw(st.booleans()) else None,
-            stream=draw(st.sampled_from(("message_loss", "chaos_loss"))),
-        )
+    return MessageLoss(
+        probability=draw(st.floats(0.01, 1.0, allow_nan=False)),
+        time=start,
+        until=start + span if draw(st.booleans()) else None,
+        stream=draw(st.sampled_from(("message_loss", "chaos_loss"))),
+    )
 
 
 @st.composite
 def scenarios(draw) -> Scenario:
-    builder = Scenario.builder()
+    source = WorkloadSource.random if draw(st.booleans()) else (
+        WorkloadSource.imbalanced
+    )
+    fields = {
+        "workload": source(draw(seeds), index=draw(st.integers(0, 4))),
+    }
+    disturbances = []
     if draw(st.booleans()):
-        builder.random_workload(draw(seeds), index=draw(st.integers(0, 4)))
-    else:
-        builder.imbalanced_workload(draw(seeds), index=draw(st.integers(0, 4)))
-    engine = draw(st.sampled_from(("middleware", "distributed", "replay")))
-    if engine == "distributed":
-        builder.distributed()
+        fields.update(engine="distributed", combo="J_N_N")
         # Fault (chaos) disturbances are distributed-engine features.
         for _ in range(draw(st.integers(0, 2))):
-            _draw_fault(draw, builder)
-    elif engine == "replay":
-        builder.replay(draw(st.sampled_from(POLICIES)))
+            disturbances.append(_draw_fault(draw))
     else:
-        builder.combo(draw(st.sampled_from(COMBOS)))
+        fields["combo"] = draw(st.sampled_from(COMBOS))
         # Disturbances and tracing are middleware-engine-only features.
         for i in range(draw(st.integers(0, 2))):
             if draw(st.booleans()):
-                builder.burst(
+                disturbances.append(Burst(
                     time=draw(st.floats(0.0, 100.0, allow_nan=False)),
                     jobs=draw(st.integers(1, 50)),
                     base_index=100_000 + 1_000 * i,
-                )
+                ))
             else:
-                builder.slowdown(
+                disturbances.append(Slowdown(
                     time=draw(st.floats(0.0, 100.0, allow_nan=False)),
                     factor=draw(st.floats(0.1, 4.0, allow_nan=False)),
-                )
+                ))
         if draw(st.booleans()):
-            builder.trace()
+            fields["trace"] = True
         if draw(st.booleans()):
             # The one fault disturbance the middleware engine accepts.
             start = draw(st.floats(0.0, 100.0, allow_nan=False))
-            builder.delay_spike(
+            disturbances.append(DelaySpike(
                 time=start,
                 until=start + draw(st.floats(0.1, 50.0, allow_nan=False)),
                 factor=draw(st.floats(0.1, 10.0, allow_nan=False)),
-            )
-    if engine != "replay":
-        # Replay scenarios are overhead-free: no cost or delay model.
-        if draw(st.booleans()):
-            builder.cost_model(draw(cost_models))
-        if draw(st.booleans()):
-            builder.delay_model(draw(delay_models))
-    builder.duration(draw(durations))
-    builder.seed(draw(seeds))
+            ))
     if draw(st.booleans()):
-        builder.interarrival_factor(draw(st.floats(0.5, 16.0, allow_nan=False)))
+        fields["cost_model"] = draw(cost_models)
     if draw(st.booleans()):
-        builder.drain(draw(st.booleans()))
+        fields["delay_model"] = draw(delay_models)
+    fields["duration"] = draw(durations)
+    fields["seed"] = draw(seeds)
     if draw(st.booleans()):
-        builder.label(draw(st.text(min_size=1, max_size=12)))
-    return builder.build()
+        fields["aperiodic_interarrival_factor"] = draw(
+            st.floats(0.5, 16.0, allow_nan=False)
+        )
+    if draw(st.booleans()):
+        fields["drain"] = draw(st.booleans())
+    if draw(st.booleans()):
+        fields["label"] = draw(st.text(min_size=1, max_size=12))
+    return Scenario(disturbances=tuple(disturbances), **fields)
 
 
 @given(scenarios())

@@ -14,7 +14,8 @@ import threading
 
 import pytest
 
-from repro.api import Scenario, Session
+from repro.api import Scenario, Session, WorkloadSource
+from repro.experiments.ablation import run_aub_vs_deferrable
 from repro.sanitize import (
     LedgerShadow,
     RngDrawLedger,
@@ -35,13 +36,11 @@ def sanitize(monkeypatch):
 
 
 def _scenario() -> Scenario:
-    return (
-        Scenario.builder()
-        .random_workload(seed=7)
-        .combo("T_T_T")
-        .duration(40.0)
-        .seed(7)
-        .build()
+    return Scenario(
+        workload=WorkloadSource.random(seed=7),
+        combo="T_T_T",
+        duration=40.0,
+        seed=7,
     )
 
 
@@ -65,6 +64,19 @@ class TestSanitizedRunIsObservationOnly:
             sanitized.final_synthetic_utilization
             == plain.final_synthetic_utilization
         )
+
+    def test_ablation_matches_unsanitized_bit_for_bit(self, monkeypatch):
+        # Each replay cell builds its ledgers and analyzer in the worker
+        # that runs it, so the workers' sanitizer checks every set.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        plain = run_aub_vs_deferrable(n_sets=3, duration=40.0, seed=11, n_workers=1)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        for workers in (1, 2):
+            sanitized = run_aub_vs_deferrable(
+                n_sets=3, duration=40.0, seed=11, n_workers=workers
+            )
+            assert sanitized.aub_ratios == plain.aub_ratios
+            assert sanitized.ds_ratios == plain.ds_ratios
 
     def test_rng_registry_attributes_all_run_draws(self, sanitize):
         # The middleware run audits its registry at result time; reaching
@@ -217,9 +229,12 @@ class TestRngDrawAttribution:
             rngs.audit()
 
     def test_distributed_run_audits_its_registry(self, sanitize):
-        scenario = (
-            Scenario.builder().random_workload(seed=7).distributed()
-            .duration(5.0).seed(7).build()
+        scenario = Scenario(
+            workload=WorkloadSource.random(seed=7),
+            engine="distributed",
+            combo="J_N_N",
+            duration=5.0,
+            seed=7,
         )
         session = Session(scenario)
         system = session.deploy()

@@ -4,7 +4,7 @@ One test per raise site, each asserting on the message so a future
 reword (or a branch silently becoming unreachable) fails loudly.  The
 sections mirror the module: the JSON codec on its value types,
 :class:`WorkloadSource`, disturbances, :class:`Scenario` validation,
-JSON loading, and the builder.
+and JSON loading.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 from repro.api import (
     Burst,
     DelaySpike,
+    ExperimentSuite,
     MessageLoss,
     NodeCrash,
     Partition,
@@ -597,72 +598,11 @@ class TestScenarioErrors:
         ):
             _scenario(engine="quantum")
 
-    def test_duplicate_policy_params(self):
-        with pytest.raises(
-            ConfigurationError,
-            match="duplicate policy parameter name\\(s\\): \\['budget', 'budget'\\]",
-        ):
-            _scenario(
-                engine="replay",
-                policy="deferrable_server",
-                policy_params=(("budget", 0.1), ("budget", 0.2)),
-            )
-
     def test_unknown_combo_surfaces_at_build_time(self):
         with pytest.raises(
             ConfigurationError, match="unknown strategy combo 'X_X_X'"
         ):
             _scenario(combo="X_X_X")
-
-    def test_replay_needs_policy(self):
-        with pytest.raises(
-            ConfigurationError, match="replay scenarios need an admission policy"
-        ):
-            _scenario(engine="replay")
-
-    def test_replay_rejects_disturbances(self):
-        with pytest.raises(
-            ConfigurationError, match="disturbances conflict\\s+with the replay engine"
-        ):
-            _scenario(
-                engine="replay",
-                policy="aub",
-                disturbances=(Burst(time=1.0, jobs=1),),
-            )
-
-    def test_replay_rejects_trace(self):
-        with pytest.raises(
-            ConfigurationError, match="trace=True conflicts\\s+with the replay engine"
-        ):
-            _scenario(engine="replay", policy="aub", trace=True)
-
-    def test_replay_rejects_cost_and_delay_models(self):
-        from repro.core.cost_model import CostModel
-
-        with pytest.raises(
-            ConfigurationError, match="cost/delay models\\s+conflict"
-        ):
-            _scenario(engine="replay", policy="aub", cost_model=CostModel())
-
-    def test_replay_rejects_arrival_batching(self):
-        with pytest.raises(
-            ConfigurationError, match="arrival_batching conflicts with the replay"
-        ):
-            _scenario(engine="replay", policy="aub", arrival_batching=True)
-
-    def test_policy_on_non_replay_engine(self):
-        with pytest.raises(
-            ConfigurationError,
-            match="admission policies only apply to the replay engine",
-        ):
-            _scenario(policy="aub")
-
-    def test_custom_arrival_stream_on_non_replay_engine(self):
-        with pytest.raises(
-            ConfigurationError,
-            match="a custom arrival_stream\\s+only applies to the replay engine",
-        ):
-            _scenario(arrival_stream="late_arrivals")
 
     def test_distributed_requires_jnn(self):
         with pytest.raises(
@@ -744,20 +684,6 @@ class TestScenarioJsonErrors:
         ):
             Scenario.from_json({"duration": 5.0})
 
-    def test_from_json_policy_params_must_be_object(self):
-        with pytest.raises(
-            ConfigurationError,
-            match=r"\$\.policy_params: expected an object, got list",
-        ):
-            Scenario.from_json(
-                {
-                    "workload": {"kind": "random", "seed": 1},
-                    "engine": "replay",
-                    "policy": "aub",
-                    "policy_params": [1, 2],
-                }
-            )
-
     @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "1e999"])
     @pytest.mark.parametrize(
         "key", ["duration", "aperiodic_interarrival_factor", "seed"]
@@ -801,19 +727,87 @@ class TestScenarioJsonErrors:
 
 
 # ----------------------------------------------------------------------
-# Builder
+# Keys of the removed replay engine
 # ----------------------------------------------------------------------
-class TestBuilderErrors:
-    def test_two_workload_sources_conflict(self):
-        builder = Scenario.builder().random_workload(seed=1)
-        with pytest.raises(
-            ConfigurationError,
-            match="already has a workload source \\(conflicting fields\\)",
-        ):
-            builder.workload(_workload())
+#: Each key a scenario saved with the replay engine's fields may hold, and
+#: the error (after its JSON path) that refuses it.
+_REMOVED_KEYS = {
+    "policy": ("aub", ".policy: unknown key of Scenario"),
+    "policy_params": (
+        {"server_period": 0.1},
+        ".policy_params: unknown key of Scenario",
+    ),
+    "arrival_stream": ("arrivals", ".arrival_stream: unknown key of Scenario"),
+    "engine": (
+        "replay",
+        ": unknown engine 'replay'; expected one of middleware, distributed",
+    ),
+}
 
-    def test_build_without_workload(self):
-        with pytest.raises(
-            ConfigurationError, match="scenario needs a workload source; call"
-        ):
-            Scenario.builder().duration(5.0).build()
+
+#: ``repro scenario export - --random-seed 3 --distributed`` as written
+#: while the replay engine existed.
+_SAVED_WITH_ARRIVAL_STREAM = """{
+  "aperiodic_interarrival_factor": 2.0,
+  "arrival_stream": "arrivals",
+  "combo": "J_N_N",
+  "drain": true,
+  "duration": 60.0,
+  "engine": "distributed",
+  "seed": 0,
+  "trace": false,
+  "workload": {
+    "index": 0,
+    "kind": "random",
+    "seed": 3,
+    "stream": "task_sets"
+  }
+}
+"""
+
+
+class TestRemovedKeys:
+    def test_saved_file_loads_once_its_arrival_stream_line_is_deleted(self):
+        with pytest.raises(ConfigurationError) as refused:
+            Scenario.from_json_str(_SAVED_WITH_ARRIVAL_STREAM)
+        assert str(refused.value) == "$.arrival_stream: unknown key of Scenario"
+        edited = "".join(
+            line
+            for line in _SAVED_WITH_ARRIVAL_STREAM.splitlines(keepends=True)
+            if '"arrival_stream"' not in line
+        )
+        assert Scenario.from_json_str(edited) == Scenario(
+            workload=WorkloadSource.random(seed=3),
+            engine="distributed",
+            combo="J_N_N",
+        )
+
+    @pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+    def test_scenario_json_refused(self, key):
+        value, error = _REMOVED_KEYS[key]
+        saved = _scenario().to_json()
+        saved[key] = value
+        with pytest.raises(ConfigurationError) as refused:
+            Scenario.from_json(saved)
+        assert str(refused.value) == "$" + error
+
+    @pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+    def test_suite_cell_refused(self, key):
+        value, error = _REMOVED_KEYS[key]
+        suite = ExperimentSuite(name="saved", cells=(_scenario(),)).to_json()
+        suite["cells"][0][key] = value
+        with pytest.raises(ConfigurationError) as refused:
+            ExperimentSuite.from_json(suite)
+        assert str(refused.value) == "$.cells[0]" + error
+
+    @pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+    def test_scenario_run_prints_one_error_line(self, key, tmp_path, capsys):
+        value, error = _REMOVED_KEYS[key]
+        saved = _scenario().to_json()
+        saved[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(saved))
+        assert main(["scenario", "run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["repro: error: $" + error]

@@ -109,8 +109,8 @@ class TestTaskCondition:
 # SyntheticUtilizationLedger
 # ----------------------------------------------------------------------
 class TestLedger:
-    def make(self, track_time=False):
-        return SyntheticUtilizationLedger(["a", "b"], track_time=track_time)
+    def make(self):
+        return SyntheticUtilizationLedger(["a", "b"])
 
     def test_starts_empty(self):
         ledger = self.make()
@@ -166,17 +166,6 @@ class TestLedger:
         ledger.add("a", ("T", 0, 0), 0.2)
         ledger.add("a", ("T", 1, 0), 0.2)
         assert ledger.contribution_count("a") == 2
-
-    def test_time_weighted_average(self):
-        ledger = self.make(track_time=True)
-        ledger.add("a", ("T", 0, 0), 0.4, now=0.0)
-        ledger.remove("a", ("T", 0, 0), now=5.0)
-        assert ledger.average_utilization("a", 10.0) == pytest.approx(0.2)
-
-    def test_average_requires_tracking(self):
-        ledger = self.make(track_time=False)
-        with pytest.raises(SchedulingError):
-            ledger.average_utilization("a", 1.0)
 
     def test_needs_at_least_one_node(self):
         with pytest.raises(SchedulingError):
@@ -317,8 +306,8 @@ class TestIncrementalMatchesNaiveScripted:
             for key, nodes_used, t_exp in list(admitted):
                 if t_exp <= now:
                     for j, node in enumerate(nodes_used):
-                        ledger_i.remove(node, (key[0], key[1], j), now)
-                        ledger_n.remove(node, (key[0], key[1], j), now)
+                        ledger_i.remove(node, (key[0], key[1], j))
+                        ledger_n.remove(node, (key[0], key[1], j))
                     inc.unregister(key)
                     nai.unregister(key)
                     admitted.remove((key, nodes_used, t_exp))
@@ -331,8 +320,8 @@ class TestIncrementalMatchesNaiveScripted:
                     share = contribs[node] / sum(
                         1 for n in visits if n == node
                     )
-                    ledger_i.add(node, (key[0], key[1], j), share, now)
-                    ledger_n.add(node, (key[0], key[1], j), share, now)
+                    ledger_i.add(node, (key[0], key[1], j), share)
+                    ledger_n.add(node, (key[0], key[1], j), share)
                 inc.register(key, list(visits), expiry)
                 nai.register(key, list(visits), expiry)
                 admitted.append((key, list(visits), expiry))
