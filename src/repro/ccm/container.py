@@ -73,5 +73,12 @@ class Container:
             if not component.activated:
                 component.activate()
 
+    def release_components(self) -> None:
+        """Empty the component table, as an application is torn down
+        after its run: :meth:`lookup` finds nothing, and a component
+        still held elsewhere keeps its context (container, node, ...)."""
+        self.components.clear()
+        self._by_name.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Container node={self.node!r} components={len(self.components)}>"

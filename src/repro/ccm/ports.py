@@ -9,6 +9,15 @@ paper's Figure 3 (AC -> LB "Location" calls, subtask -> IR "Complete"
 calls), which are always node-local in the paper's deployment; the AC and
 LB reach theirs through receptacles, while a subtask, deployed once per
 replica, holds the IR's facet itself.
+
+A source port holds its owner's container and name, not its owner: a
+component holds its ports, so a port that held its component back would
+put every component with one on a reference cycle of its own, and a
+finished deployment's replicas would wait for the cycle collector
+instead of being freed when the run uninstalls them
+(:meth:`repro.core.middleware.MiddlewareSystem.run_plan`).  A source port
+is built at install (:meth:`Component.on_install`); one built before its
+owner is installed has no container, and every push through it fails.
 """
 
 from __future__ import annotations
@@ -25,24 +34,27 @@ class EventSourcePort:
     """A publishes port: push events to a topic on a destination node."""
 
     def __init__(self, owner: "Component", name: str) -> None:
-        self.owner = owner
+        #: The owner's container when the port was built (None before
+        #: install) and the owner's name, for errors.
+        self.container = owner.container
+        self.owner_name = owner.name
         self.name = name
 
     def push(self, destination: str, topic: str, payload: Any) -> None:
         """Push ``payload`` point-to-point to ``topic`` on ``destination``."""
-        container = self.owner.container
+        container = self.container
         if container is None:
             raise PortError(
-                f"event source {self.name!r} of {self.owner.name!r}: not installed"
+                f"event source {self.name!r} of {self.owner_name!r}: not installed"
             )
         container.federation.send(container.node, destination, topic, payload)
 
     def broadcast(self, topic: str, payload: Any) -> None:
         """Publish ``payload`` to every subscriber of ``topic``."""
-        container = self.owner.container
+        container = self.container
         if container is None:
             raise PortError(
-                f"event source {self.name!r} of {self.owner.name!r}: not installed"
+                f"event source {self.name!r} of {self.owner_name!r}: not installed"
             )
         container.federation.publish(container.node, topic, payload)
 

@@ -52,14 +52,19 @@ def _encode_value(parent: ET.Element, value: Any) -> None:
 
 
 def _decode_value(value_el: ET.Element) -> Any:
-    kind_el = value_el.find("./type/kind")
+    # Child lookups by plain tag, one level at a time: a path with "/"
+    # would leave the C accelerator for the pure-Python ElementPath
+    # module, twice per configProperty.
+    type_el = value_el.find("type")
+    kind_el = type_el.find("kind") if type_el is not None else None
     if kind_el is None or kind_el.text is None:
         raise ConfigurationError("configProperty value missing <type><kind>")
     kind = kind_el.text.strip()
     tag = _TAG_BY_KIND.get(kind)
     if tag is None:
         raise ConfigurationError(f"unknown type kind {kind!r}")
-    payload = value_el.find(f"./value/{tag}")
+    inner = value_el.find("value")
+    payload = inner.find(tag) if inner is not None else None
     if payload is None or payload.text is None:
         raise ConfigurationError(f"configProperty value missing <{tag}>")
     text = payload.text.strip()

@@ -292,14 +292,43 @@ class MiddlewareSystem:
 
     def run_plan(self, plan: ArrivalPlan, drain: bool = True) -> SystemResults:
         """Run a pre-built arrival plan (for paired strategy comparisons
-        on identical traces)."""
+        on identical traces).
+
+        Once the results are read, the application is uninstalled
+        (:meth:`_uninstall_application`), as DAnCE ends an application's
+        lifecycle by tearing it down: the subtask replicas, their
+        threads and any work still queued are freed here, by reference
+        counting.  The services (AC, LB, TEs, IRs, distributed ACs) stay
+        readable with their counters, as do ``metrics``, ``overhead``,
+        ``tracer``, ``network``, ``processors`` and ``sim``'s counters.
+        """
         if self._ran:
             raise ConfigurationError("this system instance already ran")
         self._ran = True
         arrived = self.schedule_arrivals(plan)
         end = self._prepare_run(plan.horizon, drain)
         self.sim.run(until=end)
-        return self._results(end, arrived)
+        results = self._results(end, arrived)
+        self._uninstall_application()
+        return results
+
+    def _uninstall_application(self) -> None:
+        """Drop every reference the deployment holds to a subtask replica.
+
+        A replica is reached only through the kernel's pending events
+        and its thread's queued work (the bound methods they carry), the
+        ``(task, stage, node)`` table the Trigger routes close over, and
+        its container's component table, and it sits on no reference
+        cycle of its own (see :mod:`repro.ccm.ports`).  Emptying these
+        costs the nodes and the pending events, with no step per
+        replica, and the replicas go as the last reference does.
+        """
+        self.sim.drain()
+        for processor in self.processors.values():
+            processor.discard_work()
+        self.env.subtask_instances.clear()
+        for container in self.containers.values():
+            container.release_components()
 
     def _prepare_run(self, horizon: float, drain: bool) -> float:
         """The simulated time the run ends at; called once, after the

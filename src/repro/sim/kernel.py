@@ -233,6 +233,14 @@ class Simulator:
             self._running = False
 
     def drain(self) -> None:
-        """Discard all pending events without firing them."""
+        """Discard all pending events without firing them.
+
+        Nothing is cancelled or scheduled, and no counter moves: the
+        heap and the open batches are emptied, and with them the last
+        references the kernel held to the callbacks and payloads.
+        ``MiddlewareSystem.run_plan`` drains its kernel once the run's
+        results are read, as the first step of uninstalling the
+        application.
+        """
         self._heap.clear()
         self._batches.clear()

@@ -235,10 +235,11 @@ class TestContainer:
         # deployment of thousands of subtask components).
         session = Session(scenario)
         system = session.deploy()
-        session.run()
         containers = system.containers
         context = {"node", "sim", "processor", "tracer"}
+        # Taken before the run: a finished run empties the containers.
         components = [c for ct in containers.values() for c in ct.components]
+        session.run()
         assert len(components) > len(containers)
         for component in components:
             fresh = type(component)(component.name, component.env)
@@ -299,6 +300,22 @@ class TestPorts:
         source = EventSourcePort(w, "out")
         with pytest.raises(PortError):
             source.push("n1", "t", 1)
+
+    def test_source_built_before_install_fails_after_it(self):
+        # A source port holds the container its owner had when it was
+        # built (not the owner), so one built too early never pushes.
+        container = make_container()
+        w = Widget("w")
+        source = EventSourcePort(w, "out")
+        container.install(w)
+        with pytest.raises(
+            PortError, match=r"^event source 'out' of 'w': not installed$"
+        ):
+            source.push("n1", "t", 1)
+        with pytest.raises(
+            PortError, match=r"^event source 'out' of 'w': not installed$"
+        ):
+            source.broadcast("t", 1)
 
     def test_uninstalled_sink_subscribe_fails(self):
         w = Widget("w")

@@ -12,6 +12,7 @@ from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import valid_combinations
 from repro.sched.task import SubtaskSpec, TaskKind, TaskSpec
 from repro.workloads.model import Workload
+from tests.uninstallutil import run_freeing_replicas
 
 NODES = ("app1", "app2", "app3")
 
@@ -108,9 +109,10 @@ loaded_workloads = small_workloads(utilizations=(0.2, 0.35, 0.6, 0.9))
 def assert_guarantee(scenario):
     """Run a fault-free ``scenario``: every arrival of each task kind is
     released or rejected, every released job completes, and none misses
-    its end-to-end deadline."""
+    its end-to-end deadline.  No subtask replica outlives the run
+    (:func:`tests.uninstallutil.run_freeing_replicas`)."""
     session = Session(scenario)
-    result = session.run()
+    result = run_freeing_replicas(session)
     for kind, counters in session.system.metrics.per_kind.items():
         assert counters.arrived_jobs == (
             counters.released_jobs + counters.rejected_jobs
@@ -207,18 +209,17 @@ def assert_stages_ran_where_assigned(scenario):
         on_completion(job)
 
     system.metrics.on_completion = record
+    # Taken before the run: a finished run uninstalls the replicas.
+    stages = dict(system.env.subtask_instances)
     result = session.run()
     assert len(completed) == result.completed_jobs == result.released_jobs
-    expected = dict.fromkeys(system.env.subtask_instances, 0)
+    expected = dict.fromkeys(stages, 0)
     for job in completed:
         task_id = job.task.task_id
         assert sorted(job.subjob_finish_times) == sorted(job.assignment)
         for index, node in job.assignment.items():
             expected[task_id, index, node] += 1
-    ran = {
-        key: stage.subjobs_executed
-        for key, stage in system.env.subtask_instances.items()
-    }
+    ran = {key: stage.subjobs_executed for key, stage in stages.items()}
     assert ran == expected
 
 
