@@ -24,8 +24,8 @@ for any worker count.
 Session, and a checked deployment plan is built by it too
 (``repro.config.deploy_plan``); ``docs/API.md`` maps its loosely-shaped
 results onto ``RunResult``.  See ``examples/`` for full scenarios and
-``benchmarks/`` for the reproductions of the paper's figures and
-tables.
+``python -m repro figure5`` (``figure6``, ``figure8``, ``table1``) for
+the reproductions of the paper's figures and tables.
 """
 
 from repro.api import (

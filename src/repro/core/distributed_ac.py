@@ -27,9 +27,9 @@ and thereafter refuses any reservation that would push ``U_j`` above any
 live cap.  Every admitted task's condition therefore keeps holding no
 matter what other coordinators admit — at the price of conservatism
 (slack is partitioned instead of shared) and of two extra network phases
-per admission.  ``benchmarks/test_bench_distributed.py`` and
-``examples/distributed_vs_centralized.py`` measure both penalties
-against the paper's centralized design.
+per admission.  ``examples/distributed_vs_centralized.py`` measures both
+penalties against the paper's centralized design, and
+``tests/test_distributed_ac.py`` asserts the conservatism.
 
 Each admission is one two-phase transaction: the job's coordinator (the
 controller on its arrival node) sends one reserve request per visited

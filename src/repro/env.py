@@ -8,9 +8,9 @@ engine.  ``repro-lint`` rule RL009 enforces that everything under
 layer accepts plain parameters and lets its caller resolve them here.
 
 The helpers below are the complete catalogue of runtime environment
-knobs the library honors (benchmark- and test-only knobs such as
-``REPRO_BENCH_*`` live with their harnesses, which are outside the
-library).  Each knob is read at its use site's entry point — not cached
+knobs the library honors (example-only knobs such as
+``REPRO_EXAMPLE_DURATION`` live with their scripts, which are outside
+the library).  Each knob is read at its use site's entry point — not cached
 at import — except where the consumer itself binds the value at import
 time (the numpy gate in :mod:`repro.sched.aub`).
 """

@@ -12,7 +12,8 @@
   of the above dispatch their independent run cells through.
 
 Each runner takes explicit duration/set-count/seed parameters so tests can
-run scaled-down versions while benchmarks run paper-scale ones, plus an
+run scaled-down versions while the CLI runs paper-scale ones
+(``repro figure5 --sets 10 --duration 300``), plus an
 ``n_workers`` parameter (default: ``$REPRO_WORKERS`` or the CPU count)
 controlling the parallel fan-out; results are bit-identical for every
 worker count.

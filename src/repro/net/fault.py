@@ -20,8 +20,9 @@ Determinism contract
   regardless of worker count or rerun.
 * An injector with no faults configured (``armed`` is ``False``) makes
   no RNG draws and changes no behavior: a fault-free run with the
-  injector installed is bit-identical to a run without it (the
-  ``fault_injection`` benchmark section bounds the residual overhead).
+  injector installed is bit-identical to a run without it.  Fault-free
+  scenarios install none; an installed injector's cost on the send path
+  is part of the ``dist_faults`` benchmark workload's host time.
 * Drops are decided at *send* time: messages already in flight when a
   partition starts (or a node crashes) still deliver, like frames
   already on the wire when a switch loses a segment.

@@ -4,7 +4,7 @@ The Admission Control component delegates the actual schedulability
 mathematics to an :class:`AdmissionPolicy`; the AUB policy used throughout
 the paper lives in the AC component itself (it needs the shared ledger),
 while :mod:`repro.sched.deferrable` provides the Deferrable Server baseline
-policy for the ablation benchmark.
+policy for the ablation (:mod:`repro.experiments.ablation`).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class AdmissionDecision:
 
 
 class AdmissionPolicy(ABC):
-    """Interface for pluggable admission policies (used by the replay
-    engine and the ablation benchmarks)."""
+    """Interface for pluggable admission policies (used by the ablation's
+    replay, :mod:`repro.sched.replay`)."""
 
     @abstractmethod
     def on_arrival(self, job: Job, now: float) -> AdmissionDecision:

@@ -4,8 +4,7 @@
 snapshot the ledger, apply the candidate's deltas, then recompute every
 registered task's condition from scratch.  The property and scripted
 tests assert that :class:`repro.sched.aub.AubAnalyzer` decides exactly as
-it does, per call and per burst, and the hot-path benchmark measures the
-incremental engine's speedup against it.
+it does, per call and per burst.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ class NaiveAubAnalyzer:
     ledger, apply the candidate's deltas, then re-evaluate every registered
     task.  O(tasks * visits) per test plus an O(tasks) expiry sweep —
     kept verbatim so property tests can assert the incremental
-    :class:`AubAnalyzer` agrees decision-for-decision, and so the hot-path
-    benchmark can quantify the speedup.
+    :class:`AubAnalyzer` agrees decision-for-decision.
     """
 
     def __init__(self, ledger: SyntheticUtilizationLedger) -> None:

@@ -20,14 +20,22 @@ from repro.experiments.table1 import format_rows
 from repro.metrics.overhead import PAPER_FIGURE8_USEC
 
 
-@pytest.fixture(scope="module")
-def fig5():
-    return run_figure5(n_sets=3, duration=40.0, seed=7)
+#: Figures 5 and 6 at two scales: a quick one, and ten task sets of 60 s,
+#: the paper's set count at a fifth of its run length.
+SCALES = [
+    pytest.param(dict(n_sets=3, duration=40.0, seed=7), id="3x40s"),
+    pytest.param(dict(n_sets=10, duration=60.0, seed=2008), id="10x60s"),
+]
 
 
-@pytest.fixture(scope="module")
-def fig6():
-    return run_figure6(n_sets=3, duration=40.0, seed=7)
+@pytest.fixture(scope="module", params=SCALES)
+def fig5(request):
+    return run_figure5(**request.param)
+
+
+@pytest.fixture(scope="module", params=SCALES)
+def fig6(request):
+    return run_figure6(**request.param)
 
 
 class TestFigure5:
@@ -81,14 +89,26 @@ class TestFigure6:
         for _key, (n, t, j) in groups.items():
             assert 0.0 <= n <= 1.0 and 0.0 <= t <= 1.0 and 0.0 <= j <= 1.0
 
+    def test_lb_per_task_never_below_no_lb_in_any_group(self, fig6):
+        """Within every (AC, IR) group, LB per task does not fall below
+        no LB (up to 0.02 of noise)."""
+        for key, (none, per_task, _per_job) in fig6.lb_groups().items():
+            assert per_task >= none - 0.02, key
+
     def test_no_deadline_misses(self, fig6):
         assert fig6.deadline_misses == 0
 
 
 class TestFigure8:
-    @pytest.fixture(scope="class")
-    def fig8(self):
-        return run_figure8(duration=30.0, seed=7)
+    @pytest.fixture(
+        scope="class",
+        params=[
+            pytest.param(dict(duration=30.0, seed=7), id="30s"),
+            pytest.param(dict(duration=60.0, seed=2008), id="60s"),
+        ],
+    )
+    def fig8(self, request):
+        return run_figure8(**request.param)
 
     def test_all_rows_populated(self, fig8):
         names = {row.name for row in fig8.rows}
@@ -110,6 +130,11 @@ class TestFigure8:
 
     def test_ir_ac_side_is_tiny(self, fig8):
         assert fig8.row("ir_ac_side").mean_usec < 25.0
+
+    def test_ir_ac_side_is_an_order_below_its_other_part(self, fig8):
+        """Idle resetting keeps its cost off the AC's critical path."""
+        ac_side = fig8.row("ir_ac_side").mean_usec
+        assert ac_side * 10 < fig8.row("ir_other_part").mean_usec
 
     def test_format_contains_paper_reference(self, fig8):
         assert "paper mean/max" in fig8.format()

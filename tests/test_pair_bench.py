@@ -127,28 +127,50 @@ def test_identical_digest_pairs_compare_each_pair_cell_for_cell():
     assert pair_bench.identical_digest_pairs(digests) == 1
 
 
-#: A stand-in for ``bench_e2e/run.py``: it reports fixed metrics and
-#: writes the checkout's ``digests.json`` to ``--out DIR/result.json``.
+#: A stand-in for ``bench_e2e/run.py``.  It writes the checkout's digests
+#: to ``--out DIR/result.json`` and reports the checkout's canned metrics:
+#: its n-th run reads the n-th value of each metric's list (cyclically).
+#: An unreadable checkout prints no report.
 FAKE_RUN = '''
 import json, sys
 from pathlib import Path
 out = Path(sys.argv[sys.argv.index("--out") + 1])
-digests = json.loads(Path("digests.json").read_text())
-(out / "result.json").write_text(json.dumps({"digests": digests}))
-print(json.dumps({"correct": True, "metrics": {
-    "jobs_per_s": {"value": 100.0, "unit": "jobs/s"},
-    "wall_s": {"value": 1.0, "unit": "s"},
+fake = json.loads(Path("fake.json").read_text())
+log = Path("runs.log")
+run = len(log.read_text()) if log.exists() else 0
+log.write_text("." * (run + 1))
+(out / "result.json").write_text(json.dumps({"digests": fake["digests"]}))
+if not fake["readable"]:
+    print("no report")
+    sys.exit(0)
+print(json.dumps({"correct": fake["correct"], "metrics": {
+    name: {"value": values[run % len(values)], "unit": ""}
+    for name, values in fake["metrics"].items()
 }}))
 '''
 
 
-def fake_checkout(root, name, digests):
+def fake_checkout(
+    root, name, digests=("d0", "d1"), jobs=(100.0,), correct=True, readable=True
+):
     checkout = root / name
     (checkout / "bench_e2e").mkdir(parents=True)
     (checkout / "bench_e2e" / "run.py").write_text(FAKE_RUN)
-    (checkout / "digests.json").write_text(json.dumps(digests))
+    (checkout / "fake.json").write_text(json.dumps({
+        "digests": list(digests),
+        "metrics": {"jobs_per_s": list(jobs), "wall_s": [1.0]},
+        "correct": correct,
+        "readable": readable,
+    }))
     (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [JOBS, WALL]}))
     return checkout
+
+
+def run_main(parent, change, pairs=2):
+    return pair_bench.main([
+        "--parent", str(parent), "--change", str(change),
+        "--workload", "w", "--seconds", "0", "--pairs", str(pairs),
+    ])
 
 
 @pytest.mark.parametrize(
@@ -157,12 +179,9 @@ def fake_checkout(root, name, digests):
 def test_main_reports_the_pairs_with_identical_digests(
     tmp_path, capsys, change_digests, identical
 ):
-    parent = fake_checkout(tmp_path, "parent", ["d0", "d1"])
-    change = fake_checkout(tmp_path, "change", change_digests)
-    status = pair_bench.main([
-        "--parent", str(parent), "--change", str(change),
-        "--workload", "w", "--seconds", "0", "--pairs", "2",
-    ])
+    parent = fake_checkout(tmp_path, "parent")
+    change = fake_checkout(tmp_path, "change", digests=change_digests)
+    status = run_main(parent, change)
     lines = capsys.readouterr().out.strip().splitlines()
     # Different digests do not change the exit status.
     assert status == 0
@@ -170,3 +189,42 @@ def test_main_reports_the_pairs_with_identical_digests(
     block = json.loads(lines[-1])
     assert block["identical_digest_pairs"] == identical
     assert block["pairs"] == 2
+
+
+@pytest.mark.parametrize(
+    "parent_jobs, change_jobs, line, status",
+    [
+        # 30% fewer jobs per second against a 0.25 bound.
+        ([100.0], [70.0], "worse (median -30.0%, better in 0/4 pairs)", 1),
+        ([100.0], [90.0], "within bound (median -10.0%, better in 0/4 pairs)", 0),
+        # A parent spread (IQR 80) wider than the bound (25).
+        ([60.0, 140.0], [100.0], "unresolved (median +0.0%, better in 2/4 pairs)", 0),
+        ([100.0, 101.0, 99.0, 100.0], [110.0], "gain (median +10.0%, better in 4/4 pairs)", 0),
+    ],
+    ids=["worse", "within_bound", "unresolved", "gain"],
+)
+def test_main_exits_one_only_on_a_worse_verdict(
+    tmp_path, capsys, parent_jobs, change_jobs, line, status
+):
+    parent = fake_checkout(tmp_path, "parent", jobs=parent_jobs)
+    change = fake_checkout(tmp_path, "change", jobs=change_jobs)
+    assert run_main(parent, change, pairs=4) == status
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert f"verdict jobs_per_s: {line}" in lines
+    assert "verdict wall_s: within bound (median +0.0%, better in 0/4 pairs)" in lines
+    # The record block stays the last line, worse or not.
+    assert json.loads(lines[-1])["pairs"] == 4
+
+
+def test_main_exits_one_on_an_incorrect_run(tmp_path, capsys):
+    parent = fake_checkout(tmp_path, "parent")
+    change = fake_checkout(tmp_path, "change", correct=False)
+    assert run_main(parent, change) == 1
+    assert "pair 0 change correct=False" in capsys.readouterr().out
+
+
+def test_main_exits_two_on_unreadable_output(tmp_path, capsys):
+    parent = fake_checkout(tmp_path, "parent")
+    change = fake_checkout(tmp_path, "change", readable=False)
+    assert run_main(parent, change) == 2
+    assert "unreadable run" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Unit tests for AUB analysis: term, ledger, analyzer."""
 
 import math
+import random
+import time
 
 import pytest
 
@@ -481,3 +483,30 @@ class TestArrayScreen:
             decisions += analyzer.admissible_batch(burst, now=0.0)
             assert decisions[-1] == naive.admissible_batch(burst, now=0.0)[0]
         assert decisions == [True, True, False]
+
+
+# ----------------------------------------------------------------------
+# The paper's scalability argument for a centralized AC
+# ----------------------------------------------------------------------
+def test_admission_test_takes_far_less_than_a_subtask():
+    """The schedulability analysis must cost far less than the tasks'
+    execution times (tens of ms): a loaded system's admission test, 40
+    registered end-to-end tasks over 5 processors, averages under 1 ms
+    of host time."""
+    nodes = [f"app{i}" for i in range(1, 6)]
+    ledger = SyntheticUtilizationLedger(nodes)
+    analyzer = AubAnalyzer(ledger)
+    rng = random.Random(7)
+    for i in range(40):
+        visits = rng.sample(nodes, rng.randint(1, 4))
+        for j, node in enumerate(visits):
+            ledger.add(node, (f"T{i}", 0, j), 0.005)
+        analyzer.register((f"T{i}", 0), visits, None)
+    visits = ["app1", "app2", "app3"]
+    contribs = {node: 0.02 for node in visits}
+    calls = 2000
+    start = time.perf_counter()
+    decisions = [analyzer.admissible(visits, contribs, now=0.0) for _ in range(calls)]
+    mean_s = (time.perf_counter() - start) / calls
+    assert all(decisions)
+    assert mean_s < 1e-3, f"mean admission test {mean_s * 1e6:.0f} us"

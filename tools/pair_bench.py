@@ -26,8 +26,12 @@ JSON block holds that count as ``identical_digest_pairs``.  At a seed
 without committed reference digests this is what shows that the change
 still simulates the same thing.
 
-Exit status: 0 every run reported ``"correct": true``, 1 some run did
-not, 2 a run's output was unreadable.  Standard library only.
+Exit status: 0 every run reported ``"correct": true`` and no metric's
+verdict is ``worse``; 1 some run did not, or some metric reads
+``worse``; 2 a run's output was unreadable.  So the tool is also the
+host-time gate: both sides run on one machine and share its speed,
+where a committed record carries the speed of the machine and session
+that wrote it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -97,6 +101,13 @@ def verdict(
     return "within bound"
 
 
+def paired(
+    runs: Dict[str, List[Dict[str, float]]], name: str
+) -> Tuple[List[float], List[float]]:
+    """One metric's values on the parent and the change side, pair by pair."""
+    return [run[name] for run in runs["parent"]], [run[name] for run in runs["change"]]
+
+
 def verdict_lines(
     runs: Dict[str, List[Dict[str, float]]], metrics: Sequence[Dict[str, Any]]
 ) -> List[str]:
@@ -104,8 +115,7 @@ def verdict_lines(
     lines = []
     for metric in metrics:
         name = metric["name"]
-        parent = [run[name] for run in runs["parent"]]
-        change = [run[name] for run in runs["change"]]
+        parent, change = paired(runs, name)
         parent_median = statistics.median(parent)
         shift = statistics.median(change) / parent_median - 1.0
         lines.append(
@@ -126,8 +136,7 @@ def end_to_end_block(
     block: Dict[str, Any] = {"pairs": len(runs["change"]), "end_to_end": {}}
     for metric in metrics:
         name = metric["name"]
-        parent = [run[name] for run in runs["parent"]]
-        change = [run[name] for run in runs["change"]]
+        parent, change = paired(runs, name)
         block["end_to_end"][name] = {
             "parent": summarize(parent),
             "change": summarize(change),
@@ -207,7 +216,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     block = end_to_end_block(runs, metrics)
     block["identical_digest_pairs"] = same
     print(json.dumps(block))
-    return 0 if all_correct else 1
+    worse = any(verdict(*paired(runs, m["name"]), m) == "worse" for m in metrics)
+    return 0 if all_correct and not worse else 1
 
 
 if __name__ == "__main__":

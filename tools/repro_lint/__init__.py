@@ -10,7 +10,7 @@ the repo's determinism folklore into mechanically enforced rules.
 
 Usage (from the repo root, with ``tools`` on ``PYTHONPATH``)::
 
-    python -m repro_lint src/ tests/ benchmarks/
+    python -m repro_lint src/ tests/ examples/ tools/
 
 See ``docs/LINTING.md`` for every rule ID, its rationale, the inline
 suppression syntax, and how to regenerate the committed baseline.

@@ -20,7 +20,7 @@ from repro_lint.baseline import Baseline
 from repro_lint.engine import Finding, LintEngine
 from repro_lint.rules import all_rules
 
-DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "tools")
+DEFAULT_PATHS = ("src", "tests", "examples", "tools")
 DEFAULT_BASELINE = "tools/repro_lint/baseline.json"
 
 

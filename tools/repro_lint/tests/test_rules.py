@@ -43,7 +43,7 @@ IN_SCOPE_PATH = {
 
 #: rule id -> a path the rule's scope excludes (None: rule is unscoped).
 OUT_OF_SCOPE_PATH = {
-    "RL001": "benchmarks/fixture.py",
+    "RL001": "bench_e2e/fixture.py",
     "RL002": "src/repro/sim/rng.py",
     "RL003": "tests/fixture.py",
     "RL004": "tests/test_property_fixture.py",
