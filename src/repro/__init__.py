@@ -21,9 +21,10 @@ all cores via ``repro.api.ExperimentSuite`` with bit-identical results
 for any worker count.
 
 ``MiddlewareSystem(workload, combo)`` is the one assembler behind a
-Session, and a checked deployment plan is built by it too
-(``repro.config.deploy_plan``); ``docs/API.md`` maps its loosely-shaped
-results onto ``RunResult``.  See ``examples/`` for full scenarios and
+Session, and the configuration engine (``repro.config``) maps the
+paper's questionnaire answers to a scenario's combo; ``docs/API.md`` maps
+the assembler's loosely-shaped results onto ``RunResult``.  See
+``examples/`` for full scenarios and
 ``python -m repro figure5`` (``figure6``, ``figure8``, ``table1``) for
 the reproductions of the paper's figures and tables.
 """

@@ -1,13 +1,13 @@
 """Component base class with declared, validated attributes.
 
 Components declare their configurable attributes as a class-level
-``ATTRIBUTES`` mapping of name -> :class:`AttributeSpec`.  Deployment plans
-configure attributes through the standard ``set_configuration`` interface
+``ATTRIBUTES`` mapping of name -> :class:`AttributeSpec`.  The assembler
+configures attributes through the standard ``set_configuration`` interface
 (the Configurator step in the paper's Figure 4); invalid names or values
 raise :class:`~repro.errors.AttributeConfigError` at deployment time, which
 is one half of the paper's "invalid configurations cannot be chosen by
-mistake" guarantee (the other half lives in
-:mod:`repro.config.validation`).
+mistake" guarantee (the other half is
+:meth:`repro.core.strategies.StrategyCombo.validate`).
 """
 
 from __future__ import annotations

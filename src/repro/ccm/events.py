@@ -93,15 +93,3 @@ class IdleResettingEvent(NamedTuple):
 
     node: str
     entries: Tuple[Tuple[str, int, int], ...]
-
-
-def trigger_topic(task_id: str, next_index: int) -> str:
-    """The port name a deployment plan gives the target of a Trigger
-    connection: ``trigger/<task>/<position>``.
-
-    :func:`repro.config.plan.build_deployment_plan` names each connection
-    from an F/I stage to a replica of its successor with it.  Nothing
-    routes by it at run time: a Trigger goes to ``TOPIC_TRIGGER`` on the
-    node the job's assignment names, whose one route finds the stage.
-    """
-    return f"{TOPIC_TRIGGER}/{task_id}/{next_index}"

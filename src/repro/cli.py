@@ -6,20 +6,19 @@ figure5 / figure6 / figure8 / table1 / ablation / sensitivity / disturbance
     Regenerate a paper table/figure (or a beyond-the-paper sweep) and
     print it; ``--json PATH`` additionally exports the data
     machine-readably, ``--workers N`` bounds the parallel fan-out.
-scenario export PATH ...
-    Build a declarative :class:`repro.api.Scenario` from flags and write
-    it as JSON.
+scenario export PATH --random-seed N ...
+    Build a declarative :class:`repro.api.Scenario` with a generated
+    workload from flags and write it as JSON.
 scenario run PATH [--json OUT]
     Load a scenario JSON file, run it through a Session, print (and
     optionally export) the typed RunResult.
-analyze <workload-spec>
-    Offline AUB feasibility report for a workload specification file.
-configure <workload-spec> [--answers C1,C3,C2,TOL] [--xml-out PATH]
+analyze <scenario.json>
+    Offline AUB feasibility report for a scenario's workload.
+configure <scenario.json> [--answers C1,C3,C2,TOL] [--scenario-out PATH]
     Run the front-end configuration engine: map characteristics to
-    strategies, emit (and optionally save) the XML deployment plan.
-run <workload-spec> [--combo LABEL] [--duration SEC] [--seed N]
-    Configure a workload, deploy the configured system and run it,
-    printing metrics.
+    strategies (Table 1), print the combo and notes, then write the
+    scenario with the mapped combo (or print its JSON); ``scenario run``
+    runs it.
 metrics <scenario.json> [--out PATH] [--json OUT]
     Run a scenario armed with the metrics registry and dump the
     Prometheus text exposition (see docs/OBSERVABILITY.md).
@@ -48,7 +47,6 @@ from repro.api import (
 )
 from repro.config.characteristics import ApplicationCharacteristics
 from repro.config.engine import ConfigurationEngine
-from repro.config.workload_spec import load_workload
 from repro.core.strategies import valid_combinations
 from repro.errors import ReproError
 from repro.experiments import (
@@ -147,10 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pse = scen_sub.add_parser("export", help="write a scenario JSON file")
     pse.add_argument("path", help="output JSON path ('-' for stdout)")
-    group = pse.add_mutually_exclusive_group(required=True)
-    group.add_argument("--workload", help="workload specification file")
-    group.add_argument(
-        "--random-seed", type=int, default=None,
+    pse.add_argument(
+        "--random-seed", type=int, required=True,
         help="generate the workload (section 7.1 recipe) from this seed",
     )
     pse.add_argument("--imbalanced", action="store_true",
@@ -176,26 +172,17 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write the RunResult as JSON")
 
     pan = sub.add_parser("analyze", help="offline AUB feasibility report")
-    pan.add_argument("workload")
+    pan.add_argument("path", help="scenario JSON path")
 
     pc = sub.add_parser("configure", help="front-end configuration engine")
-    pc.add_argument("workload")
+    pc.add_argument("path", help="scenario JSON path")
     pc.add_argument(
         "--answers",
         help="comma-separated answers: job_skipping,replicated,"
         "state_persistence,tolerance (e.g. N,Y,Y,PT)",
     )
-    pc.add_argument("--xml-out", help="write the deployment plan XML here")
     pc.add_argument("--scenario-out",
                     help="write the configured run as scenario JSON here")
-
-    pr = sub.add_parser("run", help="deploy and run a workload spec")
-    pr.add_argument("workload")
-    pr.add_argument("--combo", default="T_T_T")
-    pr.add_argument("--duration", type=float, default=60.0)
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--json", metavar="PATH", default=None,
-                    help="write the RunResult as JSON")
 
     pm = sub.add_parser(
         "metrics",
@@ -254,17 +241,8 @@ def _parse_pair(raw: str, flag: str, int_value: bool = False) -> tuple:
 
 
 def _scenario_export(args) -> None:
-    if args.workload is not None:
-        if args.imbalanced:
-            raise ReproError(
-                "--imbalanced selects a generator recipe and conflicts "
-                "with an explicit --workload spec file"
-            )
-        source = WorkloadSource.explicit(load_workload(args.workload))
-    elif args.imbalanced:
-        source = WorkloadSource.imbalanced(seed=args.random_seed)
-    else:
-        source = WorkloadSource.random(seed=args.random_seed)
+    generate = WorkloadSource.imbalanced if args.imbalanced else WorkloadSource.random
+    source = generate(seed=args.random_seed)
     disturbances: List[Disturbance] = []
     if args.burst is not None:
         time, jobs = _parse_pair(args.burst, "--burst", int_value=True)
@@ -290,19 +268,33 @@ def _scenario_export(args) -> None:
         print(f"scenario written to {args.path}")
 
 
-def _print_run_result(result) -> None:
-    for key, value in result.summary().items():
-        print(f"{key}: {value}")
-    print(f"accepted_utilization_ratio: {result.accepted_utilization_ratio:.4f}")
-
-
 def _scenario_run(args) -> None:
     scenario = Scenario.load(args.path)
     print(f"scenario: {scenario.effective_label} "
           f"(engine={scenario.engine}, duration={scenario.duration:.0f}s)")
     result = Session(scenario).run()
-    _print_run_result(result)
+    for key, value in result.summary().items():
+        print(f"{key}: {value}")
+    print(f"accepted_utilization_ratio: {result.accepted_utilization_ratio:.4f}")
     _write_json(args.json, result.to_json())
+
+
+def _configure(args) -> None:
+    characteristics = _parse_answers(args.answers)
+    scenario = Scenario.load(args.path)
+    result = ConfigurationEngine().configure(
+        scenario.workload.materialize(), characteristics
+    )
+    # Re-validated: a distributed scenario refuses any combo but J_N_N.
+    configured = scenario.with_changes(combo=result.combo.label)
+    print(f"strategy combination: {result.combo.label}")
+    for note in result.notes:
+        print(f"note: {note}")
+    if args.scenario_out:
+        configured.save(args.scenario_out)
+        print(f"scenario written to {args.scenario_out}")
+    else:
+        print(configured.to_json_str())
 
 
 def _metrics_run(args) -> None:
@@ -437,37 +429,10 @@ def _run_command(args: argparse.Namespace) -> None:
         else:
             _scenario_run(args)
     elif command == "analyze":
-        workload = load_workload(args.workload)
+        workload = Scenario.load(args.path).workload.materialize()
         print(format_report(analyze_workload(workload)))
     elif command == "configure":
-        engine = ConfigurationEngine()
-        result = engine.configure(
-            load_workload(args.workload), _parse_answers(args.answers)
-        )
-        print(f"strategy combination: {result.combo.label}")
-        for note in result.notes:
-            print(f"note: {note}")
-        if args.scenario_out:
-            engine.scenario(result).save(args.scenario_out)
-            print(f"scenario written to {args.scenario_out}")
-        if args.xml_out:
-            with open(args.xml_out, "w") as handle:
-                handle.write(result.xml)
-            print(f"deployment plan written to {args.xml_out}")
-        elif not args.scenario_out:
-            print(result.xml)
-    elif command == "run":
-        engine = ConfigurationEngine()
-        result = engine.configure(
-            load_workload(args.workload),
-            combo=resolve_combo(args.combo),
-        )
-        scenario = engine.scenario(
-            result, duration=args.duration, seed=args.seed
-        )
-        run = Session(scenario).run()
-        _print_run_result(run)
-        _write_json(args.json, run.to_json())
+        _configure(args)
     elif command == "metrics":
         _metrics_run(args)
     elif command == "combos":

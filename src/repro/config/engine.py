@@ -1,33 +1,30 @@
 """Front-end configuration engine (paper section 6).
 
-The engine ties the configuration pipeline together:
+The paper's engine turns a workload specification and the four
+questionnaire answers into a deployment plan for DAnCE.  Here the
+configured run is a :class:`repro.api.Scenario`, and
+:class:`repro.api.Session` deploys it through
+:class:`~repro.core.middleware.MiddlewareSystem`, the one assembler:
 
-1. Read/accept a workload specification (each end-to-end task and where
-   its subtasks execute).
+1. Accept a workload (each end-to-end task and where its subtasks
+   execute), e.g. the one a scenario file describes.
 2. Ask (or accept) the four application-characteristics answers.
-3. Map characteristics to service strategies (Table 1), with feasibility
-   clamps reported as notes.
-4. Build the XML deployment plan with EDMS priorities assigned in order
-   of end-to-end deadlines.
-5. Validate the plan — invalid strategy combinations cannot be produced.
-6. Optionally deploy it: the plan, or its XML, is checked and built by
-   :func:`repro.config.dance.deploy_plan`.
+3. Map characteristics to service strategies (Table 1), with
+   feasibility clamps reported as notes — invalid combinations cannot
+   be produced.
+4. Note where load balancing has no replica to choose and which tasks
+   fail AUB condition (1) under home assignment.
+5. Emit the decision as a scenario; the assembler gives each subtask
+   its EDMS priority in order of end-to-end deadlines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Mapping, Optional, Union
+from typing import List, Optional
 
 from repro.config.characteristics import ApplicationCharacteristics
-from repro.config.dance import deploy_plan
 from repro.config.mapping import DEFAULT_COMBO, map_characteristics
-from repro.config.plan import DeploymentPlan, build_deployment_plan
-from repro.config.validation import validate_plan
-from repro.config.workload_spec import load_workload
-from repro.config.xml_io import to_xml
-from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo
 from repro.sched.offline import analyze_workload
 from repro.workloads.model import Workload
@@ -39,13 +36,11 @@ class EngineResult:
 
     workload: Workload
     combo: StrategyCombo
-    plan: DeploymentPlan
-    xml: str
     notes: List[str] = field(default_factory=list)
 
 
 class ConfigurationEngine:
-    """Front end: workload and characteristics in, checked plan out."""
+    """Front end: workload and characteristics in, configured scenario out."""
 
     # ------------------------------------------------------------------
     # Configuration
@@ -56,7 +51,7 @@ class ConfigurationEngine:
         characteristics: Optional[ApplicationCharacteristics] = None,
         combo: Optional[StrategyCombo] = None,
     ) -> EngineResult:
-        """Produce a validated deployment plan for ``workload``.
+        """Choose a valid strategy combination for ``workload``.
 
         Strategy selection precedence: an explicit ``combo`` wins (it is
         still validated); otherwise ``characteristics`` are mapped through
@@ -91,29 +86,7 @@ class ConfigurationEngine:
                 f"fails for {', '.join(over)} under home assignment; those "
                 f"tasks will see admission rejections at peak load{hint}"
             )
-        plan = build_deployment_plan(workload, combo)
-        validate_plan(plan)
-        return EngineResult(
-            workload=workload,
-            combo=combo,
-            plan=plan,
-            xml=to_xml(plan),
-            notes=notes,
-        )
-
-    def configure_from_files(
-        self,
-        workload_path: Union[str, Path],
-        answers: Optional[Mapping[str, str]] = None,
-    ) -> EngineResult:
-        """File-based entry point: workload spec + questionnaire answers."""
-        workload = load_workload(workload_path)
-        characteristics = (
-            ApplicationCharacteristics.from_answers(answers)
-            if answers is not None
-            else None
-        )
-        return self.configure(workload, characteristics)
+        return EngineResult(workload=workload, combo=combo, notes=notes)
 
     # ------------------------------------------------------------------
     # Scenario emission (repro.api integration)
@@ -124,8 +97,7 @@ class ConfigurationEngine:
         The scenario embeds the configured workload and the mapped
         strategy combination; extra keyword arguments (``duration``,
         ``seed``, ``cost_model``, ...) pass through to the scenario,
-        which validates them.  Run it with :class:`repro.api.Session`,
-        which builds the same system as :meth:`deploy` of ``result``.
+        which validates them.  Run it with :class:`repro.api.Session`.
         """
         from repro.api.scenario import Scenario, WorkloadSource
 
@@ -134,14 +106,3 @@ class ConfigurationEngine:
             combo=result.combo.label,
             **scenario_fields,
         )
-
-    # ------------------------------------------------------------------
-    # Deployment
-    # ------------------------------------------------------------------
-    def deploy(self, result: EngineResult, **runtime_kwargs) -> MiddlewareSystem:
-        """Deploy an engine result's plan (see :func:`deploy_plan`)."""
-        return deploy_plan(result.plan, **runtime_kwargs)
-
-    def deploy_xml(self, xml_text: str, **runtime_kwargs) -> MiddlewareSystem:
-        """Deploy from an XML descriptor string (see :func:`deploy_plan`)."""
-        return deploy_plan(xml_text, **runtime_kwargs)

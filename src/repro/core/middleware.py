@@ -7,13 +7,11 @@ and one F/I or Last Subtask component per (task, stage, eligible
 processor).  It then drives the workload's arrival plan through the task
 effectors and collects results.
 
-It is the one assembler of a centralized system.  A
-:class:`repro.api.Session` builds one from a scenario, adding disturbances
-and a typed :class:`~repro.api.session.RunResult`; a deployment plan, in
-memory or as XML, is checked against the plan its own workload and
-combination generate and then built here
-(:func:`repro.config.dance.deploy_plan`).  The distributed engine
-subclasses it and replaces the deploy step.
+It is the one description of a centralized system's assembly, and its
+one assembler.  A :class:`repro.api.Session` builds one from a scenario,
+adding disturbances and a typed :class:`~repro.api.session.RunResult`;
+the configuration engine (:mod:`repro.config`) emits such a scenario.
+The distributed engine subclasses it and replaces the deploy step.
 """
 
 from __future__ import annotations

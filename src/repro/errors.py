@@ -54,5 +54,5 @@ class InvalidStrategyCombination(ConfigurationError):
 
 
 class WorkloadSpecError(ConfigurationError):
-    """A workload specification file is malformed."""
+    """A workload, or a workload generator's parameters, is malformed."""
 

@@ -27,8 +27,7 @@ missing or unknown key, a wrong type, or any error the constructor
 raises, naming the JSON path: ``$.disturbances[1].factor``.
 
 :func:`json_field` and :func:`json_list` raise ``ValueError``: the
-workload specification and the metrics snapshots' ``from_json`` read
-their own formats with them.
+metrics snapshots' ``from_json`` read their own format with them.
 """
 
 from __future__ import annotations

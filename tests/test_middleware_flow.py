@@ -4,14 +4,19 @@ These tests use tiny hand-built workloads with the zero-overhead cost
 model and a constant network delay so exact timing can be asserted.
 """
 
+import random
+
 import pytest
 
+from repro.ccm.events import TOPIC_TRIGGER
 from repro.core.cost_model import CostModel
+from repro.core.distributed_ac import DistributedMiddlewareSystem
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo
 from repro.errors import ConfigurationError, InvalidStrategyCombination
 from repro.net.latency import ConstantDelay
 from repro.sched.task import TaskKind
+from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
 from repro.workloads.model import Workload
 
 from tests.taskutil import make_task
@@ -171,6 +176,15 @@ class TestSystemLifecycle:
         with pytest.raises(InvalidStrategyCombination):
             MiddlewareSystem(workload, StrategyCombo.from_label("T_J_N"))
 
+    def test_services_configured_from_combo(self, two_node_workload):
+        system = build(two_node_workload, "J_J_T")
+        assert [
+            system.ac.get_attribute(name)
+            for name in ("ac_strategy", "ir_strategy", "lb_strategy")
+        ] == ["J", "J", "T"]
+        assert system.lb is not None
+        assert build(two_node_workload, "J_N_N").lb is None
+
     def test_system_runs_once(self, two_node_workload):
         system = build(two_node_workload, "J_N_N")
         system.run(duration=1.0)
@@ -207,3 +221,33 @@ class TestSystemLifecycle:
         a = build(two_node_workload, "J_N_N", seed=1).run_plan(plan)
         b = build(two_node_workload, "J_N_N", seed=2).run_plan(plan)
         assert a.arrived_jobs == b.arrived_jobs
+
+
+class TestTriggerRoutesPerNode:
+    """A deployment binds one Trigger route per application node, on both
+    engines, however many replicas each stage has."""
+
+    @pytest.mark.parametrize("replicas", [0, 1, 3])
+    @pytest.mark.parametrize("engine", ["centralized", "distributed"])
+    def test_one_trigger_route_per_application_node(self, engine, replicas):
+        workload = generate_random_workload(
+            random.Random(5),
+            RandomWorkloadParams(
+                n_periodic=4, n_aperiodic=4, n_processors=4,
+                replicas_per_subtask=replicas,
+            ),
+        )
+        if engine == "centralized":
+            system = MiddlewareSystem(workload, StrategyCombo.from_label("J_J_T"))
+            deployed = sum(len(s.eligible) for t in workload.tasks for s in t.subtasks)
+        else:
+            system = DistributedMiddlewareSystem(workload)
+            deployed = sum(t.n_subtasks for t in workload.tasks)
+        assert len(system.env.subtask_instances) == deployed
+        trigger_routes = [
+            (node, topic) for node, topic in system.federation._routes
+            if topic.startswith(TOPIC_TRIGGER)
+        ]
+        assert sorted(trigger_routes) == [
+            (node, TOPIC_TRIGGER) for node in sorted(workload.app_nodes)
+        ]

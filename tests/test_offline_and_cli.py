@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import Scenario, WorkloadSource
 from repro.cli import main
-from repro.config.workload_spec import workload_to_json
 from repro.sched.offline import analyze_workload, format_report
 from repro.sched.task import TaskKind
 from repro.workloads.model import Workload
@@ -144,9 +144,15 @@ class TestOfflineAnalysis:
 # CLI
 # ----------------------------------------------------------------------
 class TestCli:
-    def spec_file(self, tmp_path):
-        path = tmp_path / "workload.json"
-        path.write_text(workload_to_json(make_two_node_workload()))
+    @pytest.fixture(params=["explicit", "random"])
+    def scenario_file(self, request, tmp_path):
+        source = (
+            WorkloadSource.explicit(make_two_node_workload())
+            if request.param == "explicit"
+            else WorkloadSource.random(seed=3)
+        )
+        path = tmp_path / "scenario.json"
+        Scenario(workload=source, combo="J_N_N", duration=5.0).save(path)
         return str(path)
 
     def test_combos_lists_fifteen(self, capsys):
@@ -158,44 +164,54 @@ class TestCli:
         assert main(["table1"]) == 0
         assert "Table 1" in capsys.readouterr().out
 
-    def test_analyze(self, tmp_path, capsys):
-        assert main(["analyze", self.spec_file(tmp_path)]) == 0
+    def test_analyze(self, scenario_file, capsys):
+        assert main(["analyze", scenario_file]) == 0
         assert "synthetic utilization" in capsys.readouterr().out
 
-    def test_configure_with_answers(self, tmp_path, capsys):
-        assert main(
-            ["configure", self.spec_file(tmp_path), "--answers", "Y,Y,N,PJ"]
-        ) == 0
+    def test_configure_prints_the_configured_scenario(self, scenario_file, capsys):
+        assert main(["configure", scenario_file, "--answers", "Y,Y,N,PJ"]) == 0
         out = capsys.readouterr().out
-        assert "strategy combination: J_J_J" in out
-        assert "<DeploymentPlan" in out
+        assert out.startswith("strategy combination: J_J_J\n")
+        configured = Scenario.from_json_str(out[out.index("\n{") + 1:])
+        assert configured == Scenario.load(scenario_file).with_changes(combo="J_J_J")
 
-    def test_configure_writes_xml(self, tmp_path, capsys):
-        xml_path = tmp_path / "plan.xml"
+    def test_configure_writes_the_configured_scenario(
+        self, scenario_file, tmp_path, capsys
+    ):
+        out_path = tmp_path / "configured.json"
         assert main(
-            [
-                "configure",
-                self.spec_file(tmp_path),
-                "--answers",
-                "N,Y,Y,PT",
-                "--xml-out",
-                str(xml_path),
-            ]
+            ["configure", scenario_file, "--answers", "N,Y,Y,PT",
+             "--scenario-out", str(out_path)]
         ) == 0
-        assert xml_path.read_text().startswith("<DeploymentPlan")
+        assert capsys.readouterr().out.endswith(f"scenario written to {out_path}\n")
+        assert Scenario.load(out_path) == Scenario.load(scenario_file).with_changes(
+            combo="T_T_T"
+        )
 
-    def test_run(self, tmp_path, capsys):
-        assert main(
-            [
-                "run",
-                self.spec_file(tmp_path),
-                "--combo",
-                "J_J_T",
-                "--duration",
-                "5",
-            ]
-        ) == 0
-        assert "accepted_utilization_ratio" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "answers, combo", [("Y,N,N,N", "J_N_N"), ("Y,Y,N,PJ", "J_J_J")]
+    )
+    def test_configure_keeps_a_distributed_scenario_valid(
+        self, tmp_path, capsys, answers, combo
+    ):
+        path = tmp_path / "scenario.json"
+        Scenario(
+            workload=WorkloadSource.random(seed=3), combo="J_N_N",
+            engine="distributed",
+        ).save(path)
+        out_path = tmp_path / "configured.json"
+        code = main(
+            ["configure", str(path), "--answers", answers,
+             "--scenario-out", str(out_path)]
+        )
+        captured = capsys.readouterr()
+        if combo == "J_N_N":
+            assert code == 0 and Scenario.load(out_path) == Scenario.load(path)
+            return
+        err = captured.err.splitlines()
+        assert code == 1 and len(err) == 1, captured.err
+        assert err[0].startswith("repro: error: ") and combo in err[0]
+        assert not out_path.exists()
 
     def test_figure8_command(self, capsys):
         assert main(["figure8", "--duration", "10"]) == 0
@@ -239,10 +255,8 @@ class TestCli:
         assert main(["scenario", "export", "-", "--random-seed", "3", *flags]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_bad_answers_rejected(self, tmp_path, capsys):
-        assert main(
-            ["configure", self.spec_file(tmp_path), "--answers", "Y,Y"]
-        ) != 0
+    def test_bad_answers_rejected(self, scenario_file, capsys):
+        assert main(["configure", scenario_file, "--answers", "Y,Y"]) != 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("repro: error: --answers")
 
@@ -252,7 +266,7 @@ class TestCliErrors:
 
     @pytest.mark.parametrize(
         "command",
-        [["scenario", "run"], ["metrics"], ["analyze"], ["configure"], ["run"]],
+        [["scenario", "run"], ["metrics"], ["analyze"], ["configure"]],
         ids="_".join,
     )
     @pytest.mark.parametrize(

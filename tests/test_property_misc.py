@@ -1,11 +1,12 @@
-"""Property-based tests for the kernel, strategies, specs and arrivals."""
+"""Property-based tests for the kernel, strategies, workloads in scenario
+JSON and arrivals."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.workload_spec import parse_workload_json, workload_to_json
+from repro.api import Scenario, WorkloadSource
 from repro.core.strategies import (
     ACStrategy,
     IRStrategy,
@@ -79,7 +80,7 @@ class TestStrategyProperties:
 
 
 # ----------------------------------------------------------------------
-# Workload spec round-trips
+# Workload round-trips through scenario JSON
 # ----------------------------------------------------------------------
 node_names = st.sampled_from(["app1", "app2", "app3"])
 
@@ -123,7 +124,10 @@ class TestSpecProperties:
     @settings(max_examples=40)
     @given(workloads())
     def test_json_roundtrip(self, workload):
-        assert parse_workload_json(workload_to_json(workload)) == workload
+        scenario = Scenario(workload=WorkloadSource.explicit(workload))
+        restored = Scenario.from_json_str(scenario.to_json_str())
+        assert restored == scenario
+        assert restored.workload.materialize() == workload
 
     @settings(max_examples=40)
     @given(workloads())
