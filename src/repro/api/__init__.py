@@ -46,12 +46,7 @@ from repro.metrics.histogram import (
     HistogramSnapshot,
 )
 from repro.metrics.registry import MetricsRegistry, MetricsSnapshot
-from repro.api.suite import (
-    ExperimentSuite,
-    MappingCell,
-    combo_grid,
-    execute_cell,
-)
+from repro.api.suite import ExperimentSuite, combo_grid
 
 __all__ = [
     "Scenario",
@@ -73,9 +68,7 @@ __all__ = [
     "MessageLoss",
     "Disturbance",
     "ExperimentSuite",
-    "MappingCell",
     "combo_grid",
-    "execute_cell",
     "resolve_combo",
     "ENGINE_MIDDLEWARE",
     "ENGINE_DISTRIBUTED",

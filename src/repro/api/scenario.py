@@ -405,9 +405,8 @@ class Scenario:
     drain: bool = True
     label: Optional[str] = None
 
-    #: JSON form: a suite cell's tag, and the fields a saved scenario
-    #: leaves out while they hold their defaults.
-    JSON_TAG = "scenario"
+    #: JSON form: the fields a saved scenario leaves out while they hold
+    #: their defaults.
     JSON_OMIT_DEFAULT = (
         "cost_model",
         "delay_model",

@@ -2,10 +2,12 @@
 
 Commands
 --------
-figure5 / figure6 / figure8 / table1 / ablation / sensitivity / disturbance
-    Regenerate a paper table/figure (or a beyond-the-paper sweep) and
-    print it; ``--json PATH`` additionally exports the data
-    machine-readably, ``--workers N`` bounds the parallel fan-out.
+figure5 / figure6 / figure8 / table1 / ablation
+    Regenerate a paper table or figure (the ablation is section 2's AUB
+    vs Deferrable Server comparison) and print it; ``--json PATH``
+    additionally exports the data machine-readably, ``--workers N``
+    bounds the parallel fan-out (``table1`` simulates nothing and has
+    no workers).
 scenario export PATH --random-seed N ...
     Build a declarative :class:`repro.api.Scenario` with a generated
     workload from flags and write it as JSON.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, List, NoReturn, Optional
 
@@ -43,29 +46,19 @@ from repro.api import (
     Session,
     Slowdown,
     WorkloadSource,
-    resolve_combo,
 )
 from repro.config.characteristics import ApplicationCharacteristics
 from repro.config.engine import ConfigurationEngine
 from repro.core.strategies import valid_combinations
 from repro.errors import ReproError
 from repro.experiments import (
-    ChaosResult,
-    DisturbanceResult,
     run_aub_vs_deferrable,
-    run_chaos_suite,
-    run_disturbance_suite,
     run_figure5,
     run_figure6,
     run_figure8,
     run_table1,
-    sweep_load,
-    sweep_network_delay,
-    sweep_overhead,
 )
-from repro.experiments.sensitivity import DelaySweepPoint
 from repro.experiments.table1 import format_rows, rows_to_json
-from repro.json_checks import encode
 from repro.sched.offline import analyze_workload, format_report
 
 
@@ -109,33 +102,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p8.add_argument("--duration", type=float, default=300.0)
     p8.add_argument("--seed", type=int, default=2008)
 
-    _experiment_parser("table1", "criteria-to-strategy mapping")
+    pt = sub.add_parser("table1", help="criteria-to-strategy mapping")
+    pt.add_argument("--json", metavar="PATH", default=None,
+                    help="also write the result data as JSON")
 
     pa = _experiment_parser("ablation", "AUB vs Deferrable Server admission")
     pa.add_argument("--sets", type=_positive_int, default=10)
     pa.add_argument("--duration", type=float, default=120.0)
     pa.add_argument("--seed", type=int, default=2008)
-
-    ps = _experiment_parser(
-        "sensitivity", "load/overhead/delay sweeps (beyond the paper)"
-    )
-    ps.add_argument("--duration", type=float, default=60.0)
-    ps.add_argument("--seed", type=int, default=2008)
-    ps.add_argument("--combo", default="J_J_J")
-
-    pd = _experiment_parser(
-        "disturbance", "burst + slowdown probes of the AUB guarantee"
-    )
-    pd.add_argument("--duration", type=float, default=60.0)
-    pd.add_argument("--seed", type=int, default=2008)
-
-    pch = _experiment_parser(
-        "chaos", "availability under crash/partition/loss faults"
-    )
-    pch.add_argument("--duration", type=float, default=30.0)
-    pch.add_argument("--seed", type=int, default=2008)
-    pch.add_argument("--loss", type=float, default=0.2,
-                     help="message loss probability for the loss cell")
 
     # -- declarative scenario surface ----------------------------------
     pscen = sub.add_parser(
@@ -339,7 +313,7 @@ def _run_command(args: argparse.Namespace) -> None:
         print(result.format())
         _write_json(args.json, result.to_json())
     elif command == "table1":
-        rows = run_table1(n_workers=args.workers or 1)
+        rows = run_table1()
         print(format_rows(rows))
         _write_json(
             args.json, {"experiment": "table1", "rows": rows_to_json(rows)}
@@ -351,78 +325,6 @@ def _run_command(args: argparse.Namespace) -> None:
         )
         print(result.format())
         _write_json(args.json, result.to_json())
-    elif command == "sensitivity":
-        combo = resolve_combo(args.combo)
-        load = sweep_load(
-            combo=combo, duration=args.duration, seed=args.seed,
-            n_workers=args.workers,
-        )
-        overhead = sweep_overhead(
-            combo=combo, duration=args.duration, seed=args.seed,
-            n_workers=args.workers,
-        )
-        delay = sweep_network_delay(
-            combo=combo, duration=args.duration, seed=args.seed,
-            n_workers=args.workers,
-        )
-        for sweep in (load, overhead):
-            print(f"{sweep.parameter} [{sweep.combo_label}]:")
-            for x, ratio in sweep.points:
-                print(f"  {x:>10g}  ratio={ratio:.4f}")
-        print(f"network delay [{combo.label}]:")
-        for point in delay:
-            print(
-                f"  {point.delay:>10g}  ratio="
-                f"{point.accepted_utilization_ratio:.4f}  "
-                f"mean_response={point.mean_response:.6f}  "
-                f"misses={point.deadline_misses}"
-            )
-        _write_json(
-            args.json,
-            {
-                "experiment": "sensitivity",
-                "load": load.to_json(),
-                "overhead": overhead.to_json(),
-                "delay": encode(delay, List[DelaySweepPoint]),
-            },
-        )
-    elif command == "disturbance":
-        results = run_disturbance_suite(
-            duration=args.duration, seed=args.seed, n_workers=args.workers
-        )
-        for res in results:
-            print(
-                f"{res.scenario}: ratio={res.accepted_utilization_ratio:.4f} "
-                f"misses={res.deadline_misses} released={res.released_jobs} "
-                f"rejected={res.rejected_jobs} detail={res.detail}"
-            )
-        _write_json(
-            args.json,
-            {
-                "experiment": "disturbance",
-                "results": encode(results, List[DisturbanceResult]),
-            },
-        )
-    elif command == "chaos":
-        results = run_chaos_suite(
-            duration=args.duration, seed=args.seed,
-            loss_probability=args.loss, n_workers=args.workers,
-        )
-        for res in results:
-            print(
-                f"{res.scenario}: availability={res.availability:.4f} "
-                f"released={res.released_jobs}/{res.arrived_jobs} "
-                f"dropped={res.messages_dropped} "
-                f"timeouts={res.vote_timeouts} "
-                f"aborted={res.transactions_aborted}"
-            )
-        _write_json(
-            args.json,
-            {
-                "experiment": "chaos",
-                "results": encode(results, List[ChaosResult]),
-            },
-        )
     elif command == "scenario":
         if args.scenario_command == "export":
             _scenario_export(args)
@@ -444,6 +346,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _run_command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early (``repro ... | head``):
+        # nothing to report.  Point the descriptor at devnull so the
+        # interpreter's final flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ReproError, OSError) as exc:  # bad input, unreadable file
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1

@@ -20,19 +20,14 @@ otherwise the ``REPRO_WORKERS`` environment variable, otherwise
 entirely; pool start-up failures (sandboxes without semaphore support)
 fall back to the serial path, so the runner degrades instead of crashing.
 
-Heterogeneous grids (sensitivity sweeps over task-set size, disturbance
-grids mixing long and short runs) are dispatched **cost-ordered**: cells
-are submitted longest-first through ``imap_unordered`` — a work-stealing
-feed where each worker pulls the next pending cell the moment it goes
-idle — and results are restored to submission order before returning.
-The expensive cells start first instead of last, so the grid stops
-tail-waiting on one slow straggler, while the returned list (and hence
-every fold) stays bit-identical to the serial loop.
+Cells go out in submission order, one at a time, so an idle worker takes
+the next pending cell.  The figure grids are uniform and the ablation is
+cheap, so nothing orders cells by cost.
 
-Experiments submit declarative :class:`~repro.api.scenario.Scenario`
-cells through :meth:`repro.api.suite.ExperimentSuite.run`, which
-dispatches to :func:`run_cells` here; the ablation, which simulates
-nothing, submits its own replay cells
+The figures submit declarative :class:`~repro.api.scenario.Scenario`
+cells through :meth:`repro.api.suite.ExperimentSuite.run_results`, which
+dispatches :func:`repro.api.session.run_scenario` here; the ablation,
+which simulates nothing, submits its own replay cells
 (:func:`repro.experiments.ablation.replay_cell`) directly.
 """
 
@@ -70,57 +65,10 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-def estimate_cell_cost(cell: Tuple) -> float:
-    """Relative wall-clock estimate for one run cell.
-
-    Recognizes the two argument shapes that dominate grid runtime —
-    declarative :class:`~repro.api.scenario.Scenario` cells (simulated
-    duration x workload size) and the ablation's direct replay cells,
-    which carry a bare :class:`~repro.workloads.model.Workload` — and
-    returns a neutral constant otherwise, which keeps submission order
-    for homogeneous grids (descending sort is stable).
-    """
-    cost = 1.0
-    recognized = False
-    for arg in cell:
-        # Duck-typed to avoid importing the API layer for plain cells.
-        workload_source = getattr(arg, "workload", None)
-        if workload_source is not None and hasattr(arg, "duration"):
-            # A Scenario: duration x task count (explicit workloads embed
-            # the task list; generator recipes carry their task counts).
-            size = 1
-            embedded = getattr(workload_source, "workload", None)
-            if embedded is not None:
-                size = max(1, len(embedded.tasks))
-            else:
-                params = getattr(workload_source, "params", None)
-                if params is not None:
-                    size = max(
-                        1,
-                        getattr(params, "n_periodic", 0)
-                        + getattr(params, "n_aperiodic", 0),
-                    )
-            cost *= max(arg.duration, 1e-9) * size
-            recognized = True
-        elif hasattr(arg, "tasks") and hasattr(arg, "app_nodes"):
-            # A bare Workload in a direct cell.
-            cost *= max(1, len(arg.tasks))
-            recognized = True
-    return cost if recognized else 1.0
-
-
-def _indexed_cell(job: Tuple) -> Tuple[int, object]:
-    """Pool wrapper: evaluate one cell, tagged with its submission index
-    so unordered completion can be restored to submission order."""
-    fn, index, cell = job
-    return index, fn(*cell)
-
-
 def run_cells(
     fn: Callable,
     cells: Iterable[Tuple],
     n_workers: Optional[int] = None,
-    cost_key: Optional[Callable[[Tuple], float]] = None,
 ) -> List:
     """Evaluate ``fn(*cell)`` for every cell, in order, possibly in parallel.
 
@@ -128,11 +76,6 @@ def run_cells(
     tuple of picklable arguments.  The result list is ordered like
     ``cells`` regardless of worker scheduling, which is what lets callers
     fold results exactly as their serial loops would.
-
-    Cells are *submitted* longest-estimated-first (``cost_key``, default
-    :func:`estimate_cell_cost`) and pulled by idle workers through
-    ``imap_unordered`` — results are re-ordered before returning, so the
-    scheduling policy is invisible to callers.
     """
     cell_list = [tuple(cell) for cell in cells]
     if sanitize_enabled():
@@ -144,14 +87,8 @@ def run_cells(
         for index, cell in enumerate(cell_list):
             pickle_canary(cell, f"run_cells cell #{index}")
     workers = min(resolve_workers(n_workers), len(cell_list))
-    if workers <= 1 or len(cell_list) <= 1:
+    if workers <= 1:
         return [fn(*cell) for cell in cell_list]
-    estimate = cost_key or estimate_cell_cost
-    order = sorted(
-        range(len(cell_list)),
-        key=lambda i: estimate(cell_list[i]),
-        reverse=True,
-    )
     try:
         pool = _pool_context().Pool(workers)
     except (OSError, PermissionError, RuntimeError):
@@ -159,11 +96,7 @@ def run_cells(
         # cells are pure functions, so serial evaluation is equivalent.
         return [fn(*cell) for cell in cell_list]
     try:
-        results: List = [None] * len(cell_list)
-        jobs = [(fn, i, cell_list[i]) for i in order]
-        for index, result in pool.imap_unordered(_indexed_cell, jobs, chunksize=1):
-            results[index] = result
-        return results
+        return pool.starmap(fn, cell_list, chunksize=1)
     finally:
         pool.close()
         pool.join()

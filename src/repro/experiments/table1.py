@@ -13,12 +13,13 @@ categories the paper discusses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.config.characteristics import (
     ApplicationCharacteristics,
     OverheadTolerance,
 )
+from repro.config.mapping import map_characteristics
 from repro.experiments.report import format_table
 
 
@@ -43,32 +44,26 @@ CATEGORIES = (
 )
 
 
-def build_table1_suite():
-    """The Table 1 categories as a declarative mapping-cell suite."""
-    from repro.api.suite import ExperimentSuite, MappingCell
-
-    cells = tuple(
-        MappingCell(
-            category=name,
+def run_table1() -> List[Table1Row]:
+    """Map every example category through Table 1, in row order."""
+    rows = []
+    for name, skipping, replicated, stateful, tolerance in CATEGORIES:
+        chars = ApplicationCharacteristics(
             job_skipping=skipping,
             replicated_components=replicated,
             state_persistence=stateful,
-            overhead_tolerance=tolerance.value,
+            overhead_tolerance=tolerance,
         )
-        for name, skipping, replicated, stateful, tolerance in CATEGORIES
-    )
-    return ExperimentSuite(name="table1", cells=cells)
-
-
-def run_table1(n_workers: Optional[int] = 1) -> List[Table1Row]:
-    """Map every example category through Table 1.
-
-    Each category is an independent mapping cell dispatched through the
-    shared experiment runner (row order is preserved).  The cells are
-    constant-time dataclass mappings, so the default stays serial —
-    pool spin-up would dwarf the work; pass ``n_workers`` to fan out.
-    """
-    return build_table1_suite().run(n_workers)
+        combo, notes = map_characteristics(chars)
+        rows.append(
+            Table1Row(
+                category=name,
+                characteristics=chars,
+                combo_label=combo.label,
+                notes=tuple(notes),
+            )
+        )
+    return rows
 
 
 def rows_to_json(rows: List[Table1Row]) -> List[dict]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.sched.task import Job
 
@@ -35,22 +35,7 @@ class AdmissionPolicy(ABC):
     def on_arrival(self, job: Job, now: float) -> AdmissionDecision:
         """Test ``job`` at time ``now`` and commit state if admitted."""
 
-    def on_arrival_batch(
-        self, jobs: Sequence[Job], now: float
-    ) -> List[AdmissionDecision]:
-        """Decide a burst of simultaneous arrivals, in arrival order.
-
-        The default is the literal sequential loop.  Policies with a
-        batched fast path (the AUB engine's batch sessions) may override
-        it; overrides must keep decisions bit-identical to this loop —
-        the contract every batched hot path in the middleware is
-        property-tested against.
-        """
-        return [self.on_arrival(job, now) for job in jobs]
-
     @abstractmethod
     def on_deadline(self, job: Job, now: float) -> None:
         """Reclaim any state reserved for ``job`` when its deadline expires."""
 
-    def on_completion(self, job: Job, now: float) -> None:
-        """Optional hook: a job finished before its deadline."""

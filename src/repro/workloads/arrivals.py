@@ -3,8 +3,8 @@
 Periodic tasks release jobs at ``phase + k * period``.  Aperiodic task
 arrivals follow a Poisson process (paper section 7.1) whose mean
 interarrival time defaults to ``aperiodic_interarrival_factor`` times the
-task's end-to-end deadline — a load knob the experiments sweep; the
-paper's text fixes only the distribution, not the rate.
+task's end-to-end deadline — a load knob a scenario sets; the paper's
+text fixes only the distribution, not the rate.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ promises no matter what the schedule does:
   cross-checks the :class:`~repro.sanitize.LedgerShadow` mirror).
 * **Termination** — transactions opened before a partition finish after
   it heals (retry or abort), so the drained system is quiescent.
-* **Determinism** — a fixed seed gives bit-identical results on rerun;
-  the experiment layer gives bit-identical grids for any worker count.
+* **Determinism** — a fixed seed gives bit-identical results on rerun,
+  and a suite of one scenario per fault class gives the same results
+  for any worker count.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.api import (
     DelaySpike,
+    ExperimentSuite,
     MessageLoss,
     NodeCrash,
     Partition,
@@ -146,6 +148,37 @@ def test_crashed_node_readmits_after_recovery():
     # than one where the node never comes back.
     dead = _build([NodeCrash(NODES[0], time=1.0, recovery=None)])
     assert result.released_jobs >= Session(dead).run().released_jobs
+
+
+def test_fault_grid_is_worker_count_invariant():
+    # One scenario per fault class, as docs/CHAOS.md's loop builds them.
+    t = 10.0 / 3.0
+    faults = {
+        "baseline": (),
+        "crash_recover": (NodeCrash("app1", time=t, recovery=2 * t),),
+        "crash_forever": (NodeCrash("app1", time=t),),
+        "partition": (
+            Partition(time=t, heal=2 * t, group_a=NODES[:1], group_b=NODES[1:2]),
+        ),
+        "message_loss": (MessageLoss(0.2, until=10.0),),
+        "delay_spike": (DelaySpike(time=t, until=2 * t, factor=10.0),),
+    }
+    suite = ExperimentSuite(name="faults", cells=tuple(
+        _build(schedule, seed=2008, duration=10.0).with_changes(label=name)
+        for name, schedule in faults.items()
+    ))
+    serial = suite.run_results(n_workers=1)
+    parallel = suite.run_results(n_workers=3)
+    assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+    assert [r.scenario_label for r in serial] == list(faults)
+    for result in serial:
+        assert result.arrived_jobs == result.released_jobs + result.rejected_jobs
+    # The baseline saw no chaos; the fault cells injected their faults.
+    runs = dict(zip(faults, serial))
+    assert runs["baseline"].messages_dropped == runs["baseline"].vote_timeouts == 0
+    assert runs["crash_forever"].messages_dropped > 0
+    assert runs["message_loss"].messages_dropped > 0
+    assert runs["delay_spike"].messages_delay_spiked > 0
 
 
 def test_fault_free_run_is_bit_identical_to_seed_behavior():

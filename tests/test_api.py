@@ -19,7 +19,6 @@ from repro.api import (
     Burst,
     DelaySpike,
     ExperimentSuite,
-    MappingCell,
     MessageLoss,
     NodeCrash,
     Partition,
@@ -502,29 +501,10 @@ class TestSuiteBoundary:
     @pytest.fixture(scope="class")
     def suite(self):
         return ExperimentSuite(
-            name="mixed",
-            description="scenario and mapping cells",
-            cells=(
-                *_boundary_scenarios().values(),
-                MappingCell(
-                    category="demo",
-                    job_skipping=True,
-                    replicated_components=False,
-                    state_persistence=True,
-                    overhead_tolerance="PJ",
-                ),
-            ),
+            name="boundary",
+            description="the boundary scenarios",
+            cells=tuple(_boundary_scenarios().values()),
         )
-
-    def test_unknown_overhead_tolerance_refused(self, suite):
-        data = suite.to_json()
-        data["cells"][3]["overhead_tolerance"] = "bogus"
-        with pytest.raises(
-            ConfigurationError,
-            match=r"\$\.cells\[3\]: mapping cell overhead_tolerance must be "
-            r"one of N, PT, PJ, got 'bogus'",
-        ):
-            ExperimentSuite.from_json(data)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -536,6 +516,31 @@ class TestSuiteBoundary:
         except ConfigurationError:
             return
         assert may_parse(suite, path, dropped, new), (path, dropped, new)
+
+    @pytest.mark.parametrize(
+        "tag, error",
+        [
+            ("scenario", "$.cells[0].type: unknown key of Scenario"),
+            ("mapping", "$.cells[0].category: unknown key of Scenario"),
+        ],
+        ids=["scenario", "mapping"],
+    )
+    def test_tagged_cell_refused(self, tag, error):
+        # A cell as suites wrote it while they also held Table 1 mapping
+        # cells: its fields plus a ``type`` tag.
+        scenario = Scenario(workload=WorkloadSource.random(seed=3))
+        mapping = {
+            "category": "demo", "job_skipping": True, "overhead_tolerance": "PJ",
+            "replicated_components": True, "state_persistence": False,
+        }
+        cell = scenario.to_json() if tag == "scenario" else mapping
+        saved = {"cells": [dict(cell, type=tag)], "name": "saved"}
+        with pytest.raises(ConfigurationError) as refused:
+            ExperimentSuite.from_json(saved)
+        assert str(refused.value) == error
+        if tag == "scenario":  # deleting the tag is all such a cell needs
+            saved["cells"][0].pop("type")
+            assert ExperimentSuite.from_json(saved).cells == (scenario,)
 
 
 class TestSession:
@@ -588,6 +593,24 @@ class TestSession:
             Session(scenario).deploy()
 
 
+def _loop_suite(name, field, values, base=None):
+    """A suite as docs/API.md replaces the removed sweep, disturbance and
+    chaos builders: a loop over one field of a base scenario."""
+    base = base or Scenario(
+        workload=WorkloadSource.random(seed=3, stream="wl"), combo="J_J_J", seed=3
+    )
+    return ExperimentSuite(
+        name=name, cells=tuple(base.with_changes(**{field: v}) for v in values)
+    )
+
+
+def _fault_suite():
+    """The chaos grid: no fault, then one cell per fault class."""
+    base = _boundary_scenarios()["distributed"]
+    faults = [()] + [(fault,) for fault in base.disturbances]
+    return _loop_suite("chaos", "disturbances", faults, base=base)
+
+
 class TestExperimentSuite:
     def test_results_order_is_worker_invariant(self):
         workload = _workload(seed=21)
@@ -608,65 +631,23 @@ class TestExperimentSuite:
         assert serial == parallel
         assert [r["combo_label"] for r in serial] == ["T_N_N", "J_N_N", "J_J_J"]
 
-    def test_mixed_suite_dispatches_both_cell_kinds(self):
-        suite = ExperimentSuite(
-            name="mixed",
-            cells=(
-                Scenario(workload=WorkloadSource.explicit(_workload()), duration=5.0),
-                MappingCell(
-                    category="demo",
-                    job_skipping=True,
-                    replicated_components=True,
-                    state_persistence=False,
-                    overhead_tolerance="PJ",
-                ),
-            ),
-        )
-        run_result, row = suite.run(n_workers=1)
-        assert isinstance(run_result, RunResult)
-        assert row.combo_label == "J_J_J"
-
-    def test_run_results_rejects_mapping_cells_before_running(self):
-        ran = []
-        suite = ExperimentSuite(
-            name="mapped",
-            cells=(
-                Scenario(workload=WorkloadSource.explicit(_workload()), duration=5.0),
-                MappingCell(
-                    category="demo",
-                    job_skipping=True,
-                    replicated_components=True,
-                    state_persistence=False,
-                    overhead_tolerance="PJ",
-                ),
-            ),
-        )
-        original_run = ExperimentSuite.run
-        ExperimentSuite.run = lambda self, n_workers=None: ran.append(True)
-        try:
-            with pytest.raises(ConfigurationError, match="non-scenario"):
-                suite.run_results(n_workers=1)
-        finally:
-            ExperimentSuite.run = original_run
-        assert not ran, "mixed suite must be rejected before any cell runs"
-
     def test_suite_json_round_trip(self):
         suite = ExperimentSuite(
             name="round",
-            description="both cell kinds",
-            cells=(
-                Scenario(workload=WorkloadSource.random(seed=3), duration=6.0),
-                MappingCell(
-                    category="demo",
-                    job_skipping=False,
-                    replicated_components=True,
-                    state_persistence=True,
-                    overhead_tolerance="PT",
-                ),
-            ),
+            description="a described suite",
+            cells=(Scenario(workload=WorkloadSource.random(seed=3), duration=6.0),),
         )
-        restored = ExperimentSuite.from_json(suite.to_json())
-        assert restored == suite
+        data = suite.to_json()
+        assert "type" not in data["cells"][0]
+        assert ExperimentSuite.from_json(data) == suite
+
+    def test_non_scenario_cell_refused(self):
+        saved = Scenario(workload=WorkloadSource.random(seed=3)).to_json()
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^suite 'raw': a cell must be a Scenario, got dict$",
+        ):
+            ExperimentSuite(name="raw", cells=(saved,))
 
     @pytest.mark.parametrize(
         "build",
@@ -674,16 +655,24 @@ class TestExperimentSuite:
             lambda: experiments.build_figure5_suite(n_sets=2, duration=10.0),
             lambda: experiments.build_figure6_suite(n_sets=2, duration=10.0),
             lambda: experiments.build_figure8_suite(duration=10.0),
-            lambda: experiments.build_chaos_suite(duration=10.0),
-            lambda: experiments.build_disturbance_suite(duration=10.0),
-            lambda: experiments.build_load_suite(duration=10.0),
-            lambda: experiments.build_overhead_suite(duration=10.0),
-            lambda: experiments.build_delay_suite(duration=10.0),
-            experiments.build_table1_suite,
+            _fault_suite,
+            lambda: _loop_suite(
+                "disturbance", "disturbances",
+                ((Burst(time=3.0, jobs=30),), (Slowdown(time=3.0, factor=0.25),)),
+            ),
+            lambda: _loop_suite(
+                "load", "aperiodic_interarrival_factor", (4.0, 2.0, 1.0, 0.5)
+            ),
+            lambda: _loop_suite(
+                "overhead", "cost_model", (CostModel.zero(), CostModel().scaled(10.0))
+            ),
+            lambda: _loop_suite(
+                "delay", "delay_model", (ConstantDelay(0.001), ConstantDelay(0.05))
+            ),
         ],
         ids=[
             "figure5", "figure6", "figure8", "chaos",
-            "disturbance", "load", "overhead", "delay", "table1",
+            "disturbance", "load", "overhead", "delay",
         ],
     )
     def test_built_suite_json_round_trip(self, build):

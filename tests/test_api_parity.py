@@ -4,7 +4,9 @@ Every experiment module now constructs its runs through ``repro.api``
 scenarios executed by the shared parallel runner.  These tests pin the
 refactor down: at fixed seeds the new path must produce **identical**
 outputs (exact float equality, not approx) to the direct-construction
-serial code it replaced — per figure, and for any worker count.
+serial code it replaced — per figure, and for any worker count — and a
+``Session`` run with a cost model, delay model, burst or slowdown equals
+the direct build that sets the same thing by hand.
 
 The reference implementations are the direct-construction cells in
 ``tests/parity_reference.py`` (``middleware_cell``, ``overhead_cell``,
@@ -15,25 +17,21 @@ pinned to its exact ratios and to an inline serial replay of every set.
 
 import pytest
 
+from repro.api import (
+    Burst,
+    ExperimentSuite,
+    Scenario,
+    Session,
+    Slowdown,
+    WorkloadSource,
+)
 from repro.core.cost_model import CostModel
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo, valid_combinations
 from repro.experiments.ablation import replay_cell, run_aub_vs_deferrable
-from repro.experiments.disturbance import (
-    DisturbanceResult,
-    run_burst_scenario,
-    run_disturbance_suite,
-    run_slowdown_scenario,
-)
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure8 import run_figure8
-from repro.experiments.sensitivity import (
-    sweep_load,
-    sweep_network_delay,
-    sweep_overhead,
-)
-from repro.json_checks import encode
 from repro.metrics.overhead import ALL_ROWS, OverheadAccounting
 from repro.net.latency import ConstantDelay
 from repro.sched.deferrable import DeferrableServerPolicy
@@ -186,89 +184,88 @@ class TestAblationParity:
         )
 
 
+def _scenario(combo, duration=DURATION, **fields):
+    """A scenario of the workload the direct loops below build."""
+    return Scenario(
+        workload=WorkloadSource.random(seed=3, stream="wl"),
+        combo=combo,
+        duration=duration,
+        seed=3,
+        **fields,
+    )
+
+
+def _session_run(combo, duration=DURATION, **fields):
+    """One ``Session`` run of the workload the direct loops below build."""
+    return Session(_scenario(combo, duration, **fields)).run()
+
+
 class TestSensitivityParity:
-    """The ROADMAP item: sensitivity cells through the parallel runner
-    with per-cell deterministic seeds, bit-identical for any workers."""
+    """A load, cost or delay sweep is a loop over scenarios: each
+    ``Session`` run equals the direct ``MiddlewareSystem`` build."""
 
     def test_load_sweep_identical_to_direct_loop(self):
-        factors = (4.0, 1.0)
         workload = generate_random_workload(RngRegistry(3).stream("wl"))
         combo = StrategyCombo.from_label("J_J_J")
-        reference = []
-        for factor in factors:
+        for factor in (4.0, 1.0):
             system = MiddlewareSystem(
                 workload, combo, seed=3, aperiodic_interarrival_factor=factor
             )
-            reference.append(
-                (factor, system.run(DURATION).accepted_utilization_ratio)
+            run = _session_run("J_J_J", aperiodic_interarrival_factor=factor)
+            assert run.accepted_utilization_ratio == (
+                system.run(DURATION).accepted_utilization_ratio
             )
-        for workers in (1, 2):
-            result = sweep_load(
-                factors=factors, duration=DURATION, seed=3, n_workers=workers
-            )
-            assert result.points == reference
 
     def test_overhead_sweep_identical_to_direct_loop(self):
-        scales = (0.0, 10.0)
         workload = generate_random_workload(RngRegistry(3).stream("wl"))
         combo = StrategyCombo.from_label("J_J_J")
-        reference = []
-        for scale in scales:
-            cost = CostModel.zero() if scale == 0 else CostModel().scaled(scale)
+        for cost in (CostModel.zero(), CostModel().scaled(10.0)):
             system = MiddlewareSystem(workload, combo, cost_model=cost, seed=3)
-            reference.append(
-                (scale, system.run(DURATION).accepted_utilization_ratio)
+            run = _session_run("J_J_J", cost_model=cost)
+            assert run.accepted_utilization_ratio == (
+                system.run(DURATION).accepted_utilization_ratio
             )
-        for workers in (1, 2):
-            result = sweep_overhead(
-                scales=scales, duration=DURATION, seed=3, n_workers=workers
-            )
-            assert result.points == reference
 
     def test_delay_sweep_identical_to_direct_loop(self):
-        delays = (0.001, 0.05)
         workload = generate_random_workload(RngRegistry(3).stream("wl"))
         combo = StrategyCombo.from_label("J_J_J")
-        reference = []
-        for delay in delays:
+        for delay in (0.001, 0.05):
             system = MiddlewareSystem(
                 workload, combo, seed=3, delay_model=ConstantDelay(delay)
             )
-            run = system.run(DURATION)
-            reference.append(
-                (
-                    run.accepted_utilization_ratio,
-                    run.metrics.latency.response_times.mean,
-                    run.metrics.latency.deadline_misses,
-                )
+            reference = system.run(DURATION)
+            run = _session_run("J_J_J", delay_model=ConstantDelay(delay))
+            assert (
+                run.accepted_utilization_ratio,
+                run.mean_response_time,
+                run.deadline_misses,
+            ) == (
+                reference.accepted_utilization_ratio,
+                reference.metrics.latency.response_times.mean,
+                reference.metrics.latency.deadline_misses,
             )
-        for workers in (1, 2):
-            points = sweep_network_delay(
-                delays=delays, duration=DURATION, seed=3, n_workers=workers
-            )
-            assert [
-                (p.accepted_utilization_ratio, p.mean_response, p.deadline_misses)
-                for p in points
-            ] == reference
 
 
 class TestDisturbanceParity:
-    """The other half of the ROADMAP item: disturbance scenarios through
-    the parallel runner, identical for any worker count."""
+    """``Session``'s burst and slowdown paths equal the hand-scheduled
+    disturbances of a direct ``MiddlewareSystem`` build, and a suite of
+    those scenarios equals their single runs for any worker count."""
 
     def test_suite_matches_single_runs(self):
-        singles = [
-            encode(run_burst_scenario(duration=30.0, seed=3), DisturbanceResult),
-            encode(run_slowdown_scenario(duration=30.0, seed=3), DisturbanceResult),
-        ]
-        for workers in (1, 2):
-            suite = run_disturbance_suite(
-                duration=30.0, seed=3, n_workers=workers
+        cells = tuple(
+            _scenario(combo, duration=30.0, disturbances=(disturbance,))
+            for combo, disturbance in (
+                ("J_J_N", Burst(time=10.0, jobs=25)),
+                ("J_N_N", Slowdown(time=10.0, factor=0.2)),
             )
-            assert [encode(r, DisturbanceResult) for r in suite] == singles
+        )
+        singles = [Session(cell).run().to_json() for cell in cells]
+        suite = ExperimentSuite(name="disturbance", cells=cells)
+        for workers in (1, 2):
+            results = suite.run_results(n_workers=workers)
+            assert [r.to_json() for r in results] == singles
 
     def test_burst_matches_direct_construction(self):
-        # The old run_burst_scenario body, inline.
         workload = generate_random_workload(RngRegistry(3).stream("wl"))
         system = MiddlewareSystem(
             workload, StrategyCombo.from_label("J_J_N"), seed=3
@@ -281,8 +278,8 @@ class TestDisturbanceParity:
             )
         reference = system.run(30.0)
 
-        result = run_burst_scenario(
-            duration=30.0, burst_time=10.0, burst_jobs=25, seed=3
+        result = _session_run(
+            "J_J_N", duration=30.0, disturbances=(Burst(time=10.0, jobs=25),)
         )
         assert result.accepted_utilization_ratio == (
             reference.metrics.accepted_utilization_ratio
@@ -304,8 +301,8 @@ class TestDisturbanceParity:
         system.sim.schedule_at(10.0, throttle)
         reference = system.run(30.0)
 
-        result = run_slowdown_scenario(
-            duration=30.0, slowdown_time=10.0, slow_factor=0.2, seed=3
+        result = _session_run(
+            "J_N_N", duration=30.0, disturbances=(Slowdown(time=10.0, factor=0.2),)
         )
         assert result.accepted_utilization_ratio == (
             reference.metrics.accepted_utilization_ratio

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.processor import Processor
-from repro.cpu.thread import DispatchThread, WorkItem
+from repro.cpu.thread import WorkItem
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 
@@ -314,3 +314,43 @@ def test_submission_fast_paths_match_the_rescheduling_processor(
     assert expected[2] == len(expected[0]) - sum(
         1 for label, _time in expected[0] if label == "idle"
     )
+
+
+class TestSetSpeed:
+    def test_idle_speed_change(self):
+        sim = Simulator()
+        cpu = Processor(sim, "p")
+        cpu.set_speed(2.0)
+        done = []
+        t = cpu.new_thread("t", 1.0)
+        cpu.submit(t, WorkItem(4.0, lambda _: done.append(sim.now)))
+        sim.run()
+        assert done == [2.0]
+
+    def test_running_item_retimed(self):
+        sim = Simulator()
+        cpu = Processor(sim, "p")
+        done = []
+        t = cpu.new_thread("t", 1.0)
+        cpu.submit(t, WorkItem(4.0, lambda _: done.append(sim.now)))
+        # After 2 s (2 units consumed), halve the speed: remaining 2 units
+        # take 4 s -> completes at 6.
+        sim.schedule(2.0, cpu.set_speed, 0.5)
+        sim.run()
+        assert done == [6.0]
+
+    def test_speedup_mid_item(self):
+        sim = Simulator()
+        cpu = Processor(sim, "p")
+        done = []
+        t = cpu.new_thread("t", 1.0)
+        cpu.submit(t, WorkItem(4.0, lambda _: done.append(sim.now)))
+        sim.schedule(2.0, cpu.set_speed, 2.0)
+        sim.run()
+        assert done == [3.0]
+
+    def test_invalid_speed_rejected(self):
+        sim = Simulator()
+        cpu = Processor(sim, "p")
+        with pytest.raises(SimulationError):
+            cpu.set_speed(0.0)

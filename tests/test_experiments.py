@@ -6,7 +6,6 @@ numbers: those depend on the authors' testbed and undisclosed load rates.
 
 import pytest
 
-from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
 from repro.experiments import (
     run_aub_vs_deferrable,
@@ -16,7 +15,7 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.report import bar_chart, format_table
-from repro.experiments.table1 import format_rows
+from repro.experiments.table1 import CATEGORIES, format_rows
 from repro.metrics.overhead import PAPER_FIGURE8_USEC
 
 
@@ -167,6 +166,13 @@ class TestTable1:
         clamped = rows["critical + per-job resetting requested"]
         assert clamped.notes
 
+    def test_rows_follow_the_categories(self):
+        rows = run_table1()
+        assert [r.category for r in rows] == [c[0] for c in CATEGORIES]
+        assert [r.combo_label for r in rows] == [
+            "T_T_T", "J_T_T", "J_J_J", "J_J_J", "J_T_N", "T_T_J",
+        ]
+
     def test_format(self):
         assert "Table 1" in format_rows(run_table1())
 
@@ -219,59 +225,12 @@ class TestParallelRunner:
         cells = [(i, 2, None) for i in range(7)]
         assert run_cells(pow, cells, n_workers=3) == [i * i for i in range(7)]
         assert run_cells(pow, cells, n_workers=1) == [i * i for i in range(7)]
-
-    def test_run_cells_cost_ordered_dispatch_is_invisible(self):
-        """A custom cost key reshuffles submission, never results."""
-        from repro.experiments import run_cells
-
-        cells = [(i, 2, None) for i in range(9)]
-        # Perverse estimate (cheapest first) must still return in order.
-        results = run_cells(
-            pow, cells, n_workers=4, cost_key=lambda cell: -cell[0]
-        )
-        assert results == [i * i for i in range(9)]
-
-    def test_estimate_cell_cost_orders_heterogeneous_scenarios(self):
-        from repro.api import Scenario
-        from repro.api.scenario import WorkloadSource
-        from repro.experiments.runner import estimate_cell_cost
-        from repro.workloads.generator import RandomWorkloadParams
-
-        small = Scenario(
-            workload=WorkloadSource.random(
-                seed=1, params=RandomWorkloadParams(n_periodic=2, n_aperiodic=2)
-            ),
-            duration=5.0,
-        )
-        large = Scenario(
-            workload=WorkloadSource.random(
-                seed=1, params=RandomWorkloadParams(n_periodic=9, n_aperiodic=9)
-            ),
-            duration=60.0,
-        )
-        assert estimate_cell_cost((large,)) > estimate_cell_cost((small,))
-        # Unrecognized cells get a neutral constant (stable order).
-        assert estimate_cell_cost((1, "x", None)) == 1.0
-
-    def test_estimate_cell_cost_orders_replay_cells_by_task_count(self):
-        # The ablation's direct replay cells carry a bare Workload.
-        from repro.experiments.runner import estimate_cell_cost
-        from repro.sim.rng import RngRegistry
-        from repro.workloads.generator import (
-            RandomWorkloadParams,
-            generate_random_workload,
-        )
-
-        def replay_cell_args(n_per_kind):
-            workload = generate_random_workload(
-                RngRegistry(1).stream("wl"),
-                RandomWorkloadParams(n_periodic=n_per_kind, n_aperiodic=n_per_kind),
-            )
-            return (workload, 0, 11, 40.0, 2.0, 0.3, 0.1)
-
-        small, large = replay_cell_args(2), replay_cell_args(9)
-        assert estimate_cell_cost(small) == len(small[0].tasks) == 4
-        assert estimate_cell_cost(large) == len(large[0].tasks) == 18
+        # The first cell outlasts the rest, so workers finish out of
+        # submission order; the results must not.
+        sizes = [2_000_000, 1, 10, 100, 1_000_000, 5]
+        uneven = [(range(n),) for n in sizes]
+        expected = [n * (n - 1) // 2 for n in sizes]
+        assert run_cells(sum, uneven, n_workers=2) == expected
 
     def test_figure5_parallel_bit_identical_to_serial(self):
         combos = [StrategyCombo.from_label(l) for l in ("J_N_N", "J_J_J", "T_T_T")]
@@ -290,10 +249,3 @@ class TestParallelRunner:
         parallel = run_aub_vs_deferrable(n_sets=3, duration=20.0, seed=5, n_workers=3)
         assert serial.aub_ratios == parallel.aub_ratios
         assert serial.ds_ratios == parallel.ds_ratios
-
-    def test_table1_routes_through_runner(self):
-        rows_serial = run_table1(n_workers=1)
-        rows_parallel = run_table1(n_workers=2)
-        assert [r.combo_label for r in rows_serial] == [
-            r.combo_label for r in rows_parallel
-        ]

@@ -1,5 +1,9 @@
 """Tests for the offline feasibility analysis and the CLI."""
 
+import contextlib
+import errno
+import os
+
 import pytest
 
 from repro.api import Scenario, WorkloadSource
@@ -260,6 +264,13 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("repro: error: --answers")
 
+    def test_unknown_overhead_tolerance_refused(self, scenario_file, capsys):
+        assert main(["configure", scenario_file, "--answers", "Y,Y,N,bogus"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "repro: error: answer for 'overhead_tolerance' must be one of "
+            "N, PT, PJ; got 'bogus'"
+        ]
+
 
 class TestCliErrors:
     """Bad input is one stderr line and a non-zero exit, not a traceback."""
@@ -283,6 +294,57 @@ class TestCliErrors:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("repro: error: "), captured.err
         assert "Traceback" not in captured.out
+
+    @pytest.mark.parametrize("fails_at", ["write", "flush"])
+    def test_closed_pipe_is_not_an_error(self, tmp_path, capsys, fails_at):
+        class ClosedPipe:
+            """A standard output whose reader went away (``| head``); a
+            block-buffered one fails only at the final flush."""
+
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                if fails_at == "write":
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                if fails_at == "flush":
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            with contextlib.redirect_stdout(ClosedPipe(fd)):
+                assert main(["combos"]) == 1
+            # The descriptor now points at devnull, so the interpreter's
+            # final flush has nowhere to fail.
+            redirected = os.fstat(fd)
+        finally:
+            os.close(fd)
+        assert os.path.samestat(redirected, os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sensitivity"], "invalid choice: 'sensitivity'"),
+            (["disturbance"], "invalid choice: 'disturbance'"),
+            (["chaos"], "invalid choice: 'chaos'"),
+            (["table1", "--workers", "2"], "unrecognized arguments: --workers 2"),
+        ],
+        ids=["sensitivity", "disturbance", "chaos", "table1_workers"],
+    )
+    def test_removed_command_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: "), err
+        assert message in err[0]
 
     @pytest.mark.parametrize("command", ["figure5", "figure6", "ablation"])
     def test_zero_sets_is_a_usage_error(self, capsys, command):

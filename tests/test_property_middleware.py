@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Scenario, Session, WorkloadSource
-from repro.core.cost_model import CostModel
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import valid_combinations
 from repro.sched.task import SubtaskSpec, TaskKind, TaskSpec

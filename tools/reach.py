@@ -5,11 +5,12 @@ Usage (from the repository root)::
     python3 tools/reach.py
 
 Runs the paper artifacts through the CLI (``figure5``, ``figure6``,
-``figure8`` and ``table1`` at 1 set and 10 s, one worker) and the three
-``bench_e2e`` workloads at full scale (every cell deployed, run and
-digested as one ``bench_e2e/run.py`` pass does) under ``sys.setprofile``,
-then prints, for each module of ``src/repro``, every function that was
-never called with its line span, and the totals.
+``figure8`` and ``ablation`` at 1 set and 10 s, one worker, and
+``table1``) and the three ``bench_e2e`` workloads at full scale (every
+cell deployed, run and digested as one ``bench_e2e/run.py`` pass does)
+under ``sys.setprofile``, then prints, for each module of
+``src/repro``, every function that was never called with its line span,
+and the totals.
 
 A function is every ``def`` (methods and nested functions included); one
 is reached when any call entered it.  Unreached lines are the source
@@ -162,7 +163,8 @@ def run_artifacts_and_workloads() -> None:
         cli(["figure5", "--sets", "1"] + quick)
         cli(["figure6", "--sets", "1"] + quick)
         cli(["figure8"] + quick)
-        cli(["table1", "--workers", "1"])
+        cli(["ablation", "--sets", "1"] + quick)
+        cli(["table1"])
     for grid in GRIDS.values():
         for cell in grid.build(DEFAULT_SEED, False):
             session = Session(

@@ -41,11 +41,7 @@ class UnpicklableCellRule(Rule):
         if name not in _DISPATCHERS:
             return
         nested = self._nested_function_names(ctx)
-        # cost_key is consumed in the parent process (it orders submission
-        # before pickling) and never crosses the pool boundary.
-        arguments = list(node.args) + [
-            kw.value for kw in node.keywords if kw.arg != "cost_key"
-        ]
+        arguments = list(node.args) + [kw.value for kw in node.keywords]
         for arg in arguments:
             for sub in ast.walk(arg):
                 if isinstance(sub, ast.Lambda):

@@ -80,11 +80,8 @@ class PickleSafetyRule(Rule):
                     f"lambda{where} and cannot be pickled for the worker "
                     "pool; use a module-level def",
                 )
-        # Everything else in the call crosses the pool boundary except
-        # cost_key, which orders submission parent-side.
-        arguments = list(call.args[1:]) + [
-            kw.value for kw in call.keywords if kw.arg != "cost_key"
-        ]
+        # Everything else in the call crosses the pool boundary.
+        arguments = list(call.args[1:]) + [kw.value for kw in call.keywords]
         for arg in arguments:
             for sub in ast.walk(arg):
                 if isinstance(sub, ast.Call):

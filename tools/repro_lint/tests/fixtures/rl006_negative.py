@@ -7,6 +7,4 @@ def double_cell(value):
 
 
 def fan_out(cells):
-    # cost_key never crosses the process boundary (it orders submission
-    # in the parent), so a lambda there is legal.
-    return run_cells(double_cell, cells, cost_key=lambda cell: -cell[0])
+    return run_cells(double_cell, cells)

@@ -12,5 +12,4 @@ def dispatch(cells):
     guard = threading.Lock()
     with guard:
         prepared = [tuple(cell) for cell in cells]
-    # cost_key is consumed parent-side; the lambda never crosses the pool.
-    return run_cells(work, prepared, cost_key=lambda cell: 2.0)
+    return run_cells(work, prepared)
