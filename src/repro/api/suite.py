@@ -41,9 +41,6 @@ class ExperimentSuite:
                     f"{type(cell).__name__}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.cells)
-
     @property
     def scenarios(self) -> Tuple[Scenario, ...]:
         return self.cells

@@ -47,6 +47,23 @@ class AttributeSpec:
     mutable: bool = False
     doc: str = ""
 
+    def check(self, name: str, owner: str, value: Any) -> None:
+        """Raise AttributeConfigError, naming attribute ``name`` and its
+        ``owner``, unless ``value`` has this type and passes the validator."""
+        if self.type is int and isinstance(value, bool):
+            raise AttributeConfigError(
+                f"attribute {name!r} of {owner!r} expects int, got bool"
+            )
+        if not isinstance(value, self.type):
+            raise AttributeConfigError(
+                f"attribute {name!r} of {owner!r} expects "
+                f"{self.type.__name__}, got {type(value).__name__}"
+            )
+        if self.validator is not None and not self.validator(value):
+            raise AttributeConfigError(
+                f"value {value!r} rejected for attribute {name!r} of {owner!r}"
+            )
+
 
 class _ContainerContext:
     """A component's ``node``, ``sim``, ``processor`` or ``tracer`` before
@@ -104,19 +121,7 @@ class Component:
             raise AttributeConfigError(
                 f"attribute {name!r} of {self.name!r} is immutable after activation"
             )
-        if spec.type is int and isinstance(value, bool):
-            raise AttributeConfigError(
-                f"attribute {name!r} of {self.name!r} expects int, got bool"
-            )
-        if not isinstance(value, spec.type):
-            raise AttributeConfigError(
-                f"attribute {name!r} of {self.name!r} expects "
-                f"{spec.type.__name__}, got {type(value).__name__}"
-            )
-        if spec.validator is not None and not spec.validator(value):
-            raise AttributeConfigError(
-                f"value {value!r} rejected for attribute {name!r} of {self.name!r}"
-            )
+        spec.check(name, self.name, value)
         self._attributes[name] = value
 
     def get_attribute(self, name: str) -> Any:
@@ -133,13 +138,6 @@ class Component:
         """Standard Configurator interface used by the deployment engine."""
         for key, value in properties.items():
             self.set_attribute(key, value)
-
-    def copy_configuration(self, configured: "Component") -> None:
-        """Take the values ``set_configuration`` checked on ``configured``,
-        an instance of the same class (another replica of one subtask)."""
-        if type(configured) is not type(self) or self._activated:
-            raise AttributeConfigError(f"{self.name!r} cannot copy {configured.name!r}")
-        self._attributes = configured._attributes.copy()
 
     def check_required_attributes(self) -> None:
         """Raise if any required attribute is still unset."""

@@ -7,13 +7,13 @@ its handler on its own node, and each push reaches that handler with the
 bare payload.  Facets model the synchronous method collaborations in the
 paper's Figure 3 (AC -> LB "Location" calls, subtask -> IR "Complete"
 calls), which are always node-local in the paper's deployment; the AC and
-LB reach theirs through receptacles, while a subtask, deployed once per
-replica, holds the IR's facet itself.
+LB reach theirs through receptacles, while a node's stage host holds the
+IR's facet itself, for every subtask stage it hosts.
 
 A source port holds its owner's container and name, not its owner: a
 component holds its ports, so a port that held its component back would
 put every component with one on a reference cycle of its own, and a
-finished deployment's replicas would wait for the cycle collector
+finished deployment's stage hosts would wait for the cycle collector
 instead of being freed when the run uninstalls them
 (:meth:`repro.core.middleware.MiddlewareSystem.run_plan`).  A source port
 is built at install (:meth:`Component.on_install`); one built before its

@@ -13,7 +13,9 @@ CCM-lite substrate:
   completed subjobs from a lowest-priority idle-detector thread.
 * :class:`~repro.core.subtask.FISubtaskComponent` and
   :class:`~repro.core.subtask.LastSubtaskComponent` — execute subjobs at
-  EDMS priority and trigger successors.
+  EDMS priority and trigger successors.  The paper deploys one per (task,
+  stage, eligible processor); here each is a row of its node's one
+  :class:`~repro.core.subtask.StageHostComponent`.
 
 :class:`~repro.core.middleware.MiddlewareSystem` assembles a whole
 distributed deployment (task manager + application processors) for a

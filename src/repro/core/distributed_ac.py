@@ -66,17 +66,12 @@ from repro.core.cost_model import OP_ADMISSION_TEST
 from repro.core.middleware import MiddlewareSystem
 from repro.core.runtime import RuntimeEnv
 from repro.core.strategies import StrategyCombo
-from repro.core.subtask import (
-    FISubtaskComponent,
-    LastSubtaskComponent,
-    bind_trigger_routes,
-)
+from repro.core.subtask import deploy_stages
 from repro.core.task_effector import TaskEffectorComponent
 from repro.cpu.thread import WorkItem
 from repro.errors import ComponentError
 from repro.numeric import ordered_sum
 from repro.sched.aub import EPSILON, aub_term, aub_term_inverse
-from repro.sched.edms import edms_priority
 from repro.sched.task import Job
 from repro.sim.kernel import EventHandle
 
@@ -686,7 +681,7 @@ class DistributedMiddlewareSystem(MiddlewareSystem):
     """A deployment using per-processor admission controllers.
 
     Reuses the :class:`~repro.core.middleware.MiddlewareSystem` substrate
-    (processors, network, TEs, subtask components) but replaces the
+    (processors, network, TEs, stage hosts) but replaces the
     central AC/LB pair with one distributed AC per application processor.
     Fixed configuration: AC per job, no idle resetting, no load balancing
     (see module docstring).
@@ -727,28 +722,8 @@ class DistributedMiddlewareSystem(MiddlewareSystem):
             ac.set_configuration({"processor_id": node})
             containers[node].install(ac)
             self.acs[node] = ac
-        bind_trigger_routes(env)
-        for task in workload.tasks:
-            priority = edms_priority(task)
-            last_index = task.n_subtasks - 1
-            for subtask in task.subtasks:
-                cls = (
-                    LastSubtaskComponent
-                    if subtask.index == last_index
-                    else FISubtaskComponent
-                )
-                # Home placement only (no LB in this extension).
-                component = cls(f"{task.task_id}.s{subtask.index}@{subtask.home}", env)
-                component.set_configuration(
-                    {
-                        "task_id": task.task_id,
-                        "subtask_index": subtask.index,
-                        "execution_time": subtask.execution_time,
-                        "priority": priority,
-                        "ir_mode": "N",
-                    }
-                )
-                containers[subtask.home].install(component)
+        # Home placement only (no LB in this extension).
+        deploy_stages(env, containers, workload.tasks, replicas=False)
 
     # ------------------------------------------------------------------
     # Chaos hooks (see repro.net.fault and docs/CHAOS.md)

@@ -2,10 +2,11 @@
 
 This facade builds the paper's Figure 1 architecture for a given workload
 and strategy combination: a task-manager processor hosting the AC and LB
-components, application processors each hosting a TE and an IR component,
-and one F/I or Last Subtask component per (task, stage, eligible
-processor).  It then drives the workload's arrival plan through the task
-effectors and collects results.
+components, and application processors each hosting a TE, an IR and a
+stage host, whose table has one row per (task, stage) eligible there; a
+row stands for Figure 1's F/I or Last Subtask component of that replica
+(:mod:`repro.core.subtask`).  It then drives the workload's arrival plan
+through the task effectors and collects results.
 
 It is the one description of a centralized system's assembly, and its
 one assembler.  A :class:`repro.api.Session` builds one from a scenario,
@@ -26,11 +27,7 @@ from repro.core.idle_resetter import IdleResetterComponent
 from repro.core.load_balancer import LoadBalancerComponent
 from repro.core.runtime import RuntimeEnv
 from repro.core.strategies import ACStrategy, LBStrategy, StrategyCombo
-from repro.core.subtask import (
-    FISubtaskComponent,
-    LastSubtaskComponent,
-    bind_trigger_routes,
-)
+from repro.core.subtask import deploy_stages
 from repro.core.task_effector import TaskEffectorComponent
 from repro.cpu.processor import Processor
 from repro.errors import ConfigurationError
@@ -40,7 +37,6 @@ from repro.metrics.registry import MetricsRegistry
 from repro.net.federation import FederatedEventChannel
 from repro.net.latency import DelayModel
 from repro.net.network import Network
-from repro.sched.edms import edms_priority
 from repro.sched.task import Job, TaskSpec
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -190,40 +186,7 @@ class MiddlewareSystem:
             container.install(ir)
 
     def _deploy_application(self) -> None:
-        bind_trigger_routes(self.env)
-        ir_facets = {
-            node: self.containers[node].lookup(f"IR-{node}").provide_complete_facet()
-            for node in self.workload.app_nodes
-        }
-        for task in self.workload.tasks:
-            priority = edms_priority(task)
-            last_index = task.n_subtasks - 1
-            for subtask in task.subtasks:
-                cls = (
-                    LastSubtaskComponent
-                    if subtask.index == last_index
-                    else FISubtaskComponent
-                )
-                # The home replica (eligible[0]) checks; the others copy.
-                home = None
-                for node in subtask.eligible:
-                    name = f"{task.task_id}.s{subtask.index}@{node}"
-                    component = cls(name, self.env)
-                    if home is None:
-                        component.set_configuration(
-                            {
-                                "task_id": task.task_id,
-                                "subtask_index": subtask.index,
-                                "execution_time": subtask.execution_time,
-                                "priority": priority,
-                                "ir_mode": self.combo.ir.value,
-                            }
-                        )
-                        home = component
-                    else:
-                        component.copy_configuration(home)
-                    self.containers[node].install(component)
-                    component.connect_ir(ir_facets[node])
+        deploy_stages(self.env, self.containers, self.workload.tasks, replicas=True)
 
     # ------------------------------------------------------------------
     # Execution
@@ -294,11 +257,12 @@ class MiddlewareSystem:
 
         Once the results are read, the application is uninstalled
         (:meth:`_uninstall_application`), as DAnCE ends an application's
-        lifecycle by tearing it down: the subtask replicas, their
-        threads and any work still queued are freed here, by reference
-        counting.  The services (AC, LB, TEs, IRs, distributed ACs) stay
-        readable with their counters, as do ``metrics``, ``overhead``,
-        ``tracer``, ``network``, ``processors`` and ``sim``'s counters.
+        lifecycle by tearing it down: the stage hosts, their rows, the
+        rows' threads and any work still queued are freed here, by
+        reference counting.  The services (AC, LB, TEs, IRs, distributed
+        ACs) stay readable with their counters, as do ``metrics``,
+        ``overhead``, ``tracer``, ``network``, ``processors`` and
+        ``sim``'s counters.
         """
         if self._ran:
             raise ConfigurationError("this system instance already ran")
@@ -311,15 +275,17 @@ class MiddlewareSystem:
         return results
 
     def _uninstall_application(self) -> None:
-        """Drop every reference the deployment holds to a subtask replica.
+        """Drop every reference the deployment holds to a stage row or
+        its host.
 
-        A replica is reached only through the kernel's pending events
-        and its thread's queued work (the bound methods they carry), the
-        ``(task, stage, node)`` table the Trigger routes close over, and
-        its container's component table, and it sits on no reference
-        cycle of its own (see :mod:`repro.ccm.ports`).  Emptying these
-        costs the nodes and the pending events, with no step per
-        replica, and the replicas go as the last reference does.
+        A row is reached only through the kernel's pending events and
+        its thread's queued work (the bound methods they carry) and the
+        ``(task, stage, node)`` table the Trigger routes close over; its
+        host, through its rows and its container's component table.
+        Neither sits on a reference cycle of its own (see
+        :mod:`repro.ccm.ports`).  Emptying these costs the nodes and the
+        pending events, with no step per row, and the rows go as the
+        last reference does.
         """
         self.sim.drain()
         for processor in self.processors.values():

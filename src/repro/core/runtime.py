@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
+from repro.errors import SimulationError
 from repro.metrics.overhead import OverheadAccounting
 from repro.metrics.ratio import MetricsCollector
 from repro.metrics.registry import MetricsRegistry
@@ -27,8 +28,24 @@ from repro.sim.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.idle_resetter import IdleResetterComponent
-    from repro.core.subtask import _SubtaskComponentBase
+    from repro.core.subtask import StageRow
     from repro.core.task_effector import TaskEffectorComponent
+
+
+class StageTable(Dict[Tuple[str, int, str], "StageRow"]):
+    """Every deployed stage, as a row of its node's stage host, by
+    ``(task, stage, node)``.
+
+    The Trigger routes and the task effectors find a stage with one
+    lookup here; a stage not deployed on the node raises
+    :class:`SimulationError` naming the task, the stage and the node.
+    """
+
+    def __missing__(self, key: Tuple[str, int, str]) -> "StageRow":
+        task_id, index, node = key
+        raise SimulationError(
+            f"task {task_id!r} stage {index} is not deployed on node {node!r}"
+        )
 
 
 @dataclass
@@ -52,9 +69,7 @@ class RuntimeEnv:
     tasks: Dict[str, TaskSpec] = field(default_factory=dict)
     task_effectors: Dict[str, "TaskEffectorComponent"] = field(default_factory=dict)
     idle_resetters: Dict[str, "IdleResetterComponent"] = field(default_factory=dict)
-    subtask_instances: Dict[Tuple[str, int, str], "_SubtaskComponentBase"] = field(
-        default_factory=dict
-    )
+    subtask_instances: StageTable = field(default_factory=StageTable)
 
     #: RNG stream for service-operation cost jitter, resolved once.
     cost_rng: random.Random = field(init=False, repr=False, compare=False)
@@ -69,13 +84,3 @@ class RuntimeEnv:
         no-op unless the registry was constructed under the sanitizer.
         """
         self.rngs.audit()
-
-    def subtask_instance(self, task_id: str, index: int, node: str):
-        """Look up the deployed subtask component for (task, stage, node)."""
-        try:
-            return self.subtask_instances[(task_id, index, node)]
-        except KeyError:
-            raise KeyError(
-                f"no subtask component deployed for task {task_id!r} "
-                f"stage {index} on node {node!r}"
-            ) from None

@@ -204,8 +204,9 @@ class TaskEffectorComponent(Component):
             self.tracer.record(
                 now, "te.release", self.node, task=job.task.task_id, job=job.index
             )
-        instance = self.env.subtask_instance(job.task.task_id, 0, self.node)
-        instance.release(job, assignment)
+        self.env.subtask_instances[job.task.task_id, 0, self.node].release(
+            job, assignment
+        )
 
     def _on_reject(self, event: RejectEvent) -> None:
         job = event.job

@@ -41,9 +41,6 @@ class Figure5Result:
     def best_combo(self) -> str:
         return max(self.per_combo, key=self.per_combo.get)
 
-    def mean_over(self, labels: Sequence[str]) -> float:
-        return ordered_sum(self.per_combo[l] for l in labels) / len(labels)
-
     def by_ir_strategy(self) -> Dict[str, float]:
         """Mean ratio grouped by the IR strategy letter (* X *)."""
         groups: Dict[str, List[float]] = {"N": [], "T": [], "J": []}

@@ -10,7 +10,7 @@ text fixes only the distribution, not the rate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import WorkloadSpecError

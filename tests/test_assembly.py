@@ -10,6 +10,7 @@ that describes a run; it round-trips through its JSON form and deploys
 as the system a direct build of its workload and combo gives.
 """
 
+import dataclasses
 import math
 import random
 
@@ -34,7 +35,11 @@ from repro.core.idle_resetter import IdleResetterComponent
 from repro.core.load_balancer import LoadBalancerComponent
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo, valid_combinations
-from repro.core.subtask import FISubtaskComponent, LastSubtaskComponent
+from repro.core.subtask import (
+    FISubtaskComponent,
+    LastSubtaskComponent,
+    StageHostComponent,
+)
 from repro.core.task_effector import TaskEffectorComponent
 from repro.errors import ConfigurationError
 from repro.net.latency import ConstantDelay
@@ -56,10 +61,9 @@ def expected_components(workload, combo):
     centralized system of ``workload`` under ``combo`` installs.
 
     The task manager hosts the AC, and the LB unless the combo has none;
-    each application processor hosts a TE and an IR; each (task, stage,
-    eligible processor) gets one subtask component, a Last Subtask for the
-    final stage, with the task's EDMS priority.  The TE releases per task
-    only when both admission and placement are fixed per task.
+    each application processor hosts a TE, an IR and a stage host.  The
+    TE releases per task only when both admission and placement are fixed
+    per task.  The stages are rows of the hosts (:func:`expected_rows`).
     """
     manager = workload.manager_node
     lb = combo.lb.value
@@ -85,24 +89,44 @@ def expected_components(workload, combo):
         components[f"IR-{node}"] = (node, IdleResetterComponent, {
             "processor_id": node, "strategy": combo.ir.value,
         })
-    for task in workload.tasks:
-        for subtask in task.subtasks:
-            cls = (
-                LastSubtaskComponent
-                if subtask.index == task.n_subtasks - 1
-                else FISubtaskComponent
-            )
-            for node in subtask.eligible:
-                components[f"{task.task_id}.s{subtask.index}@{node}"] = (
-                    node, cls, {
-                        "task_id": task.task_id,
-                        "subtask_index": subtask.index,
-                        "execution_time": subtask.execution_time,
-                        "priority": edms_priority(task),
-                        "ir_mode": combo.ir.value,
-                    },
-                )
+        components[f"Stages-{node}"] = (node, StageHostComponent, {})
     return components
+
+
+def expected_rows(workload):
+    """``{(task, stage, node): (class, execution time, priority)}`` of
+    every stage a centralized system of ``workload`` deploys: one row per
+    (task, stage, eligible processor), a Last Subtask for the final
+    stage, with the task's EDMS priority."""
+    return {
+        (task.task_id, subtask.index, node): (
+            LastSubtaskComponent
+            if subtask.index == task.n_subtasks - 1
+            else FISubtaskComponent,
+            subtask.execution_time,
+            edms_priority(task),
+        )
+        for task in workload.tasks
+        for subtask in task.subtasks
+        for node in subtask.eligible
+    }
+
+
+def check_rows(system, workload):
+    """Each deployed stage is the row :func:`expected_rows` states, on
+    its node's stage host, with its own thread on that node's processor."""
+    rows = system.env.subtask_instances
+    expected = expected_rows(workload)
+    assert rows.keys() == expected.keys()
+    for (task_id, index, node), stated in expected.items():
+        row = rows[task_id, index, node]
+        assert (type(row), row.execution_time, row.thread.priority) == stated
+        assert (row.task_id, row.index, row.name) == (
+            task_id, index, f"{task_id}.s{index}@{node}"
+        )
+        assert row.host is system.containers[node].lookup(f"Stages-{node}")
+        assert row.thread.processor is system.processors[node]
+    assert len({id(row.thread) for row in rows.values()}) == len(rows)
 
 
 def installed_components(system):
@@ -117,10 +141,6 @@ def installed_components(system):
 
 def _typed(mapping):
     return {name: (type(value), value) for name, value in mapping.items()}
-
-
-def _is_stage(component):
-    return isinstance(component, (FISubtaskComponent, LastSubtaskComponent))
 
 
 class TestAssemblyFollowsCombo:
@@ -158,7 +178,7 @@ class TestAssemblyFollowsCombo:
         expected = expected_components(workload, combo)
         services = [
             name for name, (_, cls, _) in expected.items()
-            if cls not in (FISubtaskComponent, LastSubtaskComponent)
+            if cls is not StageHostComponent
         ]
         assert len(services) == 2 * len(workload.app_nodes) + (
             1 if combo.lb.value == "N" else 2
@@ -167,24 +187,18 @@ class TestAssemblyFollowsCombo:
         assert (system.lb is None) == (combo.lb.value == "N")
 
     @_COMBOS
-    def test_one_stage_component_per_eligible_node(self, workload, combo):
+    def test_one_stage_host_per_node_and_one_row_per_eligible_node(
+        self, workload, combo
+    ):
         system = MiddlewareSystem(workload, combo)
         expected = expected_components(workload, combo)
         installed = installed_components(system)
         assert sorted(installed) == sorted(expected)
-        stages = sorted(
-            name for name, component in installed.items() if _is_stage(component)
-        )
-        assert len(stages) == sum(
-            len(s.eligible) for t in workload.tasks for s in t.subtasks
-        )
-        self._check(system, expected, stages)
-        assert sorted(
-            component.name for component in system.env.subtask_instances.values()
-        ) == stages
+        self._check(system, expected, [f"Stages-{n}" for n in workload.app_nodes])
+        check_rows(system, workload)
 
     @_COMBOS
-    def test_facets_wire_each_stage_to_its_node_ir(self, workload, combo):
+    def test_facets_wire_each_host_to_its_node_ir(self, workload, combo):
         system = MiddlewareSystem(workload, combo)
         installed = installed_components(system)
         wired = {
@@ -200,14 +214,17 @@ class TestAssemblyFollowsCombo:
                 ("Central-LB", "admission_state", "Central-AC", "admission_state"),
             }
         assert wired == expected
-        stages = [c for c in installed.values() if _is_stage(c)]
-        assert stages
-        for stage in stages:
-            link = stage._ir_complete
-            assert (link.owner.name, link.name) == (f"IR-{stage.node}", "complete")
+        hosts = [c for c in installed.values() if isinstance(c, StageHostComponent)]
+        assert sorted(host.node for host in hosts) == sorted(workload.app_nodes)
+        for host in hosts:
+            link = host._ir_complete
+            if combo.ir.value == "N":
+                assert link is None, host.name
+            else:
+                assert (link.owner.name, link.name) == (f"IR-{host.node}", "complete")
 
     @_COMBOS
-    def test_every_event_route_can_be_delivered(self, workload, combo):
+    def test_every_event_route_can_be_delivered(self, workload, combo, monkeypatch):
         """Each node binds the topics its components consume, and a
         Trigger for a stage reaches that stage's component on the node the
         assignment names, through the node's one Trigger route."""
@@ -222,8 +239,10 @@ class TestAssemblyFollowsCombo:
             for topic in (TOPIC_ACCEPT, TOPIC_REJECT, TOPIC_TRIGGER)
         }
         reached = []
-        for stage in system.env.subtask_instances.values():
-            stage.release = lambda job, assignment, name=stage.name: reached.append(name)
+        for cls in (FISubtaskComponent, LastSubtaskComponent):
+            monkeypatch.setattr(
+                cls, "release", lambda stage, job, assignment: reached.append(stage.name)
+            )
         triggers = 0
         for task in workload.tasks:
             job = Job(task, 0, 0.0, task.subtasks[0].home)
@@ -260,20 +279,36 @@ class TestTwoNodeAssembly:
     def test_subtask_instances_cover_replicas(self, system):
         # P1 has 2 subtasks x 2 eligible nodes; A1 has 1 x 2.
         assert sorted(
-            c.name for c in installed_components(system).values() if _is_stage(c)
+            row.name for row in system.env.subtask_instances.values()
         ) == [
             "A1.s0@app1", "A1.s0@app2",
             "P1.s0@app1", "P1.s0@app2", "P1.s1@app1", "P1.s1@app2",
         ]
 
     def test_priorities_follow_edms(self, system):
-        installed = installed_components(system)
-        p1 = installed["P1.s0@app1"].get_attribute("priority")
-        a1 = installed["A1.s0@app1"].get_attribute("priority")
+        rows = system.env.subtask_instances
+        p1 = rows["P1", 0, "app1"].thread.priority
+        a1 = rows["A1", 0, "app1"].thread.priority
         assert a1 < p1  # A1 deadline 0.5 < P1 deadline 1.0
         # A replica carries its home's priority.
-        assert installed["A1.s0@app2"].get_attribute("priority") == a1
+        assert rows["A1", 0, "app2"].thread.priority == a1
 
+    def test_replicas_add_rows_not_components(self, system):
+        # The same tasks on the same nodes without their replicas install
+        # the same components: a replica is a row of its node's host.
+        workload = make_two_node_workload()
+        unreplicated = dataclasses.replace(workload, tasks=tuple(
+            dataclasses.replace(task, subtasks=tuple(
+                dataclasses.replace(s, replicas=()) for s in task.subtasks
+            ))
+            for task in workload.tasks
+        ))
+        alone = MiddlewareSystem(unreplicated, system.combo)
+        assert len(alone.env.subtask_instances) == 3
+        assert len(system.env.subtask_instances) == 6
+        assert sorted(installed_components(alone)) == sorted(
+            installed_components(system)
+        )
 
 def configured_scenario(combo, **fields):
     """The scenario the engine emits for the two-node workload."""
@@ -336,7 +371,9 @@ class TestConfiguredScenarioDeploys:
         assert reloaded.workload.materialize() == workload
         system = Session(reloaded).deploy()
         assert sorted(system.containers) == sorted(nodes + ("mgr </manager>",))
-        assert "belt & <jam>.s0@" + nodes[0] in installed_components(system)
+        assert "belt & <jam>.s0@" + nodes[0] in {
+            row.name for row in system.env.subtask_instances.values()
+        }
 
 
 class TestConfiguredScenarioBoundary:

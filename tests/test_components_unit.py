@@ -18,7 +18,12 @@ from repro.ccm.events import (
 from repro.core.admission_controller import AUB_REJECT, AdmissionControllerComponent
 from repro.core.idle_resetter import IdleResetterComponent
 from repro.core.load_balancer import LoadBalancerComponent
-from repro.core.subtask import FISubtaskComponent, LastSubtaskComponent
+from repro.core.subtask import (
+    STAGE_ATTRIBUTES,
+    FISubtaskComponent,
+    LastSubtaskComponent,
+    StageHostComponent,
+)
 from repro.core.task_effector import TaskEffectorComponent
 from repro.errors import (
     AttributeConfigError,
@@ -73,22 +78,23 @@ def install_ir(env, containers, node="app1", strategy="J"):
 
 
 def install_subtask(env, containers, task, index, node, is_last, ir=None):
+    """Add the row of stage ``index`` of ``task`` to ``node``'s stage
+    host, installing the host first (linked to ``ir``, if given) when the
+    node has none yet."""
+    container = containers[node]
+    try:
+        host = container.lookup(f"Stages-{node}")
+    except ComponentError:
+        host = container.install(StageHostComponent(f"Stages-{node}", env))
+        if ir is not None:
+            host.connect_ir(ir.provide_complete_facet())
+        host.activate()
     cls = LastSubtaskComponent if is_last else FISubtaskComponent
-    comp = cls(f"{task.task_id}.s{index}@{node}", env)
-    comp.set_configuration(
-        {
-            "task_id": task.task_id,
-            "subtask_index": index,
-            "execution_time": task.subtasks[index].execution_time,
-            "priority": task.deadline,
-            "ir_mode": env.combo.ir.value,
-        }
+    row = cls(
+        host, task.task_id, index, task.subtasks[index].execution_time, task.deadline
     )
-    containers[node].install(comp)
-    if ir is not None:
-        comp.connect_ir(ir.provide_complete_facet())
-    comp.activate()
-    return comp
+    env.subtask_instances[task.task_id, index, node] = row
+    return row
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +411,7 @@ class TestIdleResetter:
 
 
 # ----------------------------------------------------------------------
-# Subtask components
+# Subtask stages: the rows of a node's stage host
 # ----------------------------------------------------------------------
 class TestSubtaskComponents:
     def test_fi_triggers_successor_on_remote_node(self):
@@ -465,29 +471,27 @@ class TestSubtaskComponents:
             env, containers, task, 0, "app1", is_last=True, ir=ir
         )
         with pytest.raises(PortError):
-            comp.connect_ir(ir.provide_complete_facet())
+            comp.host.connect_ir(ir.provide_complete_facet())
 
-    def test_ir_mode_none_suppresses_notification(self):
-        env, containers = make_env(combo_label="J_N_N")
-        ir = install_ir(env, containers, strategy="N")
+    def test_host_without_ir_link_reports_nothing(self):
+        env, containers = make_env(combo_label="J_J_N")
+        ir = install_ir(env, containers, strategy="J")
         task = make_task("T", TaskKind.PERIODIC, deadline=1.0, execs=(0.1,))
-        comp = install_subtask(
-            env, containers, task, 0, "app1", is_last=True, ir=ir
-        )
+        comp = install_subtask(env, containers, task, 0, "app1", is_last=True)
         job = Job(task, 0, 0.0, "app1")
         comp.release(job, {0: "app1"})
         env.sim.run()
+        assert comp.subjobs_executed == 1
         assert ir.completions_recorded == 0
 
-    def test_attributes_validated(self):
-        env, _ = make_env()
-        comp = FISubtaskComponent("s", env)
-        with pytest.raises(AttributeConfigError):
-            comp.set_attribute("execution_time", -1.0)
-        with pytest.raises(AttributeConfigError):
-            comp.set_attribute("subtask_index", -2)
-        with pytest.raises(AttributeConfigError):
-            comp.set_attribute("ir_mode", "X")
+    @pytest.mark.parametrize(
+        "name, value",
+        [("execution_time", -1.0), ("subtask_index", -2), ("priority", 1),
+         ("task_id", 7)],
+    )
+    def test_stage_values_checked(self, name, value):
+        with pytest.raises(AttributeConfigError, match=f"'{name}' of 'T.s0@app1'"):
+            STAGE_ATTRIBUTES[name].check(name, "T.s0@app1", value)
 
 
 
@@ -495,26 +499,25 @@ class TestSubtaskComponents:
 # The Trigger route: one per node, finding the stage by (task, stage, node)
 # ----------------------------------------------------------------------
 class TestTriggerRoute:
-    def two_stage(self, delay=0.001):
+    def two_stage(self, monkeypatch, delay=0.001):
         env, containers = make_env(combo_label="J_N_N", delay=delay)
         task = make_task(
             "T", TaskKind.APERIODIC, deadline=1.0, execs=(0.1, 0.1),
             homes=("app1", "app2"), replicas=[(), ("app1",)],
         )
-        stages = {
-            node: install_subtask(env, containers, task, 1, node, is_last=True)
-            for node in ("app1", "app2")
-        }
+        for node in ("app1", "app2"):
+            install_subtask(env, containers, task, 1, node, is_last=True)
         released = []
-        for node, stage in stages.items():
-            stage.release = (
-                lambda job, assignment, node=node:
-                released.append((node, job.index, env.sim.now))
-            )
+        monkeypatch.setattr(
+            LastSubtaskComponent,
+            "release",
+            lambda stage, job, assignment:
+            released.append((stage.host.node, job.index, env.sim.now)),
+        )
         return env, task, released
 
-    def test_local_trigger_reaches_its_stage_synchronously(self):
-        env, task, released = self.two_stage()
+    def test_local_trigger_reaches_its_stage_synchronously(self, monkeypatch):
+        env, task, released = self.two_stage(monkeypatch)
         job = Job(task, 0, 0.0, "app1")
         env.federation.send(
             "app1", "app1", TOPIC_TRIGGER, TriggerEvent(job, 1, {0: "app1", 1: "app1"})
@@ -522,8 +525,10 @@ class TestTriggerRoute:
         assert released == [("app1", 0, 0.0)]
         assert env.network.messages_sent == 0
 
-    def test_remote_trigger_arrives_after_the_delay_at_delivery_priority(self):
-        env, task, released = self.two_stage(delay=0.003)
+    def test_remote_trigger_arrives_after_the_delay_at_delivery_priority(
+        self, monkeypatch
+    ):
+        env, task, released = self.two_stage(monkeypatch, delay=0.003)
         sim = env.sim
         job = Job(task, 0, 0.0, "app1")
         at = 0.25 + 0.003

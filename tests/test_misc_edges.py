@@ -2,13 +2,21 @@
 
 import pytest
 
-from repro.ccm.events import TOPIC_ACCEPT, TOPIC_REJECT, TOPIC_TRIGGER
+from repro.ccm.events import (
+    TOPIC_ACCEPT,
+    TOPIC_REJECT,
+    TOPIC_TASK_ARRIVE,
+    TOPIC_TRIGGER,
+    AcceptEvent,
+)
 from repro.core.cost_model import CostModel
 from repro.core.middleware import MiddlewareSystem
 from repro.core.runtime import RuntimeEnv
 from repro.core.strategies import StrategyCombo
+from repro.core.task_effector import TaskEffectorComponent
+from repro.errors import SimulationError
 from repro.net.latency import ConstantDelay
-from repro.sched.task import TaskKind
+from repro.sched.task import Job, TaskKind
 from repro.workloads.model import Workload
 
 from tests.envutil import make_env
@@ -22,9 +30,6 @@ class TestEventTopics:
         assert len({TOPIC_ACCEPT, TOPIC_REJECT, TOPIC_TRIGGER}) == 3
 
     def test_accept_event_reallocated_flag(self):
-        from repro.ccm.events import AcceptEvent
-        from repro.sched.task import Job
-
         task = make_task("T", TaskKind.APERIODIC, deadline=1.0, execs=(0.1,))
         job = Job(task, 0, 0.0, "app1")
         same = AcceptEvent(job, {0: "app1"}, "app1", "app1")
@@ -35,10 +40,26 @@ class TestEventTopics:
 
 class TestRuntimeEnv:
     def test_subtask_instance_lookup_error(self):
-        env, _containers = make_env()
-        with pytest.raises(KeyError) as excinfo:
-            env.subtask_instance("ghost", 0, "app1")
-        assert "ghost" in str(excinfo.value)
+        # The task effector finds stage 0 as a Trigger route finds its
+        # stage, and a stage not deployed on its node fails the same way.
+        env, containers = make_env()
+        te = TaskEffectorComponent("TE-app1", env)
+        te.set_configuration({"processor_id": "app1"})
+        containers["app1"].install(te)
+        te.activate()
+        env.federation.subscribe(env.manager_node, TOPIC_TASK_ARRIVE, lambda e: None)
+        task = make_task("ghost", TaskKind.APERIODIC, deadline=1.0, execs=(0.1,))
+        job = Job(task, 0, 0.0, "app1")
+        te.task_arrived(job)
+        env.federation.send(
+            env.manager_node, "app1", TOPIC_ACCEPT,
+            AcceptEvent(job, {0: "app1"}, "app1", "app1"),
+        )
+        with pytest.raises(
+            SimulationError,
+            match="task 'ghost' stage 0 is not deployed on node 'app1'",
+        ):
+            env.sim.run()
 
     def test_cost_rng_is_stable_stream(self):
         env, _containers = make_env(seed=5)
