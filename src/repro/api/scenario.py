@@ -83,7 +83,7 @@ class WorkloadSource:
 
     #: JSON form: the unused half of the source is left out, and the
     #: params class is the one tagged with the source's ``kind``.
-    JSON_OMIT_DEFAULT = ("workload", "seed", "params")
+    JSON_OMIT_DEFAULT = ("workload", "seed", "params", "index", "stream")
     JSON_TAG_FROM = {"params": "kind"}
 
     def __post_init__(self) -> None:
@@ -401,7 +401,6 @@ class Scenario:
     #: refuses it.
     arrival_batching: bool = False
     disturbances: Tuple[Disturbance, ...] = ()
-    trace: bool = False
     drain: bool = True
     label: Optional[str] = None
 
@@ -447,10 +446,6 @@ class Scenario:
                 raise ConfigurationError(
                     "burst/slowdown disturbances are not supported by the "
                     "distributed engine"
-                )
-            if self.trace:
-                raise ConfigurationError(
-                    "tracing is not supported by the distributed engine"
                 )
             if self.arrival_batching:
                 raise ConfigurationError(

@@ -150,7 +150,8 @@ class RunResult:
         return rows
 
     def summary(self) -> Dict[str, float]:
-        """Flat summary mirroring ``MetricsCollector.summary``."""
+        """The job counts, ratio, misses and mean response time, flat
+        (``repro scenario run`` prints it)."""
         return {
             "arrived_jobs": self.arrived_jobs,
             "released_jobs": self.released_jobs,
@@ -277,7 +278,6 @@ class Session:
             scenario.strategy_combo,
             cost_model=scenario.cost_model,
             seed=scenario.seed,
-            trace=scenario.trace,
             delay_model=scenario.delay_model,
             aperiodic_interarrival_factor=(
                 scenario.aperiodic_interarrival_factor
@@ -417,8 +417,7 @@ class Session:
         system = self.deploy()
         results = system.run(scenario.duration, drain=scenario.drain)
         metrics = results.metrics
-        injector = getattr(system.network, "fault_injector", None)
-        fault_metrics = injector.metrics if injector is not None else None
+        injector = system.network.fault_injector
         return RunResult(
             scenario_label=scenario.effective_label,
             combo_label=results.combo_label,
@@ -429,9 +428,9 @@ class Session:
             released_jobs=metrics.released_jobs,
             rejected_jobs=metrics.rejected_jobs,
             completed_jobs=metrics.completed_jobs,
-            deadline_misses=metrics.latency.deadline_misses,
+            deadline_misses=metrics.deadline_misses,
             accepted_utilization_ratio=metrics.accepted_utilization_ratio,
-            mean_response_time=metrics.latency.response_times.mean,
+            mean_response_time=metrics.response_times.mean,
             events_executed=results.events_executed,
             messages_sent=results.messages_sent,
             cpu_utilization=dict(results.cpu_utilization),
@@ -444,10 +443,10 @@ class Session:
             },
             comm_delay=StatSnapshot.from_series(system.network.delay_stats),
             messages_dropped=(
-                fault_metrics.messages_dropped if fault_metrics else 0
+                injector.messages_dropped if injector is not None else 0
             ),
             messages_delay_spiked=(
-                fault_metrics.messages_delay_spiked if fault_metrics else 0
+                injector.messages_delay_spiked if injector is not None else 0
             ),
             metrics_snapshot=self._snapshot_metrics(),
         )
@@ -467,9 +466,9 @@ class Session:
             released_jobs=metrics.released_jobs,
             rejected_jobs=metrics.rejected_jobs,
             completed_jobs=metrics.completed_jobs,
-            deadline_misses=metrics.latency.deadline_misses,
+            deadline_misses=metrics.deadline_misses,
             accepted_utilization_ratio=metrics.accepted_utilization_ratio,
-            mean_response_time=metrics.latency.response_times.mean,
+            mean_response_time=metrics.response_times.mean,
             events_executed=system.sim.events_executed,
             messages_sent=results.messages_sent,
             reserve_messages=results.reserve_messages,

@@ -10,16 +10,14 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.scenario import Scenario, WorkloadSource
 from repro.api.session import RunResult, run_scenario
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
 from repro.errors import ConfigurationError
-from repro.json_checks import decode, encode
 from repro.workloads.model import Workload
 
 
@@ -29,7 +27,6 @@ class ExperimentSuite:
 
     name: str
     cells: Tuple[Scenario, ...]
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -53,21 +50,6 @@ class ExperimentSuite:
             run_scenario, [(cell,) for cell in self.cells], n_workers
         )
         return results
-
-    # -- JSON -------------------------------------------------------------
-    def to_json(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = encode(self, ExperimentSuite)
-        return data
-
-    def to_json_str(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, data: Any) -> "ExperimentSuite":
-        """Raises ConfigurationError, naming the JSON path, on any
-        malformed ``data``."""
-        suite: ExperimentSuite = decode(cls, data)
-        return suite
 
 
 # ----------------------------------------------------------------------

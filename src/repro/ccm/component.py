@@ -66,10 +66,9 @@ class AttributeSpec:
 
 
 class _ContainerContext:
-    """A component's ``node``, ``sim``, ``processor`` or ``tracer`` before
-    install.
+    """A component's ``node``, ``sim`` or ``processor`` before install.
 
-    :meth:`Container.install` stores the container's four values as plain
+    :meth:`Container.install` stores the container's three values as plain
     instance attributes, which shadow this non-data descriptor, so every
     read after install is an attribute lookup.  A read before install
     reaches the descriptor and raises ComponentError.  (Bound at install,
@@ -174,7 +173,6 @@ class Component:
     node = _ContainerContext()  # name of the processor deployed on
     sim = _ContainerContext()
     processor = _ContainerContext()
-    tracer = _ContainerContext()
 
     def _not_installed(self) -> ComponentError:
         return ComponentError(f"component {self.name!r} is not installed")

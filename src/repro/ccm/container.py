@@ -1,39 +1,33 @@
 """Containers: the execution environment binding components to a node.
 
 A container lives on exactly one processor and provides its components
-access to the simulation kernel, the processor (for dispatch threads), the
-event-channel federation and the tracer.  This mirrors CIAO's
+access to the simulation kernel, the processor (for dispatch threads) and
+the event-channel federation.  This mirrors CIAO's
 container-per-node architecture in the paper's Figure 3.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.ccm.component import Component
 from repro.cpu.processor import Processor
 from repro.errors import ComponentError
 from repro.net.federation import FederatedEventChannel
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
 
 
 class Container:
     """Execution environment for components on one processor."""
 
     def __init__(
-        self,
-        processor: Processor,
-        federation: FederatedEventChannel,
-        tracer: Optional[Tracer] = None,
+        self, processor: Processor, federation: FederatedEventChannel
     ) -> None:
         self.processor = processor
         #: Bound once: install copies them onto each component.
         self.node: str = processor.name
         self.sim: Simulator = processor.sim
         self.federation = federation
-        # Note: explicit None check — an empty Tracer is falsy (__len__).
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.components: List[Component] = []
         self._by_name: Dict[str, Component] = {}
 
@@ -53,7 +47,6 @@ class Container:
         component.node = self.node
         component.sim = self.sim
         component.processor = self.processor
-        component.tracer = self.tracer
         self.components.append(component)
         self._by_name[component.name] = component
         component.on_install(self)

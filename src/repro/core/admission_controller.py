@@ -538,15 +538,6 @@ class AdmissionControllerComponent(Component):
             self._m_decisions_accept.inc()
             self._m_decision_latency.observe(self.sim.now - job.arrival_time)
         release_node = assignment[0]
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "ac.accept",
-                self.node,
-                task=job.task.task_id,
-                job=job.index,
-                release_node=release_node,
-            )
         self._source.push(
             release_node,
             TOPIC_ACCEPT,
@@ -566,15 +557,6 @@ class AdmissionControllerComponent(Component):
         if self._m_decisions_reject is not None:
             self._m_decisions_reject.inc()
             self._m_decision_latency.observe(self.sim.now - job.arrival_time)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "ac.reject",
-                self.node,
-                task=job.task.task_id,
-                job=job.index,
-                reason=reason,
-            )
         self._source.push(
             event.arrival_node,
             TOPIC_REJECT,
@@ -600,8 +582,3 @@ class AdmissionControllerComponent(Component):
         )
         if self._m_reclaim_size is not None and event.entries:
             self._m_reclaim_size.observe(float(len(event.entries)))
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now, "ac.idle_reset", self.node,
-                entries=len(event.entries),
-            )

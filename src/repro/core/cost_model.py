@@ -46,7 +46,8 @@ from repro.errors import ConfigurationError
 from repro.numeric import Triangular, triangular_constants
 from repro.sim.kernel import USEC
 
-#: Operation names, usable as trace categories.
+#: Operation names: the ``CostModel`` field that holds each one's mean
+#: cost, and the key :meth:`CostModel.sample` draws it by.
 OP_HOLD_AND_PUSH = "hold_and_push"        # (1)
 OP_LB_PLAN = "lb_plan"                    # (3)
 OP_ADMISSION_TEST = "admission_test"      # (4)

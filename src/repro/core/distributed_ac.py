@@ -760,7 +760,6 @@ class DistributedMiddlewareSystem(MiddlewareSystem):
             for node in sorted(self.acs):
                 self.acs[node].verify_ledger()
         injector = self.network.fault_injector
-        fault_metrics = injector.metrics if injector is not None else None
         if self.metrics_registry is not None:
             self._publish_coordination_metrics()
         return DistributedRunResults(
@@ -776,10 +775,10 @@ class DistributedMiddlewareSystem(MiddlewareSystem):
             messages_sent=self.network.messages_sent,
             final_utilization={n: ac.utilization for n, ac in self.acs.items()},
             messages_dropped=(
-                fault_metrics.messages_dropped if fault_metrics else 0
+                injector.messages_dropped if injector is not None else 0
             ),
             messages_delay_spiked=(
-                fault_metrics.messages_delay_spiked if fault_metrics else 0
+                injector.messages_delay_spiked if injector is not None else 0
             ),
             vote_timeouts=sum(ac.vote_timeouts for ac in self.acs.values()),
             retries_sent=sum(ac.retries_sent for ac in self.acs.values()),
@@ -853,4 +852,4 @@ class DistributedRunResults:
 
     @property
     def deadline_misses(self) -> int:
-        return self.metrics.latency.deadline_misses
+        return self.metrics.deadline_misses

@@ -40,7 +40,6 @@ from repro.net.network import Network
 from repro.sched.task import Job, TaskSpec
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import Tracer
 from repro.workloads.arrivals import ArrivalPlan, build_arrival_plan
 from repro.workloads.model import Workload
 
@@ -65,7 +64,7 @@ class SystemResults:
 
     @property
     def deadline_misses(self) -> int:
-        return self.metrics.latency.deadline_misses
+        return self.metrics.deadline_misses
 
 
 class MiddlewareSystem:
@@ -77,7 +76,6 @@ class MiddlewareSystem:
         combo: StrategyCombo,
         cost_model: Optional[CostModel] = None,
         seed: int = 0,
-        trace: bool = False,
         delay_model: Optional[DelayModel] = None,
         aperiodic_interarrival_factor: float = 2.0,
         arrival_batching: bool = False,
@@ -95,7 +93,6 @@ class MiddlewareSystem:
         self.arrival_batching = arrival_batching
         self.sim = Simulator()
         self.rngs = RngRegistry(seed)
-        self.tracer = Tracer(enabled=trace)
         self.network = Network(self.sim, self.rngs.stream("network"), delay_model)
         self.federation = FederatedEventChannel(self.network)
         self.metrics = MetricsCollector()
@@ -114,7 +111,6 @@ class MiddlewareSystem:
             rngs=self.rngs,
             metrics=self.metrics,
             overhead=self.overhead,
-            tracer=self.tracer,
             manager_node=workload.manager_node,
             app_nodes=list(workload.app_nodes),
             metrics_registry=metrics_registry,
@@ -136,7 +132,7 @@ class MiddlewareSystem:
             processor = Processor(self.sim, node)
             self.processors[node] = processor
             self.federation.add_node(node)
-            self.containers[node] = Container(processor, self.federation, self.tracer)
+            self.containers[node] = Container(processor, self.federation)
 
     def _deploy(self) -> None:
         """Install every component (subclasses replace this step)."""
@@ -261,8 +257,7 @@ class MiddlewareSystem:
         rows' threads and any work still queued are freed here, by
         reference counting.  The services (AC, LB, TEs, IRs, distributed
         ACs) stay readable with their counters, as do ``metrics``,
-        ``overhead``, ``tracer``, ``network``, ``processors`` and
-        ``sim``'s counters.
+        ``overhead``, ``network``, ``processors`` and ``sim``'s counters.
         """
         if self._ran:
             raise ConfigurationError("this system instance already ran")

@@ -24,7 +24,6 @@ from repro.net.network import Network
 from repro.sched.task import TaskSpec
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.idle_resetter import IdleResetterComponent
@@ -60,7 +59,6 @@ class RuntimeEnv:
     rngs: RngRegistry
     metrics: MetricsCollector
     overhead: OverheadAccounting
-    tracer: Tracer
     manager_node: str
     app_nodes: List[str]
     # Observability registry; None means the run is unarmed and every

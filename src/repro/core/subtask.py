@@ -123,19 +123,9 @@ class StageRow:
     def _subjob_finished(self, payload) -> None:
         job, assignment = payload
         host = self.host
-        now = host.sim.now
         index = self.index
-        job.subjob_finish_times[index] = now
+        job.subjob_finish_times[index] = host.sim.now
         self.subjobs_executed += 1
-        if host.tracer.enabled:
-            host.tracer.record(
-                now,
-                "subtask.complete",
-                host.node,
-                task=job.task.task_id,
-                job=job.index,
-                stage=index,
-            )
         ir_complete = host._ir_complete
         if ir_complete is not None:
             ir_complete.obj.complete(job, index)
@@ -166,19 +156,9 @@ class LastSubtaskComponent(StageRow):
     __slots__ = ()
 
     def _after_subjob(self, host, job, assignment, index) -> None:
-        now = host.sim.now
         job.status = JobStatus.COMPLETED
-        job.completed_at = now
+        job.completed_at = host.sim.now
         host.env.metrics.on_completion(job)
-        if host.tracer.enabled:
-            host.tracer.record(
-                now,
-                "job.complete",
-                host.node,
-                task=job.task.task_id,
-                job=job.index,
-                response=job.response_time,
-            )
 
 
 def deploy_stages(

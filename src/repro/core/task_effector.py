@@ -102,12 +102,7 @@ class TaskEffectorComponent(Component):
     # ------------------------------------------------------------------
     def task_arrived(self, job: Job) -> None:
         """A job of ``job.task`` arrived on this processor."""
-        now = self.sim.now
         self.env.metrics.on_arrival(job)
-        if self.tracer.enabled:
-            self.tracer.record(
-                now, "te.arrive", self.node, task=job.task.task_id, job=job.index
-            )
         task = job.task
         if task.is_periodic and self.get_attribute("release_mode") == "per_task":
             cached = self._task_cache.get(task.task_id)
@@ -193,17 +188,12 @@ class TaskEffectorComponent(Component):
         self._do_release(job, dict(event.assignment))
 
     def _do_release(self, job: Job, assignment: Dict[int, str]) -> None:
-        now = self.sim.now
         job.status = JobStatus.RELEASED
-        job.released_at = now
+        job.released_at = self.sim.now
         job.release_node = self.node
         job.assignment = dict(assignment)
         self.jobs_released += 1
         self.env.metrics.on_release(job)
-        if self.tracer.enabled:
-            self.tracer.record(
-                now, "te.release", self.node, task=job.task.task_id, job=job.index
-            )
         self.env.subtask_instances[job.task.task_id, 0, self.node].release(
             job, assignment
         )
@@ -215,15 +205,6 @@ class TaskEffectorComponent(Component):
         self.jobs_rejected += 1
         self.env.metrics.on_rejection(job)
         self._maybe_cache(job, admitted=False, assignment=None)
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.sim.now,
-                "te.reject",
-                self.node,
-                task=job.task.task_id,
-                job=job.index,
-                reason=event.reason,
-            )
 
     def _note_remote_decision(self, event: AcceptEvent) -> None:
         """Called by the release-node TE when a held job was re-allocated."""

@@ -2,9 +2,8 @@
 
 * :mod:`repro.metrics.ratio` — the paper's primary metric, the **accepted
   utilization ratio**: total utilization of jobs actually released divided
-  by total utilization of all jobs arriving.
-* :mod:`repro.metrics.latency` — response times and deadline misses of
-  released jobs.
+  by total utilization of all jobs arriving; the same collector counts
+  the response times and deadline misses of completed jobs.
 * :mod:`repro.metrics.overhead` — per-path service delay decomposition
   reproducing the paper's Figure 8 table.
 * :mod:`repro.metrics.registry` / :mod:`repro.metrics.histogram` — the
@@ -18,7 +17,6 @@ from repro.metrics.histogram import (
     Histogram,
     HistogramSnapshot,
 )
-from repro.metrics.latency import LatencyMetrics
 from repro.metrics.overhead import OverheadAccounting, OverheadRow
 from repro.metrics.ratio import MetricsCollector
 from repro.metrics.registry import (
@@ -31,7 +29,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Histogram",
     "HistogramSnapshot",
-    "LatencyMetrics",
     "MetricFamilySnapshot",
     "MetricsCollector",
     "MetricsRegistry",

@@ -7,17 +7,20 @@
 A job's utilization is the sum of its subtask utilizations ``C_ij / D_i``.
 The collector also tracks per-task-kind breakdowns and job counts, which
 the experiments use for sanity assertions (e.g. periodic jobs of an
-admitted task under AC-per-Task are all released).
+admitted task under AC-per-Task are all released), and the response
+times and deadline misses of completed jobs.  AUB admission guarantees
+that admitted jobs meet their end-to-end deadlines under EDMS, so a miss
+means middleware overhead ate into a very tight deadline, or a bug.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
-from repro.metrics.latency import LatencyMetrics
 from repro.numeric import ordered_sum
 from repro.sched.task import Job, TaskKind
+from repro.sim.monitor import StatSeries
 
 
 @dataclass
@@ -38,9 +41,10 @@ class MetricsCollector:
         self.per_kind: Dict[TaskKind, KindCounters] = {
             kind: KindCounters() for kind in TaskKind
         }
-        self.latency = LatencyMetrics()
         self.completed_jobs = 0
-        self._rejections_by_task: Dict[str, int] = {}
+        #: Response times (arrival to completion) of completed jobs.
+        self.response_times = StatSeries()
+        self.deadline_misses = 0
 
     # ------------------------------------------------------------------
     # Event hooks (called by the middleware components)
@@ -58,14 +62,15 @@ class MetricsCollector:
     def on_rejection(self, job: Job) -> None:
         counters = self.per_kind[job.task.kind]
         counters.rejected_jobs += 1
-        task_id = job.task.task_id
-        self._rejections_by_task[task_id] = (
-            self._rejections_by_task.get(task_id, 0) + 1
-        )
 
     def on_completion(self, job: Job) -> None:
         self.completed_jobs += 1
-        self.latency.on_completion(job)
+        response = job.response_time
+        if response is None:
+            return
+        self.response_times.add(response)
+        if not job.met_deadline:
+            self.deadline_misses += 1
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -100,24 +105,3 @@ class MetricsCollector:
         if self.arrived_utilization == 0:
             return 1.0
         return self.released_utilization / self.arrived_utilization
-
-    def kind_ratio(self, kind: TaskKind) -> float:
-        counters = self.per_kind[kind]
-        if counters.arrived_utilization == 0:
-            return 1.0
-        return counters.released_utilization / counters.arrived_utilization
-
-    def rejections_for(self, task_id: str) -> int:
-        return self._rejections_by_task.get(task_id, 0)
-
-    def summary(self) -> Dict[str, float]:
-        """Flat summary dict used by experiment reports."""
-        return {
-            "arrived_jobs": self.arrived_jobs,
-            "released_jobs": self.released_jobs,
-            "rejected_jobs": self.rejected_jobs,
-            "accepted_utilization_ratio": self.accepted_utilization_ratio,
-            "completed_jobs": self.completed_jobs,
-            "deadline_misses": self.latency.deadline_misses,
-            "mean_response_time": self.latency.response_times.mean,
-        }

@@ -35,7 +35,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.metrics.faults import FaultMetrics
 from repro.sim.rng import RngRegistry
 
 #: Drop causes :meth:`FaultInjector.on_send` returns.
@@ -93,7 +92,10 @@ class FaultInjector:
         #: Lazily created per-directed-link loss streams, keyed by
         #: (loss stream name, source, destination).
         self._loss_rngs: Dict[Tuple[str, str, str], random.Random] = {}
-        self.metrics = FaultMetrics()
+        #: Remote sends suppressed (crash, partition or loss).
+        self.messages_dropped = 0
+        #: Remote deliveries whose sampled delay an active spike scaled.
+        self.messages_delay_spiked = 0
         #: True once any fault window is configured.  A plain attribute
         #: set by the ``add_*`` methods, not computed on read, because
         #: ``Network.send`` reads it on every remote send.
@@ -173,11 +175,11 @@ class FaultInjector:
         links consume no RNG draws.
         """
         if self.node_crashed(source, now) or self.node_crashed(destination, now):
-            self.metrics.record_drop()
+            self.messages_dropped += 1
             return DROP_CRASH, 1.0
         for window in self._partitions:
             if window.severs(source, destination, now):
-                self.metrics.record_drop()
+                self.messages_dropped += 1
                 return DROP_PARTITION, 1.0
         for loss in self._losses:
             if not loss.start <= now < loss.end:
@@ -185,11 +187,11 @@ class FaultInjector:
             if self._link_rng(loss.stream, source, destination).random() < (
                 loss.probability
             ):
-                self.metrics.record_drop()
+                self.messages_dropped += 1
                 return DROP_LOSS, 1.0
         factor = self.delay_factor(now)
         if factor != 1.0:  # repro-lint: disable=RL004
-            self.metrics.record_spike()
+            self.messages_delay_spiked += 1
         return None, factor
 
     def _link_rng(

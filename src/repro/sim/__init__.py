@@ -8,14 +8,12 @@ middleware components in :mod:`repro.core` execute against a
 * an event heap with deterministic ordering (time, priority, sequence),
 * cancellable event handles,
 * named, seeded random-number streams (:mod:`repro.sim.rng`),
-* tracing and statistics collection (:mod:`repro.sim.tracing`,
-  :mod:`repro.sim.monitor`).
+* statistics collection (:mod:`repro.sim.monitor`).
 """
 
 from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.monitor import StatSeries, TimeWeightedStat
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import TraceRecord, Tracer
 
 __all__ = [
     "EventHandle",
@@ -23,6 +21,4 @@ __all__ = [
     "RngRegistry",
     "StatSeries",
     "TimeWeightedStat",
-    "TraceRecord",
-    "Tracer",
 ]

@@ -25,7 +25,6 @@ from repro.net.latency import ConstantDelay
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import Tracer
 
 
 def make_env(
@@ -41,10 +40,9 @@ def make_env(
     network = Network(sim, rngs.stream("network"), ConstantDelay(delay))
     federation = FederatedEventChannel(network)
     containers: Dict[str, Container] = {}
-    tracer = Tracer(enabled=True)
     for node in (manager,) + tuple(app_nodes):
         federation.add_node(node)
-        containers[node] = Container(Processor(sim, node), federation, tracer)
+        containers[node] = Container(Processor(sim, node), federation)
     env = RuntimeEnv(
         sim=sim,
         network=network,
@@ -54,7 +52,6 @@ def make_env(
         rngs=rngs,
         metrics=MetricsCollector(),
         overhead=OverheadAccounting(),
-        tracer=tracer,
         manager_node=manager,
         app_nodes=list(app_nodes),
     )

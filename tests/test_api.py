@@ -8,7 +8,6 @@ serialization, and the ExperimentSuite fan-out.
 """
 
 import copy
-import json
 import math
 
 import pytest
@@ -30,7 +29,6 @@ from repro.api import (
     WorkloadSource,
     resolve_combo,
 )
-from repro import experiments
 from repro.core.cost_model import CostModel
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo, valid_combinations
@@ -313,7 +311,7 @@ class TestJsonRoundTrip:
         assert api_result.accepted_utilization_ratio == (
             direct.metrics.accepted_utilization_ratio
         )
-        assert api_result.deadline_misses == direct.metrics.latency.deadline_misses
+        assert api_result.deadline_misses == direct.metrics.deadline_misses
         assert api_result.arrived_jobs == direct.metrics.arrived_jobs
         assert api_result.events_executed == direct.events_executed
         assert api_result.messages_sent == direct.messages_sent
@@ -343,6 +341,44 @@ class TestJsonRoundTrip:
         restored = decode(StatSnapshot, encode(empty, StatSnapshot))
         assert restored.count == 0
         assert math.isinf(restored.minimum)
+
+
+#: A source of each kind at the default ``index`` and ``stream``.
+_DEFAULT_SOURCES = {
+    "explicit": WorkloadSource.explicit(_workload()),
+    "imbalanced": WorkloadSource.imbalanced(seed=3),
+    "random": WorkloadSource.random(seed=3),
+}
+
+
+class TestSavedWorkloadSource:
+    """A saved source leaves out ``index`` and ``stream`` while they hold
+    their defaults, writes any other value, and still loads a file that
+    carries the defaults."""
+
+    @pytest.mark.parametrize("kind", sorted(_DEFAULT_SOURCES))
+    def test_default_index_and_stream_are_left_out(self, kind):
+        saved = Scenario(workload=_DEFAULT_SOURCES[kind]).to_json()["workload"]
+        assert saved["kind"] == kind
+        assert "index" not in saved and "stream" not in saved
+
+    @pytest.mark.parametrize("kind", sorted(_DEFAULT_SOURCES))
+    def test_file_with_the_default_lines_still_loads(self, kind):
+        scenario = Scenario(workload=_DEFAULT_SOURCES[kind])
+        saved = scenario.to_json()
+        saved["workload"].update(index=0, stream="task_sets")
+        assert Scenario.from_json(saved) == scenario
+
+    @pytest.mark.parametrize("kind", ["imbalanced", "random"])
+    def test_other_index_and_stream_are_written(self, kind):
+        source = WorkloadSource(kind=kind, seed=3, index=2, stream="other_sets")
+        scenario = Scenario(workload=source)
+        saved = scenario.to_json()
+        assert (saved["workload"]["index"], saved["workload"]["stream"]) == (
+            2,
+            "other_sets",
+        )
+        assert Scenario.from_json(saved) == scenario
 
 
 #: Number replacements besides the wrong-typed ones: no JSON number the
@@ -457,7 +493,6 @@ def _boundary_scenarios():
             seed=7,
             aperiodic_interarrival_factor=3.0,
             arrival_batching=True,
-            trace=True,
             drain=False,
         ),
     }
@@ -493,54 +528,6 @@ class TestScenarioBoundary:
     def test_non_object_scenario_rejected(self, data):
         with pytest.raises(ConfigurationError, match=r"^\$"):
             Scenario.from_json(data)
-
-
-class TestSuiteBoundary:
-    """Malformed ExperimentSuite JSON fails with ConfigurationError."""
-
-    @pytest.fixture(scope="class")
-    def suite(self):
-        return ExperimentSuite(
-            name="boundary",
-            description="the boundary scenarios",
-            cells=tuple(_boundary_scenarios().values()),
-        )
-
-    @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_mutated_suite_fails_only_with_configuration_error(self, suite, data):
-        mutated = suite.to_json()
-        path, dropped, new = mutate(mutated, data, numbers=_NON_FINITE)
-        try:
-            ExperimentSuite.from_json(mutated)
-        except ConfigurationError:
-            return
-        assert may_parse(suite, path, dropped, new), (path, dropped, new)
-
-    @pytest.mark.parametrize(
-        "tag, error",
-        [
-            ("scenario", "$.cells[0].type: unknown key of Scenario"),
-            ("mapping", "$.cells[0].category: unknown key of Scenario"),
-        ],
-        ids=["scenario", "mapping"],
-    )
-    def test_tagged_cell_refused(self, tag, error):
-        # A cell as suites wrote it while they also held Table 1 mapping
-        # cells: its fields plus a ``type`` tag.
-        scenario = Scenario(workload=WorkloadSource.random(seed=3))
-        mapping = {
-            "category": "demo", "job_skipping": True, "overhead_tolerance": "PJ",
-            "replicated_components": True, "state_persistence": False,
-        }
-        cell = scenario.to_json() if tag == "scenario" else mapping
-        saved = {"cells": [dict(cell, type=tag)], "name": "saved"}
-        with pytest.raises(ConfigurationError) as refused:
-            ExperimentSuite.from_json(saved)
-        assert str(refused.value) == error
-        if tag == "scenario":  # deleting the tag is all such a cell needs
-            saved["cells"][0].pop("type")
-            assert ExperimentSuite.from_json(saved).cells == (scenario,)
 
 
 class TestSession:
@@ -593,24 +580,6 @@ class TestSession:
             Session(scenario).deploy()
 
 
-def _loop_suite(name, field, values, base=None):
-    """A suite as docs/API.md replaces the removed sweep, disturbance and
-    chaos builders: a loop over one field of a base scenario."""
-    base = base or Scenario(
-        workload=WorkloadSource.random(seed=3, stream="wl"), combo="J_J_J", seed=3
-    )
-    return ExperimentSuite(
-        name=name, cells=tuple(base.with_changes(**{field: v}) for v in values)
-    )
-
-
-def _fault_suite():
-    """The chaos grid: no fault, then one cell per fault class."""
-    base = _boundary_scenarios()["distributed"]
-    faults = [()] + [(fault,) for fault in base.disturbances]
-    return _loop_suite("chaos", "disturbances", faults, base=base)
-
-
 class TestExperimentSuite:
     def test_results_order_is_worker_invariant(self):
         workload = _workload(seed=21)
@@ -631,16 +600,6 @@ class TestExperimentSuite:
         assert serial == parallel
         assert [r["combo_label"] for r in serial] == ["T_N_N", "J_N_N", "J_J_J"]
 
-    def test_suite_json_round_trip(self):
-        suite = ExperimentSuite(
-            name="round",
-            description="a described suite",
-            cells=(Scenario(workload=WorkloadSource.random(seed=3), duration=6.0),),
-        )
-        data = suite.to_json()
-        assert "type" not in data["cells"][0]
-        assert ExperimentSuite.from_json(data) == suite
-
     def test_non_scenario_cell_refused(self):
         saved = Scenario(workload=WorkloadSource.random(seed=3)).to_json()
         with pytest.raises(
@@ -648,37 +607,6 @@ class TestExperimentSuite:
             match=r"^suite 'raw': a cell must be a Scenario, got dict$",
         ):
             ExperimentSuite(name="raw", cells=(saved,))
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: experiments.build_figure5_suite(n_sets=2, duration=10.0),
-            lambda: experiments.build_figure6_suite(n_sets=2, duration=10.0),
-            lambda: experiments.build_figure8_suite(duration=10.0),
-            _fault_suite,
-            lambda: _loop_suite(
-                "disturbance", "disturbances",
-                ((Burst(time=3.0, jobs=30),), (Slowdown(time=3.0, factor=0.25),)),
-            ),
-            lambda: _loop_suite(
-                "load", "aperiodic_interarrival_factor", (4.0, 2.0, 1.0, 0.5)
-            ),
-            lambda: _loop_suite(
-                "overhead", "cost_model", (CostModel.zero(), CostModel().scaled(10.0))
-            ),
-            lambda: _loop_suite(
-                "delay", "delay_model", (ConstantDelay(0.001), ConstantDelay(0.05))
-            ),
-        ],
-        ids=[
-            "figure5", "figure6", "figure8", "chaos",
-            "disturbance", "load", "overhead", "delay",
-        ],
-    )
-    def test_built_suite_json_round_trip(self, build):
-        suite = build()
-        assert ExperimentSuite.from_json(suite.to_json()) == suite
-        assert ExperimentSuite.from_json(json.loads(suite.to_json_str())) == suite
 
 
 class TestGeneratedWorkloadMemo:
@@ -730,7 +658,8 @@ class TestGeneratedWorkloadMemo:
 
 
 class TestDeployRefusesBadValues:
-    """The home replica checks a subtask's values; the others copy them."""
+    """Each (task, stage)'s values are checked once, by ``deploy_stages``,
+    and its rows take the checked values."""
 
     @staticmethod
     def _workload(execution_time, deadline):

@@ -241,8 +241,8 @@ class TestSensitivityParity:
                 run.deadline_misses,
             ) == (
                 reference.accepted_utilization_ratio,
-                reference.metrics.latency.response_times.mean,
-                reference.metrics.latency.deadline_misses,
+                reference.metrics.response_times.mean,
+                reference.metrics.deadline_misses,
             )
 
 
@@ -284,7 +284,7 @@ class TestDisturbanceParity:
         assert result.accepted_utilization_ratio == (
             reference.metrics.accepted_utilization_ratio
         )
-        assert result.deadline_misses == reference.metrics.latency.deadline_misses
+        assert result.deadline_misses == reference.metrics.deadline_misses
         assert result.released_jobs == reference.metrics.released_jobs
         assert result.rejected_jobs == reference.metrics.rejected_jobs
 
@@ -307,7 +307,7 @@ class TestDisturbanceParity:
         assert result.accepted_utilization_ratio == (
             reference.metrics.accepted_utilization_ratio
         )
-        assert result.deadline_misses == reference.metrics.latency.deadline_misses
+        assert result.deadline_misses == reference.metrics.deadline_misses
 
 
 class TestFullGridWorkerInvariance:

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.api import Burst, Scenario, Session, WorkloadSource
-from repro.core.admission_controller import AUB_REJECT
 from repro.core.strategies import valid_combinations
 from repro.errors import ConfigurationError
 from repro.workloads.generator import RandomWorkloadParams
@@ -22,7 +21,7 @@ PARAMS = RandomWorkloadParams(n_periodic=4, n_aperiodic=4)
 COMBOS = [combo.label for combo in valid_combinations()]
 
 
-def _scenario(combo="J_J_N", batching=True, burst=None, trace=False):
+def _scenario(combo="J_J_N", batching=True, burst=None):
     return Scenario(
         workload=WorkloadSource.random(seed=17, params=PARAMS),
         combo=combo,
@@ -30,7 +29,6 @@ def _scenario(combo="J_J_N", batching=True, burst=None, trace=False):
         seed=5,
         arrival_batching=batching,
         disturbances=() if burst is None else (Burst(*burst),),
-        trace=trace,
     )
 
 
@@ -102,16 +100,12 @@ class TestMiddlewareBatching:
     def test_one_analyzer_test_per_decision(self, batching):
         """The LB only plans and the AC tests each plan once: on a light
         AC-per-job + LB-per-job run every decision costs exactly one AUB
-        test, sequential or batched (no relocations under AC per job)."""
-        session = Session(_scenario(combo="J_N_J", batching=batching, trace=True))
+        test, sequential or batched (no relocations under AC per job).  A
+        job that expired in the AC queue is decided without a test, so
+        one would fail the equality too."""
+        session = Session(_scenario(combo="J_N_J", batching=batching))
         session.run()
         ac = session.system.ac
-        reasons = {
-            record.get("reason")
-            for record in session.system.tracer.by_category("ac.reject")
-        }
-        # A job that expired in the AC queue is decided without a test.
-        assert reasons <= {AUB_REJECT}
         assert ac.admitted_jobs > 0
         assert ac.analyzer.tests_performed == ac.admitted_jobs + ac.rejected_jobs
 

@@ -137,7 +137,7 @@ class TestContainer:
         assert w.container is container
         assert w.node == "n1"
 
-    @pytest.mark.parametrize("name", ["node", "sim", "processor", "tracer"])
+    @pytest.mark.parametrize("name", ["node", "sim", "processor"])
     def test_context_read_before_install_raises(self, name):
         w = Widget("w")
         with pytest.raises(ComponentError):
@@ -172,7 +172,6 @@ class TestContainer:
                 assert component.node == container.node
                 assert component.sim is container.sim
                 assert component.processor is container.processor
-                assert component.tracer is container.tracer
         assert components > len(system.containers)
 
     @pytest.mark.parametrize(
@@ -210,7 +209,7 @@ class TestContainer:
         session = Session(scenario)
         system = session.deploy()
         containers = system.containers
-        context = {"node", "sim", "processor", "tracer"}
+        context = {"node", "sim", "processor"}
         # Taken before the run: a finished run empties the containers.
         components = [c for ct in containers.values() for c in ct.components]
         session.run()

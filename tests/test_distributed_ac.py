@@ -116,7 +116,7 @@ class TestDistributedAdmission:
         # though app1's own saturation bound would allow it.
         assert system.acs["app1"].admitted_jobs == 1
         assert system.acs["app1"].rejected_jobs == 1
-        assert system.metrics.latency.deadline_misses == 0
+        assert system.metrics.deadline_misses == 0
 
     def test_no_deadline_misses_on_random_workload(self):
         import random

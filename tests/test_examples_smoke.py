@@ -20,7 +20,7 @@ EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
 def test_every_example_is_covered():
     """Fail if a new example is added without appearing in the sweep."""
-    assert len(EXAMPLES) == 7, EXAMPLES
+    assert len(EXAMPLES) == 6, EXAMPLES
 
 
 @pytest.mark.parametrize("example", EXAMPLES)

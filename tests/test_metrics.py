@@ -1,9 +1,8 @@
-"""Unit tests for the metrics collectors."""
+"""Unit tests for the metrics collector and the overhead accounting."""
 
 import pytest
 
 from repro.experiments.figure8 import Figure8Result
-from repro.metrics.latency import LatencyMetrics
 from repro.metrics.overhead import (
     OverheadAccounting,
     PAPER_FIGURE8_USEC,
@@ -49,74 +48,42 @@ class TestMetricsCollector:
         metrics.on_arrival(job_of(a))
         metrics.on_release(job_of(p))
         metrics.on_rejection(job_of(a))
-        assert metrics.kind_ratio(TaskKind.PERIODIC) == 1.0
-        assert metrics.kind_ratio(TaskKind.APERIODIC) == 0.0
+        periodic = metrics.per_kind[TaskKind.PERIODIC]
+        aperiodic = metrics.per_kind[TaskKind.APERIODIC]
+        assert (periodic.released_jobs, periodic.rejected_jobs) == (1, 0)
+        assert (aperiodic.released_jobs, aperiodic.rejected_jobs) == (0, 1)
         assert metrics.arrived_jobs == 2
         assert metrics.released_jobs == 1
         assert metrics.rejected_jobs == 1
 
-    def test_rejections_per_task(self):
-        metrics = MetricsCollector()
-        t = make_task("T", TaskKind.APERIODIC, deadline=1.0, execs=(0.1,))
-        metrics.on_rejection(job_of(t, 0))
-        metrics.on_rejection(job_of(t, 1))
-        assert metrics.rejections_for("T") == 2
-        assert metrics.rejections_for("other") == 0
-
-    def test_completion_feeds_latency(self):
+    def test_completion_records_response_time(self):
         metrics = MetricsCollector()
         t = make_task("T", TaskKind.APERIODIC, deadline=1.0, execs=(0.1,))
         job = job_of(t)
         job.completed_at = 0.4
         metrics.on_completion(job)
         assert metrics.completed_jobs == 1
-        assert metrics.latency.response_times.mean == pytest.approx(0.4)
+        assert metrics.response_times.mean == pytest.approx(0.4)
 
-    def test_summary_keys(self):
-        summary = MetricsCollector().summary()
-        for key in (
-            "arrived_jobs",
-            "released_jobs",
-            "rejected_jobs",
-            "accepted_utilization_ratio",
-            "completed_jobs",
-            "deadline_misses",
-            "mean_response_time",
-        ):
-            assert key in summary
-
-
-# ----------------------------------------------------------------------
-# Latency metrics
-# ----------------------------------------------------------------------
-class TestLatencyMetrics:
     def test_miss_detection(self):
-        lat = LatencyMetrics()
+        metrics = MetricsCollector()
         t = make_task("T", TaskKind.APERIODIC, deadline=1.0, execs=(0.1,))
         ok = job_of(t)
         ok.completed_at = 0.9
         late = job_of(t, index=1)
         late.completed_at = 1.5
-        lat.on_completion(ok)
-        lat.on_completion(late)
-        assert lat.deadline_misses == 1
-        assert lat.missed_jobs == [("T", 1)]
-        assert lat.miss_rate == pytest.approx(0.5)
+        metrics.on_completion(ok)
+        metrics.on_completion(late)
+        assert metrics.deadline_misses == 1
+        assert metrics.response_times.count == 2
 
-    def test_uncompleted_job_ignored(self):
-        lat = LatencyMetrics()
+    def test_uncompleted_job_has_no_response_time(self):
+        metrics = MetricsCollector()
         t = make_task("T", TaskKind.APERIODIC, deadline=1.0, execs=(0.1,))
-        lat.on_completion(job_of(t))  # completed_at is None
-        assert lat.response_times.count == 0
-
-    def test_per_task_series(self):
-        lat = LatencyMetrics()
-        t = make_task("T", TaskKind.APERIODIC, deadline=1.0, execs=(0.1,))
-        job = job_of(t)
-        job.completed_at = 0.25
-        lat.on_completion(job)
-        assert lat.task_response_times("T").mean == pytest.approx(0.25)
-        assert lat.task_response_times("missing").count == 0
+        metrics.on_completion(job_of(t))  # completed_at is None
+        assert metrics.completed_jobs == 1
+        assert metrics.response_times.count == 0
+        assert metrics.deadline_misses == 0
 
 
 # ----------------------------------------------------------------------

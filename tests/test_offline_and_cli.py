@@ -40,12 +40,9 @@ EXPORTED_BURST_SLOWDOWN = """{
   "engine": "middleware",
   "label": "x",
   "seed": 0,
-  "trace": false,
   "workload": {
-    "index": 0,
     "kind": "random",
-    "seed": 3,
-    "stream": "task_sets"
+    "seed": 3
   }
 }
 """
@@ -56,12 +53,9 @@ EXPORTED_DISTRIBUTED = """{
   "duration": 60.0,
   "engine": "distributed",
   "seed": 0,
-  "trace": false,
   "workload": {
-    "index": 0,
     "kind": "random",
-    "seed": 3,
-    "stream": "task_sets"
+    "seed": 3
   }
 }
 """

@@ -82,7 +82,7 @@ def test_middleware_invariants(workload, combo, seed):
     assert metrics.released_jobs + metrics.rejected_jobs == metrics.arrived_jobs
     assert 0.0 <= results.accepted_utilization_ratio <= 1.0 + 1e-9
     assert metrics.completed_jobs == metrics.released_jobs
-    assert metrics.latency.deadline_misses == 0
+    assert metrics.deadline_misses == 0
 
     ledger = system.ac.ledger
     for node in workload.app_nodes:

@@ -109,7 +109,7 @@ def scenarios(draw) -> Scenario:
             disturbances.append(_draw_fault(draw))
     else:
         fields["combo"] = draw(st.sampled_from(COMBOS))
-        # Disturbances and tracing are middleware-engine-only features.
+        # Burst and slowdown are middleware-engine-only features.
         for i in range(draw(st.integers(0, 2))):
             if draw(st.booleans()):
                 disturbances.append(Burst(
@@ -122,8 +122,6 @@ def scenarios(draw) -> Scenario:
                     time=draw(st.floats(0.0, 100.0, allow_nan=False)),
                     factor=draw(st.floats(0.1, 4.0, allow_nan=False)),
                 ))
-        if draw(st.booleans()):
-            fields["trace"] = True
         if draw(st.booleans()):
             # The one fault disturbance the middleware engine accepts.
             start = draw(st.floats(0.0, 100.0, allow_nan=False))

@@ -17,7 +17,6 @@ import pytest
 from repro.api import (
     Burst,
     DelaySpike,
-    ExperimentSuite,
     MessageLoss,
     NodeCrash,
     Partition,
@@ -624,13 +623,6 @@ class TestScenarioErrors:
                 disturbances=(Slowdown(time=1.0, factor=0.5),),
             )
 
-    def test_distributed_rejects_trace(self):
-        with pytest.raises(
-            ConfigurationError,
-            match="tracing is not supported by the distributed engine",
-        ):
-            _scenario(engine="distributed", combo="J_N_N", trace=True)
-
     def test_unknown_disturbance_object(self):
         with pytest.raises(
             ConfigurationError, match="unknown disturbance object"
@@ -727,10 +719,11 @@ class TestScenarioJsonErrors:
 
 
 # ----------------------------------------------------------------------
-# Keys of the removed replay engine
+# Keys of removed Scenario fields
 # ----------------------------------------------------------------------
-#: Each key a scenario saved with the replay engine's fields may hold, and
-#: the error (after its JSON path) that refuses it.
+#: Each key a scenario saved with the replay engine's fields or the
+#: tracer's ``trace`` flag may hold, and the error (after its JSON path)
+#: that refuses it.
 _REMOVED_KEYS = {
     "policy": ("aub", ".policy: unknown key of Scenario"),
     "policy_params": (
@@ -742,11 +735,14 @@ _REMOVED_KEYS = {
         "replay",
         ": unknown engine 'replay'; expected one of middleware, distributed",
     ),
+    "trace": (False, ".trace: unknown key of Scenario"),
 }
 
 
 #: ``repro scenario export - --random-seed 3 --distributed`` as written
-#: while the replay engine existed.
+#: while the replay engine existed: with the ``trace`` line every saved
+#: scenario held until that flag went, and the workload's default
+#: ``index`` and ``stream``, which still load.
 _SAVED_WITH_ARRIVAL_STREAM = """{
   "aperiodic_interarrival_factor": 2.0,
   "arrival_stream": "arrivals",
@@ -774,7 +770,7 @@ class TestRemovedKeys:
         edited = "".join(
             line
             for line in _SAVED_WITH_ARRIVAL_STREAM.splitlines(keepends=True)
-            if '"arrival_stream"' not in line
+            if '"arrival_stream"' not in line and '"trace"' not in line
         )
         assert Scenario.from_json_str(edited) == Scenario(
             workload=WorkloadSource.random(seed=3),
@@ -790,15 +786,6 @@ class TestRemovedKeys:
         with pytest.raises(ConfigurationError) as refused:
             Scenario.from_json(saved)
         assert str(refused.value) == "$" + error
-
-    @pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
-    def test_suite_cell_refused(self, key):
-        value, error = _REMOVED_KEYS[key]
-        suite = ExperimentSuite(name="saved", cells=(_scenario(),)).to_json()
-        suite["cells"][0][key] = value
-        with pytest.raises(ConfigurationError) as refused:
-            ExperimentSuite.from_json(suite)
-        assert str(refused.value) == "$.cells[0]" + error
 
     @pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
     def test_scenario_run_prints_one_error_line(self, key, tmp_path, capsys):

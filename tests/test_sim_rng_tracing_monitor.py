@@ -1,4 +1,4 @@
-"""Unit tests for RNG streams, tracing and statistics collectors."""
+"""Unit tests for RNG streams and statistics collectors."""
 
 import math
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim.monitor import StatSeries, TimeWeightedStat
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import Tracer
 
 
 # ----------------------------------------------------------------------
@@ -43,55 +42,6 @@ class TestRngRegistry:
         parent = RngRegistry(5)
         child = parent.spawn("child")
         assert parent.master_seed != child.master_seed
-
-
-# ----------------------------------------------------------------------
-# Tracer
-# ----------------------------------------------------------------------
-class TestTracer:
-    def test_records_accumulate(self):
-        tracer = Tracer()
-        tracer.record(1.0, "cat.a", "node1", detail=42)
-        tracer.record(2.0, "cat.b", None)
-        assert len(tracer) == 2
-        assert tracer.records[0].get("detail") == 42
-
-    def test_disabled_tracer_is_noop(self):
-        tracer = Tracer(enabled=False)
-        tracer.record(1.0, "cat.a")
-        assert len(tracer) == 0
-
-    def test_by_category_filters(self):
-        tracer = Tracer()
-        tracer.record(1.0, "x")
-        tracer.record(2.0, "y")
-        tracer.record(3.0, "x")
-        assert [r.time for r in tracer.by_category("x")] == [1.0, 3.0]
-
-    def test_categories_histogram(self):
-        tracer = Tracer()
-        for _ in range(3):
-            tracer.record(0.0, "a")
-        tracer.record(0.0, "b")
-        assert tracer.categories() == {"a": 3, "b": 1}
-
-    def test_subscribe_listener_sees_records(self):
-        tracer = Tracer()
-        seen = []
-        tracer.subscribe(seen.append)
-        tracer.record(1.0, "cat")
-        assert len(seen) == 1 and seen[0].category == "cat"
-
-    def test_get_returns_default_for_missing_key(self):
-        tracer = Tracer()
-        tracer.record(1.0, "cat", foo=1)
-        assert tracer.records[0].get("bar", "d") == "d"
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record(1.0, "cat")
-        tracer.clear()
-        assert len(tracer) == 0
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ uninstalls the application once its results are read: it drains the
 kernel, drops the work still queued on the processors and empties the
 ``(task, stage, node)`` table and the containers' component tables.  The
 replicas then go by reference counting inside ``Session.run``, while the
-services, their counters, the metrics and the tracer stay readable
-through ``session.system``.
+services, their counters and the metrics stay readable through
+``session.system``.
 """
 
 import gc
@@ -45,12 +45,9 @@ CELLS = {
         duration=10.0,
         seed=5,
         arrival_batching=True,
-        trace=True,
         disturbances=(Burst(time=4.0, jobs=20, spacing=1e-4),),
     ),
-    "sequential": Scenario(
-        workload=WORKLOAD, combo="J_J_J", duration=10.0, seed=5, trace=True
-    ),
+    "sequential": Scenario(workload=WORKLOAD, combo="J_J_J", duration=10.0, seed=5),
     "distributed": Scenario(
         workload=WORKLOAD,
         engine="distributed",
@@ -96,17 +93,16 @@ def test_replicas_are_freed_when_the_run_returns(name):
     assert all(p.idle for p in system.processors.values())
     assert not system.env.subtask_instances
     assert not any(c.components for c in system.containers.values())
-    # The services, their counters, the metrics and the tracer stay.
+    # The services, their counters and the metrics stay.
     metrics = system.metrics
     assert metrics.arrived_jobs == result.arrived_jobs > 0
     assert metrics.completed_jobs == result.completed_jobs > 0
+    assert metrics.response_times.count == result.completed_jobs
     assert system.network.messages_sent == result.messages_sent
     if CELLS[name].engine == "distributed":
-        assert not system.tracer.enabled and len(system.tracer) == 0
         rounds = [system.acs[n].coordination_rounds for n in sorted(system.acs)]
         assert sum(rounds) > 0, rounds
         return
-    assert len(system.tracer.by_category("job.complete")) == result.completed_jobs
     ac = system.ac
     assert ac.analyzer.tests_performed > 0
     if CELLS[name].arrival_batching:

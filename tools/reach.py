@@ -6,11 +6,13 @@ Usage (from the repository root)::
 
 Runs the paper artifacts through the CLI (``figure5``, ``figure6``,
 ``figure8`` and ``ablation`` at 1 set and 10 s, one worker, and
-``table1``) and the three ``bench_e2e`` workloads at full scale (every
-cell deployed, run and digested as one ``bench_e2e/run.py`` pass does)
-under ``sys.setprofile``, then prints, for each module of
-``src/repro``, every function that was never called with its line span,
-and the totals.
+``table1``), the paper's front end (section 6: a scenario written by
+``scenario export`` into a temporary directory, then ``configure`` with
+the questionnaire's answers and ``analyze``'s feasibility report on it)
+and the three ``bench_e2e`` workloads at full scale (every cell
+deployed, run and digested as one ``bench_e2e/run.py`` pass does) under
+``sys.setprofile``, then prints, for each module of ``src/repro``, every
+function that was never called with its line span, and the totals.
 
 A function is every ``def`` (methods and nested functions included); one
 is reached when any call entered it.  Unreached lines are the source
@@ -28,6 +30,7 @@ import contextlib
 import io
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import FrameType
@@ -150,7 +153,8 @@ def format_report(modules: List[ModuleReach], base: Path) -> str:
 
 
 def run_artifacts_and_workloads() -> None:
-    """The paper artifacts through the CLI, then the three e2e grids."""
+    """The paper artifacts and the front end through the CLI, then the
+    three e2e grids."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "bench_e2e"))
     from grids import DEFAULT_SEED, GRIDS  # bench_e2e/grids.py
@@ -165,6 +169,11 @@ def run_artifacts_and_workloads() -> None:
         cli(["figure8"] + quick)
         cli(["ablation", "--sets", "1"] + quick)
         cli(["table1"])
+        with tempfile.TemporaryDirectory() as scratch:
+            scenario = os.path.join(scratch, "scenario.json")
+            cli(["scenario", "export", scenario, "--random-seed", "2008"])
+            cli(["configure", scenario, "--answers", "N,Y,Y,PT"])
+            cli(["analyze", scenario])
     for grid in GRIDS.values():
         for cell in grid.build(DEFAULT_SEED, False):
             session = Session(
