@@ -9,7 +9,8 @@ setup(
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
     # The core install is dependency-free pure Python.  numpy only
-    # accelerates the bulk f(U) evaluation on large batches; decisions
-    # are bit-identical either way (see docs/PERFORMANCE.md).
+    # speeds up the burst screen of batched admission, and is imported
+    # at the first screen; decisions are bit-identical either way (see
+    # docs/PERFORMANCE.md).
     extras_require={"fast": ["numpy"]},
 )

@@ -10,9 +10,8 @@ layer accepts plain parameters and lets its caller resolve them here.
 The helpers below are the complete catalogue of runtime environment
 knobs the library honors (example-only knobs such as
 ``REPRO_EXAMPLE_DURATION`` live with their scripts, which are outside
-the library).  Each knob is read at its use site's entry point — not cached
-at import — except where the consumer itself binds the value at import
-time (the numpy gate in :mod:`repro.sched.aub`).
+the library).  Each knob is read at its use site's entry point, never
+cached at import.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Optional
 #: Worker-count override for the experiment fan-out (``run_cells``).
 WORKERS_VAR = "REPRO_WORKERS"
 
-#: Force the scalar f(U) path even when numpy is importable.
+#: Force the Python burst-screen loop even when numpy is importable.
 PURE_PYTHON_VAR = "REPRO_PURE_PYTHON"
 
 #: Enable the runtime determinism sanitizer (see :mod:`repro.sanitize`).
@@ -42,7 +41,9 @@ def flag(name: str, default: bool = False) -> bool:
 def pure_python_forced() -> bool:
     """True when ``$REPRO_PURE_PYTHON`` disables the numpy burst screen.
 
-    Results are bit-identical either way (the Python loop screens every
+    Read once per ``AubAnalyzer``, at its construction, so an analyzer
+    built with the knob on never imports numpy.  Results are
+    bit-identical either way (the Python loop screens every
     registration as the matrix product does; see
     ``repro.sched.aub.AubAnalyzer._screen_burst``); the knob exists so
     both paths can be exercised on one machine.

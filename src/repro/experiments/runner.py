@@ -33,7 +33,6 @@ which simulates nothing, submits its own replay cells
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 from typing import Callable, Iterable, List, Optional, Tuple
@@ -59,7 +58,10 @@ def _pool_context():
     """Prefer fork on Linux (cheap, inherits the loaded package); use the
     platform default elsewhere — macOS exposes fork but forked children
     can crash inside system frameworks, which is why spawn is its
-    default."""
+    default.  ``multiprocessing`` is imported here, so a serial run never
+    loads it."""
+    import multiprocessing
+
     if sys.platform == "linux":
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()

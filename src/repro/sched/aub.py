@@ -47,7 +47,9 @@ When numpy is available the burst screen is one matrix-vector product of
 per-registration visit counts with the screen's node terms
 (:meth:`AubAnalyzer._screen_rows`); the pure-python loop is used when
 numpy is absent or ``REPRO_PURE_PYTHON`` is set.  Decisions and floats
-are bit-identical either way.
+are bit-identical either way.  numpy is imported at an analyzer's first
+burst screen, not with this module, so a process that never screens a
+burst (the paper's figures, the distributed engine) never loads it.
 """
 
 from __future__ import annotations
@@ -70,17 +72,6 @@ from typing import (
 from repro.env import pure_python_forced, sanitize_enabled
 from repro.errors import SchedulingError
 from repro.sanitize import LedgerShadow, SanitizeViolation
-
-# numpy is an optional accelerator (the ``fast`` extra): the burst screen
-# becomes one matrix-vector product.  Setting REPRO_PURE_PYTHON forces the
-# Python loop even when numpy is installed, so both paths can be exercised
-# on one machine; results are bit-identical either way.
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-if pure_python_forced():
-    _np = None
 
 #: Numeric slack for condition comparisons, so contributions that sum to
 #: exactly the bound are not rejected by floating-point noise.
@@ -394,7 +385,7 @@ class AubAnalyzer:
     per-ledger-node visit counts per registration, built from the
     registry at the analyzer's first screen and kept up to date by
     :meth:`register` and :meth:`_detach` from then on (analyzers that
-    never screen never build it).
+    never screen never build it, nor import numpy).
     """
 
     #: Compact the expiry heap only beyond this size (below it, lazy
@@ -417,11 +408,12 @@ class AubAnalyzer:
         #: drives compaction in :meth:`prune`.
         self._expiry_stale = 0
         #: The array screen's visit-count matrix (numpy only; None until
-        #: the first burst screen): row ``_row_of[key]`` counts the visits
-        #: of registration ``key`` to each ledger node, in column order
-        #: ``_col_of``.  ``_row_keys`` maps each row in use back to its
-        #: key; rows in use that no registration holds are zero, map to
-        #: None and are listed in ``_free_rows``.
+        #: the first burst screen, and always on the loop): row
+        #: ``_row_of[key]`` counts the visits of registration ``key`` to
+        #: each ledger node, in column order ``_col_of``.  ``_row_keys``
+        #: maps each row in use back to its key; rows in use that no
+        #: registration holds are zero, map to None and are listed in
+        #: ``_free_rows``.
         self._rows = None
         self._col_of: Dict[str, int] = {}
         self._row_of: Dict[Tuple[str, int], int] = {}
@@ -434,6 +426,10 @@ class AubAnalyzer:
         # REPRO_SANITIZE=1 (checked once, at construction): audit the
         # caches against a fresh recompute at every admission entry point.
         self._sanitize = sanitize_enabled()
+        # REPRO_PURE_PYTHON=1 (checked once, at construction) keeps the
+        # burst screen on the Python loop; so does a missing numpy, found
+        # at the first screen (:meth:`_build_rows`).
+        self._array_screen = not pure_python_forced()
         #: The session :meth:`admissible` tests through: no overlay, no
         #: screen, and the live term cache in place of a copy.
         self._live = BatchAdmissionSession(self, self._node_terms)
@@ -479,13 +475,14 @@ class AubAnalyzer:
         (which absorbs ulp-scale float wobble) can never fail inside the
         burst, and cannot be over the bound now either.
 
-        The screen is :meth:`_screen_rows` with numpy and every burst
-        node known to the ledger, otherwise the loop below, which
-        screens every registration as the product does.  Each
-        registration over the screen's bound is rechecked exactly, in
-        visit order under the current terms.  Returns the watch set (the
-        over ones that visit a burst node), the violators (the over ones
-        whose current condition already fails) and the screen terms.
+        The screen is :meth:`_screen_rows` with numpy (imported at the
+        first screen) and every burst node known to the ledger, otherwise
+        the loop below, which screens every registration as the product
+        does.  Each registration over the screen's bound is rechecked
+        exactly, in visit order under the current terms.  Returns the
+        watch set (the over ones that visit a burst node), the violators
+        (the over ones whose current condition already fails) and the
+        screen terms.
         """
         terms = self._fill_stale_terms()
         screen_terms = {**terms, **umax_terms}
@@ -493,11 +490,10 @@ class AubAnalyzer:
         screen_bound = bound - SCREEN_GUARD
         registry = self._visits
         over = None
-        if _np is not None:
-            if self._rows is None:
-                self._build_rows()
-            if self._col_of.keys() >= umax_terms.keys():
-                over = self._screen_rows(screen_terms, screen_bound)
+        if self._rows is None and self._array_screen:
+            self._build_rows()
+        if self._rows is not None and self._col_of.keys() >= umax_terms.keys():
+            over = self._screen_rows(screen_terms, screen_bound)
         if over is None:
             over = [
                 key
@@ -525,8 +521,10 @@ class AubAnalyzer:
         sums in another order than the visits, a few ulps (~1e-15) from
         the visit-order total, far inside :data:`SCREEN_GUARD`.
         """
-        vector = _np.array([screen_terms[node] for node in self._col_of])
-        _np.minimum(vector, _SCREEN_TERM_CAP, out=vector)
+        import numpy as np
+
+        vector = np.array([screen_terms[node] for node in self._col_of])
+        np.minimum(vector, _SCREEN_TERM_CAP, out=vector)
         row_keys = self._row_keys
         totals = self._rows[: len(row_keys)].dot(vector)
         return [
@@ -535,11 +533,17 @@ class AubAnalyzer:
         ]
 
     def _build_rows(self) -> None:
-        """Build the visit-count matrix from the current registry."""
+        """Build the visit-count matrix from the current registry, or,
+        where numpy is not installed, leave this analyzer on the loop."""
+        try:
+            import numpy as np
+        except ModuleNotFoundError:
+            self._array_screen = False
+            return
         nodes = self.ledger.nodes
         self._col_of = {node: col for col, node in enumerate(nodes)}
         capacity = max(16, 2 * len(self._visits))
-        self._rows = _np.zeros((capacity, len(self._col_of)))
+        self._rows = np.zeros((capacity, len(self._col_of)))
         for key, (visits, _expiry) in self._visits.items():
             self._attach_row(key, visits)
 
@@ -553,7 +557,9 @@ class AubAnalyzer:
             row = len(self._row_keys)
             rows = self._rows
             if row == len(rows):
-                grown = _np.zeros((2 * row, rows.shape[1]))
+                import numpy as np
+
+                grown = np.zeros((2 * row, rows.shape[1]))
                 grown[:row] = rows
                 self._rows = grown
             self._row_keys.append(key)

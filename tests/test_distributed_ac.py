@@ -16,7 +16,7 @@ from repro.sched.aub import aub_term, aub_term_inverse
 from repro.sched.task import TaskKind
 from repro.workloads.model import Workload
 
-from tests.taskutil import make_task, make_two_node_workload
+from tests.taskutil import make_task
 
 
 class TestTermInverse:

@@ -4,11 +4,10 @@ import math
 import random
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched import aub
+from repro.env import PURE_PYTHON_VAR
 from repro.sched.aub import (
     AubAnalyzer,
     SyntheticUtilizationLedger,
@@ -461,17 +460,17 @@ class TestIncrementalMatchesNaive:
 
 class TestArrayScreenMatchesLoop:
     """With numpy the burst screen is one product of visit-count rows
-    with the node terms; with ``repro.sched.aub._np`` patched to None it
-    is the Python loop.  The same random sequence must give the same
-    decisions, ledger and counters either way."""
+    with the node terms; for an analyzer built under
+    ``REPRO_PURE_PYTHON=1`` it is the Python loop.  The same random
+    sequence must give the same decisions, ledger and counters either
+    way."""
 
-    @pytest.mark.skipif(aub._np is None, reason="the array screen needs numpy")
-    def test_seeded_sequences_match_the_loop(self, monkeypatch):
+    def test_seeded_sequences_match_the_loop(self, array_screen, monkeypatch):
         for seed in range(6):
             array = _drive(random.Random(seed), 200)
             assert array.inc._rows is not None
             with monkeypatch.context() as patch:
-                patch.setattr(aub, "_np", None)
+                patch.setenv(PURE_PYTHON_VAR, "1")
                 loop = _drive(random.Random(seed), 200)
             assert loop.inc._rows is None
             # Scalar, burst and session decisions, in sequence order.

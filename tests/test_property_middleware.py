@@ -1,8 +1,6 @@
 """End-to-end property tests: middleware invariants over random
 workloads and strategy combinations."""
 
-import random
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -181,8 +181,7 @@ class TestAnalyzerCacheAudit:
         with pytest.raises(SanitizeViolation, match="violators"):
             analyzer.admissible_batch(burst, now=1.0)
 
-    @pytest.mark.skipif(aub._np is None, reason="the rows need numpy")
-    def test_tampered_visit_count_row_is_caught(self, sanitize):
+    def test_tampered_visit_count_row_is_caught(self, sanitize, array_screen):
         ledger = SyntheticUtilizationLedger(["n1", "n2"])
         analyzer = AubAnalyzer(ledger)
         analyzer.register(("t1", 0), ["n1", "n2"], expiry=None)
@@ -195,8 +194,7 @@ class TestAnalyzerCacheAudit:
         with pytest.raises(SanitizeViolation, match="visit-count row"):
             analyzer.admissible_batch(burst, now=1.0)
 
-    @pytest.mark.skipif(aub._np is None, reason="the rows need numpy")
-    def test_nonzero_free_row_is_caught(self, sanitize):
+    def test_nonzero_free_row_is_caught(self, sanitize, array_screen):
         ledger = SyntheticUtilizationLedger(["n1", "n2"])
         analyzer = AubAnalyzer(ledger)
         analyzer.register(("t1", 0), ["n1", "n2"], expiry=None)

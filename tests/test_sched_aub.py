@@ -7,7 +7,6 @@ import time
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sched import aub
 from repro.sched.aub import (
     RESERVED,
     AubAnalyzer,
@@ -362,7 +361,7 @@ class TestIncrementalMatchesNaiveScripted:
 # ----------------------------------------------------------------------
 # The array-backed burst screen (numpy only)
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(aub._np is None, reason="the array screen needs numpy")
+@pytest.mark.usefixtures("array_screen")
 class TestArrayScreen:
     NODES = ("a", "b", "c")
 
